@@ -10,11 +10,13 @@ least as large as the boundary and starts inside, a crossing always exists.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from .certificate import Certificate
 from .errors import (
     InfeasibleError,
     InputError,
@@ -37,6 +39,7 @@ from .geom2d import (
 )
 
 EPS_BAL_REL = 1e-8
+ORACLE_MAX_TOTAL = 2 ** 27    # partition_oracle's bitmask stays below 16 MB
 
 
 @dataclass
@@ -53,12 +56,49 @@ class Placement2:
 
 
 @dataclass
-class BalanceCertificate:
+class BalanceCertificate(Certificate):
     residual: float
     max_membership_error: float
     eps_bal: float
     eps_geom: float
-    passed: bool
+
+    def limits(self):
+        return (("residual", self.residual, self.eps_bal),
+                ("max_membership_error", self.max_membership_error, self.eps_geom))
+
+
+@dataclass
+class AntipodalCertificate(Certificate):
+    midpoint_error: float
+    max_membership_error: float
+    eps_geom: float
+
+    def limits(self):
+        return (("midpoint_error", self.midpoint_error, self.eps_geom),
+                ("max_membership_error", self.max_membership_error, self.eps_geom))
+
+
+@dataclass
+class PartitionCertificate(Certificate):
+    misplaced: int           # indices not in exactly one group
+    largest_group: Fraction  # exact total of the heaviest group
+    half: Fraction           # exact half of the total
+
+    def limits(self):
+        return (("misplaced_indices", self.misplaced, 0),
+                ("largest_group_total", self.largest_group, self.half))
+
+
+@dataclass
+class GadgetCertificate(Certificate):
+    balanceable: bool
+    oracle: bool                          # partition_oracle on the same values
+    witness: BalanceCertificate | None    # present iff balanceable
+
+    def limits(self):
+        agree = (("decision_differs_from_oracle",
+                  int(self.balanceable != self.oracle), 0),)
+        return agree + (self.witness.limits() if self.witness else ())
 
 
 @dataclass(frozen=True)
@@ -214,6 +254,18 @@ def partition_three(weights) -> ThreeGroups:
     return ThreeGroups(groups, sums)
 
 
+def verify_partition_three(weights, groups) -> PartitionCertificate:
+    """Groups partition the weight indices, none above half the total (exact)."""
+    exact = [Fraction(float(x)) for x in _check_weights(weights)]
+    n = len(exact)
+    seen = Counter(i for g in groups for i in g)
+    if any(not 0 <= i < n for i in seen):
+        raise InputError(f"group indices must lie in 0..{n - 1}")
+    misplaced = sum(1 for i in range(n) if seen[i] != 1)
+    largest = max(sum((exact[i] for i in g), Fraction(0)) for g in groups)
+    return PartitionCertificate(misplaced, largest, sum(exact, Fraction(0)) / 2)
+
+
 def balance_fast(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None) -> Placement2:
     """Like balance_iterative but with at most three distinct locations.
 
@@ -241,36 +293,36 @@ def balance_fast(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None) -> P
     return Placement2(assignments, np.asarray(target, float), rounds=inner.rounds)
 
 
-def verify_balance(poly: Polygon2, placement: Placement2, weights,
-                   eps_geom=None, eps_bal=None) -> BalanceCertificate:
-    """Residual and membership check for a boundary-point placement."""
-    w = _check_weights(weights)
-    idx = [i for i, _ in placement.assignments]
-    if sorted(idx) != list(range(len(w))):
-        raise InputError("assignments must cover each weight index exactly once")
-    pts = np.array([eval_boundary(poly, bp) for _, bp in placement.assignments])
-    return verify_balance_points(poly, pts, w[idx], placement.target,
-                                 eps_geom, eps_bal)
-
-
 def verify_balance_points(poly: Polygon2, points, weights, target=(0.0, 0.0),
                           eps_geom=None, eps_bal=None) -> BalanceCertificate:
-    """Same check for raw coordinates (re-verification path)."""
-    w = np.asarray(weights, dtype=float)
+    """Points on the boundary (within eps_geom) whose weighted barycenter is
+    the target (moment residual within eps_bal); points[i] carries weights[i]."""
+    w = _check_weights(weights)
     pts = np.asarray(points, dtype=float)
+    if pts.shape != (len(w), 2):
+        raise InputError(f"need one 2-d point per weight, got shape {pts.shape}")
     target = np.asarray(target, dtype=float)
     total = math.fsum(w.tolist())
-    eps_g = poly.eps_geom(eps_geom)
     if eps_bal is None:
         eps_bal = EPS_BAL_REL * poly.diam * (total if total > 0 else 1.0)
     moment = (w[:, None] * pts).sum(axis=0) - total * target
     residual = float(np.linalg.norm(moment))
-    mem = 0.0
-    for p in pts:
-        _, d = _nearest_with_distance(poly, p)
-        mem = max(mem, d)
-    passed = residual <= eps_bal and mem <= eps_g
-    return BalanceCertificate(residual, mem, float(eps_bal), eps_g, passed)
+    return BalanceCertificate(residual, _boundary_distance(poly, pts),
+                              float(eps_bal), poly.eps_geom(eps_geom))
+
+
+def verify_antipodal(poly: Polygon2, points, center,
+                     eps_geom=None) -> AntipodalCertificate:
+    """Two boundary points whose midpoint is the center, within eps_geom."""
+    pts = np.asarray(points, dtype=float)
+    err = float(np.linalg.norm(0.5 * (pts[0] + pts[1]) - np.asarray(center, float)))
+    return AntipodalCertificate(err, _boundary_distance(poly, pts),
+                                poly.eps_geom(eps_geom))
+
+
+def _boundary_distance(poly: Polygon2, pts) -> float:
+    """Largest distance from a point of pts to the polygon boundary."""
+    return max([0.0] + [_nearest_with_distance(poly, p)[1] for p in pts])
 
 
 # --- PARTITION hardness gadget ----------------------------------------------
@@ -293,14 +345,34 @@ def gadget_from_partition(inst: PartitionInstance):
 
 
 def partition_oracle(inst: PartitionInstance) -> bool:
-    """Subset-sum bitmask DP: can the values split into two equal halves?"""
+    """Subset-sum bitmask DP: can the values split into two equal halves?
+
+    The bitmask grows to total bits, so totals above ORACLE_MAX_TOTAL are
+    refused rather than allowed to exhaust memory.
+    """
     total = sum(int(a) for a in inst.values)
     if total % 2 == 1:
         return False
+    if total > ORACLE_MAX_TOTAL:
+        raise InputError(f"values total {total} exceeds the oracle's limit "
+                         f"{ORACLE_MAX_TOTAL}")
     bits = 1
     for a in inst.values:
         bits |= bits << int(a)
     return bool((bits >> (total // 2)) & 1)
+
+
+def verify_gadget_decision(inst: PartitionInstance, balanceable,
+                           points=None) -> GadgetCertificate:
+    """The decision agrees with partition_oracle, and a yes comes with points
+    that balance the gadget's own weights at the origin on its boundary."""
+    witness = None
+    if balanceable:
+        if points is None:
+            raise InputError("a balanceable decision needs witness points")
+        poly, weights = gadget_from_partition(inst)
+        witness = verify_balance_points(poly, points, weights)
+    return GadgetCertificate(bool(balanceable), partition_oracle(inst), witness)
 
 
 def gadget_decide(inst: PartitionInstance) -> bool:

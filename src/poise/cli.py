@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,16 +20,15 @@ from .errors import (DegenerateSectionError, InfeasibleError, InputError,
                      OriginOnBoundaryError, ParseError,
                      PerturbationFailedError, PoiseError, SearchExhaustedError,
                      SubdivisionLimitError, WalkFailedError)
-from .geom2d import antipodal_about, eval_boundary, load_polygon, \
-    _nearest_with_distance
-from .geom3d import Plane3, load_off
-from .polytoped import (dump_hrep_text, enumerate_vertices, faces_of_dim,
-                        load_hrep)
+from .geom2d import antipodal_about, eval_boundary, load_polygon
+from .geom3d import Plane3, Polyhedron3, load_off
+from .polytoped import (dump_hrep_text, edge_segment, enumerate_vertices,
+                        faces_of_dim, load_hrep)
 from .skeleton_balance import (SkeletonPlacement, compose_balance, four_on_edges,
-                               halving_point, placement_from_points, pow2_points,
-                               prop9_check, prop9_fixture, three_on_edges,
+                               halving_point, pow2_points, prop9_check,
+                               prop9_fixture, three_on_edges, verify_halving,
                                verify_skeleton)
-from .tripodal import (TripodalTriple, tripodal_by_face_triples, tripodal_search,
+from .tripodal import (EPS_REL, tripodal_by_face_triples, tripodal_search,
                        verify_tripodal)
 
 # Solver ran correctly but found nothing to certify: exit 1, not 3.
@@ -50,25 +48,13 @@ class CommandResult:
 
 # --- small parsing and emission helpers --------------------------------------
 
-def _floats(text):
+def _numbers(text, kind=float):
     try:
-        vals = [float(x) for x in text.split()]
+        vals = [kind(x) for x in text.split()]
     except ValueError as exc:
-        raise ParseError(f"bad number list {text!r}: {exc}") from exc
+        raise ParseError(f"bad {kind.__name__} list {text!r}: {exc}") from exc
     if not vals:
-        raise ParseError("empty number list")
-    return vals
-
-
-def _ints(text):
-    vals = []
-    for x in text.split():
-        try:
-            vals.append(int(x))
-        except ValueError as exc:
-            raise ParseError(f"bad integer list {text!r}: {exc}") from exc
-    if not vals:
-        raise ParseError("empty integer list")
+        raise ParseError(f"empty {kind.__name__} list")
     return vals
 
 
@@ -82,19 +68,10 @@ def _grid(text):
         raise ParseError(f"bad grid {text!r}: {exc}") from exc
 
 
-def _plain(x):
-    if isinstance(x, np.ndarray):
-        return _plain(x.tolist())
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)) and not isinstance(x, bool):
-        return int(x)
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (bool, str)) or x is None:
-        return x
+def _jsonable(x):
+    """json.dumps hook for the NumPy arrays and scalars in a payload."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
     raise InputError(f"cannot serialize {type(x).__name__}")
 
 
@@ -103,34 +80,35 @@ def _write(path, text):
         f.write(text)
 
 
-def _emit(args, payload, passed, no_result=False):
+def _emit(args, payload, passed, no_result=False, figure=None):
     payload = dict(payload)
     payload["schema"] = 1
-    text = json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
     json_path = getattr(args, "json", None)
     if json_path:
         _write(json_path, text)
     else:
         sys.stdout.write(text)
     code = 0 if passed else (1 if no_result else 3)
-    return CommandResult(code, json_path, None)
+    return CommandResult(code, json_path, figure)
 
 
-def _with_figure(result, path):
-    if path and result.figure_path is None:
-        return CommandResult(result.exit_code, result.json_path, path)
-    return result
+def _figure(path, render):
+    """Write render() to path when a path was given; return the path."""
+    if path:
+        _write(path, render())
+    return path
 
 
-def _face_dict(face):
-    return {"tight": list(face.tight), "members": list(face.members),
+def _face_dict(face, tight_key="tight"):
+    return {tight_key: list(face.tight), "members": list(face.members),
             "dim": int(face.dim)}
 
 
-def _placement_payload(sp: SkeletonPlacement, cert):
+def _placement_payload(sp: SkeletonPlacement, cert, tight_key="tight"):
     return {
-        "points": [p for p, _ in sp.entries],
-        "hosts": [_face_dict(h) for _, h in sp.entries],
+        "points": sp.points(),
+        "hosts": [_face_dict(h, tight_key) for _, h in sp.entries],
         "count": sp.count,
         "target": sp.target,
         "certificate": asdict(cert),
@@ -142,10 +120,8 @@ def _hrep_obj(args, H, points):
     if H.d != 3:
         raise InputError("--obj output needs a 3-dimensional polytope")
     V = enumerate_vertices(H)
-    loops = []
-    for f in faces_of_dim(H, V, 1):
-        mem = f.members
-        loops.append(V.vertices[[mem[0], mem[-1]]])
+    loops = [V.vertices[list(edge_segment(V, f.members))]
+             for f in faces_of_dim(H, V, 1)]
     labels = tuple(f"edge{i}" for i in range(len(loops)))
     text = figures.obj_overlay(points=points, loops=loops, labels=labels)
     _write(args.obj, text)
@@ -154,22 +130,22 @@ def _hrep_obj(args, H, points):
 
 # --- subcommand handlers ------------------------------------------------------
 
-def _cmd_balance2d(args, fast=False):
+def _cmd_balance2d(args):
     poly = load_polygon(args.polygon)
-    weights = _floats(args.weights)
-    target = _floats(args.target)
-    if fast:
+    weights = _numbers(args.weights)
+    target = _numbers(args.target)
+    if args.cmd == "balance2d-fast":
         placement = b2.balance_fast(poly, weights, target, eps_geom=args.eps_geom)
     else:
         placement = b2.balance_iterative(poly, weights, target,
                                          eps_geom=args.eps_geom,
                                          collect_trace=bool(args.trace))
-    cert = b2.verify_balance(poly, placement, weights,
-                             eps_geom=args.eps_geom, eps_bal=args.eps_bal)
     order = sorted(placement.assignments, key=lambda t: t[0])
     pts = np.array([eval_boundary(poly, bp) for _, bp in order])
+    cert = b2.verify_balance_points(poly, pts, weights, target,
+                                    eps_geom=args.eps_geom, eps_bal=args.eps_bal)
     payload = {
-        "command": "balance2d-fast" if fast else "balance2d",
+        "command": args.cmd,
         "weights": weights,
         "target": target,
         "points": pts,
@@ -177,41 +153,33 @@ def _cmd_balance2d(args, fast=False):
         "rounds": placement.rounds,
         "certificate": asdict(cert),
     }
-    fig = None
-    if args.svg:
-        text = figures.svg_scene(polygon=poly.vertices, points=pts,
-                                 point_sizes=weights, target=target,
-                                 trace=placement.trace)
-        _write(args.svg, text)
-        fig = args.svg
-    return _with_figure(_emit(args, payload, cert.passed), fig)
+    fig = _figure(args.svg, lambda: figures.svg_scene(
+        polygon=poly.vertices, points=pts, point_sizes=weights, target=target,
+        trace=placement.trace))
+    return _emit(args, payload, cert.passed, figure=fig)
 
 
 def _cmd_antipodal(args):
     poly = load_polygon(args.polygon)
-    center = np.asarray(_floats(args.target))
+    center = np.asarray(_numbers(args.target))
     bp1, bp2 = antipodal_about(poly, center)
     pts = np.array([eval_boundary(poly, bp1), eval_boundary(poly, bp2)])
-    err = float(np.linalg.norm(0.5 * (pts[0] + pts[1]) - center))
-    eps = poly.eps_geom(args.eps_geom)
+    cert = b2.verify_antipodal(poly, pts, center, eps_geom=args.eps_geom)
     payload = {
         "command": "antipodal",
         "center": center,
         "points": pts,
         "params": [{"edge": bp.edge, "s": bp.s} for bp in (bp1, bp2)],
-        "midpoint_error": err,
-        "certificate": {"eps_geom": eps, "passed": err <= eps},
+        "midpoint_error": cert.midpoint_error,
+        "certificate": {"eps_geom": cert.eps_geom, "passed": cert.passed},
     }
-    fig = None
-    if args.svg:
-        _write(args.svg, figures.svg_scene(polygon=poly.vertices, points=pts,
-                                           target=center))
-        fig = args.svg
-    return _with_figure(_emit(args, payload, err <= eps), fig)
+    fig = _figure(args.svg, lambda: figures.svg_scene(
+        polygon=poly.vertices, points=pts, target=center))
+    return _emit(args, payload, cert.passed, figure=fig)
 
 
 def _cmd_reduce_partition(args):
-    inst = b2.PartitionInstance(tuple(_ints(args.partition)))
+    inst = b2.PartitionInstance(tuple(_numbers(args.partition, int)))
     poly, weights = b2.gadget_from_partition(inst)
     payload = {
         "command": "reduce-partition",
@@ -220,75 +188,62 @@ def _cmd_reduce_partition(args):
         "polygon": poly.vertices,
         "certificate": {"passed": True},
     }
-    fig = None
-    if args.svg:
-        _write(args.svg, figures.svg_scene(polygon=poly.vertices))
-        fig = args.svg
-    return _with_figure(_emit(args, payload, True), fig)
-
-
-def _check_within_half(weights, groups):
-    exact = [Fraction(float(w)) for w in weights]
-    half = sum(exact, Fraction(0)) / 2
-    return all(sum((exact[i] for i in g), Fraction(0)) <= half for g in groups)
+    fig = _figure(args.svg, lambda: figures.svg_scene(polygon=poly.vertices))
+    return _emit(args, payload, True, figure=fig)
 
 
 def _cmd_solve_partition(args):
-    weights = _floats(args.weights)
+    weights = _numbers(args.weights)
     three = b2.partition_three(weights)
-    ok = _check_within_half(weights, three.groups)
+    cert = b2.verify_partition_three(weights, three.groups)
     payload = {
         "command": "solve-partition",
         "weights": weights,
         "groups": [list(g) for g in three.groups],
         "sums": list(three.sums),
-        "within_half": ok,
-        "certificate": {"passed": ok},
+        "within_half": cert.largest_group <= cert.half,
+        "certificate": {"passed": cert.passed},
     }
-    return _emit(args, payload, ok, no_result=True)
+    return _emit(args, payload, cert.passed, no_result=True)
 
 
 def _cmd_gadget_decide(args):
-    inst = b2.PartitionInstance(tuple(_ints(args.partition)))
+    inst = b2.PartitionInstance(tuple(_numbers(args.partition, int)))
     decision = b2.gadget_decide(inst)
     poly, weights = b2.gadget_from_partition(inst)
-    payload = {
-        "command": "gadget-decide",
-        "values": list(inst.values),
-        "balanceable": decision,
-    }
+    payload = {"command": "gadget-decide", "values": list(inst.values),
+               "balanceable": decision}
     pts = None
-    passed = True
     if decision:
         placement = b2.gadget_witness(inst)
         if placement is None:
             raise WalkFailedError("decision true but no witness reconstructed")
-        cert = b2.verify_balance(poly, placement, weights)
         order = sorted(placement.assignments, key=lambda t: t[0])
         pts = np.array([eval_boundary(poly, bp) for _, bp in order])
-        payload["witness"] = {"weights": weights, "points": pts}
-        payload["certificate"] = asdict(cert)
-        passed = cert.passed
+    payload["witness"] = {"weights": weights, "points": pts} if decision else None
+    cert = b2.verify_gadget_decision(inst, decision, pts)
+    payload["certificate"] = dict(asdict(cert.witness) if decision else {},
+                                  passed=cert.passed)
+    fig = _figure(args.svg, lambda: figures.svg_scene(
+        polygon=poly.vertices, points=pts,
+        point_sizes=weights if pts is not None else None))
+    return _emit(args, payload, cert.passed and decision,
+                 no_result=cert.passed and not decision, figure=fig)
+
+
+def _cmd_tripodal(args):
+    poly = load_off(args.off)
+    if args.cmd == "tripodal":
+        triple = tripodal_search(poly, grid=_grid(args.grid))
     else:
-        payload["witness"] = None
-        payload["certificate"] = {"passed": True}
-    fig = None
-    if args.svg:
-        _write(args.svg, figures.svg_scene(
-            polygon=poly.vertices, points=pts,
-            point_sizes=weights if pts is not None else None))
-        fig = args.svg
-    return _with_figure(
-        _emit(args, payload, passed and decision, no_result=not decision), fig)
-
-
-def _tripodal_common(args, triple, poly, command):
-    cert = verify_tripodal(poly, triple, eps_geom=args.eps_geom or 1e-6,
-                           eps_bal=args.eps_bal or 1e-6)
+        triple = tripodal_by_face_triples(poly, samples=args.samples)
+    eps_geom = EPS_REL if args.eps_geom is None else args.eps_geom
+    eps_bal = EPS_REL if args.eps_bal is None else args.eps_bal
+    cert = verify_tripodal(poly, triple.points, eps_geom, eps_bal)
     payload = {
-        "command": command,
-        "eps_geom": args.eps_geom or 1e-6,
-        "eps_bal": args.eps_bal or 1e-6,
+        "command": args.cmd,
+        "eps_geom": eps_geom,
+        "eps_bal": eps_bal,
         "points": triple.points,
         "faces": list(triple.faces),
         "radius": triple.radius,
@@ -296,84 +251,45 @@ def _tripodal_common(args, triple, poly, command):
         "theta": triple.theta,
         "certificate": asdict(cert),
     }
-    fig = None
-    if args.svg:
-        _write(args.svg, figures.svg_scene3(poly, points=triple.points,
-                                            loop=triple.points,
-                                            target=np.zeros(3)))
-        fig = args.svg
-    if args.obj:
-        _write(args.obj, figures.obj_overlay(poly, points=triple.points,
-                                             loops=[triple.points],
-                                             labels=("tripod",)))
-        fig = fig or args.obj
-    return _with_figure(_emit(args, payload, cert.passed), fig)
+    svg = _figure(args.svg, lambda: figures.svg_scene3(
+        poly, points=triple.points, loop=triple.points, target=np.zeros(3)))
+    obj = _figure(args.obj, lambda: figures.obj_overlay(
+        poly, points=triple.points, loops=[triple.points], labels=("tripod",)))
+    return _emit(args, payload, cert.passed, figure=svg or obj)
 
 
-def _cmd_tripodal(args):
-    poly = load_off(args.off)
-    triple = tripodal_search(poly, grid=_grid(args.grid))
-    return _tripodal_common(args, triple, poly, "tripodal")
-
-
-def _cmd_tripodal_oracle(args):
-    poly = load_off(args.off)
-    triple = tripodal_by_face_triples(poly, samples=args.samples)
-    return _tripodal_common(args, triple, poly, "tripodal-oracle")
-
-
-def _cmd_three_on_edges(args):
+def _cmd_placement(args):
+    """three-on-edges, pow2 and compose: skeleton points on an H-polytope."""
     H = load_hrep(args.hrep)
-    target = np.asarray(_floats(args.target))
-    sp = three_on_edges(H, target)
-    cert = verify_skeleton(H, sp, eps_geom=args.eps_geom, eps_bal=args.eps_bal)
-    payload = {"command": "three-on-edges"}
-    payload.update(_placement_payload(sp, cert))
+    if args.cmd == "three-on-edges":
+        sp, payload = three_on_edges(H, np.asarray(_numbers(args.target))), {}
+    elif args.cmd == "pow2":
+        sp = pow2_points(H, args.k, seed=args.seed)
+        payload = {"k": args.k, "seed": args.seed}
+    else:
+        sp, payload = compose_balance(H, seed=args.seed), {"seed": args.seed}
+    cert = verify_skeleton(H, sp.points(), sp.target, args.eps_geom, args.eps_bal)
+    payload.update(_placement_payload(sp, cert), command=args.cmd)
     fig = _hrep_obj(args, H, sp.points()) if args.obj else None
-    return _with_figure(_emit(args, payload, cert.passed), fig)
+    return _emit(args, payload, cert.passed, figure=fig)
 
 
 def _cmd_four_on_edges(args):
     poly = load_off(args.off)
-    plane = Plane3(tuple(_floats(args.plane)), 0.0)
+    plane = Plane3(tuple(_numbers(args.plane)), 0.0)
     sp = four_on_edges(poly, plane)
-    cert = verify_skeleton(poly, sp, eps_geom=args.eps_geom, eps_bal=args.eps_bal)
-    payload = {
-        "command": "four-on-edges",
-        "plane": list(plane.normal),
-        "points": sp.points(),
-        "hosts": [{"face": list(h.tight), "members": list(h.members),
-                   "dim": int(h.dim)} for _, h in sp.entries],
-        "count": sp.count,
-        "target": sp.target,
-        "certificate": asdict(cert),
-    }
-    fig = None
-    if args.svg:
-        _write(args.svg, figures.svg_scene3(poly, points=sp.points()))
-        fig = args.svg
-    if args.obj:
-        _write(args.obj, figures.obj_overlay(poly, points=sp.points()))
-        fig = fig or args.obj
-    return _with_figure(_emit(args, payload, cert.passed), fig)
-
-
-def _halving_residuals(H, x):
-    norms = np.linalg.norm(H.A, axis=1)
-    rp = (H.A @ x - H.b) / norms
-    rn = (-H.A @ x - H.b) / norms
-    violation = max(float(rp.max()), float(rn.max()), 0.0)
-    touch = max(float(np.abs(rp).min()), float(np.abs(rn).min()))
-    return violation, touch
+    cert = verify_skeleton(poly, sp.points(), None, args.eps_geom, args.eps_bal)
+    payload = {"command": "four-on-edges", "plane": list(plane.normal)}
+    payload.update(_placement_payload(sp, cert, tight_key="face"))
+    svg = _figure(args.svg, lambda: figures.svg_scene3(poly, points=sp.points()))
+    obj = _figure(args.obj, lambda: figures.obj_overlay(poly, points=sp.points()))
+    return _emit(args, payload, cert.passed, figure=svg or obj)
 
 
 def _cmd_halving(args):
     H = load_hrep(args.hrep)
     wit = halving_point(H, seed=args.seed)
-    V = enumerate_vertices(H)
-    eps = args.eps_geom if args.eps_geom is not None else 1e-7 * V.diam
-    violation, touch = _halving_residuals(H, wit.x)
-    passed = violation <= eps and touch <= eps
+    cert = verify_halving(H, wit.x, args.eps_geom)
     payload = {
         "command": "halving",
         "seed": args.seed,
@@ -383,30 +299,11 @@ def _cmd_halving(args):
         "face_negP": _face_dict(wit.face_negP),
         "magnitude": wit.magnitude,
         "attempts": wit.attempts,
-        "certificate": {"violation": violation, "boundary_distance": touch,
-                        "eps_geom": eps, "passed": passed},
+        "certificate": {"violation": cert.violation,
+                        "boundary_distance": cert.boundary_distance,
+                        "eps_geom": cert.eps_geom, "passed": cert.passed},
     }
-    return _emit(args, payload, passed)
-
-
-def _cmd_pow2(args):
-    H = load_hrep(args.hrep)
-    sp = pow2_points(H, args.k, seed=args.seed)
-    cert = verify_skeleton(H, sp, eps_geom=args.eps_geom, eps_bal=args.eps_bal)
-    payload = {"command": "pow2", "k": args.k, "seed": args.seed}
-    payload.update(_placement_payload(sp, cert))
-    fig = _hrep_obj(args, H, sp.points()) if args.obj else None
-    return _with_figure(_emit(args, payload, cert.passed), fig)
-
-
-def _cmd_compose(args):
-    H = load_hrep(args.hrep)
-    sp = compose_balance(H, seed=args.seed)
-    cert = verify_skeleton(H, sp, eps_geom=args.eps_geom, eps_bal=args.eps_bal)
-    payload = {"command": "compose", "seed": args.seed}
-    payload.update(_placement_payload(sp, cert))
-    fig = _hrep_obj(args, H, sp.points()) if args.obj else None
-    return _with_figure(_emit(args, payload, cert.passed), fig)
+    return _emit(args, payload, cert.passed)
 
 
 def _cmd_prop9_fixture(args):
@@ -437,113 +334,152 @@ def _cmd_prop9_check(args):
 
 
 # --- certificate re-verification ----------------------------------------------
+#
+# `check` runs the verifier the solver ran, on the certificate's coordinates
+# and inputs, at the command's default tolerances. Derived fields (hosts,
+# faces, params, sums, residuals and every tolerance) are never read.
 
-def _need(args, attr):
-    val = getattr(args, attr, None)
-    if not val:
-        raise InputError(f"check needs --{attr} for this certificate")
+def _field(payload, key, kind):
+    """payload[key], which must be a kind (a bool is no int here)."""
+    val = payload.get(key) if isinstance(payload, dict) else None
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        raise InputError(f"certificate needs {key!r} of type {kind.__name__}")
     return val
 
 
-def _recheck(args, payload):
-    cmd = payload.get("command")
-    cert = payload.get("certificate", {})
-    if cmd in ("balance2d", "balance2d-fast"):
-        poly = load_polygon(_need(args, "polygon"))
-        re = b2.verify_balance_points(poly, payload["points"], payload["weights"],
-                                      payload["target"], cert.get("eps_geom"),
-                                      cert.get("eps_bal"))
-        return re.passed
-    if cmd == "antipodal":
-        poly = load_polygon(_need(args, "polygon"))
-        pts = np.asarray(payload["points"])
-        center = np.asarray(payload["center"])
-        err = float(np.linalg.norm(0.5 * (pts[0] + pts[1]) - center))
-        mem = max(_nearest_with_distance(poly, p)[1] for p in pts)
-        return err <= cert["eps_geom"] and mem <= cert["eps_geom"]
-    if cmd == "reduce-partition":
-        inst = b2.PartitionInstance(tuple(payload["values"]))
-        poly, weights = b2.gadget_from_partition(inst)
-        return (list(weights) == payload["weights"]
-                and np.allclose(poly.vertices, payload["polygon"]))
-    if cmd == "solve-partition":
-        return (_check_within_half(payload["weights"], payload["groups"])
-                == payload["within_half"])
-    if cmd == "gadget-decide":
-        inst = b2.PartitionInstance(tuple(payload["values"]))
-        if b2.partition_oracle(inst) != payload["balanceable"]:
-            return False
-        if payload["balanceable"]:
-            poly, weights = b2.gadget_from_partition(inst)
-            re = b2.verify_balance_points(poly, payload["witness"]["points"],
-                                          payload["witness"]["weights"],
-                                          (0.0, 0.0))
-            return re.passed
-        return True
-    if cmd in ("tripodal", "tripodal-oracle"):
-        poly = load_off(_need(args, "off"))
-        triple = TripodalTriple(np.asarray(payload["points"]),
-                                tuple(payload["faces"]), payload["radius"],
-                                payload["t"], payload["theta"])
-        re = verify_tripodal(poly, triple, payload["eps_geom"],
-                             payload["eps_bal"])
-        return re.passed
-    if cmd in ("three-on-edges", "pow2", "compose"):
-        H = load_hrep(_need(args, "hrep"))
-        sp = placement_from_points(H, payload["points"], payload["target"])
-        re = verify_skeleton(H, sp, cert.get("eps_geom"), cert.get("eps_bal"))
-        return re.passed
-    if cmd == "four-on-edges":
-        poly = load_off(_need(args, "off"))
-        pts = np.asarray(payload["points"])
-        sp = placement_for_mesh(poly, pts, payload["hosts"])
-        re = verify_skeleton(poly, sp, cert.get("eps_geom"), cert.get("eps_bal"))
-        return re.passed
-    if cmd == "halving":
-        H = load_hrep(_need(args, "hrep"))
-        violation, touch = _halving_residuals(H, np.asarray(payload["x"]))
-        return violation <= cert["eps_geom"] and touch <= cert["eps_geom"]
-    if cmd == "prop9-fixture":
-        H = load_hrep(_need(args, "hrep"))
-        return (H.m == payload["m"] and np.allclose(H.A, payload["A"])
-                and np.allclose(H.b, payload["b"]))
-    if cmd == "prop9-check":
-        H = load_hrep(_need(args, "hrep"))
-        return prop9_check(H, payload["k"]) == payload["empty"]
-    raise InputError(f"unknown certificate command {cmd!r}")
+def _array(payload, key, shape):
+    """payload[key] as a finite float array of this shape (None: any length)."""
+    try:
+        a = np.asarray(_field(payload, key, list), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"certificate field {key!r} is not a numeric array") from exc
+    if a.ndim != len(shape) or any(n not in (None, s) for n, s in zip(shape, a.shape)):
+        raise InputError(f"certificate field {key!r} has shape {a.shape}, "
+                         f"expected {shape}")
+    if not np.isfinite(a).all():
+        raise InputError(f"certificate field {key!r} is not finite")
+    return a
 
 
-def placement_for_mesh(poly, pts, hosts):
-    """Rebuild a mesh placement from certificate data for re-verification."""
-    from .polytoped import FaceD
-    entries = []
-    for p, h in zip(pts, hosts):
-        mem = tuple(h["members"])
-        seg = poly.vertices[list(mem)]
-        mid = seg.mean(axis=0)
-        entries.append((np.asarray(p, dtype=float),
-                        FaceD(tuple(h.get("face", ())), mem, int(h["dim"]),
-                              mid, np.empty((0, 3)))))
-    return SkeletonPlacement(entries, len(entries), np.zeros(3))
+def _instance(payload):
+    return b2.PartitionInstance(tuple(_field(payload, "values", list)))
+
+
+def _same(ok, what):
+    return [] if ok else [f"{what} differs from its recomputed value"]
+
+
+def _check_balance(poly, p):
+    w = _array(p, "weights", (None,))
+    return b2.verify_balance_points(poly, _array(p, "points", (len(w), 2)), w,
+                                    _array(p, "target", (2,))).failures()
+
+
+def _check_reduce_partition(_, p):
+    poly, weights = b2.gadget_from_partition(_instance(p))
+    ok = (weights == _field(p, "weights", list)
+          and np.allclose(_array(p, "polygon", poly.vertices.shape), poly.vertices))
+    return _same(ok, "weights or polygon")
+
+
+def _check_solve_partition(_, p):
+    groups = _field(p, "groups", list)
+    if len(groups) != 3 or not all(
+            isinstance(g, list) and all(type(i) is int for i in g) for g in groups):
+        raise InputError("certificate field 'groups' must be three lists of indices")
+    return b2.verify_partition_three(_array(p, "weights", (None,)), groups).failures()
+
+
+def _check_gadget(_, p):
+    inst = _instance(p)
+    yes = _field(p, "balanceable", bool)
+    pts = (_array(_field(p, "witness", dict), "points", (len(inst.values) + 1, 2))
+           if yes else None)
+    return b2.verify_gadget_decision(inst, yes, pts).failures()
+
+
+def _check_tripodal(poly, p):
+    return verify_tripodal(poly, _array(p, "points", (3, 3))).failures()
+
+
+def _check_skeleton(body, p):
+    cmd = p["command"]
+    d = 3 if isinstance(body, Polyhedron3) else body.d
+    if cmd == "pow2":
+        k = _field(p, "k", int)
+        if not 0 <= k < 64:
+            raise InputError("certificate field 'k' must lie in 0..63")
+        count = 2 ** k
+    else:
+        count = {"three-on-edges": 3, "four-on-edges": 4, "compose": d}[cmd]
+    target = _array(p, "target", (d,)) if cmd == "three-on-edges" else None
+    return verify_skeleton(body, _array(p, "points", (count, d)), target).failures()
+
+
+def _check_prop9_fixture(H, p):
+    F = prop9_fixture(H.d)
+    A, b = _array(p, "A", (None, None)), _array(p, "b", (None,))
+    ok = (_field(p, "dim", int) == F.d and _field(p, "m", int) == F.m
+          and all(x.shape == y.shape and np.allclose(x, y)
+                  for x, y in ((A, F.A), (b, F.b), (H.A, F.A), (H.b, F.b))))
+    return _same(ok, "dim, m, A or b")
+
+
+def _check_prop9_check(H, p):
+    return _same(prop9_check(H, _field(p, "k", int)) == _field(p, "empty", bool),
+                 "empty")
+
+
+# command -> (geometry option, check); a check returns its failure lines
+CHECKS = {
+    "balance2d": ("polygon", _check_balance),
+    "balance2d-fast": ("polygon", _check_balance),
+    "antipodal": ("polygon", lambda poly, p: b2.verify_antipodal(
+        poly, _array(p, "points", (2, 2)), _array(p, "center", (2,))).failures()),
+    "reduce-partition": (None, _check_reduce_partition),
+    "solve-partition": (None, _check_solve_partition),
+    "gadget-decide": (None, _check_gadget),
+    "tripodal": ("off", _check_tripodal),
+    "tripodal-oracle": ("off", _check_tripodal),
+    "three-on-edges": ("hrep", _check_skeleton),
+    "pow2": ("hrep", _check_skeleton),
+    "compose": ("hrep", _check_skeleton),
+    "four-on-edges": ("off", _check_skeleton),
+    "halving": ("hrep", lambda H, p: verify_halving(
+        H, _array(p, "x", (H.d,))).failures()),
+    "prop9-fixture": ("hrep", _check_prop9_fixture),
+    "prop9-check": ("hrep", _check_prop9_check),
+}
+LOADERS = {"polygon": load_polygon, "off": load_off, "hrep": load_hrep}
 
 
 def _cmd_check(args):
-    if not args.json:
-        raise InputError("check needs --json CERTIFICATE")
     with open(args.json, "r", encoding="utf-8") as f:
         try:
             payload = json.load(f)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad certificate JSON: {exc}") from exc
-    if payload.get("schema") != 1:
-        raise InputError(f"unsupported certificate schema {payload.get('schema')!r}")
-    ok = _recheck(args, payload)
-    return CommandResult(0 if ok else 3, args.json, None)
+    if not isinstance(payload, dict) or payload.get("schema") != 1:
+        raise InputError("not a schema-1 certificate")
+    cmd = payload.get("command")
+    if not isinstance(cmd, str) or cmd not in CHECKS:
+        raise InputError(f"unknown certificate command {cmd!r}")
+    geometry, check = CHECKS[cmd]
+    if geometry and not getattr(args, geometry):
+        raise InputError(f"check needs --{geometry} for this certificate")
+    body = LOADERS[geometry](getattr(args, geometry)) if geometry else None
+    failures = check(body, payload)
+    for line in failures:
+        print(f"poise: check failed: {cmd}: {line}", file=sys.stderr)
+    return CommandResult(3 if failures else 0, args.json, None)
 
 
 # --- parser -------------------------------------------------------------------
 
 def _add_common(p, *names):
+    for geometry in ("polygon", "off", "hrep"):
+        if geometry in names:
+            p.add_argument(f"--{geometry}", required=True)
     if "json" in names:
         p.add_argument("--json", help="certificate output path (default stdout)")
     if "svg" in names:
@@ -567,109 +503,84 @@ def build_parser():
                     "with machine-checkable certificates.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("balance2d", help="place weights on a polygon boundary")
-    p.add_argument("--polygon", required=True)
+    def command(name, func, help_text, *common):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, *common)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("balance2d", _cmd_balance2d, "place weights on a polygon boundary",
+                "polygon", "eps", "svg", "json")
     p.add_argument("--weights", required=True, help='e.g. "3 2 2"')
     p.add_argument("--target", default="0 0")
     p.add_argument("--trace", action="store_true",
                    help="record migration curves in the SVG")
-    _add_common(p, "eps", "svg", "json")
-    p.set_defaults(func=_cmd_balance2d)
 
-    p = sub.add_parser("balance2d-fast",
-                       help="three-location variant via weight partitioning")
-    p.add_argument("--polygon", required=True)
+    p = command("balance2d-fast", _cmd_balance2d,
+                "three-location variant via weight partitioning",
+                "polygon", "eps", "svg", "json")
     p.add_argument("--weights", required=True)
     p.add_argument("--target", default="0 0")
-    _add_common(p, "eps", "svg", "json")
-    p.set_defaults(func=lambda a: _cmd_balance2d(a, fast=True), trace=False)
+    p.set_defaults(trace=False)
 
-    p = sub.add_parser("antipodal", help="boundary pair with a given midpoint")
-    p.add_argument("--polygon", required=True)
+    p = command("antipodal", _cmd_antipodal, "boundary pair with a given midpoint",
+                "polygon", "eps", "svg", "json")
     p.add_argument("--target", default="0 0", help="midpoint (default origin)")
-    _add_common(p, "eps", "svg", "json")
-    p.set_defaults(func=_cmd_antipodal)
 
-    p = sub.add_parser("reduce-partition",
-                       help="hexagon gadget and weights for a PARTITION instance")
+    p = command("reduce-partition", _cmd_reduce_partition,
+                "hexagon gadget and weights for a PARTITION instance", "svg", "json")
     p.add_argument("--partition", required=True, help='e.g. "2 3 7"')
-    _add_common(p, "svg", "json")
-    p.set_defaults(func=_cmd_reduce_partition)
 
-    p = sub.add_parser("solve-partition",
-                       help="split weights into three half-bounded groups")
+    p = command("solve-partition", _cmd_solve_partition,
+                "split weights into three half-bounded groups", "json")
     p.add_argument("--weights", required=True)
-    _add_common(p, "json")
-    p.set_defaults(func=_cmd_solve_partition)
 
-    p = sub.add_parser("gadget-decide",
-                       help="decide balanceability of the hexagon gadget")
+    p = command("gadget-decide", _cmd_gadget_decide,
+                "decide balanceability of the hexagon gadget", "svg", "json")
     p.add_argument("--partition", required=True)
-    _add_common(p, "svg", "json")
-    p.set_defaults(func=_cmd_gadget_decide)
 
-    p = sub.add_parser("tripodal", help="equilateral origin-centered triple")
-    p.add_argument("--off", required=True)
+    p = command("tripodal", _cmd_tripodal, "equilateral origin-centered triple",
+                "off", "eps", "svg", "obj", "json")
     p.add_argument("--grid", default="256x256", help="search grid (default 256x256)")
-    _add_common(p, "eps", "svg", "obj", "json")
-    p.set_defaults(func=_cmd_tripodal)
 
-    p = sub.add_parser("tripodal-oracle",
-                       help="independent face-triple sweep for the same triple")
-    p.add_argument("--off", required=True)
+    p = command("tripodal-oracle", _cmd_tripodal,
+                "independent face-triple sweep for the same triple",
+                "off", "eps", "svg", "obj", "json")
     p.add_argument("--samples", type=int, default=64)
-    _add_common(p, "eps", "svg", "obj", "json")
-    p.set_defaults(func=_cmd_tripodal_oracle)
 
-    p = sub.add_parser("three-on-edges",
-                       help="three edge points balancing a target")
-    p.add_argument("--hrep", required=True)
+    p = command("three-on-edges", _cmd_placement,
+                "three edge points balancing a target", "hrep", "eps", "obj", "json")
     p.add_argument("--target", default="0 0 0")
-    _add_common(p, "eps", "obj", "json")
-    p.set_defaults(func=_cmd_three_on_edges)
 
-    p = sub.add_parser("four-on-edges",
-                       help="four edge points from a planar section")
-    p.add_argument("--off", required=True)
+    p = command("four-on-edges", _cmd_four_on_edges,
+                "four edge points from a planar section",
+                "off", "eps", "svg", "obj", "json")
     p.add_argument("--plane", default="0 0 1", help="section plane normal")
-    _add_common(p, "eps", "svg", "obj", "json")
-    p.set_defaults(func=_cmd_four_on_edges)
 
-    p = sub.add_parser("halving", help="boundary point with x and -x on low faces")
-    p.add_argument("--hrep", required=True)
-    _add_common(p, "eps", "seed", "json")
-    p.set_defaults(func=_cmd_halving)
+    command("halving", _cmd_halving, "boundary point with x and -x on low faces",
+            "hrep", "eps", "seed", "json")
 
-    p = sub.add_parser("pow2", help="2^k skeleton points summing to the origin")
-    p.add_argument("--hrep", required=True)
+    p = command("pow2", _cmd_placement, "2^k skeleton points summing to the origin",
+                "hrep", "eps", "seed", "obj", "json")
     p.add_argument("--k", type=int, required=True)
-    _add_common(p, "eps", "seed", "obj", "json")
-    p.set_defaults(func=_cmd_pow2)
 
-    p = sub.add_parser("compose", help="d skeleton points for d = 2^i*3^j, j <= 1")
-    p.add_argument("--hrep", required=True)
-    _add_common(p, "eps", "seed", "obj", "json")
-    p.set_defaults(func=_cmd_compose)
+    command("compose", _cmd_placement, "d skeleton points for d = 2^i*3^j, j <= 1",
+            "hrep", "eps", "seed", "obj", "json")
 
-    p = sub.add_parser("prop9-fixture", help="triangle-product separation fixture")
+    p = command("prop9-fixture", _cmd_prop9_fixture,
+                "triangle-product separation fixture", "json")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--out", help="write the H-rep text here")
-    _add_common(p, "json")
-    p.set_defaults(func=_cmd_prop9_fixture)
 
-    p = sub.add_parser("prop9-check",
-                       help="does the low skeleton avoid the reflected body")
-    p.add_argument("--hrep", required=True)
+    p = command("prop9-check", _cmd_prop9_check,
+                "does the low skeleton avoid the reflected body", "hrep", "json")
     p.add_argument("--k", type=int, required=True)
-    _add_common(p, "json")
-    p.set_defaults(func=_cmd_prop9_check)
 
-    p = sub.add_parser("check", help="re-verify a certificate against geometry")
+    p = command("check", _cmd_check, "re-verify a certificate against geometry")
     p.add_argument("--json", required=True)
     p.add_argument("--polygon")
     p.add_argument("--off")
     p.add_argument("--hrep")
-    p.set_defaults(func=_cmd_check)
 
     return ap
 

@@ -68,9 +68,6 @@ class Polygon2:
         x2, y2 = np.roll(x, -1), np.roll(y, -1)
         return 0.5 * float(np.sum(x * y2 - x2 * y))
 
-    def point_at(self, bp: BoundaryPoint2) -> np.ndarray:
-        return eval_boundary(self, bp)
-
     def __repr__(self):
         return f"Polygon2(n={self.n}, diam={self.diam:.6g})"
 

@@ -319,8 +319,7 @@ def _triangulate(verts, faces, diam):
 
 def _ear_clip(verts, loop, nrm, centroid):
     """Triangulate a simple planar loop (fan for convex faces falls out)."""
-    u = _any_perp(nrm)
-    w = np.cross(nrm, u)
+    u, w = _plane_basis(nrm)
     pts2 = {i: np.array([(verts[i] - centroid) @ u, (verts[i] - centroid) @ w])
             for i in loop}
     idx = list(loop)
@@ -374,12 +373,14 @@ def _in_triangle2(p, a, b, c) -> bool:
     return min(d1, d2, d3) >= 0.0
 
 
-def _any_perp(n):
+def _plane_basis(n):
+    """Orthonormal (u, w) spanning the plane with unit normal n."""
     j = int(np.argmin(np.abs(n)))
     e = np.zeros(3)
     e[j] = 1.0
     u = np.cross(n, e)
-    return u / np.linalg.norm(u)
+    u = u / np.linalg.norm(u)
+    return u, np.cross(n, u)
 
 
 def parse_off(text: str) -> Polyhedron3:
@@ -674,11 +675,10 @@ class CrossSection:
 
 
 def _face_polygon2(poly, fid, nrm, centroid):
-    u = _any_perp(nrm)
-    w = np.cross(nrm, u)
-    pts = poly.vertices[poly.faces[fid]]
-    rel = pts - centroid
-    return np.stack([rel @ u, rel @ w], axis=1)
+    """In-plane coordinates of face fid's loop, and the (u, w) frame used."""
+    u, w = _plane_basis(nrm)
+    rel = poly.vertices[poly.faces[fid]] - centroid
+    return np.stack([rel @ u, rel @ w], axis=1), u, w
 
 
 def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
@@ -719,9 +719,7 @@ def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
             raise DegenerateSectionError(f"face {fid} lies in the cutting plane")
         line = line / ll
         uniq.sort(key=lambda p: float(p @ line))
-        face2 = _face_polygon2(poly, fid, fn, fc)
-        u2 = _any_perp(fn)
-        w2 = np.cross(fn, u2)
+        face2, u2, w2 = _face_polygon2(poly, fid, fn, fc)
         for p0, p1 in zip(uniq, uniq[1:]):
             mid = 0.5 * (p0 + p1)
             rel = mid - fc
@@ -735,8 +733,7 @@ def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
         raise NoLoopContainsOriginError("plane misses the surface")
 
     loops = _stitch_loops(chords, tol)
-    u = _any_perp(n)
-    w = np.cross(n, u)
+    u, w = _plane_basis(n)
     for pts3, fids in loops:
         rel = np.asarray(pts3) - anchor
         pts2 = np.stack([rel @ u, rel @ w], axis=1)

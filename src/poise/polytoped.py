@@ -117,16 +117,7 @@ def validate_hrep(H: HPolytope) -> HPolytope:
     """Boundedness via axis LP probes, interior via Chebyshev radius."""
     if H.d < 1 or H.m < H.d + 1:
         raise InputError("need d >= 1 and at least d+1 halfspaces")
-    for i in range(H.d):
-        u = np.zeros(H.d)
-        for s in (1.0, -1.0):
-            u[i] = s
-            res = _lp(-u, H.A, H.b)
-            if res.status == 3:
-                raise UnboundedError(f"unbounded along axis {i}")
-            if res.status != 0:
-                raise EmptyInteriorError("halfspace system infeasible")
-        u[i] = 0.0
+    _probe_bounded(H)
     _, r = chebyshev_center(H)
     if r <= 0.0:
         raise EmptyInteriorError("no full-dimensional interior")
@@ -289,18 +280,23 @@ def faces_of_dim(H: HPolytope, V: VRep, k: int) -> list:
     return [faces[t] for t in sorted(faces, key=lambda s: tuple(sorted(s)))]
 
 
+def edge_segment(V: VRep, members) -> tuple:
+    """Endpoint vertex ids (low, high) of a face with the given members.
+
+    An edge whose collinear near-duplicate vertices were merged has more
+    than two members; its extreme pair along the edge is kept.
+    """
+    mem = tuple(members)
+    if len(mem) > 2:
+        pts = V.vertices[list(mem)]
+        t = (pts - pts[0]) @ (pts[-1] - pts[0])
+        mem = (mem[int(np.argmin(t))], mem[int(np.argmax(t))])
+    return min(mem), max(mem)
+
+
 def skeleton_graph(H: HPolytope, V: VRep) -> SkeletonGraph:
     """Vertex-edge graph from the 1-faces; must be connected."""
-    edges = set()
-    for f in faces_of_dim(H, V, 1):
-        mem = f.members
-        if len(mem) > 2:
-            # collinear merge artifact: keep the extreme pair
-            pts = V.vertices[list(mem)]
-            t = (pts - pts[0]) @ (pts[-1] - pts[0])
-            mem = (mem[int(np.argmin(t))], mem[int(np.argmax(t))])
-        if len(mem) == 2:
-            edges.add((min(mem), max(mem)))
+    edges = {edge_segment(V, f.members) for f in faces_of_dim(H, V, 1)}
     nodes = tuple(range(len(V.vertices)))
     adj = {v: [] for v in nodes}
     for u, v in sorted(edges):

@@ -8,7 +8,7 @@ surfaces, and product fixtures whose low skeletons avoid the reflected
 body entirely.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from itertools import combinations_with_replacement
 import math
@@ -19,19 +19,22 @@ from scipy.optimize import linprog
 from scipy.spatial import QhullError
 
 from .balance2d import balance_iterative
+from .certificate import Certificate
 from .errors import (
     InputError,
     NotFoundError,
+    OriginOutsideError,
     PerturbationFailedError,
     UnsupportedDimensionError,
     WalkFailedError,
 )
 from .geom2d import antipodal_about, eval_boundary, validate_polygon
-from .geom3d import Plane3, Polyhedron3, _any_perp, _face_frame, cross_section
+from .geom3d import (OUTSIDE, Plane3, Polyhedron3, _face_frame, _face_polygon2,
+                     cross_section, side3)
 from .polytoped import (
-    FROM_P,
     FaceD,
     HPolytope,
+    edge_segment,
     enumerate_vertices,
     faces_of_dim,
     hpolytope,
@@ -66,14 +69,39 @@ class SkeletonPlacement:
 
 
 @dataclass
-class SkeletonCertificate:
+class SkeletonCertificate(Certificate):
     count: int
     sum_residual: float
     max_membership_error: float
     max_host_dim: int
     eps_geom: float
-    eps_bal: float
-    passed: bool
+    eps_bal: float           # relative: the sum bound is eps_bal * diam
+    diam: InitVar[float]
+
+    def __post_init__(self, diam):
+        self.sum_bound = self.eps_bal * diam
+        super().__post_init__()
+
+    def limits(self):
+        return (("max_membership_error", self.max_membership_error, self.eps_geom),
+                ("max_host_dim", self.max_host_dim, 1),
+                ("sum_residual", self.sum_residual, self.sum_bound))
+
+
+@dataclass
+class HalvingCertificate(Certificate):
+    violation: float          # largest distance of x or -x outside P
+    boundary_distance: float  # the larger distance of x, -x to the boundary
+    dim_P: int                # dimension of the face of P holding x
+    dim_negP: int             # dimension of the face of P holding -x
+    eps_geom: float
+    d: int
+
+    def limits(self):
+        return (("violation", self.violation, self.eps_geom),
+                ("boundary_distance", self.boundary_distance, self.eps_geom),
+                ("face_P_dim", self.dim_P, self.d // 2),
+                ("face_negP_dim", self.dim_negP, (self.d + 1) // 2))
 
 
 # --- halving witness ---------------------------------------------------------
@@ -127,7 +155,9 @@ def halving_point(H: HPolytope, seed=0, eps_mem=None) -> HalvingWitness:
         j = sum(1 for i in tight if i < m)
         tp = tuple(sorted(i for i in tight if i < m))
         tn = tuple(sorted(i - m for i in tight if i >= m))
-        return HalvingWitness(x, _face_of(H, tp, x), _face_of(reflect(H), tn, x),
+        R = reflect(H)
+        return HalvingWitness(x, _face_from_vrep(H, enumerate_vertices(H), tp, x),
+                              _face_from_vrep(R, enumerate_vertices(R), tn, x),
                               (j, d - j), mag, s, attempts)
     raise PerturbationFailedError(
         f"no usable skeleton after {attempts} attempts: {reason}")
@@ -178,23 +208,6 @@ def _bfs_path(adj, start, goal):
                     nxt.append(v)
         queue = nxt
     return None
-
-
-def _face_of(H: HPolytope, tight, x) -> FaceD:
-    """Face of H whose tight set extends `tight`, with x as base point."""
-    V = enumerate_vertices(H)
-    members = tuple(i for i, t in enumerate(V.tight_sets)
-                    if set(tight) <= set(t))
-    canon = tight
-    if members:
-        canon = tuple(sorted(frozenset.intersection(
-            *[frozenset(V.tight_sets[i]) for i in members])))
-    if len(canon) == 0:
-        basis = np.eye(H.d)
-    else:
-        basis = null_space(H.A[list(canon)]).T
-    return FaceD(tuple(canon), members, basis.shape[0],
-                 np.asarray(x, dtype=float), basis)
 
 
 # --- recursive placements ----------------------------------------------------
@@ -308,15 +321,9 @@ def compose_balance(H: HPolytope, seed=0) -> SkeletonPlacement:
     case on 3-faces and the three-unit-weight boundary balance on 2-faces.
     """
     n = H.d
-    twos = 0
     while n % 2 == 0:
         n //= 2
-        twos += 1
-    threes = 0
-    while n % 3 == 0:
-        n //= 3
-        threes += 1
-    if n != 1 or threes > 1:
+    if n not in (1, 3):
         raise UnsupportedDimensionError(
             f"dimension {H.d} is not 2^i * 3^j with j <= 1")
     return _placement_from_recursion(H, H.d, seed)
@@ -326,32 +333,21 @@ def _placement_from_recursion(H, count, seed):
     pts = []
     _place(_root_chart(H, None), count, seed, pts)
     V = enumerate_vertices(H)
-    entries = [(p, _host_face(H, V, p)) for p in pts]
+    tol = max(H.eps_tight(), 1e-9 * max(V.diam, 1.0))
+    entries = [(p, _host_face(H, V, p, tol)) for p in pts]
     return SkeletonPlacement(entries, count, np.zeros(H.d))
 
 
-def placement_from_points(H: HPolytope, points, target=None) -> SkeletonPlacement:
-    """Wrap raw coordinates as a placement, recomputing their host faces."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != H.d:
-        raise InputError(f"need points of shape (n, {H.d})")
-    V = enumerate_vertices(H)
-    entries = [(p, _host_face(H, V, p)) for p in pts]
-    target = np.zeros(H.d) if target is None else np.asarray(target, dtype=float)
-    return SkeletonPlacement(entries, len(entries), target)
-
-
-def _host_face(H: HPolytope, V, p) -> FaceD:
-    """Minimal face of H containing p, as a FaceD (any dimension)."""
+def _host_face(H: HPolytope, V, p, tol) -> FaceD:
+    """Minimal face of H containing p (rows within tol count as tight)."""
     p = np.asarray(p, dtype=float)
-    norms = np.linalg.norm(H.A, axis=1)
-    resid = np.abs(H.A @ p - H.b) / norms
-    tol = max(H.eps_tight(), 1e-9 * max(V.diam, 1.0))
+    resid = np.abs(H.A @ p - H.b) / np.linalg.norm(H.A, axis=1)
     tight = tuple(int(i) for i in np.nonzero(resid <= tol)[0])
     return _face_from_vrep(H, V, tight, p)
 
 
 def _face_from_vrep(H, V, tight, point) -> FaceD:
+    """Face of H whose tight set extends `tight`, with point as base point."""
     members = tuple(i for i, t in enumerate(V.tight_sets)
                     if set(tight) <= set(t))
     canon = tight
@@ -387,14 +383,7 @@ def three_on_edges(H: HPolytope, target=None, eps_t=1e-9) -> SkeletonPlacement:
     edge_faces = faces_of_dim(H, V, 1)
     if not edge_faces:
         raise NotFoundError("polytope has no edges")
-    ends = []
-    for f in edge_faces:
-        mem = f.members
-        if len(mem) > 2:
-            pts = V.vertices[list(mem)]
-            t = (pts - pts[0]) @ (pts[-1] - pts[0])
-            mem = (mem[int(np.argmin(t))], mem[int(np.argmax(t))])
-        ends.append((min(mem), max(mem)))
+    ends = [edge_segment(V, f.members) for f in edge_faces]
     U = V.vertices[[a for a, _ in ends]]
     D = V.vertices[[b for _, b in ends]] - U
     ne = len(ends)
@@ -478,6 +467,8 @@ def four_on_edges(P: Polyhedron3, plane: Plane3 = None) -> SkeletonPlacement:
         plane = Plane3((0.0, 0.0, 1.0), 0.0)
     if abs(plane.offset) > 1e-12 * max(P.diam, 1.0):
         raise InputError("section plane must pass through the origin")
+    if side3(P, np.zeros(3)).side == OUTSIDE:
+        raise OriginOutsideError("origin lies outside the surface")
     sec = cross_section(P, plane)
     bq, bq2 = antipodal_about(sec.polygon, (0.0, 0.0))
     entries = []
@@ -485,7 +476,6 @@ def four_on_edges(P: Polyhedron3, plane: Plane3 = None) -> SkeletonPlacement:
         center3 = sec.to3d(eval_boundary(sec.polygon, bp))
         fid = int(sec.edge_faces[bp.edge])
         entries.extend(_face_pair(P, fid, center3))
-    pts = np.array([p for p, _ in entries])
     return SkeletonPlacement(entries, 4, np.zeros(3))
 
 
@@ -493,10 +483,8 @@ def _face_pair(P: Polyhedron3, fid: int, center3):
     """Antipodal pair about center3 on the boundary of face fid."""
     loop = P.faces[fid]
     fn, fc = _face_frame(P.vertices, loop, P.diam)
-    u2 = _any_perp(fn)
-    w2 = np.cross(fn, u2)
-    rel = P.vertices[loop] - fc
-    poly = validate_polygon(np.stack([rel @ u2, rel @ w2], axis=1))
+    loop2, u2, w2 = _face_polygon2(P, fid, fn, fc)
+    poly = validate_polygon(loop2)
     c2 = np.array([(center3 - fc) @ u2, (center3 - fc) @ w2])
     out = []
     for bp in antipodal_about(poly, c2):
@@ -549,64 +537,53 @@ def prop9_check(H: HPolytope, k: int) -> bool:
 
 # --- verification -------------------------------------------------------------
 
-def verify_skeleton(body, placement: SkeletonPlacement, eps_geom=None,
+def verify_skeleton(body, points, target=None, eps_geom=None,
                     eps_bal=None) -> SkeletonCertificate:
-    """Check a placement: points on the 1-skeleton, sum at count * target.
+    """Check points on the 1-skeleton whose sum is len(points) * target.
 
-    eps_geom is an absolute distance (default 1e-7 * diam); the sum
-    residual is compared against eps_bal * diam (default eps_bal = 1e-8).
+    body is an HPolytope, or a Polyhedron3 whose 1-skeleton is its mesh
+    edges; target defaults to the origin. eps_geom is an absolute distance
+    (default 1e-7 * diam); the sum residual is compared against
+    eps_bal * diam (default eps_bal = 1e-8).
     """
-    pts = placement.points()
-    if len(pts) != placement.count:
-        raise InputError("placement count does not match its entries")
-    if isinstance(body, Polyhedron3):
-        diam = body.diam
-        mem_err, host_dim = _mesh_membership(body, pts, placement)
+    mesh = isinstance(body, Polyhedron3)
+    if mesh:
+        d, diam = 3, body.diam
     else:
         V = enumerate_vertices(body)
-        diam = max(V.diam, 1e-300)
-        eg0 = 1e-7 * diam if eps_geom is None else float(eps_geom)
-        mem_err, host_dim = _hrep_membership(body, V, pts, eg0)
+        d, diam = body.d, max(V.diam, 1e-300)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise InputError(f"need points of shape (n, {d})")
+    target = np.zeros(d) if target is None else np.asarray(target, dtype=float)
     eg = 1e-7 * diam if eps_geom is None else float(eps_geom)
+    if mesh:
+        mem_err, host_dim = _mesh_membership(body, pts, eg)
+    else:
+        mem_err, host_dim = _hrep_membership(body, V, pts, eg)
     eb = 1e-8 if eps_bal is None else float(eps_bal)
-    ssum = float(np.linalg.norm(pts.sum(axis=0)
-                                - placement.count * placement.target))
-    passed = bool(mem_err <= eg and host_dim <= 1 and ssum <= eb * diam)
-    return SkeletonCertificate(placement.count, ssum, float(mem_err),
-                               int(host_dim), eg, eb, passed)
+    ssum = float(np.linalg.norm(pts.sum(axis=0) - len(pts) * target))
+    return SkeletonCertificate(len(pts), ssum, float(mem_err), int(host_dim),
+                               eg, eb, diam)
 
 
 def _hrep_membership(H: HPolytope, V, pts, eg):
-    norms = np.linalg.norm(H.A, axis=1)
-    tol = max(H.eps_tight(), eg)
     worst, dim_max = 0.0, 0
     for p in pts:
-        resid = np.abs(H.A @ p - H.b) / norms
-        tight = tuple(int(i) for i in np.nonzero(resid <= tol)[0])
-        face = _face_from_vrep(H, V, tight, p)
+        face = _host_face(H, V, p, max(H.eps_tight(), eg))
         dim_max = max(dim_max, face.dim)
         if not face.members:
-            worst = max(worst, float("inf"))
+            worst = float("inf")
             continue
-        verts = V.vertices[list(face.members)]
-        if len(verts) == 1:
-            dist = float(np.linalg.norm(p - verts[0]))
-        else:
-            t = (verts - verts[0]) @ (verts[-1] - verts[0])
-            a = verts[int(np.argmin(t))]
-            b = verts[int(np.argmax(t))]
-            dist = _point_segment_distance(p, a, b)
-        worst = max(worst, dist)
+        a, b = edge_segment(V, face.members)
+        worst = max(worst, _point_segment_distance(p, V.vertices[a], V.vertices[b]))
     return worst, dim_max
 
 
-def _mesh_membership(P: Polyhedron3, pts, placement):
-    segs = set()
-    for f in P.faces:
-        for i, a in enumerate(f):
-            b = f[(i + 1) % len(f)]
-            segs.add((min(a, b), max(a, b)))
-    segs = np.array(sorted(segs))
+def _mesh_membership(P: Polyhedron3, pts, eg):
+    """Largest distance to a mesh edge; host dimension 1 if within eg, else 2."""
+    segs = np.array(sorted({(min(a, b), max(a, b)) for f in P.faces
+                            for a, b in zip(f, f[1:] + f[:1])}))
     A = P.vertices[segs[:, 0]]
     B = P.vertices[segs[:, 1]]
     D = B - A
@@ -616,11 +593,37 @@ def _mesh_membership(P: Polyhedron3, pts, placement):
         t = np.clip(((p - A) * D).sum(axis=1) / lens2, 0.0, 1.0)
         d = np.linalg.norm(A + t[:, None] * D - p, axis=1)
         worst = max(worst, float(d.min()))
-    dim_max = max((h.dim for _, h in placement.entries), default=0)
-    return worst, dim_max
+    return worst, 1 if worst <= eg else 2
 
 
 def _point_segment_distance(p, a, b):
     d = b - a
     t = float(np.clip((p - a) @ d / max(d @ d, 1e-300), 0.0, 1.0))
     return float(np.linalg.norm(a + t * d - p))
+
+
+def verify_halving(H: HPolytope, x, eps_geom=None) -> HalvingCertificate:
+    """x and -x lie on the boundary of P within eps_geom, on faces of P of
+    dimension <= floor(d/2) and <= ceil(d/2) respectively.
+
+    eps_geom defaults to 1e-7 * diam; a row counts as tight within eps_geom
+    and a face's dimension is d minus the rank of its tight rows.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (H.d,):
+        raise InputError(f"need a point of shape ({H.d},)")
+    eps = 1e-7 * enumerate_vertices(H).diam if eps_geom is None else float(eps_geom)
+    norms = np.linalg.norm(H.A, axis=1)
+    rp = (H.A @ x - H.b) / norms
+    rn = (-H.A @ x - H.b) / norms
+    violation = max(float(rp.max()), float(rn.max()), 0.0)
+    touch = max(float(np.abs(rp).min()), float(np.abs(rn).min()))
+    unit = H.A / norms[:, None]
+    return HalvingCertificate(violation, touch, _face_dim(unit[np.abs(rp) <= eps]),
+                              _face_dim(unit[np.abs(rn) <= eps]), eps, H.d)
+
+
+def _face_dim(rows) -> int:
+    """Dimension of the face cut out by these tight unit normals."""
+    rank = np.linalg.matrix_rank(rows, tol=1e-9) if len(rows) else 0
+    return rows.shape[1] - int(rank)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import Certificate
 from .errors import (
     BadFrameError,
     NotFoundError,
@@ -30,7 +31,7 @@ from .geom3d import (
     SurfacePoint3,
     _closest_on_triangles,
     _face_frame,
-    _any_perp,
+    _face_polygon2,
     _point_in_loop2,
     eval_surface,
     extreme_boundary_points,
@@ -45,6 +46,8 @@ SIG_PM = "+-"
 SIG_MP = "-+"
 SIG_ZERO = "00"
 
+EPS_REL = 1e-6    # default relative tolerances of verify_tripodal
+
 
 @dataclass
 class TripodalTriple:
@@ -56,7 +59,7 @@ class TripodalTriple:
 
 
 @dataclass
-class TripodalCertificate:
+class TripodalCertificate(Certificate):
     radius: float
     norm_spread: float
     sum_residual: float
@@ -64,7 +67,13 @@ class TripodalCertificate:
     max_membership_error: float
     eps_geom: float
     eps_bal: float
-    passed: bool
+
+    def limits(self):
+        eg, eb = self.eps_geom, self.eps_bal
+        return (("norm_spread", self.norm_spread, eg),
+                ("sum_residual", self.sum_residual, eb),
+                ("max_membership_error", self.max_membership_error, eg),
+                ("side_spread", self.side_spread, 2 * (eg + eb)))
 
 
 def tripod_points(gamma, v, theta):
@@ -104,17 +113,17 @@ def signature(poly: Polyhedron3, b, c, eps=None) -> str:
     return _fold(sgn(b), sgn(c))
 
 
-def verify_tripodal(poly: Polyhedron3, triple: TripodalTriple, eps_geom=1e-6,
-                    eps_bal=1e-6) -> TripodalCertificate:
+def verify_tripodal(poly: Polyhedron3, points, eps_geom=None,
+                    eps_bal=None) -> TripodalCertificate:
     """Equal norms and membership within eps_geom*diam, zero sum within eps_bal*diam.
 
-    Pairwise side lengths are also compared (equilateral redundancy); equal
-    norms plus zero sum already imply it, so its tolerance is the slack
-    2*(eps_geom + eps_bal)*diam.
+    Both tolerances are relative and default to 1e-6. Pairwise side lengths
+    are also compared (equilateral redundancy); equal norms plus zero sum
+    already imply it, so its tolerance is the slack 2*(eps_geom + eps_bal)*diam.
     """
-    eg = float(eps_geom) * poly.diam
-    eb = float(eps_bal) * poly.diam
-    pts = np.asarray(triple.points, dtype=float)
+    eg = (EPS_REL if eps_geom is None else float(eps_geom)) * poly.diam
+    eb = (EPS_REL if eps_bal is None else float(eps_bal)) * poly.diam
+    pts = np.asarray(points, dtype=float)
     norms = np.linalg.norm(pts, axis=1)
     spread = float(max(abs(norms[0] - norms[1]), abs(norms[1] - norms[2])))
     rbar = float(norms.mean())
@@ -123,14 +132,7 @@ def verify_tripodal(poly: Polyhedron3, triple: TripodalTriple, eps_geom=1e-6,
     side_spread = float(sides.max() - sides.min())
     dist, _, _ = poly.closest_points(pts)
     mem = float(dist.max())
-    passed = (spread <= eg and ssum <= eb and mem <= eg
-              and side_spread <= 2 * (eg + eb))
-    return TripodalCertificate(rbar, spread, ssum, side_spread, mem, eg, eb, passed)
-
-
-def _host_faces(poly: Polyhedron3, pts):
-    _, tri, _ = poly.closest_points(pts)
-    return tuple(int(poly.tri_face[t]) for t in tri)
+    return TripodalCertificate(rbar, spread, ssum, side_spread, mem, eg, eb)
 
 
 def _degenerate_triple(poly: Polyhedron3, sp: SurfacePoint3) -> TripodalTriple:
@@ -208,7 +210,9 @@ def _triple_at(field: _CompanionField, poly: Polyhedron3, t, th) -> TripodalTrip
     a = field.path.eval(np.array([t]))[0]
     b, c = field.companions(np.array([t]), np.array([th]))
     pts = np.array([a, b[0], c[0]])
-    return TripodalTriple(pts, _host_faces(poly, pts), float(np.linalg.norm(a)),
+    _, tri, _ = poly.closest_points(pts)
+    faces = tuple(int(poly.tri_face[i]) for i in tri)
+    return TripodalTriple(pts, faces, float(np.linalg.norm(a)),
                           t=float(t), theta=float(th % (2 * np.pi)))
 
 
@@ -243,19 +247,14 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256), refine=6) -> TripodalTri
         zero = (g1 == 0.0) & (g2 == 0.0)
         for it, ith in np.argwhere(zero):
             cand = _triple_at(field, poly, ts[it], ths[ith])
-            if verify_tripodal(poly, cand).passed:
+            if verify_tripodal(poly, cand.points).passed:
                 return cand
 
         s1 = np.sign(g1)
         s2 = np.sign(g2)
-
-        def straddles(s, i, j):
-            c = s[i:i + 2, j:j + 2]
-            return c.min() < 0 < c.max() or (c == 0).any()
-
         for it in range(nt):
             for ith in range(nth):
-                if not (straddles(s1, it, ith) and straddles(s2, it, ith)):
+                if not (_straddles(s1, it, ith) and _straddles(s2, it, ith)):
                     continue
                 hit = _polish_cell(field, poly, ts[it], ts[it + 1], ths[ith],
                                    ths[ith + 1], tol, refine)
@@ -270,11 +269,17 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256), refine=6) -> TripodalTri
         raise SearchExhaustedError("grid search and face sweep both failed") from exc
 
 
+def _straddles(s, i, j):
+    """Do the signs s at the corners of grid cell (i, j) change or vanish?"""
+    c = s[i:i + 2, j:j + 2]
+    return c.min() < 0 < c.max() or (c == 0).any()
+
+
 def _polish_cell(field, poly, t0, t1, th0, th1, tol, depth):
     t, th, g = _newton_polish(field, 0.5 * (t0 + t1), 0.5 * (th0 + th1), tol)
     if np.abs(g).max() <= tol:
         cand = _triple_at(field, poly, t, th)
-        if verify_tripodal(poly, cand).passed:
+        if verify_tripodal(poly, cand.points).passed:
             return cand
     if depth <= 0:
         return None
@@ -286,14 +291,9 @@ def _polish_cell(field, poly, t0, t1, th0, th1, tol, depth):
     T, TH = np.meshgrid(corners_t, corners_th, indexing="ij")
     g1, g2 = field.values(T, TH)
     s1, s2 = np.sign(g1), np.sign(g2)
-
-    def straddles(s, i, j):
-        c = s[i:i + 2, j:j + 2]
-        return c.min() < 0 < c.max() or (c == 0).any()
-
     for i in range(2):
         for j in range(2):
-            if straddles(s1, i, j) and straddles(s2, i, j):
+            if _straddles(s1, i, j) and _straddles(s2, i, j):
                 hit = _polish_cell(field, poly, ts[i, 0], ts[i, 1], ths[j, 0],
                                    ths[j, 1], tol, depth - 1)
                 if hit is not None:
@@ -311,10 +311,8 @@ def _face_planes(poly: Polyhedron3):
     tri_dist = np.linalg.norm(cp, axis=1)
     for fid, f in enumerate(poly.faces):
         nrm, cen = _face_frame(poly.vertices, f, poly.diam)
-        u = _any_perp(nrm)
-        w = np.cross(nrm, u)
+        loop2, u, w = _face_polygon2(poly, fid, nrm, cen)
         pts = poly.vertices[f]
-        loop2 = np.stack([(pts - cen) @ u, (pts - cen) @ w], axis=1)
         r_lo = float(tri_dist[poly.face_tris[fid]].min())
         r_hi = float(np.linalg.norm(pts, axis=1).max())
         # direction cone of the face as seen from the origin
@@ -514,6 +512,6 @@ def _sweep_chunk(poly, planes, trips, samples, tol_pos, arrs):
                 continue
             triple = TripodalTriple(np.array([av, bv, cv]), (fi, fj, fk),
                                     float(np.linalg.norm(av)))
-            if verify_tripodal(poly, triple).passed:
+            if verify_tripodal(poly, triple.points).passed:
                 return triple
     return None

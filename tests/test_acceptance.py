@@ -17,7 +17,7 @@ from helpers import (convex_mesh, cube_mesh, feasible_weights, octa_mesh,
 from poise.balance2d import (PartitionInstance, balance_fast, balance_iterative,
                              gadget_decide, gadget_from_partition,
                              gadget_witness, partition_oracle, partition_three,
-                             verify_balance)
+                             verify_balance_points)
 from poise.cli import run
 from poise.errors import UnsupportedDimensionError
 from poise.geom2d import eval_boundary
@@ -26,9 +26,8 @@ from poise.geom3d import (dump_off, extreme_boundary_points, frame_field,
 from poise.polytoped import (cube_hrep, dump_hrep_text, enumerate_vertices,
                              faces_of_dim, product)
 from poise.skeleton_balance import (compose_balance, four_on_edges,
-                                    halving_point, placement_from_points,
-                                    pow2_points, prop9_check, prop9_fixture,
-                                    three_on_edges, verify_skeleton)
+                                    halving_point, pow2_points, prop9_check,
+                                    prop9_fixture, three_on_edges, verify_skeleton)
 from poise.tripodal import (SIG_MM, SIG_PP, signature, tripod_points,
                             tripodal_by_face_triples, tripodal_search,
                             verify_tripodal)
@@ -89,7 +88,7 @@ def test_criterion_02_fast_balance_and_partition():
     instances = _balance_instances(1000, 200)
     for poly, w in instances:
         placement = balance_fast(poly, w)
-        assert verify_balance(poly, placement, w).passed
+        assert verify_balance_points(poly, placement.points(poly), w).passed
         pts = placement.points(poly)
         assert len(np.unique(np.round(pts, 12), axis=0)) <= 3
     rng = np.random.default_rng(2000)
@@ -143,13 +142,13 @@ def test_criterion_05_tripodal_suite():
     worst_spread, worst_sum, worst_mem = 0.0, 0.0, 0.0
     for name, mesh in _mesh_fixtures():
         tri = tripodal_search(mesh, grid=(64, 64))
-        cert = verify_tripodal(mesh, tri)
+        cert = verify_tripodal(mesh, tri.points)
         assert cert.passed, name
         assert cert.norm_spread <= 1e-6 * mesh.diam
         assert cert.sum_residual <= 1e-6 * mesh.diam
         assert cert.max_membership_error <= 1e-6 * mesh.diam
         tri2 = tripodal_by_face_triples(mesh)
-        assert verify_tripodal(mesh, tri2).passed, name
+        assert verify_tripodal(mesh, tri2.points).passed, name
 
         near, far = extreme_boundary_points(mesh)
         path = surface_path(mesh, near, far)
@@ -177,7 +176,7 @@ def test_criterion_06_three_on_edges_suite():
         sp = three_on_edges(H)  # NotFoundError would fail the test
         res = float(np.linalg.norm(sp.points().sum(axis=0))) / V.diam
         assert res <= 1e-10
-        cert = verify_skeleton(H, sp)
+        cert = verify_skeleton(H, sp.points())
         assert cert.passed and cert.max_host_dim <= 1
         edges = len(faces_of_dim(H, V, 1))
         total = sum(1 for _ in combinations_with_replacement(range(edges), 3))
@@ -192,7 +191,7 @@ def test_criterion_07_four_on_edges_suite():
     worst_sum, worst_mem = 0.0, 0.0
     for name, mesh in _mesh_fixtures():
         sp = four_on_edges(mesh)
-        cert = verify_skeleton(mesh, sp, eps_geom=1e-9 * mesh.diam,
+        cert = verify_skeleton(mesh, sp.points(), eps_geom=1e-9 * mesh.diam,
                                eps_bal=1e-8)
         assert cert.passed, (name, cert)
         worst_sum = max(worst_sum, cert.sum_residual / mesh.diam)
@@ -231,15 +230,14 @@ def test_criterion_09_pow2_suite():
             H = random_hull_hrep(rng, d)
             sp = pow2_points(H, k, seed=i)
             assert sp.count == 2 ** k
-            cert = verify_skeleton(H, sp)
+            cert = verify_skeleton(H, sp.points())
             assert cert.passed
             diam = cert.eps_geom / 1e-7  # eps_geom defaulted to 1e-7*diam
             assert cert.sum_residual <= 1e-7 * diam
             worst = max(worst, cert.sum_residual / diam)
     H = cube_hrep(4)
     witness = [(1, 1, 1, 0), (-1, -1, -1, 0), (1, -1, 0, 1), (-1, 1, 0, -1)]
-    sp = placement_from_points(H, np.array(witness, dtype=float))
-    assert verify_skeleton(H, sp).passed
+    assert verify_skeleton(H, np.array(witness, dtype=float)).passed
     _report(9, f"150 fixtures (50 per d in 2..4), worst sum {worst:.2e}*diam; "
                f"hypercube-4 witness verified")
 
@@ -250,7 +248,7 @@ def test_criterion_10_compose_products():
         H = product(random_hull_hrep(rng, 3), random_hull_hrep(rng, 3))
         sp = compose_balance(H, seed=i)
         assert sp.count == 6
-        assert verify_skeleton(H, sp).passed
+        assert verify_skeleton(H, sp.points()).passed
     try:
         compose_balance(product(cube_hrep(4), cube_hrep(5)))
         raise AssertionError("d=9 must be rejected")

@@ -9,7 +9,7 @@ from poise.balance2d import (GADGET_VERTICES, PartitionInstance, balance_fast,
                              balance_iterative, feasibility, gadget_decide,
                              gadget_from_partition, gadget_polygon,
                              gadget_witness, partition_oracle, partition_three,
-                             verify_balance, verify_balance_points)
+                             verify_balance_points)
 from poise.errors import InfeasibleError
 from poise.geom2d import eval_boundary, validate_polygon
 
@@ -38,7 +38,7 @@ def test_feasibility_exact_ties():
 
 def test_iterative_square_three_weights():
     placement = balance_iterative(SQUARE, [3.0, 2.0, 2.0])
-    cert = verify_balance(SQUARE, placement, [3.0, 2.0, 2.0])
+    cert = verify_balance_points(SQUARE, placement.points(SQUARE), [3.0, 2.0, 2.0])
     assert cert.passed and cert.residual <= 1e-12
     assert placement.rounds <= 2
 
@@ -65,7 +65,7 @@ def test_iterative_round_bound_and_membership():
         w = feasible_weights(rng, k)
         placement = balance_iterative(poly, w)
         assert placement.rounds <= k - 1
-        cert = verify_balance(poly, placement, w)
+        cert = verify_balance_points(poly, placement.points(poly), w)
         assert cert.passed
         # points carried as params; only eval round-off remains
         assert cert.max_membership_error <= 1e-15 * poly.diam
@@ -98,7 +98,7 @@ def test_fast_three_locations():
         poly = star_polygon(rng, int(rng.integers(3, 30)))
         w = feasible_weights(rng, int(rng.integers(3, 12)))
         placement = balance_fast(poly, w)
-        cert = verify_balance(poly, placement, w)
+        cert = verify_balance_points(poly, placement.points(poly), w)
         assert cert.passed
         pts = placement.points(poly)
         distinct = np.unique(np.round(pts, 12), axis=0)

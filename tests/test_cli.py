@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import cube_mesh, octa_mesh
+from helpers import cube_mesh, octa_mesh, star_mesh
 from poise.cli import run
-from poise.geom3d import dump_off
-from poise.polytoped import cube_hrep, dump_hrep_text
+from poise.geom3d import dump_off, validate_polyhedron
+from poise.polytoped import (cube_hrep, dump_hrep_text, enumerate_vertices,
+                             skeleton_graph)
 
 SQUARE_TEXT = "-1 -1\n1 -1\n1 1\n-1 1\n"
 
@@ -162,14 +163,156 @@ def test_compose_dimension_rejection(tmp_path):
     assert run(["compose", "--hrep", str(p)]).exit_code == 2
 
 
-def test_check_detects_tampering(square, tmp_path):
-    out = tmp_path / "c.json"
-    run(["balance2d", "--polygon", square, "--weights", "2 1 1",
-         "--json", str(out)])
-    payload = json.loads(out.read_text())
+@pytest.fixture(scope="module")
+def genuine(tmp_path_factory):
+    """One genuine certificate per kind: kind -> (payload, check geometry)."""
+    d = tmp_path_factory.mktemp("genuine")
+    (d / "square.txt").write_text(SQUARE_TEXT)
+    (d / "cube.hrep").write_text(dump_hrep_text(cube_hrep(3)))
+    (d / "octa.off").write_text(dump_off(octa_mesh()))
+    poly = ["--polygon", str(d / "square.txt")]
+    hrep = ["--hrep", str(d / "cube.hrep")]
+    off = ["--off", str(d / "octa.off")]
+    p9 = ["--hrep", str(d / "p9.hrep")]
+    solves = {
+        "balance2d": (["balance2d", "--weights", "2 1 1"] + poly, poly),
+        "antipodal": (["antipodal"] + poly, poly),
+        "reduce-partition": (["reduce-partition", "--partition", "2 3 7"], []),
+        "solve-partition": (["solve-partition", "--weights", "5 4 3 2 1"], []),
+        "gadget-decide": (["gadget-decide", "--partition", "1 2 3"], []),
+        "tripodal": (["tripodal", "--grid", "16x16"] + off, off),
+        "four-on-edges": (["four-on-edges"] + off, off),
+        "three-on-edges": (["three-on-edges"] + hrep, hrep),
+        "pow2": (["pow2", "--k", "2"] + hrep, hrep),
+        "halving": (["halving"] + hrep, hrep),
+        "prop9-fixture": (["prop9-fixture", "--dim", "4", "--out", p9[1]], p9),
+        "prop9-check": (["prop9-check", "--k", "1"] + p9, p9),
+    }
+    out = {}
+    for kind, (argv, geometry) in solves.items():
+        path = d / f"{kind}.json"
+        assert run(argv + ["--json", str(path)]).exit_code == 0, kind
+        out[kind] = (json.loads(path.read_text()), geometry)
+    return out
+
+
+def _far(key, *eps_keys):
+    """Move the first point of `key` 1e6 away and raise the named tolerances."""
+    def edit(payload):
+        pts = payload[key]
+        (pts[0] if isinstance(pts[0], list) else pts)[0] += 1e6
+        for k in eps_keys:
+            *parents, leaf = k.split("/")
+            holder = payload
+            for name in parents:
+                holder = holder[name]
+            holder[leaf] = 1e12
+    return edit
+
+
+def _zero_witness(payload):
+    """Zero weights balance anything; park every witness point on a corner."""
+    wit = payload["witness"]
+    wit["weights"] = [0] * len(wit["weights"])
+    wit["points"] = [[2.0, 2.0]] * len(wit["points"])
+
+
+def _nudge(payload):
     payload["points"][0][0] += 0.2
+
+
+EPS = ("certificate/eps_geom", "certificate/eps_bal")
+TAMPERED = [
+    ("balance2d-nudged", "balance2d", _nudge, 3),
+    ("balance2d-far", "balance2d", _far("points", *EPS), 3),
+    ("antipodal-far", "antipodal", _far("points", EPS[0]), 3),
+    ("tripodal-far", "tripodal", _far("points", "eps_geom", "eps_bal"), 3),
+    ("four-on-edges-far", "four-on-edges", _far("points", *EPS), 3),
+    ("three-on-edges-far", "three-on-edges", _far("points", *EPS), 3),
+    ("pow2-far", "pow2", _far("points", *EPS), 3),
+    ("halving-far", "halving", _far("x", EPS[0]), 3),
+    ("halving-facet-point", "halving", lambda p: p.update(x=[1.0, 0.2, 0.3]), 3),
+    ("solve-partition-empty-groups", "solve-partition",
+     lambda p: p.update(groups=[[], [], []]), 3),
+    ("gadget-zeroed-witness", "gadget-decide", _zero_witness, 3),
+    ("gadget-flipped-decision", "gadget-decide",
+     lambda p: p.update(balanceable=False), 3),
+    ("reduce-partition-weights", "reduce-partition",
+     lambda p: p["weights"].append(1), 3),
+    ("prop9-fixture-offsets", "prop9-fixture",
+     lambda p: p["b"].__setitem__(0, 7.0), 3),
+    ("prop9-check-flipped", "prop9-check", lambda p: p.update(empty=False), 3),
+    ("missing-points", "balance2d", lambda p: p.pop("points"), 2),
+    ("points-not-a-list", "balance2d", lambda p: p.update(points=7), 2),
+    ("points-wrong-shape", "tripodal", lambda p: p.update(points=[[0.0, 0.0, 0.0]]), 2),
+    ("group-index-out-of-range", "solve-partition",
+     lambda p: p["groups"][0].append(99), 2),
+    ("unknown-command", "pow2", lambda p: p.update(command="pow3"), 2),
+    # hosts are derived data: check never reads them, so a bad index is harmless
+    ("four-on-edges-hosts-ignored", "four-on-edges",
+     lambda p: p["hosts"][0].update(members=[999, 1000]), 0),
+]
+
+
+@pytest.mark.parametrize("kind,edit,code", [t[1:] for t in TAMPERED],
+                         ids=[t[0] for t in TAMPERED])
+def test_check_detects_tampering(genuine, tmp_path, capsys, kind, edit, code):
+    payload, geometry = genuine[kind]
+    out = tmp_path / "c.json"
     out.write_text(json.dumps(payload))
-    assert run(["check", "--json", str(out), "--polygon", square]).exit_code == 3
+    assert run(["check", "--json", str(out)] + geometry).exit_code == 0
+    payload = json.loads(json.dumps(payload))
+    edit(payload)
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["check", "--json", str(out)] + geometry).exit_code == code
+    if code == 3:
+        assert "check failed" in capsys.readouterr().err
+
+
+def test_check_prop9_fixture_needs_the_fixture(cube_h, tmp_path):
+    H = cube_hrep(3)
+    out = tmp_path / "f.json"
+    out.write_text(json.dumps({"schema": 1, "command": "prop9-fixture", "dim": 3,
+                               "m": H.m, "A": H.A.tolist(), "b": H.b.tolist()}))
+    assert run(["check", "--json", str(out), "--hrep", cube_h]).exit_code == 3
+
+
+def test_tripodal_honours_zero_tolerances(cube_off, tmp_path):
+    out = tmp_path / "t.json"
+    run(["tripodal", "--off", cube_off, "--grid", "16x16", "--eps-geom", "0",
+         "--eps-bal", "0", "--json", str(out)])
+    payload = json.loads(out.read_text())
+    assert payload["eps_geom"] == 0.0 and payload["eps_bal"] == 0.0
+    assert payload["certificate"]["eps_geom"] == 0.0
+
+
+def test_four_on_edges_origin_outside_is_input_error(tmp_path):
+    mesh = star_mesh(np.random.default_rng(3))
+    off = tmp_path / "shifted.off"
+    off.write_text(dump_off(validate_polyhedron(mesh.vertices + (1.5, 0.0, 0.0),
+                                                mesh.faces)))
+    assert run(["four-on-edges", "--off", str(off)]).exit_code == 2
+    assert run(["tripodal", "--off", str(off), "--grid", "8x8"]).exit_code == 2
+
+
+def test_obj_edges_match_skeleton_graph(cube_h, tmp_path):
+    obj = tmp_path / "e.obj"
+    assert run(["three-on-edges", "--hrep", cube_h, "--obj", str(obj),
+                "--json", str(tmp_path / "e.json")]).exit_code == 0
+    H = cube_hrep(3)
+    V = enumerate_vertices(H)
+    want = {frozenset(map(tuple, V.vertices[list(e)]))
+            for e in skeleton_graph(H, V).edges}
+    got, edge = set(), None
+    for line in obj.read_text().splitlines():
+        if line.startswith("o "):
+            edge = [] if line.startswith("o edge") else None
+        elif line.startswith("v ") and edge is not None:
+            edge.append(tuple(float(x) for x in line.split()[1:]))
+        elif line.startswith("l ") and edge is not None:
+            got.add(frozenset(edge))
+    assert got == want and len(got) == 12
 
 
 def test_console_entry_point(square, tmp_path):

@@ -7,9 +7,8 @@ from poise.geom3d import Plane3
 from poise.polytoped import (cube_hrep, enumerate_vertices, faces_of_dim,
                              hull_of_points, product, simplex_hrep)
 from poise.skeleton_balance import (compose_balance, four_on_edges,
-                                    halving_point, placement_from_points,
-                                    pow2_points, prop9_check, prop9_fixture,
-                                    three_on_edges, verify_skeleton)
+                                    halving_point, pow2_points, prop9_check,
+                                    prop9_fixture, three_on_edges, verify_skeleton)
 
 SIMPLEX_HULL = hull_of_points([(3.0, 0.0, 0.0), (0.0, 3.0, 0.0),
                                (0.0, 0.0, 3.0), (-1.0, -1.0, -1.0)])
@@ -67,7 +66,7 @@ def test_three_on_edges_cube_symmetric_triple():
     sp = three_on_edges(H)
     pts = {tuple(np.round(p, 9)) for p in sp.points()}
     assert pts == {(1.0, 1.0, 0.0), (-1.0, 0.0, 1.0), (0.0, -1.0, -1.0)}
-    cert = verify_skeleton(H, sp)
+    cert = verify_skeleton(H, sp.points())
     assert cert.passed and cert.max_host_dim <= 1
 
 
@@ -76,13 +75,13 @@ def test_three_on_edges_shifted_target():
     target = np.array([0.9, 0.9, 0.9])
     sp = three_on_edges(H, target)
     assert np.allclose(sp.points().mean(axis=0), target, atol=1e-9)
-    cert = verify_skeleton(H, sp)
+    cert = verify_skeleton(H, sp.points(), target)
     assert cert.passed
 
 
 def test_three_on_edges_repeated_edge_degeneracy():
     sp = three_on_edges(SIMPLEX_HULL)
-    cert = verify_skeleton(SIMPLEX_HULL, sp)
+    cert = verify_skeleton(SIMPLEX_HULL, sp.points())
     assert cert.passed
     assert sp.count == 3
 
@@ -95,7 +94,7 @@ def test_three_on_edges_rejects_outside_target():
 def test_four_on_edges_cube():
     sp = four_on_edges(cube_mesh())
     assert sp.count == 4
-    cert = verify_skeleton(cube_mesh(), sp)
+    cert = verify_skeleton(cube_mesh(), sp.points())
     assert cert.passed
     assert np.linalg.norm(sp.points().sum(axis=0)) <= 1e-12
 
@@ -106,13 +105,13 @@ def test_four_on_edges_octahedron_collapses_pairs():
     # section vertices sit on mesh edges, so each pair collapses
     assert np.allclose(pts[0], pts[1]) and np.allclose(pts[2], pts[3])
     assert np.allclose(pts[0], -pts[2])
-    assert verify_skeleton(octa_mesh(), sp).passed
+    assert verify_skeleton(octa_mesh(), pts).passed
 
 
 def test_four_on_edges_tetra_and_tilted_plane():
     mesh = tetra_mesh()
     sp = four_on_edges(mesh, Plane3((1.0, 1.0, 1.0), 0.0))
-    assert verify_skeleton(mesh, sp).passed
+    assert verify_skeleton(mesh, sp.points()).passed
 
 
 def test_four_on_edges_requires_origin_plane():
@@ -125,7 +124,7 @@ def test_pow2_counts_and_balance():
                  (SIMPLEX_HULL, 2)):
         sp = pow2_points(H, k)
         assert sp.count == 2 ** k
-        cert = verify_skeleton(H, sp)
+        cert = verify_skeleton(H, sp.points())
         assert cert.passed, (H.d, k, cert)
 
 
@@ -139,15 +138,14 @@ def test_pow2_rejects_too_few_points():
 def test_pow2_hypercube4_symmetric_witness():
     H = cube_hrep(4)
     witness = [(1, 1, 1, 0), (-1, -1, -1, 0), (1, -1, 0, 1), (-1, 1, 0, -1)]
-    sp = placement_from_points(H, np.array(witness, dtype=float))
-    cert = verify_skeleton(H, sp)
+    cert = verify_skeleton(H, np.array(witness, dtype=float))
     assert cert.passed
     assert cert.max_host_dim <= 1 and cert.sum_residual == 0.0
 
 
-def test_placement_from_points_shape_check():
+def test_verify_skeleton_shape_check():
     with pytest.raises(InputError):
-        placement_from_points(cube_hrep(3), np.zeros((2, 2)))
+        verify_skeleton(cube_hrep(3), np.zeros((2, 2)))
 
 
 def test_compose_supported_dimensions():
@@ -157,7 +155,7 @@ def test_compose_supported_dimensions():
     for H in cases:
         sp = compose_balance(H)
         assert sp.count == H.d
-        assert verify_skeleton(H, sp).passed
+        assert verify_skeleton(H, sp.points()).passed
 
 
 def test_compose_rejects_unsupported_dimensions():
@@ -192,16 +190,14 @@ def test_prop9_hypercube_control_fails_immediately():
 def test_verify_skeleton_rejects_interior_point():
     H = cube_hrep(3)
     pts = np.array([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (-0.5, 0.0, 0.0)])
-    sp = placement_from_points(H, pts)
-    assert not verify_skeleton(H, sp).passed
+    assert not verify_skeleton(H, pts).passed
 
 
 def test_verify_skeleton_rejects_face_interior_point():
     H = cube_hrep(3)
     # on the boundary but in a 2-face interior: host dim 2
     pts = np.array([(1.0, 0.3, 0.2), (-1.0, -0.3, -0.2)])
-    sp = placement_from_points(H, pts)
-    cert = verify_skeleton(H, sp)
+    cert = verify_skeleton(H, pts)
     assert cert.max_host_dim == 2 and not cert.passed
 
 

@@ -5,7 +5,7 @@ from helpers import cube_mesh, octa_mesh, star_mesh, tetra_mesh
 from poise.errors import BadFrameError, OriginOutsideError
 from poise.geom3d import (extreme_boundary_points, frame_field, surface_path,
                           validate_polyhedron)
-from poise.tripodal import (SIG_MM, SIG_PP, TripodalTriple, signature,
+from poise.tripodal import (SIG_MM, SIG_PP, signature,
                             tripod_points, tripodal_by_face_triples,
                             tripodal_search, verify_tripodal)
 
@@ -64,21 +64,19 @@ OCTA_TRIPOD = 0.5 * np.array([(1.0, -1.0, 0.0), (0.0, 1.0, -1.0),
 
 def test_symmetric_witnesses_verify():
     cube = cube_mesh()
-    tri = TripodalTriple(CUBE_TRIPOD, (0, 0, 0), float(np.sqrt(2)))
-    cert = verify_tripodal(cube, tri)
+    cert = verify_tripodal(cube, CUBE_TRIPOD)
     assert cert.passed
     assert cert.radius == pytest.approx(np.sqrt(2))
     assert cert.sum_residual == 0.0
 
     octa = octa_mesh()
-    tri = TripodalTriple(OCTA_TRIPOD, (0, 0, 0), float(np.sqrt(0.5)))
-    assert verify_tripodal(octa, tri).passed
+    assert verify_tripodal(octa, OCTA_TRIPOD).passed
 
 
 def test_verify_rejects_unbalanced_triple():
     cube = cube_mesh()
     pts = np.array([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
-    cert = verify_tripodal(cube, TripodalTriple(pts, (0, 0, 0), 1.0))
+    cert = verify_tripodal(cube, pts)
     assert not cert.passed  # equal norms but nonzero sum
 
 
@@ -86,9 +84,9 @@ def test_search_and_sweep_cross_validate():
     rng = np.random.default_rng(9)
     for poly in (cube_mesh(), octa_mesh(), tetra_mesh(), star_mesh(rng)):
         t1 = tripodal_search(poly, grid=(64, 64))
-        assert verify_tripodal(poly, t1).passed
+        assert verify_tripodal(poly, t1.points).passed
         t2 = tripodal_by_face_triples(poly, samples=48)
-        assert verify_tripodal(poly, t2).passed
+        assert verify_tripodal(poly, t2.points).passed
 
 
 def test_search_boundary_signatures_cube():
@@ -119,4 +117,4 @@ def test_origin_on_boundary_degenerates_to_zero_radius():
     tri = tripodal_search(poly)
     assert tri.radius == 0.0
     assert np.allclose(tri.points, 0.0)
-    assert verify_tripodal(poly, tri).passed
+    assert verify_tripodal(poly, tri.points).passed

@@ -3,9 +3,13 @@
 Exit codes: 0 verified success, 1 infeasible or no result, 2 input error,
 3 verification failure. All randomness derives from --seed; identical
 arguments produce byte-identical JSON.
+
+The polytope and skeleton modules load SciPy, so they are imported inside
+the handlers and checks that use them: 2D commands never load SciPy.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -22,12 +26,6 @@ from .errors import (DegenerateSectionError, InfeasibleError, InputError,
                      SubdivisionLimitError, WalkFailedError)
 from .geom2d import antipodal_about, eval_boundary, load_polygon
 from .geom3d import Plane3, Polyhedron3, load_off
-from .polytoped import (dump_hrep_text, edge_segment, enumerate_vertices,
-                        faces_of_dim, load_hrep)
-from .skeleton_balance import (SkeletonPlacement, compose_balance, four_on_edges,
-                               halving_point, pow2_points, prop9_check,
-                               prop9_fixture, three_on_edges, verify_halving,
-                               verify_skeleton)
 from .tripodal import (EPS_REL, tripodal_by_face_triples, tripodal_search,
                        verify_tripodal)
 
@@ -105,7 +103,7 @@ def _face_dict(face, tight_key="tight"):
             "dim": int(face.dim)}
 
 
-def _placement_payload(sp: SkeletonPlacement, cert, tight_key="tight"):
+def _placement_payload(sp, cert, tight_key="tight"):
     return {
         "points": sp.points(),
         "hosts": [_face_dict(h, tight_key) for _, h in sp.entries],
@@ -115,8 +113,14 @@ def _placement_payload(sp: SkeletonPlacement, cert, tight_key="tight"):
     }
 
 
+def _load_hrep(path):
+    from .polytoped import load_hrep
+    return load_hrep(path)
+
+
 def _hrep_obj(args, H, points):
     """Wireframe OBJ for a 3-dimensional H-polytope with marker points."""
+    from .polytoped import edge_segment, enumerate_vertices, faces_of_dim
     if H.d != 3:
         raise InputError("--obj output needs a 3-dimensional polytope")
     V = enumerate_vertices(H)
@@ -260,7 +264,9 @@ def _cmd_tripodal(args):
 
 def _cmd_placement(args):
     """three-on-edges, pow2 and compose: skeleton points on an H-polytope."""
-    H = load_hrep(args.hrep)
+    from .skeleton_balance import (compose_balance, pow2_points, three_on_edges,
+                                   verify_skeleton)
+    H = _load_hrep(args.hrep)
     if args.cmd == "three-on-edges":
         sp, payload = three_on_edges(H, np.asarray(_numbers(args.target))), {}
     elif args.cmd == "pow2":
@@ -275,6 +281,7 @@ def _cmd_placement(args):
 
 
 def _cmd_four_on_edges(args):
+    from .skeleton_balance import four_on_edges, verify_skeleton
     poly = load_off(args.off)
     plane = Plane3(tuple(_numbers(args.plane)), 0.0)
     sp = four_on_edges(poly, plane)
@@ -287,7 +294,8 @@ def _cmd_four_on_edges(args):
 
 
 def _cmd_halving(args):
-    H = load_hrep(args.hrep)
+    from .skeleton_balance import halving_point, verify_halving
+    H = _load_hrep(args.hrep)
     wit = halving_point(H, seed=args.seed)
     cert = verify_halving(H, wit.x, args.eps_geom)
     payload = {
@@ -307,6 +315,8 @@ def _cmd_halving(args):
 
 
 def _cmd_prop9_fixture(args):
+    from .polytoped import dump_hrep_text
+    from .skeleton_balance import prop9_fixture
     H = prop9_fixture(args.dim)
     payload = {
         "command": "prop9-fixture",
@@ -322,7 +332,8 @@ def _cmd_prop9_fixture(args):
 
 
 def _cmd_prop9_check(args):
-    H = load_hrep(args.hrep)
+    from .skeleton_balance import prop9_check
+    H = _load_hrep(args.hrep)
     empty = prop9_check(H, args.k)
     payload = {
         "command": "prop9-check",
@@ -403,6 +414,7 @@ def _check_tripodal(poly, p):
 
 
 def _check_skeleton(body, p):
+    from .skeleton_balance import verify_skeleton
     cmd = p["command"]
     d = 3 if isinstance(body, Polyhedron3) else body.d
     if cmd == "pow2":
@@ -416,7 +428,13 @@ def _check_skeleton(body, p):
     return verify_skeleton(body, _array(p, "points", (count, d)), target).failures()
 
 
+def _check_halving(H, p):
+    from .skeleton_balance import verify_halving
+    return verify_halving(H, _array(p, "x", (H.d,))).failures()
+
+
 def _check_prop9_fixture(H, p):
+    from .skeleton_balance import prop9_fixture
     F = prop9_fixture(H.d)
     A, b = _array(p, "A", (None, None)), _array(p, "b", (None,))
     ok = (_field(p, "dim", int) == F.d and _field(p, "m", int) == F.m
@@ -426,6 +444,7 @@ def _check_prop9_fixture(H, p):
 
 
 def _check_prop9_check(H, p):
+    from .skeleton_balance import prop9_check
     return _same(prop9_check(H, _field(p, "k", int)) == _field(p, "empty", bool),
                  "empty")
 
@@ -445,12 +464,11 @@ CHECKS = {
     "pow2": ("hrep", _check_skeleton),
     "compose": ("hrep", _check_skeleton),
     "four-on-edges": ("off", _check_skeleton),
-    "halving": ("hrep", lambda H, p: verify_halving(
-        H, _array(p, "x", (H.d,))).failures()),
+    "halving": ("hrep", _check_halving),
     "prop9-fixture": ("hrep", _check_prop9_fixture),
     "prop9-check": ("hrep", _check_prop9_check),
 }
-LOADERS = {"polygon": load_polygon, "off": load_off, "hrep": load_hrep}
+LOADERS = {"polygon": load_polygon, "off": load_off, "hrep": _load_hrep}
 
 
 def _cmd_check(args):
@@ -496,7 +514,9 @@ def _add_common(p, *names):
                        help="seed for perturbations (default 0)")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="poise",
         description="Balanced placements on boundaries and skeletons, "

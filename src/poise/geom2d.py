@@ -128,25 +128,54 @@ def validate_polygon(vertices) -> Polygon2:
     return poly
 
 
+# Rows of the edge-pair matrix tested at a time: temporaries are O(n * block).
+_ROW_BLOCK = 64
+
+
 def _check_simple(poly: Polygon2) -> None:
-    """Reject any contact between non-adjacent edges (O(n^2) pair scan)."""
+    """Reject any contact between non-adjacent edges.
+
+    Decides as the scan of every pair i < j with _segment_hits would, and
+    raises the error of its first failing pair. Pairs whose bounding boxes
+    stay apart after each box grows by 2*tol cannot hit and are skipped;
+    the rest are tested in one batch per block of rows. Only near-parallel
+    pairs and pairs the batch finds at fault are retested by the scalar
+    routine, in (i, j) order.
+    """
     v, w = poly.edge_arrays()
     n = poly.n
     tol = 1e-12 * max(poly.diam, 1e-300)
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-            hits = _segment_hits(v[i], w[i], v[j], w[j], tol)
-            if not hits:
-                continue
-            if not adjacent:
-                raise NonSimpleError(f"edges {i} and {j} touch")
-            # adjacent edges may only share their common endpoint
-            for t, u, _ in hits:
-                if j == i + 1 and (t < 1.0 - 1e-9 or u > 1e-9):
-                    raise NonSimpleError(f"edges {i} and {j} overlap")
-                if j == n - 1 and i == 0 and (u < 1.0 - 1e-9 or t > 1e-9):
-                    raise NonSimpleError(f"edges {j} and {i} overlap")
+    lo = np.minimum(v, w) - 2.0 * tol
+    hi = np.maximum(v, w) + 2.0 * tol
+    for i0 in range(0, n - 1, _ROW_BLOCK):
+        i1 = min(i0 + _ROW_BLOCK, n - 1)
+        # rows i0..i1-1 against columns j > i0; triu keeps j > i
+        I, J = np.nonzero(np.triu(_boxes_overlap(lo[i0:i1], hi[i0:i1],
+                                                 lo[i0 + 1:], hi[i0 + 1:])))
+        I += i0
+        J += i0 + 1
+        ok, general, hit, t, u = _crossings(v[I], w[I] - v[I], v[J], w[J] - v[J], tol)
+        t = np.clip(t, 0.0, 1.0)
+        u = np.clip(u, 0.0, 1.0)
+        # adjacent edges may only share their common endpoint
+        shared = (((J == I + 1) & (t >= 1.0 - 1e-9) & (u <= 1e-9))
+                  | ((I == 0) & (J == n - 1) & (u >= 1.0 - 1e-9) & (t <= 1e-9)))
+        for k in np.nonzero((hit & ~shared) | (ok & ~general))[0]:
+            _check_pair(v, w, int(I[k]), int(J[k]), n, tol)
+
+
+def _check_pair(v, w, i, j, n, tol) -> None:
+    """Raise NonSimpleError if edges i < j meet other than at a shared end."""
+    hits = _segment_hits(v[i], w[i], v[j], w[j], tol)
+    if not hits:
+        return
+    if not (j == i + 1 or (i == 0 and j == n - 1)):
+        raise NonSimpleError(f"edges {i} and {j} touch")
+    for t, u, _ in hits:
+        if j == i + 1 and (t < 1.0 - 1e-9 or u > 1e-9):
+            raise NonSimpleError(f"edges {i} and {j} overlap")
+        if j == n - 1 and i == 0 and (u < 1.0 - 1e-9 or t > 1e-9):
+            raise NonSimpleError(f"edges {j} and {i} overlap")
 
 
 def eval_boundary(poly: Polygon2, bp: BoundaryPoint2) -> np.ndarray:
@@ -268,6 +297,35 @@ def _segment_hits(a, b, c, d, tol):
     return out
 
 
+def _boxes_overlap(lo1, hi1, lo2, hi2):
+    """(len1, len2) mask of the axis-aligned boxes [lo1, hi1] x [lo2, hi2] that meet."""
+    return ((lo1[:, None, 0] <= hi2[None, :, 0]) & (hi1[:, None, 0] >= lo2[None, :, 0])
+            & (lo1[:, None, 1] <= hi2[None, :, 1]) & (hi1[:, None, 1] >= lo2[None, :, 1]))
+
+
+def _crossings(a, r, c, s, tol):
+    """Batch form of the general-position branch of _segment_hits.
+
+    For segment pairs a + t*r and c + u*s returns (ok, general, hit, t, u):
+    ok where both segments have length, general where they are not
+    (near-)parallel, hit where a general pair meets within tol, and the
+    unclamped t and u. Pairs that are ok but not general need _segment_hits.
+    """
+    lr = np.hypot(r[:, 0], r[:, 1])
+    ls = np.hypot(s[:, 0], s[:, 1])
+    ok = (lr >= 1e-300) & (ls >= 1e-300)
+    rxs = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+    qp = c - a
+    general = ok & (np.abs(rxs) > 1e-12 * lr * ls)
+    den = np.where(general, rxs, 1.0)
+    t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / den
+    u = (qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / den
+    et = tol / np.where(ok, lr, 1.0)
+    eu = tol / np.where(ok, ls, 1.0)
+    hit = general & (t >= -et) & (t <= 1.0 + et) & (u >= -eu) & (u <= 1.0 + eu)
+    return ok, general, hit, t, u
+
+
 def curve_polygon_intersections(curve: ClosedPolyline2, poly: Polygon2, eps=None):
     """All hits between a closed polyline and the polygon boundary.
 
@@ -279,34 +337,14 @@ def curve_polygon_intersections(curve: ClosedPolyline2, poly: Polygon2, eps=None
     cp = curve.points
     cq = np.roll(cp, -1, axis=0)
     pv, pw = poly.edge_arrays()
-    c_lo = np.minimum(cp, cq) - tol
-    c_hi = np.maximum(cp, cq) + tol
-    p_lo = np.minimum(pv, pw)
-    p_hi = np.maximum(pv, pw)
-    overlap = ((c_lo[:, None, 0] <= p_hi[None, :, 0])
-               & (c_hi[:, None, 0] >= p_lo[None, :, 0])
-               & (c_lo[:, None, 1] <= p_hi[None, :, 1])
-               & (c_hi[:, None, 1] >= p_lo[None, :, 1]))
+    overlap = _boxes_overlap(np.minimum(cp, cq) - tol, np.maximum(cp, cq) + tol,
+                             np.minimum(pv, pw), np.maximum(pv, pw))
     I, J = np.nonzero(overlap)
     hits = []
     if len(I):
         a = cp[I]
         r = cq[I] - a
-        c = pv[J]
-        s = pw[J] - c
-        lr = np.hypot(r[:, 0], r[:, 1])
-        ls = np.hypot(s[:, 0], s[:, 1])
-        ok = (lr >= 1e-300) & (ls >= 1e-300)
-        rxs = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
-        qp = c - a
-        general = ok & (np.abs(rxs) > 1e-12 * lr * ls)
-        den = np.where(general, rxs, 1.0)
-        t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / den
-        u = (qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / den
-        et = tol / np.where(ok, lr, 1.0)
-        eu = tol / np.where(ok, ls, 1.0)
-        good = general & (t >= -et) & (t <= 1.0 + et) \
-            & (u >= -eu) & (u <= 1.0 + eu)
+        ok, general, good, t, u = _crossings(a, r, pv[J], pw[J] - pv[J], tol)
         for idx in np.nonzero(good)[0]:
             tt = min(max(float(t[idx]), 0.0), 1.0)
             uu = min(max(float(u[idx]), 0.0), 1.0)

@@ -75,6 +75,8 @@ def hpolytope(A, b, tags=None) -> HPolytope:
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or len(A) != len(b):
         raise InputError("need A of shape (m, d) and b of shape (m,)")
+    if A.shape[1] < 1:
+        raise InputError("a polytope needs dimension d >= 1")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise InputError("halfspace data must be finite")
     if tags is None:

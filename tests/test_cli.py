@@ -330,3 +330,52 @@ def test_stdout_when_no_json_path(square, capsys):
     assert res.exit_code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == 1
+
+
+def test_cached_parser_keeps_no_state_between_runs(square, tmp_path, monkeypatch):
+    from poise import cli
+    seen = []
+    handler = cli._cmd_balance2d
+
+    def spy(args):
+        seen.append((args.cmd, args.trace))
+        return handler(args)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_cmd_balance2d", spy)
+    try:
+        out = str(tmp_path / "c.json")
+        solve = ["--polygon", square, "--weights", "3 2 2", "--json", out]
+        assert run(["balance2d", "--trace"] + solve).exit_code == 0
+        assert run(["balance2d"] + solve).exit_code == 0
+        assert run(["balance2d-fast"] + solve).exit_code == 0
+        assert run(["balance2d", "--no-such-flag"] + solve).exit_code == 2
+        assert run(["balance2d"] + solve).exit_code == 0
+        assert cli.build_parser.cache_info().misses == 1
+    finally:
+        cli.build_parser.cache_clear()    # later tests get the real handler
+    assert seen == [("balance2d", True), ("balance2d", False),
+                    ("balance2d-fast", False), ("balance2d", False)]
+
+
+def test_zero_dimensional_hrep_is_input_error(tmp_path):
+    p = tmp_path / "d0.hrep"
+    p.write_text("2 0\n1\n1\n")
+    for argv in (["pow2", "--k", "1"], ["halving"], ["compose"]):
+        assert run(argv + ["--hrep", str(p)]).exit_code == 2, argv[0]
+
+
+def test_planar_commands_do_not_load_scipy(square, tmp_path):
+    out = tmp_path / "c.json"
+    script = (
+        "import sys\n"
+        "from poise.cli import run\n"
+        f"solve = ['balance2d', '--polygon', {square!r}, '--weights', '3 2 2',"
+        f" '--json', {str(out)!r}]\n"
+        f"check = ['check', '--json', {str(out)!r}, '--polygon', {square!r}]\n"
+        "assert run(solve).exit_code == 0 and run(check).exit_code == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

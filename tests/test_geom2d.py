@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import star_polygon
+from poise import geom2d
 from poise.errors import DegenerateError, NonSimpleError, ParseError
-from poise.geom2d import (BoundaryPoint2, affine_boundary_image, antipodal_about,
+from poise.geom2d import (BoundaryPoint2, _segment_hits, affine_boundary_image, antipodal_about,
                           boundary_point_at_param, curve_polygon_intersections,
                           dump_polygon_text, eval_boundary, locate_point,
                           nearest_boundary_point, parse_polygon_text,
@@ -33,6 +34,79 @@ def brute_segment_intersections(curve, poly):
             if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
                 hits.append(a + t * r)
     return np.array(hits)
+
+
+def all_pairs_check_simple(poly):
+    """Every edge pair i < j through _segment_hits, in (i, j) order: the reference."""
+    v, w = poly.edge_arrays()
+    n = poly.n
+    tol = 1e-12 * max(poly.diam, 1e-300)
+    for i in range(n):
+        for j in range(i + 1, n):
+            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
+            hits = _segment_hits(v[i], w[i], v[j], w[j], tol)
+            if not hits:
+                continue
+            if not adjacent:
+                raise NonSimpleError(f"edges {i} and {j} touch")
+            for t, u, _ in hits:
+                if j == i + 1 and (t < 1.0 - 1e-9 or u > 1e-9):
+                    raise NonSimpleError(f"edges {i} and {j} overlap")
+                if j == n - 1 and i == 0 and (u < 1.0 - 1e-9 or t > 1e-9):
+                    raise NonSimpleError(f"edges {j} and {i} overlap")
+
+
+def _validation_outcome(vertices):
+    try:
+        return "ok", validate_polygon(vertices).vertices.tobytes()
+    except (DegenerateError, NonSimpleError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _differential_polygons(seed=0, count=1600):
+    """Lattice (collinear, touching), Gaussian, 1e-8-scale lattice and jittered
+    lattice polygons (contacts within the 1e-12*diam tolerance), half of them
+    sorted by angle about their centroid."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(3, 13))
+        v = rng.integers(0, 5, size=(n, 2)).astype(float)
+        if k % 4 == 1:
+            v = rng.normal(size=(n, 2))
+        elif k % 4 == 2:
+            v *= 1e-8
+        elif k % 4 == 3:
+            v += rng.uniform(-4e-12, 4e-12, size=(n, 2))
+        if rng.random() < 0.5:
+            c = v.mean(axis=0)
+            v = v[np.argsort(np.arctan2(v[:, 1] - c[1], v[:, 0] - c[0]), kind="stable")]
+        yield v
+
+
+FOLD_AT_WRAP = [(0, 0), (1, 0), (1, -1), (3, -1), (3, 0)]   # edges 4 and 0 overlap
+FOLD_BACK = [(0, 0), (2, 0), (1, 0), (1, 1)]                # edges 0 and 1 overlap
+BOWTIE = [(0, 0), (4, 0), (4, 4), (2, -1), (0, 4)]
+
+
+def test_check_simple_matches_all_pairs_scan(monkeypatch):
+    cases = list(_differential_polygons()) + [
+        np.array(c, dtype=float) for c in (FOLD_AT_WRAP, FOLD_BACK, BOWTIE)]
+    got = [_validation_outcome(v) for v in cases]
+    monkeypatch.setattr(geom2d, "_check_simple", all_pairs_check_simple)
+    want = [_validation_outcome(v) for v in cases]
+    assert got == want
+    assert want[-3:] == [("NonSimpleError", "edges 4 and 0 overlap"),
+                         ("NonSimpleError", "edges 0 and 1 overlap"),
+                         ("NonSimpleError", "edges 0 and 2 touch")]
+    kinds = [k if k != "NonSimpleError" else m.split()[-1] for k, m in want]
+    # the set must exercise every outcome, not only the easy ones
+    assert kinds.count("ok") >= 400 and kinds.count("touch") >= 400
+    assert kinds.count("overlap") >= 15 and kinds.count("DegenerateError") >= 100
+
+
+def test_large_star_polygon_validates():
+    poly = star_polygon(np.random.default_rng(5), 2048)
+    assert validate_polygon(poly.vertices).n == 2048
 
 
 def test_validate_normalizes_orientation():

@@ -56,6 +56,14 @@ def _numbers(text, kind=float):
     return vals
 
 
+def _seed(text):
+    """argparse type for --seed: NumPy seeds must be non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _grid(text):
     parts = text.lower().split("x")
     if len(parts) != 2:
@@ -414,13 +422,13 @@ def _check_tripodal(poly, p):
 
 
 def _check_skeleton(body, p):
-    from .skeleton_balance import verify_skeleton
+    from .skeleton_balance import POW2_MAX_K, verify_skeleton
     cmd = p["command"]
     d = 3 if isinstance(body, Polyhedron3) else body.d
     if cmd == "pow2":
         k = _field(p, "k", int)
-        if not 0 <= k < 64:
-            raise InputError("certificate field 'k' must lie in 0..63")
+        if not 0 <= k <= POW2_MAX_K:
+            raise InputError(f"certificate field 'k' must lie in 0..{POW2_MAX_K}")
         count = 2 ** k
     else:
         count = {"three-on-edges": 3, "four-on-edges": 4, "compose": d}[cmd]
@@ -510,7 +518,7 @@ def _add_common(p, *names):
         p.add_argument("--eps-bal", type=float, default=None,
                        help="balance tolerance (command-specific scale)")
     if "seed" in names:
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_seed, default=0,
                        help="seed for perturbations (default 0)")
 
 

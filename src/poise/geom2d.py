@@ -44,8 +44,8 @@ class BoundaryPoint2:
 class Polygon2:
     """Validated simple polygon with CCW vertex order.
 
-    Build instances through validate_polygon; the constructor only stores
-    the array and derived quantities.
+    Build instances from outside data through validate_polygon; the
+    constructor only stores the array and derived quantities.
     """
 
     def __init__(self, vertices):
@@ -210,7 +210,8 @@ def _nearest_with_distance(poly: Polygon2, q):
     v, w = poly.edge_arrays()
     e = w - v
     ee = np.einsum("ij,ij->i", e, e)
-    t = np.einsum("ij,ij->i", q - v, e) / ee
+    # guards a zero-length edge of a Polygon2 built without validation
+    t = np.einsum("ij,ij->i", q - v, e) / np.maximum(ee, 1e-300)
     t = np.clip(t, 0.0, 1.0)
     proj = v + t[:, None] * e
     d2 = np.einsum("ij,ij->i", proj - q, proj - q)

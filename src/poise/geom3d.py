@@ -29,7 +29,6 @@ from .geom2d import (
     INSIDE,
     OUTSIDE,
     Polygon2,
-    _parity_inside,
     locate_point,
     validate_polygon,
 )
@@ -719,12 +718,13 @@ def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
             raise DegenerateSectionError(f"face {fid} lies in the cutting plane")
         line = line / ll
         uniq.sort(key=lambda p: float(p @ line))
-        face2, u2, w2 = _face_polygon2(poly, fid, fn, fc)
+        loop2, u2, w2 = _face_polygon2(poly, fid, fn, fc)
+        face2 = Polygon2(loop2)
         for p0, p1 in zip(uniq, uniq[1:]):
             mid = 0.5 * (p0 + p1)
             rel = mid - fc
             m2 = np.array([rel @ u2, rel @ w2])
-            if _point_in_loop2(face2, m2, tol):
+            if locate_point(face2, m2, tol).side != OUTSIDE:
                 chords.append((p0, p1, fid))
 
     if not chords:
@@ -758,21 +758,6 @@ def _remap_loop(pts2, fids):
         m = len(fids)
         fids = [fids[(m - 2 - j) % m] for j in range(m)]
     return polygon, np.asarray(fids, dtype=int)
-
-
-def _point_in_loop2(loop2, p2, tol) -> bool:
-    """Closed containment: inside by parity, or within tol of the boundary."""
-    m = len(loop2)
-    a = loop2
-    b = np.roll(loop2, -1, axis=0)
-    e = b - a
-    ee = np.einsum("ij,ij->i", e, e)
-    t = np.clip(np.einsum("ij,ij->i", p2 - a, e) / np.maximum(ee, 1e-300), 0.0, 1.0)
-    proj = a + t[:, None] * e
-    dmin = float(np.sqrt(np.einsum("ij,ij->i", proj - p2, proj - p2).min()))
-    if dmin <= tol:
-        return True
-    return _parity_inside(np.asarray(loop2), np.asarray(p2))
 
 
 def _stitch_loops(chords, tol):

@@ -30,10 +30,16 @@ FROM_NEG = "-P"
 
 @dataclass
 class HPolytope:
+    """The polytope {x : A x <= b}: bounded, with a full-dimensional interior.
+
+    hpolytope() checks both properties once, when it builds a polytope from
+    outside data. reflect, intersect, perturb, product and hull_of_points
+    build theirs from checked polytopes or from points, so they keep both
+    by construction and skip the check. A row with a zero normal is allowed.
+    """
     A: np.ndarray            # (m, d) outward normals
     b: np.ndarray            # (m,) offsets, a.x <= b
     tags: tuple              # provenance per halfspace
-    origin_interior: bool | None = None   # set by validate_hrep
 
     @property
     def d(self) -> int:
@@ -71,6 +77,7 @@ class SkeletonGraph:
 
 
 def hpolytope(A, b, tags=None) -> HPolytope:
+    """Checked HPolytope; raises UnboundedError or EmptyInteriorError."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or len(A) != len(b):
@@ -83,21 +90,29 @@ def hpolytope(A, b, tags=None) -> HPolytope:
         tags = (FROM_P,) * len(b)
     if len(tags) != len(b):
         raise InputError("one provenance tag per halfspace")
-    return HPolytope(A, b, tuple(tags))
+    H = HPolytope(A, b, tuple(tags))
+    _check_bounded_interior(H)
+    return H
 
 
-def _lp(c, A, b):
-    return linprog(c, A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+def _check_bounded_interior(H: HPolytope) -> None:
+    """Raise unless H is bounded and has a full-dimensional interior.
 
-
-def support(H: HPolytope, u) -> float:
-    """max u.x over the polytope, by LP."""
-    res = _lp(-np.asarray(u, dtype=float), H.A, H.b)
-    if res.status == 3:
-        raise UnboundedError("support LP unbounded")
-    if res.status != 0:
-        raise EmptyInteriorError("support LP infeasible")
-    return -float(res.fun)
+    Bounded means {x : A x <= 0} = {0}. By Stiemke's transposition theorem
+    that holds iff the nonzero normals have rank d and some y > 0 solves
+    A^T y = 0; scaled to unit normals, one LP with y >= 1 decides it. The
+    interior is then the positive radius of the Chebyshev LP.
+    """
+    norms = np.linalg.norm(H.A, axis=1)
+    unit = H.A[norms > 0] / norms[norms > 0, None]
+    if (np.linalg.matrix_rank(unit) < H.d
+            or linprog(np.zeros(len(unit)), A_eq=unit.T, b_eq=np.zeros(H.d),
+                       bounds=(1.0, None), method="highs").status != 0):
+        raise UnboundedError("polytope is unbounded: some direction x != 0 "
+                             "has a.x <= 0 for every row")
+    _, r = chebyshev_center(H)
+    if r <= 0.0:
+        raise EmptyInteriorError("no full-dimensional interior")
 
 
 def chebyshev_center(H: HPolytope):
@@ -113,17 +128,6 @@ def chebyshev_center(H: HPolytope):
     if res.status != 0:
         raise EmptyInteriorError("halfspace system infeasible")
     return res.x[:-1], float(res.x[-1])
-
-
-def validate_hrep(H: HPolytope) -> HPolytope:
-    """Boundedness via axis LP probes, interior via Chebyshev radius."""
-    if H.d < 1 or H.m < H.d + 1:
-        raise InputError("need d >= 1 and at least d+1 halfspaces")
-    _probe_bounded(H)
-    _, r = chebyshev_center(H)
-    if r <= 0.0:
-        raise EmptyInteriorError("no full-dimensional interior")
-    return HPolytope(H.A, H.b, H.tags, origin_interior=bool((H.b > 0).all()))
 
 
 def _dedupe(points, tights, merge_tol):
@@ -171,18 +175,6 @@ def _vrep_from_points(H, pts, eps_tight):
     return VRep(verts, tight_sets, diam)
 
 
-def _probe_bounded(H):
-    for i in range(H.d):
-        u = np.zeros(H.d)
-        u[i] = 1.0
-        for s in (1.0, -1.0):
-            res = _lp(-s * u, H.A, H.b)
-            if res.status == 3:
-                raise UnboundedError(f"unbounded along axis {i}")
-            if res.status != 0:
-                raise EmptyInteriorError("halfspace system infeasible")
-
-
 def enumerate_vertices(H: HPolytope, eps_tight=None, fallback=True) -> VRep:
     """All vertices with their tight halfspace index sets.
 
@@ -193,7 +185,6 @@ def enumerate_vertices(H: HPolytope, eps_tight=None, fallback=True) -> VRep:
     is exponential in d, so callers with a retry path should opt out).
     """
     eps = H.eps_tight() if eps_tight is None else float(eps_tight)
-    _probe_bounded(H)
     if H.d >= 2:
         try:
             center, r = chebyshev_center(H)
@@ -211,7 +202,6 @@ def enumerate_vertices(H: HPolytope, eps_tight=None, fallback=True) -> VRep:
 def enumerate_vertices_bruteforce(H: HPolytope, eps_tight=None) -> VRep:
     """Independent enumerator: solve every d-subset of halfspaces."""
     eps = H.eps_tight() if eps_tight is None else float(eps_tight)
-    _probe_bounded(H)
     combos = np.array(list(itertools.combinations(range(H.m), H.d)))
     pts = []
     for lo in range(0, len(combos), 200000):
@@ -337,10 +327,10 @@ def perturb(H: HPolytope, magnitude: float, seed: int) -> HPolytope:
     if not (H.b > 0).all():
         raise InputError("offset perturbation needs origin interior (b > 0)")
     if magnitude == 0:
-        return HPolytope(H.A.copy(), H.b.copy(), H.tags, H.origin_interior)
+        return HPolytope(H.A.copy(), H.b.copy(), H.tags)
     rng = np.random.default_rng(seed)
     eta = magnitude * (1.0 - rng.random(H.m))
-    return HPolytope(H.A.copy(), H.b * (1.0 + eta), H.tags, H.origin_interior)
+    return HPolytope(H.A.copy(), H.b * (1.0 + eta), H.tags)
 
 
 def hull_of_points(points, d=None) -> HPolytope:

@@ -23,6 +23,7 @@ from .errors import (
     OriginOutsideError,
     SearchExhaustedError,
 )
+from .geom2d import Polygon2, locate_point
 from .geom3d import (
     BOUNDARY,
     OUTSIDE,
@@ -32,7 +33,6 @@ from .geom3d import (
     _closest_on_triangles,
     _face_frame,
     _face_polygon2,
-    _point_in_loop2,
     eval_surface,
     extreme_boundary_points,
     frame_field,
@@ -304,7 +304,7 @@ def _polish_cell(field, poly, t0, t1, th0, th1, tol, depth):
 # --- independent face-triple sweep ----------------------------------------------
 
 def _face_planes(poly: Polyhedron3):
-    """Outward plane, 2D loop, frame, and radius interval per face."""
+    """Outward plane, 2D face polygon, frame, and radius interval per face."""
     planes = []
     origin = np.zeros((1, 3))
     cp = _closest_on_triangles(origin, poly._tv0, poly._ab, poly._ac)[0]
@@ -328,7 +328,7 @@ def _face_planes(poly: Polyhedron3):
             ang = np.pi if cmin <= 0.05 else float(np.arccos(min(cmin, 1.0)))
         planes.append({
             "n": nrm, "d": float(nrm @ cen), "cen": cen, "u": u, "w": w,
-            "loop2": loop2, "r_lo": r_lo, "r_hi": r_hi,
+            "polygon": Polygon2(loop2), "r_lo": r_lo, "r_hi": r_hi,
             "crad": float(np.linalg.norm(pts - cen, axis=1).max()),
             "axis": axis, "ang": ang,
             "basis": np.stack([u, w], axis=1),  # 3x2
@@ -341,7 +341,7 @@ def _in_face(plane, p, tol) -> bool:
     if abs(float(rel @ plane["n"])) > tol * 10:
         return False
     p2 = np.array([float(rel @ plane["u"]), float(rel @ plane["w"])])
-    return _point_in_loop2(plane["loop2"], p2, tol)
+    return locate_point(plane["polygon"], p2, tol).side != OUTSIDE
 
 
 def tripodal_by_face_triples(poly: Polyhedron3, samples=64, chunk=256) -> TripodalTriple:

@@ -248,6 +248,7 @@ TAMPERED = [
     ("group-index-out-of-range", "solve-partition",
      lambda p: p["groups"][0].append(99), 2),
     ("unknown-command", "pow2", lambda p: p.update(command="pow3"), 2),
+    ("pow2-k-above-limit", "pow2", lambda p: p.update(k=17), 2),
     # hosts are derived data: check never reads them, so a bad index is harmless
     ("four-on-edges-hosts-ignored", "four-on-edges",
      lambda p: p["hosts"][0].update(members=[999, 1000]), 0),
@@ -363,6 +364,58 @@ def test_zero_dimensional_hrep_is_input_error(tmp_path):
     p.write_text("2 0\n1\n1\n")
     for argv in (["pow2", "--k", "1"], ["halving"], ["compose"]):
         assert run(argv + ["--hrep", str(p)]).exit_code == 2, argv[0]
+
+
+HREP_COMMANDS = (["halving"], ["pow2", "--k", "2"], ["compose"],
+                 ["three-on-edges"], ["prop9-check", "--k", "1"])
+CUBE_ROWS = dump_hrep_text(cube_hrep(3)).splitlines()[1:]
+BAD_HREPS = {
+    "wedge": ("3 2\n1 0 1\n0 1 1\n1 1 1\n", "unbounded"),
+    "strip": ("4 3\n1 0 0 1\n-1 0 0 1\n0 1 0 1\n0 -1 0 1\n", "unbounded"),
+    "empty": ("4 2\n1 0 1\n-1 0 -2\n0 1 1\n0 -1 1\n", "infeasible"),
+    "cube-with-infeasible-zero-row":
+        ("\n".join(["7 3"] + CUBE_ROWS + ["0 0 0 -1"]) + "\n", "infeasible"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_HREPS))
+def test_bad_hrep_files_exit_2_and_name_the_cause(name, cube_h, tmp_path, capsys):
+    text, cause = BAD_HREPS[name]
+    path = tmp_path / f"{name}.hrep"
+    path.write_text(text)
+    cert = tmp_path / "h.json"
+    assert run(["halving", "--hrep", cube_h, "--json", str(cert)]).exit_code == 0
+    capsys.readouterr()
+    for argv in HREP_COMMANDS + (["check", "--json", str(cert)],):
+        assert run(argv + ["--hrep", str(path)]).exit_code == 2, argv[0]
+        assert cause in capsys.readouterr().err, argv[0]
+
+
+# the membership residuals divide by the zero row's norm
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_vacuous_zero_row_changes_no_byte(cube_h, tmp_path):
+    vac = tmp_path / "vac.hrep"
+    vac.write_text("\n".join(["7 3"] + CUBE_ROWS + ["0 0 0 1"]) + "\n")
+    for argv in HREP_COMMANDS:
+        outs = []
+        for i, geom in enumerate((cube_h, str(vac))):
+            out = tmp_path / f"{argv[0]}-{i}.json"
+            code = run(argv + ["--hrep", geom, "--json", str(out)]).exit_code
+            outs.append((code, out.read_bytes()))
+        assert outs[0] == outs[1], argv[0]
+        assert run(["check", "--json", str(out), "--hrep", str(vac)]).exit_code == 0
+
+
+def test_negative_seed_is_usage_error(cube_h):
+    for argv in (["halving"], ["pow2", "--k", "2"], ["compose"]):
+        assert run(argv + ["--hrep", cube_h, "--seed", "-1"]).exit_code == 2, argv[0]
+
+
+def test_pow2_k_above_limit_is_input_error(cube_h, capsys):
+    from poise.skeleton_balance import POW2_MAX_K
+    for k in (POW2_MAX_K + 1, 30):
+        assert run(["pow2", "--hrep", cube_h, "--k", str(k)]).exit_code == 2
+        assert "limit" in capsys.readouterr().err
 
 
 def test_planar_commands_do_not_load_scipy(square, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from helpers import random_hull_hrep
 from poise.errors import EmptyInteriorError, ParseError, UnboundedError
@@ -8,8 +10,7 @@ from poise.polytoped import (FROM_NEG, FROM_P, chebyshev_center, cross_hrep,
                              enumerate_vertices_bruteforce, faces_of_dim,
                              hpolytope, hull_of_points, intersect, load_hrep,
                              parse_hrep_text, perturb, product, reflect,
-                             simplex_hrep, skeleton_graph, support,
-                             validate_hrep)
+                             simplex_hrep, skeleton_graph)
 
 
 def test_fixture_shapes():
@@ -68,8 +69,6 @@ def test_chebyshev_center_and_support():
     H = cube_hrep(3)
     c, r = chebyshev_center(H)
     assert np.allclose(c, 0.0, atol=1e-9) and r == pytest.approx(1.0)
-    assert support(H, (1.0, 0.0, 0.0)) == pytest.approx(1.0)
-    assert support(H, (1.0, 1.0, 1.0)) == pytest.approx(3.0)
 
 
 def test_reflect_intersect_tags():
@@ -129,11 +128,10 @@ def test_parse_dump_round_trip_and_errors():
     with pytest.raises(ParseError):
         parse_hrep_text("1 0\n")
     with pytest.raises(UnboundedError):
-        validate_hrep(hpolytope([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
-                                [1.0, 1.0, 1.0]))
+        hpolytope([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0])
     with pytest.raises(EmptyInteriorError):
-        validate_hrep(hpolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
-                                [1.0, -2.0, 1.0]))
+        hpolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                  [1.0, -2.0, 1.0, 1.0])
 
 
 def test_load_hrep(tmp_path):
@@ -141,3 +139,90 @@ def test_load_hrep(tmp_path):
     path.write_text(dump_hrep_text(cube_hrep(2)))
     H = load_hrep(path)
     assert H.d == 2 and H.m == 4
+
+
+def _axis_probe(A, b):
+    """Status of the first of the 2d LPs max +-x_i over Ax <= b that is not
+    0 (0 if none): the boundedness probe vertex enumeration used to run."""
+    for i in range(A.shape[1]):
+        for s in (1.0, -1.0):
+            c = np.zeros(A.shape[1])
+            c[i] = -s
+            status = linprog(c, A_ub=A, b_ub=b, bounds=(None, None),
+                             method="highs").status
+            if status != 0:
+                return status
+    return 0
+
+
+def _bounded_by_hull(A):
+    """Without an LP: {x : Ax <= 0} = {0} iff the origin lies strictly inside
+    the hull of the unit normals. None when it lies within 1e-9 of the hull's
+    boundary, too close to call."""
+    norms = np.linalg.norm(A, axis=1)
+    unit = A[norms > 0] / norms[norms > 0, None]
+    d = A.shape[1]
+    if d == 1:
+        return bool((unit > 0).any() and (unit < 0).any())
+    if len(unit) <= d or np.linalg.matrix_rank(unit) < d:
+        return False
+    offsets = ConvexHull(unit).equations[:, -1]   # n.x + offset <= 0 inside
+    if np.abs(offsets).min() <= 1e-9:
+        return None
+    return bool((offsets < 0).all())
+
+
+def _random_system(rng, d, kind, scale):
+    m = int(rng.integers(d + 1, 3 * d + 3))
+    A = rng.normal(size=(m, d))
+    b = rng.uniform(0.1, 1.0, m)
+    if kind == "cone":              # every normal in the open half-space u.a > 0
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        s = A @ u
+        A += (np.abs(s) - s + 0.1)[:, None] * u
+    elif kind == "rank-deficient":  # no normal has an x_j component
+        A[:, rng.integers(d)] = 0.0
+    elif kind == "possibly-empty":
+        b = rng.uniform(-1.0, 1.0, m)
+    if rng.random() < 0.25:         # a zero row, vacuous or infeasible
+        A = np.vstack([A, np.zeros(d)])
+        b = np.append(b, rng.choice([-1.0, 1.0]))
+    return A, b * scale
+
+
+def _verdict(A, b):
+    try:
+        hpolytope(A, b)
+    except UnboundedError:
+        return "unbounded"
+    except EmptyInteriorError:
+        return "empty"
+    return "ok"
+
+
+def test_hpolytope_check_matches_hull_and_axis_probe():
+    """The one LP cone test against two references on 400 seeded systems.
+
+    Where the axis probe stopped on an LP status other than 0 or 3 it is not
+    compared: HiGHS can call a feasible, unbounded system infeasible there.
+    """
+    rng = np.random.default_rng(6)
+    kinds = ("random", "cone", "rank-deficient", "possibly-empty")
+    verdicts = []
+    for i in range(400):
+        d, kind = 1 + i % 6, kinds[(i // 6) % 4]
+        A, b = _random_system(rng, d, kind, (1e-8, 1.0, 1e8)[(i // 24) % 3])
+        bounded = _bounded_by_hull(A)
+        if bounded is None:
+            continue
+        got = _verdict(A, b)
+        verdicts.append(got)
+        assert (got != "unbounded") == bounded, (i, kind, got)
+        if kind == "cone":
+            assert got == "unbounded", i
+        probe = _axis_probe(A, b)
+        if probe in (0, 3):
+            assert (got == "unbounded") == (probe == 3), (i, kind, got, probe)
+    assert len(verdicts) >= 390
+    assert min(verdicts.count(v) for v in ("ok", "unbounded", "empty")) >= 30

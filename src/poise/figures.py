@@ -25,6 +25,13 @@ def _pts_attr(points):
     return " ".join(f"{_fmt(p[0])},{_fmt(-p[1])}" for p in points)
 
 
+def _svg_lines(segments, color, width):
+    return [f'<line x1="{_fmt(a[0])}" y1="{_fmt(-a[1])}" '
+            f'x2="{_fmt(b[0])}" y2="{_fmt(-b[1])}" '
+            f'stroke="{color}" stroke-width="{_fmt(width)}"/>'
+            for a, b in np.asarray(segments, dtype=float)]
+
+
 def svg_scene(polygon=None, mesh_edges=None, points=None, point_sizes=None,
               target=None, trace=None, segments=None) -> str:
     """Compose an SVG from polygon outlines, traces and marked points.
@@ -35,15 +42,8 @@ def svg_scene(polygon=None, mesh_edges=None, points=None, point_sizes=None,
     point; segments: extra (m, 2, 2) emphasized segments.
     """
     chunks = []
-    bbox = []
-    for arr in (polygon, points, target):
-        if arr is not None:
-            a = np.asarray(arr, dtype=float).reshape(-1, 2)
-            bbox.append(a)
-    if mesh_edges is not None:
-        bbox.append(np.asarray(mesh_edges, dtype=float).reshape(-1, 2))
-    if segments is not None:
-        bbox.append(np.asarray(segments, dtype=float).reshape(-1, 2))
+    bbox = [np.asarray(a, dtype=float).reshape(-1, 2)
+            for a in (polygon, points, target, mesh_edges, segments) if a is not None]
     if trace:
         for entry in trace:
             bbox.append(np.asarray(entry["curve"], dtype=float))
@@ -64,11 +64,7 @@ def svg_scene(polygon=None, mesh_edges=None, points=None, point_sizes=None,
         f'{_fmt(width)} {_fmt(height)}">')
 
     if mesh_edges is not None:
-        for a, b in np.asarray(mesh_edges, dtype=float):
-            chunks.append(
-                f'<line x1="{_fmt(a[0])}" y1="{_fmt(-a[1])}" '
-                f'x2="{_fmt(b[0])}" y2="{_fmt(-b[1])}" '
-                f'stroke="#b8c4cc" stroke-width="{_fmt(stroke * 0.7)}"/>')
+        chunks += _svg_lines(mesh_edges, "#b8c4cc", stroke * 0.7)
     if polygon is not None:
         chunks.append(
             f'<polygon points="{_pts_attr(np.asarray(polygon, dtype=float))}" '
@@ -85,12 +81,7 @@ def svg_scene(polygon=None, mesh_edges=None, points=None, point_sizes=None,
                 f'<circle cx="{_fmt(comp[0])}" cy="{_fmt(-comp[1])}" '
                 f'r="{_fmt(stroke * 1.6)}" fill="{SVG_STYLE["trace"]}"/>')
     if segments is not None:
-        for a, b in np.asarray(segments, dtype=float):
-            chunks.append(
-                f'<line x1="{_fmt(a[0])}" y1="{_fmt(-a[1])}" '
-                f'x2="{_fmt(b[0])}" y2="{_fmt(-b[1])}" '
-                f'stroke="{SVG_STYLE["marker"]}" '
-                f'stroke-width="{_fmt(stroke * 1.2)}"/>')
+        chunks += _svg_lines(segments, SVG_STYLE["marker"], stroke * 1.2)
     if points is not None:
         pts = np.asarray(points, dtype=float)
         sizes = np.ones(len(pts)) if point_sizes is None else np.asarray(

@@ -7,6 +7,7 @@ on the fan/ear triangulation; face ids always refer to the original loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,9 @@ _RAY_DIRS = np.array([
 ])
 _RAY_DIRS /= np.linalg.norm(_RAY_DIRS, axis=1)[:, None]
 
+_PAIR_BUDGET = 1 << 16   # point-triangle pairs per block of a batched query
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class SurfacePoint3:
@@ -101,6 +105,7 @@ class Polyhedron3:
         self._ab = v1 - v0
         self._ac = v2 - v0
         self._tn = np.cross(self._ab, self._ac)
+        self._rays = {}     # ray direction index -> per-triangle ray data
 
     def eps_geom(self, eps=None) -> float:
         return EPS_GEOM_REL * self.diam if eps is None else float(eps)
@@ -109,35 +114,59 @@ class Polyhedron3:
         return float(np.einsum("ij,ij->i", self._tv0, self._tn).sum()) / 6.0
 
     # --- batched metric queries ------------------------------------------
+    # Points run in Morton-ordered blocks of about _PAIR_BUDGET point-triangle
+    # pairs. In a query of several blocks, each scans only the triangles that
+    # can change its answers (box culling, Ericson, Real-Time Collision
+    # Detection, ch. 5.1 and 6): the answers of an all-pairs scan, bit for bit.
+
+    @cached_property
+    def _boxes(self):
+        """Triangle boxes; used vertices, their squared norms, max |coord|."""
+        corners = self.vertices[self.tris]
+        used = self.vertices[np.unique(self.tris)]
+        return (corners.min(axis=1), corners.max(axis=1), used,
+                np.einsum("vj,vj->v", used, used), np.abs(used).max())
 
     def closest_points(self, points):
         """Per point: (distance, global tri index, closest point on surface)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         m = len(pts)
-        best_d2 = np.full(m, np.inf)
-        best_tri = np.zeros(m, dtype=int)
-        best_cp = np.zeros((m, 3))
-        chunk = max(1, 4_000_000 // max(len(self.tris), 1))
-        for lo in range(0, m, chunk):
-            p = pts[lo:lo + chunk]
-            cp = _closest_on_triangles(p, self._tv0, self._ab, self._ac)
+        best_d2, best_tri, best_cp = np.empty(m), np.empty(m, dtype=int), np.empty((m, 3))
+        blocks = _morton_blocks(pts, len(self.tris))
+        for idx in blocks:
+            p = pts[idx]
+            tri = self._near_tris(p) if len(blocks) > 1 else np.arange(len(self.tris))
+            cp = _closest_on_triangles(p, self._tv0[tri], self._ab[tri], self._ac[tri])
             d2 = np.einsum("mtj,mtj->mt", cp - p[:, None, :], cp - p[:, None, :])
             ti = np.argmin(d2, axis=1)
             rows = np.arange(len(p))
-            best_d2[lo:lo + chunk] = d2[rows, ti]
-            best_tri[lo:lo + chunk] = ti
-            best_cp[lo:lo + chunk] = cp[rows, ti]
+            best_d2[idx], best_cp[idx] = d2[rows, ti], cp[rows, ti]
+            best_tri[idx] = tri[ti]
         return np.sqrt(best_d2), best_tri, best_cp
+
+    def _near_tris(self, p):
+        """Ascending ids of the triangles that can be nearest to a point of p,
+        each point being within sqrt(bound) of a vertex. The slack covers
+        rounding; a bound that overflows or is NaN keeps every triangle."""
+        lo, hi, used, used2, vabs = self._boxes
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = np.einsum("mj,mj->m", p, p)[:, None] - 2.0 * (p @ used.T) + used2
+            bound = d2.min(axis=1).max()
+            slack = 1e-6 * (np.abs(p).max() + vabs)
+            bound = bound + 1e-6 * bound + slack * slack
+            gap = np.maximum(np.maximum(lo - p.max(axis=0), p.min(axis=0) - hi), 0.0)
+            far = np.einsum("tj,tj->t", gap, gap) > bound
+        return np.flatnonzero(~far)
 
     def contains(self, points):
         """Parity test per point; callers keep points off the surface."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(len(pts), dtype=bool)
         todo = np.arange(len(pts))
-        for d in _RAY_DIRS:
+        for k in range(len(_RAY_DIRS)):
             if len(todo) == 0:
                 break
-            cnt, bad = self._ray_hits(pts[todo], d)
+            cnt, bad = self._ray_hits(pts[todo], k)
             ok = ~bad
             out[todo[ok]] = (cnt[ok] % 2) == 1
             todo = todo[bad]
@@ -145,39 +174,73 @@ class Polyhedron3:
             raise PoiseError("parity ray casting failed for some points")
         return out
 
-    def _ray_hits(self, pts, d):
-        """Crossing counts along direction d plus degeneracy flags."""
-        m = len(pts)
+    def _ray_data(self, k):
+        """Once per direction: Moller-Trumbore's h and f = 1/a, parallel flags,
+        normal lengths, and the triangles' boxes in the frame (u, w, d)."""
+        if k not in self._rays:
+            d = _RAY_DIRS[k]
+            h = np.cross(d, self._ac)
+            a = np.einsum("tj,tj->t", self._ab, h)
+            nn = np.linalg.norm(self._tn, axis=1)
+            para = np.abs(a) <= 1e-12 * np.maximum(nn, 1e-300)
+            f = np.zeros_like(a)
+            f[~para] = 1.0 / a[~para]
+            frame = np.stack(_plane_basis(d) + (d,))
+            corners = (self.vertices @ frame.T)[self.tris]
+            self._rays[k] = (h, f, para, nn, frame, corners.min(axis=1),
+                             corners.max(axis=1))
+        return self._rays[k]
+
+    def _ray_hits(self, pts, k):
+        """Crossing counts along _RAY_DIRS[k] plus degeneracy flags."""
+        d = _RAY_DIRS[k]
+        h, f, para, nn = self._ray_data(k)[:4]
         eps_b = 1e-9
         eps_t = 1e-9 * max(self.diam, 1.0)
-        h = np.cross(d, self._ac)
-        a = np.einsum("tj,tj->t", self._ab, h)
-        nn = np.linalg.norm(self._tn, axis=1)
-        para = np.abs(a) <= 1e-12 * np.maximum(nn, 1e-300)
-        live = ~para
-        counts = np.zeros(m, dtype=int)
-        bad = np.zeros(m, dtype=bool)
-        chunk = max(1, 2_000_000 // max(len(self.tris), 1))
-        f = np.zeros_like(a)
-        f[live] = 1.0 / a[live]
-        for lo in range(0, m, chunk):
-            p = pts[lo:lo + chunk]
-            s = p[:, None, :] - self._tv0[None, :, :]
-            u = np.einsum("mtj,tj->mt", s, h) * f
-            q = np.cross(s, self._ab[None, :, :])
-            v = np.einsum("mtj,j->mt", q, d) * f
-            t = np.einsum("mtj,tj->mt", q, self._ac) * f
+        counts = np.zeros(len(pts), dtype=int)
+        bad = np.zeros(len(pts), dtype=bool)
+        blocks = _morton_blocks(pts, len(self.tris))
+        for idx in blocks:
+            p = pts[idx]
+            tri = self._ray_tris(p, k) if len(blocks) > 1 else np.flatnonzero(~para)
+            s = p[:, None, :] - self._tv0[tri][None, :, :]
+            u = np.einsum("mtj,tj->mt", s, h[tri]) * f[tri]
+            q = np.cross(s, self._ab[tri][None, :, :])
+            v = np.einsum("mtj,j->mt", q, d) * f[tri]
+            t = np.einsum("mtj,tj->mt", q, self._ac[tri]) * f[tri]
             good = (u > eps_b) & (v > eps_b) & (u + v < 1.0 - eps_b) & (t > eps_t)
             loose = (u > -eps_b) & (v > -eps_b) & (u + v < 1.0 + eps_b) & (t > -eps_t)
-            good &= live[None, :]
-            loose &= live[None, :]
-            counts[lo:lo + chunk] = good.sum(axis=1)
-            bad[lo:lo + chunk] = (loose & ~good).any(axis=1)
+            counts[idx] = good.sum(axis=1)
+            bad[idx] = (loose & ~good).any(axis=1)
             if para.any():
                 # a ray inside the plane of a parallel triangle breaks parity
-                dp = np.abs(np.einsum("mtj,tj->mt", s[:, para, :], self._tn[para]))
-                bad[lo:lo + chunk] |= (dp <= eps_t * np.maximum(nn[para], 1e-300)).any(axis=1)
+                s = p[:, None, :] - self._tv0[para][None, :, :]
+                dp = np.abs(np.einsum("mtj,tj->mt", s, self._tn[para]))
+                bad[idx] |= (dp <= eps_t * np.maximum(nn[para], 1e-300)).any(axis=1)
         return counts, bad
+
+    def _ray_tris(self, p, k):
+        """Ascending ids of the non-parallel triangles that a ray from a point
+        of p along _RAY_DIRS[k] can cross, even loosely: a ray keeps its (u, w),
+        so only boxes holding it with far end along d not behind p count. Boxes
+        grow by the rounding of the Moller-Trumbore values, in barycentric units
+        eps_b + eps (S (|ab| + |ac|) + |ab| |ac|) / |a| up to constant factors,
+        S = max |p| + max |vertex|; a triangle with no usable bound is kept."""
+        _, f, para, _, frame, lo, hi = self._ray_data(k)
+        lab, lac = np.linalg.norm(self._ab, axis=1), np.linalg.norm(self._ac, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = p @ frame.T
+            cmin, cmax = c.min(axis=0), c.max(axis=0)
+            S = np.abs(p).max() + self._boxes[4]
+            rho = _EPS * (64.0 * lab * lac * np.abs(f) + 8.0)
+            beta = 8.0 * (1e-9 + 64.0 * _EPS * S * (lab + lac) * np.abs(f) + rho)
+            grow = 4.0 * beta * (hi - lo).max(axis=1) + 64.0 * _EPS * S
+            grow = np.where(rho < 0.05, grow, np.inf)
+            grow_d = grow + 1e-9 * max(self.diam, 1.0) + 16.0 * rho * S
+            miss = ((lo[:, 0] - grow > cmax[0]) | (hi[:, 0] + grow < cmin[0])
+                    | (lo[:, 1] - grow > cmax[1]) | (hi[:, 1] + grow < cmin[1])
+                    | (hi[:, 2] + grow_d < cmin[2]))
+        return np.flatnonzero(~(miss | para))
 
     def signed_distances(self, points, eps=None):
         """Negative inside, positive outside, exactly 0 on the eps shell."""
@@ -197,6 +260,22 @@ class Polyhedron3:
     def __repr__(self):
         return (f"Polyhedron3(V={len(self.vertices)}, F={len(self.faces)}, "
                 f"T={len(self.tris)})")
+
+
+def _morton_blocks(pts, ntri):
+    """Index runs of spatially close points (Morton order), each run of at
+    most _PAIR_BUDGET point-triangle pairs against ntri triangles."""
+    m, size = len(pts), max(1, _PAIR_BUDGET // max(ntri, 1))
+    order = np.arange(m)
+    q = np.where(np.isfinite(pts), pts, 0.0)
+    with np.errstate(over="ignore"):
+        span = float((q.max(axis=0) - q.min(axis=0)).max()) if m > size else 0.0
+    if 1e-300 < span < np.inf:
+        cells = ((q - q.min(axis=0)) * (1023.0 / span)).astype(np.int64)
+        code = sum(((cells[:, j] >> b) & 1) << (3 * b + j)
+                   for b in range(10) for j in range(3))
+        order = np.argsort(code, kind="stable")
+    return [order[i:i + size] for i in range(0, m, size)]
 
 
 def _closest_on_triangles(p, v0, ab, ac):
@@ -488,15 +567,13 @@ def extreme_boundary_points(poly: Polyhedron3):
     near = _surface_point_from_tri(poly, int(tri[0]), cp[0])
     norms = np.linalg.norm(poly.vertices, axis=1)
     vid = int(np.argmax(norms))  # ties: smallest vertex id
+    hits = np.argwhere(poly.tris == vid)     # (triangle, corner), by triangle
     far = None
-    for t, tri_v in enumerate(poly.tris):
-        if vid in tri_v:
-            corner = list(tri_v).index(vid)
-            bary = [0.0, 0.0, 0.0]
-            bary[corner] = 1.0
-            fid = int(poly.tri_face[t])
-            far = SurfacePoint3(fid, poly.face_tris[fid].index(t), tuple(bary))
-            break
+    if len(hits):
+        t, corner = hits[0].tolist()
+        fid = int(poly.tri_face[t])
+        far = SurfacePoint3(fid, poly.face_tris[fid].index(t),
+                            tuple(float(c == corner) for c in range(3)))
     return near, far
 
 
@@ -746,15 +823,10 @@ def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
     raise NoLoopContainsOriginError("no section loop encloses the anchor")
 
 
-def _loop_area(pts2):
-    x, y = pts2[:, 0], pts2[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def _remap_loop(pts2, fids):
     """Validate the loop; if validation reversed it, reverse edge provenance."""
     polygon = validate_polygon(pts2)
-    if _loop_area(pts2) < 0.0:
+    if Polygon2(pts2).signed_area() < 0.0:
         m = len(fids)
         fids = [fids[(m - 2 - j) % m] for j in range(m)]
     return polygon, np.asarray(fids, dtype=int)

@@ -52,6 +52,16 @@ class HPolytope:
     def eps_tight(self) -> float:
         return 1e-8 * (1.0 + float(np.abs(self.b).max()))
 
+    def unit_residuals(self, x) -> np.ndarray:
+        """(a.x - b) / |a| per row; -inf for a row with a zero normal, which
+        is then never tight and never violated."""
+        r = self.A @ x - self.b
+        norms = np.linalg.norm(self.A, axis=1)
+        return np.divide(r, norms, out=np.full_like(r, -np.inf), where=norms > 0)
+
+    def zero_rows(self) -> np.ndarray:
+        return ~self.A.any(axis=1)
+
 
 @dataclass
 class VRep:
@@ -169,6 +179,7 @@ def _vrep_from_points(H, pts, eps_tight):
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     diam = float(np.linalg.norm(hi - lo))
     slack = H.b[None, :] - pts @ H.A.T
+    slack[:, H.zero_rows()] = np.inf      # a zero row is never tight
     tights = [set(np.nonzero(np.abs(slack[i]) <= eps_tight)[0].tolist())
               for i in range(len(pts))]
     verts, tight_sets = _dedupe(pts, tights, 1e-9 * max(diam, 1e-300))
@@ -190,8 +201,9 @@ def enumerate_vertices(H: HPolytope, eps_tight=None, fallback=True) -> VRep:
             center, r = chebyshev_center(H)
             if r <= 0:
                 raise EmptyInteriorError("no full-dimensional interior")
+            keep = ~H.zero_rows()       # Qhull rejects 0.x <= 0
             hs = HalfspaceIntersection(
-                np.column_stack([H.A, -H.b]), center)
+                np.column_stack([H.A[keep], -H.b[keep]]), center)
             return _vrep_from_points(H, hs.intersections, eps)
         except QhullError:
             if not fallback:
@@ -316,7 +328,7 @@ def intersect(H1: HPolytope, H2: HPolytope) -> HPolytope:
     """Concatenate halfspace lists; no redundancy removal (provenance counts)."""
     if H1.d != H2.d:
         raise InputError("dimension mismatch")
-    if not ((H1.b > 0).all() and (H2.b > 0).all()):
+    if not ((H1.b[~H1.zero_rows()] > 0).all() and (H2.b[~H2.zero_rows()] > 0).all()):
         raise EmptyInteriorError("origin must be interior to both operands")
     return HPolytope(np.vstack([H1.A, H2.A]), np.concatenate([H1.b, H2.b]),
                      H1.tags + H2.tags)
@@ -324,7 +336,7 @@ def intersect(H1: HPolytope, H2: HPolytope) -> HPolytope:
 
 def perturb(H: HPolytope, magnitude: float, seed: int) -> HPolytope:
     """Scale each offset by 1 + eta_i, eta_i uniform in (0, magnitude]."""
-    if not (H.b > 0).all():
+    if not (H.b[~H.zero_rows()] > 0).all():
         raise InputError("offset perturbation needs origin interior (b > 0)")
     if magnitude == 0:
         return HPolytope(H.A.copy(), H.b.copy(), H.tags)

@@ -119,7 +119,7 @@ def halving_point(H: HPolytope, seed=0, eps_mem=None) -> HalvingWitness:
     simple, which keeps C centrally symmetric, then the chosen vertex is
     mapped back to unperturbed coordinates by least squares.
     """
-    if not (H.b > 0).all():
+    if not (H.b[~H.zero_rows()] > 0).all():
         raise InputError("halving needs the origin strictly interior (b > 0)")
     d, m = H.d, H.m
     target_j = (d + 1) // 2
@@ -150,8 +150,7 @@ def halving_point(H: HPolytope, seed=0, eps_mem=None) -> HalvingWitness:
             continue
         x = np.linalg.lstsq(C0.A[list(tight)], C0.b[list(tight)], rcond=None)[0]
         tol = 1e-7 * V.diam if eps_mem is None else float(eps_mem)
-        norms = np.linalg.norm(C0.A, axis=1)
-        resid = (C0.A @ x - C0.b) / norms
+        resid = C0.unit_residuals(x)
         if np.abs(resid[list(tight)]).max() > tol or resid.max() > tol:
             reason = "map-back point failed membership"
             continue
@@ -299,7 +298,7 @@ def _place(chart: _Chart, count: int, seed: int, out: list):
 def _root_chart(H: HPolytope, target) -> _Chart:
     target = np.zeros(H.d) if target is None else np.asarray(target, dtype=float)
     b = H.b - H.A @ target
-    if not (b > 0).all():
+    if not (b[~H.zero_rows()] > 0).all():
         raise InputError("target must be strictly interior")
     return _Chart(target, np.eye(H.d), H.A.copy(), b)
 
@@ -347,7 +346,7 @@ def _placement_from_recursion(H, count, seed):
 def _host_face(H: HPolytope, V, p, tol) -> FaceD:
     """Minimal face of H containing p (rows within tol count as tight)."""
     p = np.asarray(p, dtype=float)
-    resid = np.abs(H.A @ p - H.b) / np.linalg.norm(H.A, axis=1)
+    resid = np.abs(H.unit_residuals(p))
     tight = tuple(int(i) for i in np.nonzero(resid <= tol)[0])
     return _face_from_vrep(H, V, tight, p)
 
@@ -381,8 +380,7 @@ def three_on_edges(H: HPolytope, target=None, eps_t=1e-9) -> SkeletonPlacement:
     if H.d != 3:
         raise InputError("edge-triple balancing is a 3-polytope operation")
     target = np.zeros(3) if target is None else np.asarray(target, dtype=float)
-    norms = np.linalg.norm(H.A, axis=1)
-    if ((H.A @ target - H.b) / norms).max() > H.eps_tight():
+    if H.unit_residuals(target).max() > H.eps_tight():
         raise InputError("target must lie inside the polytope")
 
     V = enumerate_vertices(H)
@@ -619,17 +617,16 @@ def verify_halving(H: HPolytope, x, eps_geom=None) -> HalvingCertificate:
     if x.shape != (H.d,):
         raise InputError(f"need a point of shape ({H.d},)")
     eps = 1e-7 * enumerate_vertices(H).diam if eps_geom is None else float(eps_geom)
-    norms = np.linalg.norm(H.A, axis=1)
-    rp = (H.A @ x - H.b) / norms
-    rn = (-H.A @ x - H.b) / norms
+    rp = H.unit_residuals(x)
+    rn = H.unit_residuals(-x)
     violation = max(float(rp.max()), float(rn.max()), 0.0)
     touch = max(float(np.abs(rp).min()), float(np.abs(rn).min()))
-    unit = H.A / norms[:, None]
-    return HalvingCertificate(violation, touch, _face_dim(unit[np.abs(rp) <= eps]),
-                              _face_dim(unit[np.abs(rn) <= eps]), eps, H.d)
+    return HalvingCertificate(violation, touch, _face_dim(H.A[np.abs(rp) <= eps]),
+                              _face_dim(H.A[np.abs(rn) <= eps]), eps, H.d)
 
 
 def _face_dim(rows) -> int:
-    """Dimension of the face cut out by these tight unit normals."""
-    rank = np.linalg.matrix_rank(rows, tol=1e-9) if len(rows) else 0
+    """Dimension of the face cut out by these tight (nonzero) normals."""
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    rank = np.linalg.matrix_rank(unit, tol=1e-9) if len(rows) else 0
     return rows.shape[1] - int(rank)

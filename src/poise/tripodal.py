@@ -240,8 +240,7 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256), refine=6) -> TripodalTri
     while nt <= 2048 and nth <= 2048:
         ts = np.linspace(0.0, 1.0, nt + 1)
         ths = np.linspace(0.0, np.pi, nth + 1)
-        T, TH = np.meshgrid(ts, ths, indexing="ij")
-        g1, g2 = field.values(T, TH)
+        g1, g2 = field.values(*np.meshgrid(ts, ths, indexing="ij"))
 
         # exact on-surface grid nodes first
         zero = (g1 == 0.0) & (g2 == 0.0)
@@ -250,16 +249,11 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256), refine=6) -> TripodalTri
             if verify_tripodal(poly, cand.points).passed:
                 return cand
 
-        s1 = np.sign(g1)
-        s2 = np.sign(g2)
-        for it in range(nt):
-            for ith in range(nth):
-                if not (_straddles(s1, it, ith) and _straddles(s2, it, ith)):
-                    continue
-                hit = _polish_cell(field, poly, ts[it], ts[it + 1], ths[ith],
-                                   ths[ith + 1], tol, refine)
-                if hit is not None:
-                    return hit
+        for it, ith in np.argwhere(_straddle_mask(g1, g2)):
+            hit = _polish_cell(field, poly, ts[it], ts[it + 1], ths[ith],
+                               ths[ith + 1], tol, refine)
+            if hit is not None:
+                return hit
         nt *= 2
         nth *= 2
 
@@ -269,10 +263,15 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256), refine=6) -> TripodalTri
         raise SearchExhaustedError("grid search and face sweep both failed") from exc
 
 
-def _straddles(s, i, j):
-    """Do the signs s at the corners of grid cell (i, j) change or vanish?"""
-    c = s[i:i + 2, j:j + 2]
-    return c.min() < 0 < c.max() or (c == 0).any()
+def _straddle_mask(g1, g2):
+    """Grid cells whose corner signs change or vanish in both g1 and g2."""
+    mask = True
+    for s in (np.sign(g1), np.sign(g2)):
+        c = (s[:-1, :-1], s[1:, :-1], s[:-1, 1:], s[1:, 1:])
+        lo = np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3]))
+        hi = np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))
+        mask = mask & (((lo < 0) & (hi > 0)) | np.logical_or.reduce([x == 0 for x in c]))
+    return mask
 
 
 def _polish_cell(field, poly, t0, t1, th0, th1, tol, depth):
@@ -283,21 +282,14 @@ def _polish_cell(field, poly, t0, t1, th0, th1, tol, depth):
             return cand
     if depth <= 0:
         return None
-    tm, thm = 0.5 * (t0 + t1), 0.5 * (th0 + th1)
-    ts = np.array([[t0, tm], [tm, t1]])
-    ths = np.array([[th0, thm], [thm, th1]])
-    corners_t = np.array([t0, tm, t1])
-    corners_th = np.array([th0, thm, th1])
-    T, TH = np.meshgrid(corners_t, corners_th, indexing="ij")
-    g1, g2 = field.values(T, TH)
-    s1, s2 = np.sign(g1), np.sign(g2)
-    for i in range(2):
-        for j in range(2):
-            if _straddles(s1, i, j) and _straddles(s2, i, j):
-                hit = _polish_cell(field, poly, ts[i, 0], ts[i, 1], ths[j, 0],
-                                   ths[j, 1], tol, depth - 1)
-                if hit is not None:
-                    return hit
+    ts = np.array([t0, 0.5 * (t0 + t1), t1])
+    ths = np.array([th0, 0.5 * (th0 + th1), th1])
+    g1, g2 = field.values(*np.meshgrid(ts, ths, indexing="ij"))
+    for i, j in np.argwhere(_straddle_mask(g1, g2)):
+        hit = _polish_cell(field, poly, ts[i], ts[i + 1], ths[j], ths[j + 1],
+                           tol, depth - 1)
+        if hit is not None:
+            return hit
     return None
 
 

@@ -5,7 +5,7 @@ from scipy.spatial import ConvexHull
 
 from poise.balance2d import feasibility
 from poise.geom2d import validate_polygon
-from poise.geom3d import validate_polyhedron
+from poise.geom3d import _closest_on_triangles, validate_polyhedron
 from poise.polytoped import chebyshev_center, hpolytope, hull_of_points
 
 
@@ -106,3 +106,63 @@ def random_hull_hrep(rng, d, npts=None):
     H = hull_of_points(pts)
     c, _ = chebyshev_center(H)
     return hpolytope(H.A, H.b - H.A @ c)
+
+
+# --- all-pairs oracles of the culled Polyhedron3 queries ----------------------
+
+ORACLE_PAIRS = 1 << 20   # point-triangle pairs per chunk of an oracle scan
+
+
+def closest_points_all_pairs(poly, points):
+    """Polyhedron3.closest_points by testing every point against every triangle."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m = len(pts)
+    best_d2 = np.full(m, np.inf)
+    best_tri = np.zeros(m, dtype=int)
+    best_cp = np.zeros((m, 3))
+    chunk = max(1, ORACLE_PAIRS // len(poly.tris))
+    for lo in range(0, m, chunk):
+        p = pts[lo:lo + chunk]
+        cp = _closest_on_triangles(p, poly._tv0, poly._ab, poly._ac)
+        d2 = np.einsum("mtj,mtj->mt", cp - p[:, None, :], cp - p[:, None, :])
+        ti = np.argmin(d2, axis=1)
+        rows = np.arange(len(p))
+        best_d2[lo:lo + chunk] = d2[rows, ti]
+        best_tri[lo:lo + chunk] = ti
+        best_cp[lo:lo + chunk] = cp[rows, ti]
+    return np.sqrt(best_d2), best_tri, best_cp
+
+
+def ray_hits_all_pairs(poly, pts, d):
+    """Polyhedron3._ray_hits along direction d, over every triangle."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    m = len(pts)
+    eps_b = 1e-9
+    eps_t = 1e-9 * max(poly.diam, 1.0)
+    h = np.cross(d, poly._ac)
+    a = np.einsum("tj,tj->t", poly._ab, h)
+    nn = np.linalg.norm(poly._tn, axis=1)
+    para = np.abs(a) <= 1e-12 * np.maximum(nn, 1e-300)
+    live = ~para
+    counts = np.zeros(m, dtype=int)
+    bad = np.zeros(m, dtype=bool)
+    chunk = max(1, ORACLE_PAIRS // len(poly.tris))
+    f = np.zeros_like(a)
+    f[live] = 1.0 / a[live]
+    for lo in range(0, m, chunk):
+        p = pts[lo:lo + chunk]
+        s = p[:, None, :] - poly._tv0[None, :, :]
+        u = np.einsum("mtj,tj->mt", s, h) * f
+        q = np.cross(s, poly._ab[None, :, :])
+        v = np.einsum("mtj,j->mt", q, d) * f
+        t = np.einsum("mtj,tj->mt", q, poly._ac) * f
+        good = (u > eps_b) & (v > eps_b) & (u + v < 1.0 - eps_b) & (t > eps_t)
+        loose = (u > -eps_b) & (v > -eps_b) & (u + v < 1.0 + eps_b) & (t > -eps_t)
+        good &= live[None, :]
+        loose &= live[None, :]
+        counts[lo:lo + chunk] = good.sum(axis=1)
+        bad[lo:lo + chunk] = (loose & ~good).any(axis=1)
+        if para.any():
+            dp = np.abs(np.einsum("mtj,tj->mt", s[:, para, :], poly._tn[para]))
+            bad[lo:lo + chunk] |= (dp <= eps_t * np.maximum(nn[para], 1e-300)).any(axis=1)
+    return counts, bad

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,19 +393,22 @@ def test_bad_hrep_files_exit_2_and_name_the_cause(name, cube_h, tmp_path, capsys
         assert cause in capsys.readouterr().err, argv[0]
 
 
-# the membership residuals divide by the zero row's norm
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# a zero-normal row is never tight and never violated, whatever its offset;
+# NumPy warnings are errors here, so no residual may divide by its zero norm
+@pytest.mark.filterwarnings("error")
 def test_vacuous_zero_row_changes_no_byte(cube_h, tmp_path):
-    vac = tmp_path / "vac.hrep"
-    vac.write_text("\n".join(["7 3"] + CUBE_ROWS + ["0 0 0 1"]) + "\n")
-    for argv in HREP_COMMANDS:
-        outs = []
-        for i, geom in enumerate((cube_h, str(vac))):
-            out = tmp_path / f"{argv[0]}-{i}.json"
-            code = run(argv + ["--hrep", geom, "--json", str(out)]).exit_code
-            outs.append((code, out.read_bytes()))
-        assert outs[0] == outs[1], argv[0]
-        assert run(["check", "--json", str(out), "--hrep", str(vac)]).exit_code == 0
+    for row in ("0 0 0 1", "0 0 0 0"):
+        vac = tmp_path / "vac.hrep"
+        vac.write_text("\n".join(["7 3"] + CUBE_ROWS + [row]) + "\n")
+        for argv in HREP_COMMANDS:
+            outs = []
+            for i, geom in enumerate((cube_h, str(vac))):
+                out = tmp_path / f"{argv[0]}-{i}.json"
+                code = run(argv + ["--hrep", geom, "--json", str(out)]).exit_code
+                outs.append((code, out.read_bytes()))
+            assert outs[0] == outs[1], (row, argv[0])
+            check = run(["check", "--json", str(out), "--hrep", str(vac)])
+            assert check.exit_code == 0, (row, argv[0])
 
 
 def test_negative_seed_is_usage_error(cube_h):
@@ -432,3 +437,20 @@ def test_planar_commands_do_not_load_scipy(square, tmp_path):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_check_of_huge_tripodal_coordinate_exits_3(genuine, tmp_path):
+    """Overflow in the mesh queries is a failed check, not a traceback."""
+    payload, geometry = genuine["tripodal"]
+    payload = json.loads(json.dumps(payload))
+    payload["points"][0][0] = 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "poise.cli", "check", "--json", str(path)]
+    proc = subprocess.run(argv + geometry, capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "max_membership_error" in proc.stderr

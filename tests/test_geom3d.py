@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from helpers import cube_mesh, octa_mesh, star_mesh
+from helpers import (closest_points_all_pairs, convex_mesh, cube_mesh, octa_mesh,
+                     ray_hits_all_pairs, star_mesh, tetra_mesh)
+from poise import geom3d
 from poise.errors import (NoLoopContainsOriginError, NonPlanarFaceError,
                           OpenSurfaceError, ParseError)
 from poise.geom3d import (Plane3, cross_section, dump_off,
@@ -103,3 +109,104 @@ def test_cross_section_requires_origin_in_a_loop():
     poly = validate_polyhedron(v, shifted.faces)
     with pytest.raises(NoLoopContainsOriginError):
         cross_section(poly, Plane3((0, 0, 1), 0.0))
+
+
+# --- culled queries against the all-pairs oracle ---------------------------------
+
+def _rotated_cube_parallel_to_first_ray():
+    """A cube with four faces parallel to _RAY_DIRS[0], so parity meets
+    ray-parallel triangles."""
+    d = geom3d._RAY_DIRS[0]
+    frame = np.stack((d,) + geom3d._plane_basis(d))
+    cube = cube_mesh()
+    return validate_polyhedron(cube.vertices @ frame, cube.faces)
+
+
+def _query_points(rng, poly):
+    """Uniform, near-surface, vertex, edge and far points, and points just
+    past the topmost vertex along a ray, whose crossings there are loose."""
+    lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
+    tri = rng.integers(0, len(poly.tris), 160)
+    bary = rng.dirichlet(np.ones(3), size=160)
+    on = np.einsum("mk,mkj->mj", bary, poly.vertices[poly.tris[tri]])
+    nrm = poly._tn[tri] / np.linalg.norm(poly._tn[tri], axis=1, keepdims=True)
+    offs = rng.choice([-1e-6, -1e-9, 0.0, 1e-12, 1e-9, 1e-6], 160) * poly.diam
+    a, b = poly.vertices[poly.tris[tri, 0]], poly.vertices[poly.tris[tri, 1]]
+    t = rng.choice([0.0, 0.5, 1.0, rng.uniform()], 60)[:, None]
+    far = rng.normal(size=(40, 3))
+    far /= np.linalg.norm(far, axis=1, keepdims=True)
+    dirs = geom3d._RAY_DIRS[:2]
+    top = poly.vertices[np.argmax(poly.vertices @ dirs.T, axis=0)]
+    past = top[:, None] + (np.array([0.1, 0.5, 0.9])[:, None] * 1e-9
+                           * max(poly.diam, 1.0) * dirs[:, None])
+    return np.concatenate([
+        rng.uniform(lo, hi, size=(200, 3)),
+        on + offs[:, None] * nrm,
+        poly.vertices[rng.integers(0, len(poly.vertices), 40)],
+        a[:60] + t * (b[:60] - a[:60]),
+        far[:20] * 1e6, far[20:] * 1e150, past.reshape(-1, 3)])
+
+
+def _meshes():
+    rng = np.random.default_rng(11)
+    base = [star_mesh(rng, sub) for sub in range(5)]      # 8 to 2048 triangles
+    base += [cube_mesh(), tetra_mesh(), convex_mesh(cube_mesh().vertices)]
+    scaled = [validate_polyhedron(p.vertices * s, p.faces)
+              for p in base[1:2] + base[6:] for s in (1e-8, 1e8)]
+    return base + scaled + [_rotated_cube_parallel_to_first_ray()]
+
+
+def test_culled_queries_match_all_pairs_oracle(monkeypatch):
+    """Bitwise equal answers, at the default block size and at blocks of
+    2^6 pairs (one to sixteen points), where a block can hold only the
+    points just past a vertex and so tests every slack on its own."""
+    rng = np.random.default_rng(5)
+    saw_para = False
+    for poly in _meshes():
+        pts = _query_points(rng, poly)
+        # the all-pairs formulas overflow at 1e150 on the 1e8 meshes
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = closest_points_all_pairs(poly, pts)
+        rays = [ray_hits_all_pairs(poly, pts, geom3d._RAY_DIRS[k]) for k in (0, 1)]
+        for budget in (geom3d._PAIR_BUDGET, 1 << 6):
+            monkeypatch.setattr(geom3d, "_PAIR_BUDGET", budget)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = poly.closest_points(pts)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (poly, budget)
+            for k in (0, 1):
+                got = poly._ray_hits(pts, k)
+                assert np.array_equal(got[0], rays[k][0]), (poly, budget, k)
+                assert np.array_equal(got[1], rays[k][1]), (poly, budget, k)
+            monkeypatch.undo()
+        saw_para |= bool(poly._ray_data(0)[2].any())
+    assert saw_para
+
+
+def test_batched_queries_stay_small(tmp_path):
+    """65,536 points against 512 triangles: the all-pairs scan peaked at
+    1.3 GB; the culled blocks must stay under 300 MB.
+
+    The child reports VmHWM, not ru_maxrss: Linux carries ru_maxrss over
+    from the forking process, which here is the pytest process.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = (
+        "import numpy as np\n"
+        "from helpers import star_mesh\n"
+        "poly = star_mesh(np.random.default_rng(1), 3)\n"
+        "rng = np.random.default_rng(2)\n"
+        "cp = poly.closest_points(rng.uniform(-1, 1, size=(4096, 3)))[2]\n"
+        "pts = np.repeat(cp, 16, axis=0) + rng.normal(size=(65536, 3)) * 0.02\n"
+        "assert len(poly.tris) == 512\n"
+        "poly.closest_points(pts)\n"
+        "poly.contains(pts)\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmHWM:')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [here, os.path.join(os.path.dirname(here), "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 300 * 1024     # VmHWM is in KiB

@@ -1,7 +1,7 @@
 """Command-line surface: solve, emit JSON certificates and figures, re-verify.
 
 Exit codes: 0 verified success, 1 infeasible or no result, 2 input error,
-3 verification failure. All randomness derives from --seed; identical
+3 verification failure. No command draws random numbers, so identical
 arguments produce byte-identical JSON.
 
 The polytope and skeleton modules load SciPy, so they are imported inside
@@ -21,9 +21,9 @@ from . import figures
 from .errors import (DegenerateSectionError, InfeasibleError, InputError,
                      NoCrossingError, NoIntersectionError,
                      NoLoopContainsOriginError, NotFoundError,
-                     OriginOnBoundaryError, ParseError,
-                     PerturbationFailedError, PoiseError, SearchExhaustedError,
-                     SubdivisionLimitError, WalkFailedError)
+                     OriginOnBoundaryError, ParseError, PoiseError,
+                     SearchExhaustedError, SubdivisionLimitError,
+                     WalkFailedError)
 from .geom2d import antipodal_about, eval_boundary, load_polygon
 from .geom3d import Plane3, Polyhedron3, load_off
 from .tripodal import (EPS_REL, tripodal_by_face_triples, tripodal_search,
@@ -31,10 +31,9 @@ from .tripodal import (EPS_REL, tripodal_by_face_triples, tripodal_search,
 
 # Solver ran correctly but found nothing to certify: exit 1, not 3.
 NO_RESULT_ERRORS = (NotFoundError, SearchExhaustedError, InfeasibleError,
-                    PerturbationFailedError, NoLoopContainsOriginError,
-                    DegenerateSectionError, NoCrossingError,
-                    NoIntersectionError, SubdivisionLimitError,
-                    OriginOnBoundaryError)
+                    NoLoopContainsOriginError, DegenerateSectionError,
+                    NoCrossingError, NoIntersectionError,
+                    SubdivisionLimitError, OriginOnBoundaryError)
 
 
 @dataclass
@@ -54,14 +53,6 @@ def _numbers(text, kind=float):
     if not vals:
         raise ParseError(f"empty {kind.__name__} list")
     return vals
-
-
-def _seed(text):
-    """argparse type for --seed: NumPy seeds must be non-negative integers."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"seed must be a non-negative integer, got {text!r}")
-    return int(text)
 
 
 def _grid(text):
@@ -278,10 +269,9 @@ def _cmd_placement(args):
     if args.cmd == "three-on-edges":
         sp, payload = three_on_edges(H, np.asarray(_numbers(args.target))), {}
     elif args.cmd == "pow2":
-        sp = pow2_points(H, args.k, seed=args.seed)
-        payload = {"k": args.k, "seed": args.seed}
+        sp, payload = pow2_points(H, args.k), {"k": args.k}
     else:
-        sp, payload = compose_balance(H, seed=args.seed), {"seed": args.seed}
+        sp, payload = compose_balance(H), {}
     cert = verify_skeleton(H, sp.points(), sp.target, args.eps_geom, args.eps_bal)
     payload.update(_placement_payload(sp, cert), command=args.cmd)
     fig = _hrep_obj(args, H, sp.points()) if args.obj else None
@@ -304,17 +294,14 @@ def _cmd_four_on_edges(args):
 def _cmd_halving(args):
     from .skeleton_balance import halving_point, verify_halving
     H = _load_hrep(args.hrep)
-    wit = halving_point(H, seed=args.seed)
+    wit = halving_point(H)
     cert = verify_halving(H, wit.x, args.eps_geom)
     payload = {
         "command": "halving",
-        "seed": args.seed,
         "x": wit.x,
         "vertex_type": list(wit.vertex_type),
         "face_P": _face_dict(wit.face_P),
         "face_negP": _face_dict(wit.face_negP),
-        "magnitude": wit.magnitude,
-        "attempts": wit.attempts,
         "certificate": {"violation": cert.violation,
                         "boundary_distance": cert.boundary_distance,
                         "eps_geom": cert.eps_geom, "passed": cert.passed},
@@ -517,9 +504,6 @@ def _add_common(p, *names):
                        help="membership tolerance (command-specific scale)")
         p.add_argument("--eps-bal", type=float, default=None,
                        help="balance tolerance (command-specific scale)")
-    if "seed" in names:
-        p.add_argument("--seed", type=_seed, default=0,
-                       help="seed for perturbations (default 0)")
 
 
 @functools.cache
@@ -586,14 +570,14 @@ def build_parser():
     p.add_argument("--plane", default="0 0 1", help="section plane normal")
 
     command("halving", _cmd_halving, "boundary point with x and -x on low faces",
-            "hrep", "eps", "seed", "json")
+            "hrep", "eps", "json")
 
     p = command("pow2", _cmd_placement, "2^k skeleton points summing to the origin",
-                "hrep", "eps", "seed", "obj", "json")
+                "hrep", "eps", "obj", "json")
     p.add_argument("--k", type=int, required=True)
 
     command("compose", _cmd_placement, "d skeleton points for d = 2^i*3^j, j <= 1",
-            "hrep", "eps", "seed", "obj", "json")
+            "hrep", "eps", "obj", "json")
 
     p = command("prop9-fixture", _cmd_prop9_fixture,
                 "triangle-product separation fixture", "json")

@@ -122,12 +122,8 @@ class DisconnectedSkeletonError(PoiseError):
     """1-skeleton graph fell apart (should be impossible for a polytope)."""
 
 
-class PerturbationFailedError(PoiseError):
-    """No perturbation retry produced a simple intersection polytope."""
-
-
 class WalkFailedError(PoiseError):
-    """Skeleton walk never met a vertex of the target type."""
+    """A pivot walk or witness reconstruction broke down (numerical)."""
 
 
 class UnsupportedDimensionError(InputError):

@@ -196,7 +196,7 @@ class Polyhedron3:
         d = _RAY_DIRS[k]
         h, f, para, nn = self._ray_data(k)[:4]
         eps_b = 1e-9
-        eps_t = 1e-9 * max(self.diam, 1.0)
+        eps_t = 1e-9 * self.diam
         counts = np.zeros(len(pts), dtype=int)
         bad = np.zeros(len(pts), dtype=bool)
         blocks = _morton_blocks(pts, len(self.tris))
@@ -236,7 +236,7 @@ class Polyhedron3:
             beta = 8.0 * (1e-9 + 64.0 * _EPS * S * (lab + lac) * np.abs(f) + rho)
             grow = 4.0 * beta * (hi - lo).max(axis=1) + 64.0 * _EPS * S
             grow = np.where(rho < 0.05, grow, np.inf)
-            grow_d = grow + 1e-9 * max(self.diam, 1.0) + 16.0 * rho * S
+            grow_d = grow + 1e-9 * self.diam + 16.0 * rho * S
             miss = ((lo[:, 0] - grow > cmax[0]) | (hi[:, 0] + grow < cmin[0])
                     | (lo[:, 1] - grow > cmax[1]) | (hi[:, 1] + grow < cmin[1])
                     | (hi[:, 2] + grow_d < cmin[2]))
@@ -339,6 +339,10 @@ def validate_polyhedron(vertices, faces) -> Polyhedron3:
             raise InputError(f"bad face loop {f}")
         if any(i < 0 or i >= nv for i in f):
             raise InputError(f"face index out of range in {f}")
+    used = np.zeros(nv, dtype=bool)
+    used[[i for f in faces for i in f]] = True
+    if not used.all():
+        raise InputError(f"vertex {int(np.argmin(used))} is used by no face")
     _check_closed(faces)
     diam = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
     tris, tri_face = _triangulate(verts, faces, diam)
@@ -370,12 +374,12 @@ def _face_frame(verts, f, diam):
         a, b = pts[i], pts[(i + 1) % len(f)]
         nrm += np.cross(a, b)
     norm = np.linalg.norm(nrm)
-    if norm <= 1e-14 * max(diam, 1.0) ** 2:
+    if norm <= 1e-14 * diam ** 2:
         raise NonPlanarFaceError(f"face {f} has no usable normal")
     nrm = nrm / norm
     centroid = pts.mean(axis=0)
     off = np.abs((pts - centroid) @ nrm)
-    if off.max() > 1e-8 * max(diam, 1.0):
+    if off.max() > 1e-8 * diam:
         raise NonPlanarFaceError(f"face {f} is not planar")
     return nrm, centroid
 
@@ -612,7 +616,7 @@ def surface_path(poly: Polyhedron3, sp0: SurfacePoint3, sp1: SurfacePoint3) -> S
 
     x0 = eval_surface(poly, sp0)
     x1 = eval_surface(poly, sp1)
-    if np.linalg.norm(x0 - x1) <= 1e-12 * max(poly.diam, 1.0):
+    if np.linalg.norm(x0 - x1) <= 1e-12 * poly.diam:
         raise InputError("path endpoints coincide")
 
     adj = {}

@@ -1,10 +1,9 @@
 """d-dimensional convex polytope kernel.
 
-H-representation polytopes (a_i . x <= b_i) with per-halfspace provenance
-tags, vertex enumeration with tight sets, face-lattice slices, skeleton
-graphs, and the reflect / intersect / perturb / product constructions used
-by the skeleton balancing recursions. Desk scale throughout: d <= 8 and a
-few dozen halfspaces.
+H-representation polytopes (a_i . x <= b_i), vertex enumeration with tight
+sets, face-lattice slices, skeleton graphs, and the product construction
+used by the skeleton fixtures. Desk scale throughout: d <= 8 and a few
+dozen halfspaces.
 """
 from __future__ import annotations
 
@@ -24,22 +23,18 @@ from .errors import (
     UnboundedError,
 )
 
-FROM_P = "P"
-FROM_NEG = "-P"
-
 
 @dataclass
 class HPolytope:
     """The polytope {x : A x <= b}: bounded, with a full-dimensional interior.
 
     hpolytope() checks both properties once, when it builds a polytope from
-    outside data. reflect, intersect, perturb, product and hull_of_points
-    build theirs from checked polytopes or from points, so they keep both
-    by construction and skip the check. A row with a zero normal is allowed.
+    outside data. product and hull_of_points build theirs from checked
+    polytopes or from points, so they keep both by construction and skip
+    the check. A row with a zero normal is allowed.
     """
     A: np.ndarray            # (m, d) outward normals
     b: np.ndarray            # (m,) offsets, a.x <= b
-    tags: tuple              # provenance per halfspace
 
     @property
     def d(self) -> int:
@@ -50,7 +45,7 @@ class HPolytope:
         return self.A.shape[0]
 
     def eps_tight(self) -> float:
-        return 1e-8 * (1.0 + float(np.abs(self.b).max()))
+        return 1e-8 * float(np.abs(self.b).max())
 
     def unit_residuals(self, x) -> np.ndarray:
         """(a.x - b) / |a| per row; -inf for a row with a zero normal, which
@@ -86,7 +81,7 @@ class SkeletonGraph:
     adj: dict
 
 
-def hpolytope(A, b, tags=None) -> HPolytope:
+def hpolytope(A, b) -> HPolytope:
     """Checked HPolytope; raises UnboundedError or EmptyInteriorError."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -96,11 +91,7 @@ def hpolytope(A, b, tags=None) -> HPolytope:
         raise InputError("a polytope needs dimension d >= 1")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise InputError("halfspace data must be finite")
-    if tags is None:
-        tags = (FROM_P,) * len(b)
-    if len(tags) != len(b):
-        raise InputError("one provenance tag per halfspace")
-    H = HPolytope(A, b, tuple(tags))
+    H = HPolytope(A, b)
     _check_bounded_interior(H)
     return H
 
@@ -186,16 +177,14 @@ def _vrep_from_points(H, pts, eps_tight):
     return VRep(verts, tight_sets, diam)
 
 
-def enumerate_vertices(H: HPolytope, eps_tight=None, fallback=True) -> VRep:
+def enumerate_vertices(H: HPolytope) -> VRep:
     """All vertices with their tight halfspace index sets.
 
     Near-duplicate solutions are merged within 1e-9 of the diameter, so a
     non-simple vertex carries more than d tight indices. Uses the halfspace
-    intersection dual when available, falling back to the subset solver;
-    fallback=False re-raises the dual failure instead (the subset solver
-    is exponential in d, so callers with a retry path should opt out).
+    intersection dual when available, falling back to the subset solver.
     """
-    eps = H.eps_tight() if eps_tight is None else float(eps_tight)
+    eps = H.eps_tight()
     if H.d >= 2:
         try:
             center, r = chebyshev_center(H)
@@ -206,8 +195,7 @@ def enumerate_vertices(H: HPolytope, eps_tight=None, fallback=True) -> VRep:
                 np.column_stack([H.A[keep], -H.b[keep]]), center)
             return _vrep_from_points(H, hs.intersections, eps)
         except QhullError:
-            if not fallback:
-                raise
+            pass
     return enumerate_vertices_bruteforce(H, eps)
 
 
@@ -319,32 +307,6 @@ def skeleton_graph(H: HPolytope, V: VRep) -> SkeletonGraph:
     return SkeletonGraph(nodes, tuple(sorted(edges)), adj)
 
 
-def reflect(H: HPolytope) -> HPolytope:
-    """The reflection -P about the origin; tags mark the reflected copy."""
-    return HPolytope(-H.A.copy(), H.b.copy(), (FROM_NEG,) * H.m)
-
-
-def intersect(H1: HPolytope, H2: HPolytope) -> HPolytope:
-    """Concatenate halfspace lists; no redundancy removal (provenance counts)."""
-    if H1.d != H2.d:
-        raise InputError("dimension mismatch")
-    if not ((H1.b[~H1.zero_rows()] > 0).all() and (H2.b[~H2.zero_rows()] > 0).all()):
-        raise EmptyInteriorError("origin must be interior to both operands")
-    return HPolytope(np.vstack([H1.A, H2.A]), np.concatenate([H1.b, H2.b]),
-                     H1.tags + H2.tags)
-
-
-def perturb(H: HPolytope, magnitude: float, seed: int) -> HPolytope:
-    """Scale each offset by 1 + eta_i, eta_i uniform in (0, magnitude]."""
-    if not (H.b[~H.zero_rows()] > 0).all():
-        raise InputError("offset perturbation needs origin interior (b > 0)")
-    if magnitude == 0:
-        return HPolytope(H.A.copy(), H.b.copy(), H.tags)
-    rng = np.random.default_rng(seed)
-    eta = magnitude * (1.0 - rng.random(H.m))
-    return HPolytope(H.A.copy(), H.b * (1.0 + eta), H.tags)
-
-
 def hull_of_points(points, d=None) -> HPolytope:
     """Facets of the convex hull, by brute force over d-subsets.
 
@@ -391,7 +353,7 @@ def hull_of_points(points, d=None) -> HPolytope:
     A = np.array([f[0] for f in facets])
     b = np.array([f[1] for f in facets])
     order = np.lexsort(np.column_stack([A, b]).T[::-1])
-    return HPolytope(A[order], b[order], (FROM_P,) * len(b))
+    return HPolytope(A[order], b[order])
 
 
 def product(H1: HPolytope, H2: HPolytope) -> HPolytope:
@@ -400,7 +362,7 @@ def product(H1: HPolytope, H2: HPolytope) -> HPolytope:
     A = np.zeros((H1.m + H2.m, d1 + d2))
     A[:H1.m, :d1] = H1.A
     A[H1.m:, d1:] = H2.A
-    return HPolytope(A, np.concatenate([H1.b, H2.b]), H1.tags + H2.tags)
+    return HPolytope(A, np.concatenate([H1.b, H2.b]))
 
 
 # --- text format -----------------------------------------------------------------

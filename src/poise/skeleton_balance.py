@@ -16,7 +16,6 @@ import math
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
-from scipy.spatial import QhullError
 
 from .balance2d import balance_iterative
 from .certificate import Certificate
@@ -24,7 +23,6 @@ from .errors import (
     InputError,
     NotFoundError,
     OriginOutsideError,
-    PerturbationFailedError,
     UnsupportedDimensionError,
     WalkFailedError,
 )
@@ -38,13 +36,9 @@ from .polytoped import (
     enumerate_vertices,
     faces_of_dim,
     hpolytope,
-    intersect,
-    perturb,
     product,
-    reflect,
 )
 
-PERTURB_MAGNITUDES = tuple(np.geomspace(1e-7, 1e-5, 5))
 # largest k for pow2_points (2^k points): on the 3-cube, on a 2-vCPU Xeon,
 # k = 14 takes about 4 s and 128 MB and k = 16 about 15 s and 257 MB
 POW2_MAX_K = 16
@@ -54,11 +48,9 @@ POW2_MAX_K = 16
 class HalvingWitness:
     x: np.ndarray
     face_P: FaceD            # face of P containing x, dim <= floor(d/2)
-    face_negP: FaceD         # face of -P containing x, dim <= ceil(d/2)
-    vertex_type: tuple       # (j, d - j) tight-row counts by provenance
-    magnitude: float
-    seed: int
-    attempts: int
+    face_negP: FaceD         # face of P containing -x, dim <= ceil(d/2)
+    vertex_type: tuple       # (j, d - j): rows of P and of -P in the basis
+    attempts: int            # always 1; see halving_point
 
 
 @dataclass
@@ -109,107 +101,100 @@ class HalvingCertificate(Certificate):
 
 # --- halving witness ---------------------------------------------------------
 
-def halving_point(H: HPolytope, seed=0, eps_mem=None) -> HalvingWitness:
+# a slack (in units of the largest offset) or a cosine between a unit normal
+# and the unit walk direction at or below this counts as zero
+_TIE = 1e-9
+
+
+def halving_point(H: HPolytope) -> HalvingWitness:
     """Boundary point x with x on a floor(d/2)-face of P and -x likewise.
 
-    Walks the skeleton of C = P (intersect) -P from a start vertex toward
-    the antipode of the start; tight-set provenance counts change by at
-    most one per edge, so a vertex with ceil(d/2) P-tight rows appears on
-    the path.  Offsets of P are perturbed symmetrically when C is not
-    simple, which keeps C centrally symmetric, then the chosen vertex is
-    mapped back to unperturbed coordinates by least squares.
+    One simplex walk on C = P (intersect) -P. Row i < m of C is row i of P
+    and row i + m its mirror -a_i.x <= b_i, on unit normals with offsets
+    divided by the largest. Both get the offset b_i + eps^(i+1), a symbolic
+    perturbation (Edelsbrunner and Muecke 1990, "Simulation of Simplicity")
+    that keeps C centrally symmetric and makes it simple; the lexicographic
+    ratio test of Dantzig, Orden and Wolfe (1955) is that perturbation.
+    A ray from the origin, continued in the null space of the rows it
+    meets, reaches a basis B0. Maximising c = -(sum of B0's normals), whose
+    unique optimum is the mirror basis -B0, Dantzig's rule picks the row
+    that leaves. Each pivot swaps one row, so the count of P rows passes
+    ceil(d/2) on the way, and x is the point of the first such basis.
     """
-    if not (H.b[~H.zero_rows()] > 0).all():
+    keep = np.flatnonzero(~H.zero_rows())
+    if not (H.b[keep] > 0).all():
         raise InputError("halving needs the origin strictly interior (b > 0)")
-    d, m = H.d, H.m
-    target_j = (d + 1) // 2
-    C0 = intersect(H, reflect(H))
+    norms = np.linalg.norm(H.A[keep], axis=1)
+    scale = float((H.b[keep] / norms).max())
+    A = H.A[keep] / norms[:, None]
+    AC = np.vstack([A, -A])
+    bC = np.tile(H.b[keep] / norms / scale, 2)
+    m, d = A.shape
+    target = (d + 1) // 2
 
-    attempts = 0
-    reason = "no attempt ran"
-    schedule = [(0.0, seed)] + [(mag, seed + i)
-                                for i, mag in enumerate(PERTURB_MAGNITUDES)]
-    for mag, s in schedule:
-        attempts += 1
-        Pt = H if mag == 0.0 else perturb(H, mag, s)
-        Ct = intersect(Pt, reflect(Pt))
-        # perturbed slacks sit near mag * b; classify tightness well below
-        # that gap but well above vertex round-off
-        eps_t = None if mag == 0.0 else 1e-4 * mag * (1.0 + float(Ct.b.max()))
-        try:
-            V = enumerate_vertices(Ct, eps_tight=eps_t, fallback=False)
-        except QhullError:
-            reason = "halfspace dual failed"
-            continue
-        if any(len(t) != d for t in V.tight_sets):
-            reason = "intersection has a non-simple vertex"
-            continue
-        tight = _walk_to_type(V, m, d, target_j)
-        if tight is None:
-            reason = "antipodal vertex match failed"
-            continue
-        x = np.linalg.lstsq(C0.A[list(tight)], C0.b[list(tight)], rcond=None)[0]
-        tol = 1e-7 * V.diam if eps_mem is None else float(eps_mem)
-        resid = C0.unit_residuals(x)
-        if np.abs(resid[list(tight)]).max() > tol or resid.max() > tol:
-            reason = "map-back point failed membership"
-            continue
-        j = sum(1 for i in tight if i < m)
-        tp = tuple(sorted(i for i in tight if i < m))
-        tn = tuple(sorted(i - m for i in tight if i >= m))
-        R = reflect(H)
-        return HalvingWitness(x, _face_from_vrep(H, enumerate_vertices(H), tp, x),
-                              _face_from_vrep(R, enumerate_vertices(R), tn, x),
-                              (j, d - j), mag, s, attempts)
-    raise PerturbationFailedError(
-        f"no usable skeleton after {attempts} attempts: {reason}")
+    basis, M = [], np.zeros((d, 0))        # x(eps) = M @ (bC + eps)[basis]
+    while len(basis) < d:
+        u = null_space(AC[basis])[:, 0] if basis else np.eye(d)[0]
+        r = _entering(AC, bC, m, basis, M, u)
+        au = AC[r] @ u
+        M = np.column_stack([M - np.outer(u, AC[r] @ M) / au, u / au])
+        basis.append(r)
+    c = -AC[basis].sum(axis=0)
+    for _ in range(4 * len(AC) + d):
+        if sum(r < m for r in basis) == target:
+            break
+        M = np.linalg.inv(AC[basis])
+        lam = M.T @ c                      # c = sum of lam_j times basis normal j
+        p = int(np.argmin(lam))
+        if lam[p] >= 0.0:
+            raise WalkFailedError("walk reached the mirror basis without "
+                                  f"meeting {target} rows of P")
+        u = -M[:, p] / np.linalg.norm(M[:, p])
+        basis[p] = _entering(AC, bC, m, basis, M, u)
+    else:
+        raise WalkFailedError("halving walk exceeded its pivot bound")
+
+    x = scale * np.linalg.solve(AC[basis], bC[basis])
+    tight_P = tuple(sorted(int(keep[r]) for r in basis if r < m))
+    tight_negP = tuple(sorted(int(keep[r - m]) for r in basis if r >= m))
+    V = enumerate_vertices(H)
+    # attempts is always 1, as nothing is retried; it stays because the
+    # traced benchmark (perfbench/spans.py) counts it
+    return HalvingWitness(x, _face_from_vrep(H, V, tight_P, x),
+                          _face_from_vrep(H, V, tight_negP, -x),
+                          (target, d - target), 1)
 
 
-def _walk_to_type(V, m, d, target_j):
-    """Tight set of the first path vertex with target_j P-tight rows."""
-    n = len(V.vertices)
-    mask = np.zeros((n, 2 * m), dtype=np.uint8)
-    for i, t in enumerate(V.tight_sets):
-        mask[i, list(t)] = 1
-    j = mask[:, :m].sum(axis=1)
-    if j[0] == target_j:
-        return tuple(V.tight_sets[0])
-    dist = np.linalg.norm(V.vertices + V.vertices[0], axis=1)
-    anti = int(np.argmin(dist))
-    if dist[anti] > 1e-9 * max(V.diam, 1.0):
-        return None
-    # simple polytope: vertices are adjacent iff they share d-1 tight rows
-    mf = mask.astype(np.float32)
-    common = mf @ mf.T
-    path = _bfs_path(common == np.float32(d - 1), 0, anti)
-    if path is None:
-        return None
-    for v in path:
-        if j[v] == target_j:
-            return tuple(V.tight_sets[v])
-    raise WalkFailedError(
-        f"no vertex of type ({target_j}, {d - target_j}) on a path with "
-        f"endpoint types {j[0]} and {j[anti]}")
+def _entering(AC, bC, m, basis, M, u):
+    """Row that a move along u from the point of basis meets first.
 
-
-def _bfs_path(adj, start, goal):
-    parent = {start: -1}
-    queue = [start]
-    while queue:
-        nxt = []
-        for u in queue:
-            if u == goal:
-                path = [u]
-                while parent[path[-1]] != -1:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            for v in np.nonzero(adj[u])[0]:
-                v = int(v)
-                if v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        queue = nxt
-    return None
+    Rows tied on the real ratio are ranked by their eps-coefficients: row
+    r's slack is bC_r + eps^r - AC_r M (bC + eps)[basis], over AC_r.u, with
+    eps^r shared by row r and its mirror and lower powers ranking first.
+    """
+    au = AC @ u
+    s = bC - AC @ (M @ bC[basis])
+    cand = np.flatnonzero(au > _TIE)
+    if not len(cand):
+        raise WalkFailedError("halving walk found an unbounded direction")
+    tmin = (s[cand] / au[cand]).min()
+    tied = cand[s[cand] - tmin * au[cand] <= _TIE]
+    if len(tied) == 1:
+        return int(tied[0])
+    power = np.arange(len(AC)) % m
+    powers = np.unique(np.concatenate([power[basis], power[tied]]))
+    coef = np.zeros((len(tied), len(powers)))
+    coef[:, np.searchsorted(powers, power[basis])] = -(AC[tied] @ M)
+    coef[np.arange(len(tied)), np.searchsorted(powers, power[tied])] += 1.0
+    coef /= au[tied, None]
+    alive = np.arange(len(tied))
+    tol = _TIE * np.abs(coef).max()
+    for col in coef.T:
+        v = col[alive]
+        alive = alive[v <= v.min() + tol]
+        if len(alive) == 1:
+            break
+    return int(tied[alive[0]])
 
 
 # --- recursive placements ----------------------------------------------------
@@ -227,7 +212,7 @@ def _descend(chart: _Chart) -> _Chart:
     """Drop to the minimal face holding the local origin in its interior."""
     A, b, basis = chart.A, chart.b, chart.basis
     while len(basis):
-        eps = 1e-8 * (1.0 + float(np.abs(b).max()) if len(b) else 1.0)
+        eps = 1e-8 * float(np.abs(b).max()) if len(b) else 0.0
         tight = b <= eps
         if not tight.any():
             break
@@ -262,7 +247,7 @@ def _chart_polygon(chart: _Chart):
     return validate_polygon(V.vertices[order])
 
 
-def _place(chart: _Chart, count: int, seed: int, out: list):
+def _place(chart: _Chart, count: int, out: list):
     chart = _descend(chart)
     f = len(chart.basis)
     if f <= 1:
@@ -290,9 +275,9 @@ def _place(chart: _Chart, count: int, seed: int, out: list):
         return
     if count % 2:
         raise InputError(f"odd count {count} on a {f}-face")
-    wit = halving_point(hpolytope(chart.A, chart.b), seed=seed)
-    _place(_translate(chart, wit.x), count // 2, seed, out)
-    _place(_translate(chart, -wit.x), count // 2, seed, out)
+    wit = halving_point(hpolytope(chart.A, chart.b))
+    _place(_translate(chart, wit.x), count // 2, out)
+    _place(_translate(chart, -wit.x), count // 2, out)
 
 
 def _root_chart(H: HPolytope, target) -> _Chart:
@@ -303,7 +288,7 @@ def _root_chart(H: HPolytope, target) -> _Chart:
     return _Chart(target, np.eye(H.d), H.A.copy(), b)
 
 
-def pow2_points(H: HPolytope, k: int, seed=0) -> SkeletonPlacement:
+def pow2_points(H: HPolytope, k: int) -> SkeletonPlacement:
     """2^k points on the 1-skeleton of H with barycenter at the origin.
 
     Recursively halves: a halving witness splits the problem into two
@@ -316,10 +301,10 @@ def pow2_points(H: HPolytope, k: int, seed=0) -> SkeletonPlacement:
                          f"(2^k points; memory grows with 2^k)")
     if k < 0 or H.d > 2 ** k:
         raise InputError(f"need d <= 2^k, got d={H.d}, k={k}")
-    return _placement_from_recursion(H, 2 ** k, seed)
+    return _placement_from_recursion(H, 2 ** k)
 
 
-def compose_balance(H: HPolytope, seed=0) -> SkeletonPlacement:
+def compose_balance(H: HPolytope) -> SkeletonPlacement:
     """d points on the 1-skeleton summing to the origin, d = 2^i * 3^j, j <= 1.
 
     Same recursion as pow2_points, with three_on_edges as the ternary base
@@ -331,14 +316,14 @@ def compose_balance(H: HPolytope, seed=0) -> SkeletonPlacement:
     if n not in (1, 3):
         raise UnsupportedDimensionError(
             f"dimension {H.d} is not 2^i * 3^j with j <= 1")
-    return _placement_from_recursion(H, H.d, seed)
+    return _placement_from_recursion(H, H.d)
 
 
-def _placement_from_recursion(H, count, seed):
+def _placement_from_recursion(H, count):
     pts = []
-    _place(_root_chart(H, None), count, seed, pts)
+    _place(_root_chart(H, None), count, pts)
     V = enumerate_vertices(H)
-    tol = max(H.eps_tight(), 1e-9 * max(V.diam, 1.0))
+    tol = max(H.eps_tight(), 1e-9 * V.diam)
     entries = [(p, _host_face(H, V, p, tol)) for p in pts]
     return SkeletonPlacement(entries, count, np.zeros(H.d))
 
@@ -469,7 +454,7 @@ def four_on_edges(P: Polyhedron3, plane: Plane3 = None) -> SkeletonPlacement:
     """
     if plane is None:
         plane = Plane3((0.0, 0.0, 1.0), 0.0)
-    if abs(plane.offset) > 1e-12 * max(P.diam, 1.0):
+    if abs(plane.offset) > 1e-12 * P.diam:
         raise InputError("section plane must pass through the origin")
     if side3(P, np.zeros(3)).side == OUTSIDE:
         raise OriginOutsideError("origin lies outside the surface")

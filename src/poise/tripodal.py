@@ -441,7 +441,7 @@ def _sweep_chunk(poly, planes, trips, samples, tol_pos, arrs):
     y[:, :, 2] = Rm[:, None] * np.repeat(sweep, len(starts))[None, :]
     y[:, :, :2] = Rm[:, None, None] * np.tile(starts, (samples, 1))[None, :, :]
 
-    tol_g = 1e-10 * max(poly.diam, 1.0) ** 2
+    tol_g = 1e-10 * poly.diam ** 2
     dA = A1[:, :, :2]
     dB = A2[:, :, :2]
     dS = dA + dB
@@ -464,7 +464,8 @@ def _sweep_chunk(poly, planes, trips, samples, tol_pos, arrs):
         s0 = (-g1 * j21[..., 1] + g2 * j11[..., 1]) * inv
         s1 = (g1 * j21[..., 0] - g2 * j11[..., 0]) * inv
         ln = np.sqrt(s0 * s0 + s1 * s1)
-        damp = np.where(ln > Rm[:, None], Rm[:, None] / np.maximum(ln, 1e-300), 1.0)
+        big = ln > Rm[:, None]
+        damp = np.divide(Rm[:, None], ln, out=np.ones_like(ln), where=big)
         damp *= (live & ok)
         y[..., 0] += s0 * damp
         y[..., 1] += s1 * damp

@@ -138,7 +138,7 @@ def ray_hits_all_pairs(poly, pts, d):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m = len(pts)
     eps_b = 1e-9
-    eps_t = 1e-9 * max(poly.diam, 1.0)
+    eps_t = 1e-9 * poly.diam
     h = np.cross(d, poly._ac)
     a = np.einsum("tj,tj->t", poly._ab, h)
     nn = np.linalg.norm(poly._tn, axis=1)

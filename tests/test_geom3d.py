@@ -138,7 +138,7 @@ def _query_points(rng, poly):
     dirs = geom3d._RAY_DIRS[:2]
     top = poly.vertices[np.argmax(poly.vertices @ dirs.T, axis=0)]
     past = top[:, None] + (np.array([0.1, 0.5, 0.9])[:, None] * 1e-9
-                           * max(poly.diam, 1.0) * dirs[:, None])
+                           * poly.diam * dirs[:, None])
     return np.concatenate([
         rng.uniform(lo, hi, size=(200, 3)),
         on + offs[:, None] * nrm,
@@ -152,7 +152,7 @@ def _meshes():
     base = [star_mesh(rng, sub) for sub in range(5)]      # 8 to 2048 triangles
     base += [cube_mesh(), tetra_mesh(), convex_mesh(cube_mesh().vertices)]
     scaled = [validate_polyhedron(p.vertices * s, p.faces)
-              for p in base[1:2] + base[6:] for s in (1e-8, 1e8)]
+              for p in base[1:2] + base[5:] for s in (1e-8, 1e8)]
     return base + scaled + [_rotated_cube_parallel_to_first_ray()]
 
 

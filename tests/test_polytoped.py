@@ -5,12 +5,12 @@ from scipy.spatial import ConvexHull
 
 from helpers import random_hull_hrep
 from poise.errors import EmptyInteriorError, ParseError, UnboundedError
-from poise.polytoped import (FROM_NEG, FROM_P, chebyshev_center, cross_hrep,
-                             cube_hrep, dump_hrep_text, enumerate_vertices,
+from poise.polytoped import (chebyshev_center, cross_hrep, cube_hrep,
+                             dump_hrep_text, enumerate_vertices,
                              enumerate_vertices_bruteforce, faces_of_dim,
-                             hpolytope, hull_of_points, intersect, load_hrep,
-                             parse_hrep_text, perturb, product, reflect,
-                             simplex_hrep, skeleton_graph)
+                             hpolytope, hull_of_points, load_hrep,
+                             parse_hrep_text, product, simplex_hrep,
+                             skeleton_graph)
 
 
 def test_fixture_shapes():
@@ -71,28 +71,6 @@ def test_chebyshev_center_and_support():
     assert np.allclose(c, 0.0, atol=1e-9) and r == pytest.approx(1.0)
 
 
-def test_reflect_intersect_tags():
-    H = cube_hrep(2)
-    R = reflect(H)
-    assert np.array_equal(R.A, -H.A) and np.array_equal(R.b, H.b)
-    C = intersect(H, R)
-    assert C.m == 8
-    assert list(C.tags) == [FROM_P] * 4 + [FROM_NEG] * 4
-
-
-def test_perturb_bounds_and_determinism():
-    H = simplex_hrep(3)
-    mag = 1e-6
-    P1 = perturb(H, mag, seed=4)
-    P2 = perturb(H, mag, seed=4)
-    P3 = perturb(H, mag, seed=5)
-    assert np.array_equal(P1.b, P2.b)
-    assert not np.array_equal(P1.b, P3.b)
-    assert np.array_equal(P1.A, H.A)
-    ratio = P1.b / H.b
-    assert (ratio > 1.0).all() and (ratio <= 1.0 + mag + 1e-15).all()
-
-
 def test_hull_of_points_drops_interior_points():
     corners = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1)
                         for z in (-1, 1)], float)
@@ -102,6 +80,20 @@ def test_hull_of_points_drops_interior_points():
     V = enumerate_vertices(H)
     assert len(V.vertices) == 8
     assert np.allclose(np.sort(np.abs(V.vertices).ravel()), 1.0)
+
+
+def test_enumeration_is_scale_invariant():
+    """Vertex counts and tight sets of 45 polytopes (random, cube and cross,
+    d = 2..6) scaled by 1e-8, 1e-6 and 1e8 equal the unscaled ones: the
+    tightness tolerance is relative to the offsets, with no absolute floor."""
+    rng = np.random.default_rng(45)
+    for d in range(2, 7):
+        for H in (random_hull_hrep(rng, d), cube_hrep(d), cross_hrep(d)):
+            want = enumerate_vertices(H)
+            for s in (1e-8, 1e-6, 1e8):
+                got = enumerate_vertices(hpolytope(H.A, H.b * s))
+                assert len(got.vertices) == len(want.vertices), (d, H.m, s)
+                assert got.tight_sets == want.tight_sets, (d, H.m, s)
 
 
 def test_enumerate_handles_many_duplicate_intersections():

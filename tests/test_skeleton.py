@@ -4,11 +4,13 @@ import pytest
 from helpers import cube_mesh, octa_mesh, random_hull_hrep, tetra_mesh
 from poise.errors import InputError, UnsupportedDimensionError
 from poise.geom3d import Plane3
-from poise.polytoped import (cube_hrep, enumerate_vertices, faces_of_dim,
-                             hull_of_points, product, simplex_hrep)
+from poise.polytoped import (cross_hrep, cube_hrep, enumerate_vertices,
+                             faces_of_dim, hpolytope, hull_of_points, product,
+                             simplex_hrep)
 from poise.skeleton_balance import (compose_balance, four_on_edges,
                                     halving_point, pow2_points, prop9_check,
-                                    prop9_fixture, three_on_edges, verify_skeleton)
+                                    prop9_fixture, three_on_edges,
+                                    verify_halving, verify_skeleton)
 
 SIMPLEX_HULL = hull_of_points([(3.0, 0.0, 0.0), (0.0, 3.0, 0.0),
                                (0.0, 0.0, 3.0), (-1.0, -1.0, -1.0)])
@@ -30,12 +32,10 @@ def test_halving_square_type():
     assert wit.face_P.dim <= 1 and wit.face_negP.dim <= 1
 
 
-def test_halving_cube_needs_perturbation():
+def test_halving_cube_degenerate_intersection():
     H = cube_hrep(3)
-    wit = halving_point(H)
+    wit = halving_point(H)  # C = P is centrally symmetric, not simple
     assert wit.vertex_type == (2, 1)
-    assert wit.magnitude > 0.0  # C = P is centrally symmetric, not simple
-    assert wit.attempts >= 2
     viol, touch = hrep_boundary_gap(H, wit.x)
     assert viol <= 1e-7 and touch <= 1e-7
     assert wit.face_P.dim == 1 and wit.face_negP.dim == 2
@@ -52,13 +52,48 @@ def test_halving_random_dims_and_seeds():
     rng = np.random.default_rng(101)
     for d in (2, 3, 4, 5):
         H = random_hull_hrep(rng, d)
-        wit = halving_point(H, seed=d)
+        wit = halving_point(H)
         assert sum(wit.vertex_type) >= d
         assert wit.vertex_type[0] == -(-d // 2)  # ceil(d/2) P-tight rows
-        assert wit.attempts <= 6
         V = enumerate_vertices(H)
         viol, touch = hrep_boundary_gap(H, wit.x)
         assert viol <= 1e-7 * V.diam and touch <= 1e-7 * V.diam
+
+
+def _rotated(H, rng):
+    q, r = np.linalg.qr(rng.normal(size=(H.d, H.d)))
+    return hpolytope(H.A @ (q * np.sign(np.diag(r))), H.b)
+
+
+def _assert_walk_halves(H, twice=True):
+    """ceil(d/2) rows of P in the final basis, a passing certificate, and
+    the same bytes from a second walk."""
+    wit = halving_point(H)
+    assert wit.vertex_type[0] == -(-H.d // 2), H.d
+    assert verify_halving(H, wit.x).passed, H.d
+    if not twice:
+        return
+    again = halving_point(H)
+    assert wit.x.tobytes() == again.x.tobytes()
+    assert (wit.face_P.tight, wit.face_negP.tight) == (again.face_P.tight,
+                                                     again.face_negP.tight)
+
+
+def test_halving_walk_on_symmetric_polytopes():
+    """Axis and rotated cubes and cross-polytopes, where C = P is neither
+    simple nor generic, up to the 8-cross-polytope (256 rows). Its vertex
+    enumeration takes most of a second, so it is walked once."""
+    rng = np.random.default_rng(31)
+    for d in range(2, 9):
+        for H in (cube_hrep(d), cross_hrep(d)):
+            _assert_walk_halves(H, twice=H.m < 256)
+            _assert_walk_halves(_rotated(H, rng), twice=H.m < 256)
+
+
+def test_halving_walk_on_random_hulls():
+    rng = np.random.default_rng(32)
+    for d in range(2, 11):
+        _assert_walk_halves(random_hull_hrep(rng, d))
 
 
 def test_three_on_edges_cube_symmetric_triple():

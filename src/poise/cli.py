@@ -18,11 +18,11 @@ import numpy as np
 
 from . import balance2d as b2
 from . import figures
-from .errors import (DegenerateSectionError, InfeasibleError, InputError,
-                     NoCrossingError, NoIntersectionError,
-                     NoLoopContainsOriginError, NotFoundError,
-                     OriginOnBoundaryError, ParseError, PoiseError,
-                     SearchExhaustedError, SubdivisionLimitError,
+from .errors import (DegenerateSectionError, EnumerationBudgetError,
+                     InfeasibleError, InputError, NoCrossingError,
+                     NoIntersectionError, NoLoopContainsOriginError,
+                     NotFoundError, OriginOnBoundaryError, ParseError,
+                     PoiseError, SearchExhaustedError, SubdivisionLimitError,
                      WalkFailedError)
 from .geom2d import antipodal_about, eval_boundary, load_polygon
 from .geom3d import Plane3, Polyhedron3, load_off
@@ -33,7 +33,8 @@ from .tripodal import (EPS_REL, tripodal_by_face_triples, tripodal_search,
 NO_RESULT_ERRORS = (NotFoundError, SearchExhaustedError, InfeasibleError,
                     NoLoopContainsOriginError, DegenerateSectionError,
                     NoCrossingError, NoIntersectionError,
-                    SubdivisionLimitError, OriginOnBoundaryError)
+                    SubdivisionLimitError, OriginOnBoundaryError,
+                    EnumerationBudgetError)
 
 
 @dataclass
@@ -119,12 +120,11 @@ def _load_hrep(path):
 
 def _hrep_obj(args, H, points):
     """Wireframe OBJ for a 3-dimensional H-polytope with marker points."""
-    from .polytoped import edge_segment, enumerate_vertices, faces_of_dim
+    from .polytoped import edge_segment, faces_of_dim
     if H.d != 3:
         raise InputError("--obj output needs a 3-dimensional polytope")
-    V = enumerate_vertices(H)
-    loops = [V.vertices[list(edge_segment(V, f.members))]
-             for f in faces_of_dim(H, V, 1)]
+    loops = [H.vrep.vertices[list(edge_segment(H, f.members))]
+             for f in faces_of_dim(H, 1)]
     labels = tuple(f"edge{i}" for i in range(len(loops)))
     text = figures.obj_overlay(points=points, loops=loops, labels=labels)
     _write(args.obj, text)

@@ -114,12 +114,8 @@ class EmptyInteriorError(InputError):
     """H-representation has no interior point."""
 
 
-class DegenerateSpanError(InputError):
-    """Point set does not span the requested dimension."""
-
-
-class DisconnectedSkeletonError(PoiseError):
-    """1-skeleton graph fell apart (should be impossible for a polytope)."""
+class EnumerationBudgetError(PoiseError):
+    """Subset vertex enumeration would solve more systems than its budget."""
 
 
 class WalkFailedError(PoiseError):

@@ -1,40 +1,66 @@
 """d-dimensional convex polytope kernel.
 
 H-representation polytopes (a_i . x <= b_i), vertex enumeration with tight
-sets, face-lattice slices, skeleton graphs, and the product construction
-used by the skeleton fixtures. Desk scale throughout: d <= 8 and a few
-dozen halfspaces.
+sets, face-lattice slices, and the product construction used by the
+skeleton fixtures. A read-only polytope caches its Chebyshev ball and its
+vertices on first use. Desk scale throughout: d <= 8 and a few dozen
+halfspaces.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .errors import (
-    DegenerateSpanError,
-    DisconnectedSkeletonError,
     EmptyInteriorError,
+    EnumerationBudgetError,
     InputError,
     ParseError,
     UnboundedError,
 )
 
+# largest C(m, d) the subset solver takes on: at 0.1M to 0.3M subsets a
+# second on a 2-vCPU Xeon, an allowed fallback takes 3 to 10 s
+BRUTEFORCE_MAX_SUBSETS = 1_000_000
+_BLOCK = 200_000            # d-subsets solved per batch
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class HPolytope:
     """The polytope {x : A x <= b}: bounded, with a full-dimensional interior.
 
     hpolytope() checks both properties once, when it builds a polytope from
-    outside data. product and hull_of_points build theirs from checked
-    polytopes or from points, so they keep both by construction and skip
-    the check. A row with a zero normal is allowed.
+    outside data. product builds its result from checked polytopes, so it
+    keeps both by construction and skips the check. A row with a zero
+    normal is allowed.
+
+    A and b are read-only copies, so what is derived from them cannot go
+    stale: `chebyshev` (center and radius of a largest inscribed ball) and
+    `vrep` (the vertices and their tight sets) are computed once per
+    polytope, on first use.
     """
     A: np.ndarray            # (m, d) outward normals
     b: np.ndarray            # (m,) offsets, a.x <= b
+
+    def __post_init__(self):
+        for name in ("A", "b"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @functools.cached_property
+    def chebyshev(self):
+        return chebyshev_center(self)
+
+    @functools.cached_property
+    def vrep(self) -> VRep:
+        return enumerate_vertices(self)
 
     @property
     def d(self) -> int:
@@ -74,13 +100,6 @@ class FaceD:
     basis: np.ndarray        # (dim, d) orthonormal spanning directions
 
 
-@dataclass
-class SkeletonGraph:
-    nodes: tuple
-    edges: tuple             # sorted (u, v) pairs
-    adj: dict
-
-
 def hpolytope(A, b) -> HPolytope:
     """Checked HPolytope; raises UnboundedError or EmptyInteriorError."""
     A = np.asarray(A, dtype=float)
@@ -111,7 +130,7 @@ def _check_bounded_interior(H: HPolytope) -> None:
                        bounds=(1.0, None), method="highs").status != 0):
         raise UnboundedError("polytope is unbounded: some direction x != 0 "
                              "has a.x <= 0 for every row")
-    _, r = chebyshev_center(H)
+    _, r = H.chebyshev
     if r <= 0.0:
         raise EmptyInteriorError("no full-dimensional interior")
 
@@ -182,17 +201,15 @@ def enumerate_vertices(H: HPolytope) -> VRep:
 
     Near-duplicate solutions are merged within 1e-9 of the diameter, so a
     non-simple vertex carries more than d tight indices. Uses the halfspace
-    intersection dual when available, falling back to the subset solver.
+    intersection dual about the Chebyshev center when Qhull succeeds,
+    falling back to the subset solver. Callers read the cached H.vrep.
     """
     eps = H.eps_tight()
     if H.d >= 2:
         try:
-            center, r = chebyshev_center(H)
-            if r <= 0:
-                raise EmptyInteriorError("no full-dimensional interior")
             keep = ~H.zero_rows()       # Qhull rejects 0.x <= 0
             hs = HalfspaceIntersection(
-                np.column_stack([H.A[keep], -H.b[keep]]), center)
+                np.column_stack([H.A[keep], -H.b[keep]]), H.chebyshev[0])
             return _vrep_from_points(H, hs.intersections, eps)
         except QhullError:
             pass
@@ -200,15 +217,24 @@ def enumerate_vertices(H: HPolytope) -> VRep:
 
 
 def enumerate_vertices_bruteforce(H: HPolytope, eps_tight=None) -> VRep:
-    """Independent enumerator: solve every d-subset of halfspaces."""
+    """Independent enumerator: solve every d-subset of halfspaces.
+
+    Subsets stream in lexicographic order, _BLOCK at a time; more than
+    BRUTEFORCE_MAX_SUBSETS of them raise EnumerationBudgetError up front.
+    """
+    total = math.comb(H.m, H.d)
+    if total > BRUTEFORCE_MAX_SUBSETS:
+        raise EnumerationBudgetError(
+            f"subset vertex enumeration needs C({H.m}, {H.d}) = {total} "
+            f"subsets, over the budget of {BRUTEFORCE_MAX_SUBSETS}")
     eps = H.eps_tight() if eps_tight is None else float(eps_tight)
-    combos = np.array(list(itertools.combinations(range(H.m), H.d)))
+    combos = itertools.combinations(range(H.m), H.d)
     pts = []
-    for lo in range(0, len(combos), 200000):
-        sub = combos[lo:lo + 200000]
+    for block in iter(lambda: list(itertools.islice(combos, _BLOCK)), []):
+        sub = np.array(block)             # (c, d) row indices
         M = H.A[sub]                      # (c, d, d)
         det = np.linalg.det(M)
-        ok = np.abs(det) > 1e-12 * np.abs(M).max() ** H.d if H.d else det != 0
+        ok = np.abs(det) > 1e-12 * np.abs(M).max() ** H.d
         if not ok.any():
             continue
         x = np.linalg.solve(M[ok], H.b[sub[ok]][..., None])[..., 0]
@@ -219,7 +245,7 @@ def enumerate_vertices_bruteforce(H: HPolytope, eps_tight=None) -> VRep:
     return _vrep_from_points(H, pts, eps)
 
 
-def faces_of_dim(H: HPolytope, V: VRep, k: int) -> list:
+def faces_of_dim(H: HPolytope, k: int) -> list:
     """All k-dimensional faces, from the closure of vertex tight sets.
 
     Candidate face tight sets are intersections of vertex tight sets,
@@ -227,6 +253,7 @@ def faces_of_dim(H: HPolytope, V: VRep, k: int) -> list:
     the vertices whose tight set contains it, and its dimension is d minus
     the rank of its tight normals.
     """
+    V = H.vrep
     gens = [frozenset(t) for t in V.tight_sets]
     closed = set(gens)
     frontier = set(gens)
@@ -272,88 +299,18 @@ def faces_of_dim(H: HPolytope, V: VRep, k: int) -> list:
     return [faces[t] for t in sorted(faces, key=lambda s: tuple(sorted(s)))]
 
 
-def edge_segment(V: VRep, members) -> tuple:
-    """Endpoint vertex ids (low, high) of a face with the given members.
+def edge_segment(H: HPolytope, members) -> tuple:
+    """Endpoint vertex ids (low, high) of a face of H with the given members.
 
     An edge whose collinear near-duplicate vertices were merged has more
     than two members; its extreme pair along the edge is kept.
     """
     mem = tuple(members)
     if len(mem) > 2:
-        pts = V.vertices[list(mem)]
+        pts = H.vrep.vertices[list(mem)]
         t = (pts - pts[0]) @ (pts[-1] - pts[0])
         mem = (mem[int(np.argmin(t))], mem[int(np.argmax(t))])
     return min(mem), max(mem)
-
-
-def skeleton_graph(H: HPolytope, V: VRep) -> SkeletonGraph:
-    """Vertex-edge graph from the 1-faces; must be connected."""
-    edges = {edge_segment(V, f.members) for f in faces_of_dim(H, V, 1)}
-    nodes = tuple(range(len(V.vertices)))
-    adj = {v: [] for v in nodes}
-    for u, v in sorted(edges):
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0} if nodes else set()
-    stack = [0] if nodes else []
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != len(nodes):
-        raise DisconnectedSkeletonError("skeleton graph is not connected")
-    return SkeletonGraph(nodes, tuple(sorted(edges)), adj)
-
-
-def hull_of_points(points, d=None) -> HPolytope:
-    """Facets of the convex hull, by brute force over d-subsets.
-
-    A hyperplane through d affinely independent points is kept when every
-    input point lies (weakly) on one side; normals point away from the
-    centroid.
-    """
-    pts = np.asarray(points, dtype=float)
-    if d is None:
-        d = pts.shape[1]
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise InputError("points must have shape (n, d)")
-    n = len(pts)
-    if n < d + 1:
-        raise DegenerateSpanError("need at least d+1 points")
-    scale = max(float(np.linalg.norm(pts.max(0) - pts.min(0))), 1e-300)
-    if np.linalg.matrix_rank(pts - pts.mean(0), tol=1e-9 * scale) < d:
-        raise DegenerateSpanError("points do not affinely span")
-    tol = 1e-9 * scale
-    seen = {}
-    for combo in itertools.combinations(range(n), d):
-        base = pts[combo[0]]
-        if d == 1:
-            a = np.array([1.0])
-        else:
-            rows = pts[list(combo[1:])] - base
-            _, sv, vt = np.linalg.svd(rows, full_matrices=True)
-            if sv[-1] <= 1e-9 * scale:
-                continue  # affinely dependent subset, no unique hyperplane
-            a = vt[-1]
-        s = pts @ a - float(a @ base)
-        pos, neg = bool((s > tol).any()), bool((s < -tol).any())
-        if pos and neg:
-            continue
-        if pos:
-            a = -a
-        bb = float(a @ base)
-        key = tuple(np.round(np.append(a, bb) / tol).astype(np.int64))
-        if key not in seen:
-            seen[key] = (a, bb)
-    if not seen:
-        raise DegenerateSpanError("no facets found")
-    facets = list(seen.values())
-    A = np.array([f[0] for f in facets])
-    b = np.array([f[1] for f in facets])
-    order = np.lexsort(np.column_stack([A, b]).T[::-1])
-    return HPolytope(A[order], b[order])
 
 
 def product(H1: HPolytope, H2: HPolytope) -> HPolytope:

@@ -33,7 +33,6 @@ from .polytoped import (
     FaceD,
     HPolytope,
     edge_segment,
-    enumerate_vertices,
     faces_of_dim,
     hpolytope,
     product,
@@ -157,11 +156,10 @@ def halving_point(H: HPolytope) -> HalvingWitness:
     x = scale * np.linalg.solve(AC[basis], bC[basis])
     tight_P = tuple(sorted(int(keep[r]) for r in basis if r < m))
     tight_negP = tuple(sorted(int(keep[r - m]) for r in basis if r >= m))
-    V = enumerate_vertices(H)
     # attempts is always 1, as nothing is retried; it stays because the
     # traced benchmark (perfbench/spans.py) counts it
-    return HalvingWitness(x, _face_from_vrep(H, V, tight_P, x),
-                          _face_from_vrep(H, V, tight_negP, -x),
+    return HalvingWitness(x, _face_from_vrep(H, tight_P, x),
+                          _face_from_vrep(H, tight_negP, -x),
                           (target, d - target), 1)
 
 
@@ -238,7 +236,7 @@ def _translate(chart: _Chart, y) -> _Chart:
 
 
 def _chart_polygon(chart: _Chart):
-    V = enumerate_vertices(hpolytope(chart.A, chart.b))
+    V = hpolytope(chart.A, chart.b).vrep
     ctr = V.vertices.mean(axis=0)
     ang = np.arctan2(V.vertices[:, 1] - ctr[1], V.vertices[:, 0] - ctr[0])
     order = list(np.argsort(ang, kind="stable"))
@@ -322,22 +320,22 @@ def compose_balance(H: HPolytope) -> SkeletonPlacement:
 def _placement_from_recursion(H, count):
     pts = []
     _place(_root_chart(H, None), count, pts)
-    V = enumerate_vertices(H)
-    tol = max(H.eps_tight(), 1e-9 * V.diam)
-    entries = [(p, _host_face(H, V, p, tol)) for p in pts]
+    tol = max(H.eps_tight(), 1e-9 * H.vrep.diam)
+    entries = [(p, _host_face(H, p, tol)) for p in pts]
     return SkeletonPlacement(entries, count, np.zeros(H.d))
 
 
-def _host_face(H: HPolytope, V, p, tol) -> FaceD:
+def _host_face(H: HPolytope, p, tol) -> FaceD:
     """Minimal face of H containing p (rows within tol count as tight)."""
     p = np.asarray(p, dtype=float)
     resid = np.abs(H.unit_residuals(p))
     tight = tuple(int(i) for i in np.nonzero(resid <= tol)[0])
-    return _face_from_vrep(H, V, tight, p)
+    return _face_from_vrep(H, tight, p)
 
 
-def _face_from_vrep(H, V, tight, point) -> FaceD:
+def _face_from_vrep(H, tight, point) -> FaceD:
     """Face of H whose tight set extends `tight`, with point as base point."""
+    V = H.vrep
     members = tuple(i for i, t in enumerate(V.tight_sets)
                     if set(tight) <= set(t))
     canon = tight
@@ -368,11 +366,11 @@ def three_on_edges(H: HPolytope, target=None, eps_t=1e-9) -> SkeletonPlacement:
     if H.unit_residuals(target).max() > H.eps_tight():
         raise InputError("target must lie inside the polytope")
 
-    V = enumerate_vertices(H)
-    edge_faces = faces_of_dim(H, V, 1)
+    V = H.vrep
+    edge_faces = faces_of_dim(H, 1)
     if not edge_faces:
         raise NotFoundError("polytope has no edges")
-    ends = [edge_segment(V, f.members) for f in edge_faces]
+    ends = [edge_segment(H, f.members) for f in edge_faces]
     U = V.vertices[[a for a, _ in ends]]
     D = V.vertices[[b for _, b in ends]] - U
     ne = len(ends)
@@ -511,10 +509,9 @@ def prop9_check(H: HPolytope, k: int) -> bool:
     """True iff no face of dim <= k of H meets the reflected body -H."""
     if k < 0:
         raise InputError("face dimension bound must be >= 0")
-    V = enumerate_vertices(H)
     for dim in range(min(k, H.d) + 1):
-        for f in faces_of_dim(H, V, dim):
-            Vm = V.vertices[list(f.members)]
+        for f in faces_of_dim(H, dim):
+            Vm = H.vrep.vertices[list(f.members)]
             # x = Vm^T lam, lam >= 0, sum lam = 1, and -x in H
             res = linprog(np.zeros(len(Vm)), A_ub=-H.A @ Vm.T, b_ub=H.b,
                           A_eq=np.ones((1, len(Vm))), b_eq=[1.0],
@@ -539,8 +536,7 @@ def verify_skeleton(body, points, target=None, eps_geom=None,
     if mesh:
         d, diam = 3, body.diam
     else:
-        V = enumerate_vertices(body)
-        d, diam = body.d, max(V.diam, 1e-300)
+        d, diam = body.d, max(body.vrep.diam, 1e-300)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise InputError(f"need points of shape (n, {d})")
@@ -549,23 +545,23 @@ def verify_skeleton(body, points, target=None, eps_geom=None,
     if mesh:
         mem_err, host_dim = _mesh_membership(body, pts, eg)
     else:
-        mem_err, host_dim = _hrep_membership(body, V, pts, eg)
+        mem_err, host_dim = _hrep_membership(body, pts, eg)
     eb = 1e-8 if eps_bal is None else float(eps_bal)
     ssum = float(np.linalg.norm(pts.sum(axis=0) - len(pts) * target))
     return SkeletonCertificate(len(pts), ssum, float(mem_err), int(host_dim),
                                eg, eb, diam)
 
 
-def _hrep_membership(H: HPolytope, V, pts, eg):
+def _hrep_membership(H: HPolytope, pts, eg):
     worst, dim_max = 0.0, 0
     for p in pts:
-        face = _host_face(H, V, p, max(H.eps_tight(), eg))
+        face = _host_face(H, p, max(H.eps_tight(), eg))
         dim_max = max(dim_max, face.dim)
         if not face.members:
             worst = float("inf")
             continue
-        a, b = edge_segment(V, face.members)
-        worst = max(worst, _point_segment_distance(p, V.vertices[a], V.vertices[b]))
+        seg = H.vrep.vertices[list(edge_segment(H, face.members))]
+        worst = max(worst, _point_segment_distance(p, *seg))
     return worst, dim_max
 
 
@@ -601,7 +597,7 @@ def verify_halving(H: HPolytope, x, eps_geom=None) -> HalvingCertificate:
     x = np.asarray(x, dtype=float)
     if x.shape != (H.d,):
         raise InputError(f"need a point of shape ({H.d},)")
-    eps = 1e-7 * enumerate_vertices(H).diam if eps_geom is None else float(eps_geom)
+    eps = 1e-7 * H.vrep.diam if eps_geom is None else float(eps_geom)
     rp = H.unit_residuals(x)
     rn = H.unit_residuals(-x)
     violation = max(float(rp.max()), float(rn.max()), 0.0)

@@ -6,7 +6,7 @@ from scipy.spatial import ConvexHull
 from poise.balance2d import feasibility
 from poise.geom2d import validate_polygon
 from poise.geom3d import _closest_on_triangles, validate_polyhedron
-from poise.polytoped import chebyshev_center, hpolytope, hull_of_points
+from poise.polytoped import hpolytope
 
 
 def star_polygon(rng, n, r_lo=0.3, r_hi=1.5):
@@ -98,14 +98,26 @@ def tetra_mesh():
                                  [-1, -1, -1]], float))
 
 
+def hull_hrep(points):
+    """(A, b) of the convex hull of points, a.x <= b: Qhull's facets with unit
+    normals, one row per facet, rows in lexicographic order of (a, b)
+    rounded to 12 decimals, so rounding noise never decides the order."""
+    eq = ConvexHull(np.asarray(points, dtype=float)).equations   # a.x + c <= 0
+    # coplanar simplices of one facet repeat a row; keep one of each
+    _, keep = np.unique(np.round(eq, 12), axis=0, return_index=True)
+    A, b = eq[keep, :-1], -eq[keep, -1]
+    order = np.lexsort(np.round(np.column_stack([A, b]), 12).T[::-1])
+    return A[order], b[order]
+
+
 def random_hull_hrep(rng, d, npts=None):
     """Random bounded H-polytope with origin interior (Chebyshev-recentred)."""
     npts = d + 3 if npts is None else npts
     pts = rng.normal(size=(npts, d))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    H = hull_of_points(pts)
-    c, _ = chebyshev_center(H)
-    return hpolytope(H.A, H.b - H.A @ c)
+    A, b = hull_hrep(pts)
+    c, _ = hpolytope(A, b).chebyshev
+    return hpolytope(A, b - A @ c)
 
 
 # --- all-pairs oracles of the culled Polyhedron3 queries ----------------------

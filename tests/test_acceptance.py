@@ -23,8 +23,7 @@ from poise.errors import UnsupportedDimensionError
 from poise.geom2d import eval_boundary
 from poise.geom3d import (dump_off, extreme_boundary_points, frame_field,
                           surface_path)
-from poise.polytoped import (cube_hrep, dump_hrep_text, enumerate_vertices,
-                             faces_of_dim, product)
+from poise.polytoped import cube_hrep, dump_hrep_text, faces_of_dim, product
 from poise.skeleton_balance import (compose_balance, four_on_edges,
                                     halving_point, pow2_points, prop9_check,
                                     prop9_fixture, three_on_edges, verify_skeleton)
@@ -172,13 +171,12 @@ def test_criterion_06_three_on_edges_suite():
     worst = 0.0
     for _ in range(50):
         H = random_hull_hrep(rng, 3, npts=int(rng.integers(6, 24)))
-        V = enumerate_vertices(H)
         sp = three_on_edges(H)  # NotFoundError would fail the test
-        res = float(np.linalg.norm(sp.points().sum(axis=0))) / V.diam
+        res = float(np.linalg.norm(sp.points().sum(axis=0))) / H.vrep.diam
         assert res <= 1e-10
         cert = verify_skeleton(H, sp.points())
         assert cert.passed and cert.max_host_dim <= 1
-        edges = len(faces_of_dim(H, V, 1))
+        edges = len(faces_of_dim(H, 1))
         total = sum(1 for _ in combinations_with_replacement(range(edges), 3))
         assert total == comb(edges + 2, 3)
         assert total == comb(edges, 3) + edges * (edges - 1) + edges
@@ -208,7 +206,7 @@ def test_criterion_08_halving_suite():
     worst_mem = 0.0
     for H in cases:
         wit = halving_point(H)
-        V = enumerate_vertices(H)
+        V = H.vrep
         norms = np.linalg.norm(H.A, axis=1)
         mem = max(float(((H.A @ x - H.b) / norms).max())
                   for x in (wit.x, -wit.x))

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from helpers import cube_mesh, octa_mesh, star_mesh
+import poise.cli
+import poise.polytoped
+import poise.skeleton_balance
 from poise.cli import run
 from poise.geom3d import dump_off, validate_polyhedron
-from poise.polytoped import (cross_hrep, cube_hrep, dump_hrep_text,
-                             enumerate_vertices, skeleton_graph)
+from poise.polytoped import cross_hrep, cube_hrep, dump_hrep_text
 
 SQUARE_TEXT = "-1 -1\n1 -1\n1 1\n-1 1\n"
 
@@ -346,14 +348,14 @@ def test_four_on_edges_origin_outside_is_input_error(tmp_path):
     assert run(["tripodal", "--off", str(off), "--grid", "8x8"]).exit_code == 2
 
 
-def test_obj_edges_match_skeleton_graph(cube_h, tmp_path):
+def test_obj_edges_are_cube_edges(cube_h, tmp_path):
     obj = tmp_path / "e.obj"
     assert run(["three-on-edges", "--hrep", cube_h, "--obj", str(obj),
                 "--json", str(tmp_path / "e.json")]).exit_code == 0
-    H = cube_hrep(3)
-    V = enumerate_vertices(H)
-    want = {frozenset(map(tuple, V.vertices[list(e)]))
-            for e in skeleton_graph(H, V).edges}
+    corners = [(x, y, z) for x in (-1.0, 1.0) for y in (-1.0, 1.0)
+               for z in (-1.0, 1.0)]
+    want = {frozenset((p, q)) for p in corners for q in corners
+            if sum(a != b for a, b in zip(p, q)) == 1}
     got, edge = set(), None
     for line in obj.read_text().splitlines():
         if line.startswith("o "):
@@ -363,6 +365,35 @@ def test_obj_edges_match_skeleton_graph(cube_h, tmp_path):
         elif line.startswith("l ") and edge is not None:
             got.add(frozenset(edge))
     assert got == want and len(got) == 12
+
+
+def test_one_enumeration_and_one_chebyshev_lp_per_polytope(cube_h, tmp_path,
+                                                          monkeypatch):
+    """halving and three-on-edges on the cube, and check of each result,
+    enumerate the cube's vertices once per run; no polytope solves its
+    Chebyshev LP twice."""
+    enumerated, centred = [], []
+
+    def counted(fn, log):
+        def wrapper(H, *args):
+            log.append(H)
+            return fn(H, *args)
+        return wrapper
+
+    for name, log in (("enumerate_vertices", enumerated),
+                      ("chebyshev_center", centred)):
+        wrapper = counted(getattr(poise.polytoped, name), log)
+        for mod in (poise.polytoped, poise.skeleton_balance, poise.cli):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, wrapper)
+    cert = str(tmp_path / "c.json")
+    for cmd in ("halving", "three-on-edges"):
+        for argv in ([cmd, "--hrep", cube_h, "--json", cert],
+                     ["check", "--json", cert, "--hrep", cube_h]):
+            enumerated.clear()
+            assert run(argv).exit_code == 0, argv
+            assert len(enumerated) == 1, argv
+    assert centred and len({id(H) for H in centred}) == len(centred)
 
 
 def test_console_entry_point(square, tmp_path):

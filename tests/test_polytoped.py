@@ -1,16 +1,20 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from helpers import random_hull_hrep
+from helpers import hull_hrep, random_hull_hrep
 from poise.errors import EmptyInteriorError, ParseError, UnboundedError
 from poise.polytoped import (chebyshev_center, cross_hrep, cube_hrep,
                              dump_hrep_text, enumerate_vertices,
                              enumerate_vertices_bruteforce, faces_of_dim,
-                             hpolytope, hull_of_points, load_hrep,
-                             parse_hrep_text, product, simplex_hrep,
-                             skeleton_graph)
+                             hpolytope, load_hrep, parse_hrep_text, product,
+                             simplex_hrep)
 
 
 def test_fixture_shapes():
@@ -33,8 +37,7 @@ def test_qhull_matches_bruteforce_enumeration():
 
 def test_hypercube4_face_counts():
     H = cube_hrep(4)
-    V = enumerate_vertices(H)
-    counts = [len(V.vertices)] + [len(faces_of_dim(H, V, k)) for k in (1, 2, 3)]
+    counts = [len(H.vrep.vertices)] + [len(faces_of_dim(H, k)) for k in (1, 2, 3)]
     assert counts == [16, 32, 24, 8]
     # Euler characteristic of the boundary 3-sphere complex
     assert counts[0] - counts[1] + counts[2] - counts[3] == 0
@@ -42,27 +45,54 @@ def test_hypercube4_face_counts():
 
 def test_edges_have_two_endpoints_on_simple_polytopes():
     for H in (cube_hrep(3), simplex_hrep(4)):
-        V = enumerate_vertices(H)
-        for f in faces_of_dim(H, V, 1):
+        for f in faces_of_dim(H, 1):
             assert len(f.members) == 2
             assert f.dim == 1
 
 
-def test_skeleton_graph_cube():
-    H = cube_hrep(3)
-    V = enumerate_vertices(H)
-    G = skeleton_graph(H, V)
-    assert len(G.nodes) == 8 and len(G.edges) == 12
-    assert all(len(G.adj[v]) == 3 for v in G.nodes)
-    # connectivity by BFS
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in G.adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    assert len(seen) == 8
+def test_arrays_are_read_only_and_owned():
+    A = np.vstack([np.eye(2), -np.eye(2)])
+    H = hpolytope(A, np.ones(4))
+    A[0, 0] = 5.0                        # the caller's array is copied
+    assert H.A[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        H.A[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        H.b[0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        H.A = A
+    assert H.vrep is H.vrep and H.chebyshev is H.chebyshev
+
+
+# A 7-dimensional hull scaled by 1e-8: Qhull cannot intersect its halfspaces,
+# and the subset solver would need C(196, 7) ~ 2e12 of them. Run in a child
+# process capped at 2 GB, so that an enumerator that builds every subset
+# fails there with a MemoryError instead of exhausting the host.
+BUDGET_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from poise.cli import run
+from poise.errors import EnumerationBudgetError
+from poise.polytoped import enumerate_vertices_bruteforce, load_hrep
+try:
+    enumerate_vertices_bruteforce(load_hrep(sys.argv[1]))
+except EnumerationBudgetError as exc:
+    print(exc)
+sys.exit(run(["halving", "--hrep", sys.argv[1]]).exit_code)
+"""
+
+
+def test_subset_solver_refuses_over_budget(tmp_path):
+    H = random_hull_hrep(np.random.default_rng(2), 7, 14)
+    path = tmp_path / "tiny7.hrep"
+    path.write_text(dump_hrep_text(hpolytope(H.A, H.b * 1e-8)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", BUDGET_CHILD, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert f"C({H.m}, 7) = " in proc.stdout and "budget" in proc.stdout
+    assert proc.stderr.startswith("poise: no result: subset vertex enumeration")
+    assert f"C({H.m}, 7)" in proc.stderr
 
 
 def test_chebyshev_center_and_support():
@@ -71,11 +101,11 @@ def test_chebyshev_center_and_support():
     assert np.allclose(c, 0.0, atol=1e-9) and r == pytest.approx(1.0)
 
 
-def test_hull_of_points_drops_interior_points():
+def test_hull_with_interior_points_has_cube_vertices():
     corners = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1)
                         for z in (-1, 1)], float)
     pts = np.vstack([corners, [[0.0, 0.0, 0.0], [0.2, 0.1, -0.3]]])
-    H = hull_of_points(pts)
+    H = hpolytope(*hull_hrep(pts))
     assert H.m == 6
     V = enumerate_vertices(H)
     assert len(V.vertices) == 8
@@ -99,7 +129,7 @@ def test_enumeration_is_scale_invariant():
 def test_enumerate_handles_many_duplicate_intersections():
     ang = np.linspace(0, 2 * np.pi, 300, endpoint=False)
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    H = hull_of_points(pts)
+    H = hpolytope(*hull_hrep(pts))
     V = enumerate_vertices(H)
     assert len(V.vertices) == 300
     assert np.allclose(np.linalg.norm(V.vertices, axis=1), 1.0, atol=1e-9)

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from helpers import cube_mesh, octa_mesh, random_hull_hrep, tetra_mesh
+from helpers import (cube_mesh, hull_hrep, octa_mesh, random_hull_hrep,
+                     tetra_mesh)
 from poise.errors import InputError, UnsupportedDimensionError
 from poise.geom3d import Plane3
 from poise.polytoped import (cross_hrep, cube_hrep, enumerate_vertices,
-                             faces_of_dim, hpolytope, hull_of_points, product,
-                             simplex_hrep)
+                             faces_of_dim, hpolytope, product, simplex_hrep)
 from poise.skeleton_balance import (compose_balance, four_on_edges,
                                     halving_point, pow2_points, prop9_check,
                                     prop9_fixture, three_on_edges,
                                     verify_halving, verify_skeleton)
 
-SIMPLEX_HULL = hull_of_points([(3.0, 0.0, 0.0), (0.0, 3.0, 0.0),
-                               (0.0, 0.0, 3.0), (-1.0, -1.0, -1.0)])
+SIMPLEX_HULL = hpolytope(*hull_hrep([(3.0, 0.0, 0.0), (0.0, 3.0, 0.0),
+                                    (0.0, 0.0, 3.0), (-1.0, -1.0, -1.0)]))
 
 
 def hrep_boundary_gap(H, x):
@@ -240,7 +240,7 @@ def test_skeleton_edges_match_walk_adjacency():
     # lattice-route edges equal shared-(d-1)-tight-rows adjacency when simple
     for H in (cube_hrep(3), simplex_hrep(4)):
         V = enumerate_vertices(H)
-        edges = {tuple(sorted(f.members)) for f in faces_of_dim(H, V, 1)}
+        edges = {tuple(sorted(f.members)) for f in faces_of_dim(H, 1)}
         d = H.d
         byrows = set()
         for i in range(len(V.vertices)):

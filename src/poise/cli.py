@@ -11,6 +11,7 @@ the handlers and checks that use them: 2D commands never load SciPy.
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -46,13 +47,18 @@ class CommandResult:
 
 # --- small parsing and emission helpers --------------------------------------
 
-def _numbers(text, kind=float):
+def _numbers(text, kind=float, count=None):
+    """Finite numbers from a space-separated list, exactly `count` if given."""
     try:
         vals = [kind(x) for x in text.split()]
     except ValueError as exc:
         raise ParseError(f"bad {kind.__name__} list {text!r}: {exc}") from exc
     if not vals:
         raise ParseError(f"empty {kind.__name__} list")
+    if count is not None and len(vals) != count:
+        raise ParseError(f"need {count} numbers, got {len(vals)} in {text!r}")
+    if kind is float and not all(map(math.isfinite, vals)):
+        raise ParseError(f"non-finite number in {text!r}")
     return vals
 
 
@@ -136,7 +142,7 @@ def _hrep_obj(args, H, points):
 def _cmd_balance2d(args):
     poly = load_polygon(args.polygon)
     weights = _numbers(args.weights)
-    target = _numbers(args.target)
+    target = _numbers(args.target, count=2)
     if args.cmd == "balance2d-fast":
         placement = b2.balance_fast(poly, weights, target, eps_geom=args.eps_geom)
     else:
@@ -164,7 +170,7 @@ def _cmd_balance2d(args):
 
 def _cmd_antipodal(args):
     poly = load_polygon(args.polygon)
-    center = np.asarray(_numbers(args.target))
+    center = np.asarray(_numbers(args.target, count=2))
     bp1, bp2 = antipodal_about(poly, center)
     pts = np.array([eval_boundary(poly, bp1), eval_boundary(poly, bp2)])
     cert = b2.verify_antipodal(poly, pts, center, eps_geom=args.eps_geom)
@@ -267,7 +273,7 @@ def _cmd_placement(args):
                                    verify_skeleton)
     H = _load_hrep(args.hrep)
     if args.cmd == "three-on-edges":
-        sp, payload = three_on_edges(H, np.asarray(_numbers(args.target))), {}
+        sp, payload = three_on_edges(H, np.asarray(_numbers(args.target, count=3))), {}
     elif args.cmd == "pow2":
         sp, payload = pow2_points(H, args.k), {"k": args.k}
     else:
@@ -281,7 +287,7 @@ def _cmd_placement(args):
 def _cmd_four_on_edges(args):
     from .skeleton_balance import four_on_edges, verify_skeleton
     poly = load_off(args.off)
-    plane = Plane3(tuple(_numbers(args.plane)), 0.0)
+    plane = Plane3(tuple(_numbers(args.plane, count=3)), 0.0)
     sp = four_on_edges(poly, plane)
     cert = verify_skeleton(poly, sp.points(), None, args.eps_geom, args.eps_bal)
     payload = {"command": "four-on-edges", "plane": list(plane.normal)}

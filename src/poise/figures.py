@@ -115,20 +115,9 @@ def project_iso(points3):
     return np.stack([p @ ISO_U, p @ ISO_W], axis=-1)
 
 
-def mesh_edges3(poly):
-    """Unique mesh edges as a (m, 2, 3) coordinate array."""
-    seen = set()
-    for f in poly.faces:
-        for i, a in enumerate(f):
-            b = f[(i + 1) % len(f)]
-            seen.add((min(a, b), max(a, b)))
-    idx = np.array(sorted(seen))
-    return np.stack([poly.vertices[idx[:, 0]], poly.vertices[idx[:, 1]]], axis=1)
-
-
 def svg_scene3(poly, points=None, loop=None, target=None) -> str:
     """Isometric wireframe of a mesh with optional markers and a loop."""
-    edges2 = project_iso(mesh_edges3(poly))
+    edges2 = project_iso(poly.vertices[poly.edges])
     pts2 = None if points is None else project_iso(points)
     segs2 = None
     if loop is not None:

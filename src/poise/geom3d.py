@@ -77,10 +77,34 @@ class Plane3:
 
     def unit_normal(self) -> np.ndarray:
         n = np.asarray(self.normal, dtype=float)
+        if n.shape != (3,) or not np.all(np.isfinite(n)):
+            raise InputError(f"plane normal must be 3 finite numbers, got {self.normal}")
         norm = np.linalg.norm(n)
         if norm < 1e-300:
             raise InputError("zero plane normal")
         return n / norm
+
+
+@dataclass(frozen=True, eq=False)
+class PlaneFrame:
+    """Orthonormal axes u, w of a plane through `origin`. to2d projects with
+    `rel @ u`, `rel @ w` on the shape given: points and loops keep their rounding."""
+
+    origin: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def about(cls, origin, normal):
+        return cls(origin, *_plane_basis(normal))
+
+    def to3d(self, pt2):
+        pt2 = np.asarray(pt2, dtype=float)
+        return self.origin + pt2[..., 0, None] * self.u + pt2[..., 1, None] * self.w
+
+    def to2d(self, pt3):
+        rel = np.asarray(pt3, dtype=float) - self.origin
+        return np.stack([rel @ self.u, rel @ self.w], axis=-1)
 
 
 class Polyhedron3:
@@ -106,9 +130,29 @@ class Polyhedron3:
         self._ac = v2 - v0
         self._tn = np.cross(self._ab, self._ac)
         self._rays = {}     # ray direction index -> per-triangle ray data
+        self._frames = {}   # face id -> face_frame(fid), filled on first use
 
     def eps_geom(self, eps=None) -> float:
         return EPS_GEOM_REL * self.diam if eps is None else float(eps)
+
+    def face_frame(self, fid):
+        """(PlaneFrame about the centroid, unit outward normal, Polygon2 of
+        the loop in that frame) of face fid, computed once, on first use."""
+        if fid not in self._frames:
+            loop = self.faces[fid]
+            nrm, cen = _face_frame(self.vertices, loop, self.diam)
+            frame = PlaneFrame.about(cen, nrm)
+            self._frames[fid] = (frame, nrm,
+                                 Polygon2(frame.to2d(self.vertices[loop])))
+        return self._frames[fid]
+
+    @cached_property
+    def edges(self):
+        """Undirected mesh edges: sorted (a, b) vertex pairs with a < b."""
+        edges = np.array(sorted({(min(a, b), max(a, b)) for f in self.faces
+                                 for a, b in zip(f, f[1:] + f[:1])}))
+        edges.flags.writeable = False
+        return edges
 
     def volume(self) -> float:
         return float(np.einsum("ij,ij->i", self._tv0, self._tn).sum()) / 6.0
@@ -401,9 +445,8 @@ def _triangulate(verts, faces, diam):
 
 def _ear_clip(verts, loop, nrm, centroid):
     """Triangulate a simple planar loop (fan for convex faces falls out)."""
-    u, w = _plane_basis(nrm)
-    pts2 = {i: np.array([(verts[i] - centroid) @ u, (verts[i] - centroid) @ w])
-            for i in loop}
+    frame = PlaneFrame.about(centroid, nrm)
+    pts2 = {i: frame.to2d(verts[i]) for i in loop}
     idx = list(loop)
     area2 = sum(_cross2(pts2[idx[i]], pts2[idx[(i + 1) % len(idx)]])
                 for i in range(len(idx)))
@@ -735,30 +778,13 @@ def frame_field(path: SurfacePath) -> FrameField:
 
 # --- planar cross-sections ------------------------------------------------------
 
-class CrossSection:
-    """Section loop around the plane anchor, as a 2D polygon plus embedding."""
+@dataclass(frozen=True, eq=False)
+class CrossSection(PlaneFrame):
+    """Section loop around the plane anchor (the frame origin), as a 2D
+    polygon plus the face hosting each of its edges."""
 
-    def __init__(self, polygon: Polygon2, anchor, u, w, edge_faces):
-        self.polygon = polygon
-        self.anchor = np.asarray(anchor, dtype=float)
-        self.u = np.asarray(u, dtype=float)
-        self.w = np.asarray(w, dtype=float)
-        self.edge_faces = np.asarray(edge_faces, dtype=int)
-
-    def to3d(self, pt2):
-        pt2 = np.asarray(pt2, dtype=float)
-        return self.anchor + pt2[..., 0, None] * self.u + pt2[..., 1, None] * self.w
-
-    def to2d(self, pt3):
-        rel = np.asarray(pt3, dtype=float) - self.anchor
-        return np.stack([rel @ self.u, rel @ self.w], axis=-1)
-
-
-def _face_polygon2(poly, fid, nrm, centroid):
-    """In-plane coordinates of face fid's loop, and the (u, w) frame used."""
-    u, w = _plane_basis(nrm)
-    rel = poly.vertices[poly.faces[fid]] - centroid
-    return np.stack([rel @ u, rel @ w], axis=1), u, w
+    polygon: Polygon2
+    edge_faces: np.ndarray
 
 
 def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
@@ -769,7 +795,6 @@ def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
     midpoint lies in the face, chords are stitched into loops.
     """
     n = plane.unit_normal()
-    anchor = n * plane.offset
     tol = poly.eps_geom() * 1e3  # slicing tolerance, still tiny vs diam
     d = poly.vertices @ n - plane.offset
     on = np.abs(d) <= tol
@@ -792,20 +817,15 @@ def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
                 uniq.append(p)
         if len(uniq) < 2:
             continue
-        fn, fc = _face_frame(poly.vertices, f, poly.diam)
+        ff, fn, face2 = poly.face_frame(fid)
         line = np.cross(n, fn)
         ll = np.linalg.norm(line)
         if ll <= 1e-9:
             raise DegenerateSectionError(f"face {fid} lies in the cutting plane")
         line = line / ll
         uniq.sort(key=lambda p: float(p @ line))
-        loop2, u2, w2 = _face_polygon2(poly, fid, fn, fc)
-        face2 = Polygon2(loop2)
         for p0, p1 in zip(uniq, uniq[1:]):
-            mid = 0.5 * (p0 + p1)
-            rel = mid - fc
-            m2 = np.array([rel @ u2, rel @ w2])
-            if locate_point(face2, m2, tol).side != OUTSIDE:
+            if locate_point(face2, ff.to2d(0.5 * (p0 + p1)), tol).side != OUTSIDE:
                 chords.append((p0, p1, fid))
 
     if not chords:
@@ -814,16 +834,14 @@ def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
         raise NoLoopContainsOriginError("plane misses the surface")
 
     loops = _stitch_loops(chords, tol)
-    u, w = _plane_basis(n)
+    frame = PlaneFrame.about(n * plane.offset, n)
     for pts3, fids in loops:
-        rel = np.asarray(pts3) - anchor
-        pts2 = np.stack([rel @ u, rel @ w], axis=1)
         try:
-            polygon, fids = _remap_loop(pts2, list(fids))
+            polygon, fids = _remap_loop(frame.to2d(pts3), list(fids))
         except (InputError, PoiseError):
             continue  # sliver loop below validation tolerances
         if locate_point(polygon, (0.0, 0.0)).side != OUTSIDE:
-            return CrossSection(polygon, anchor, u, w, fids)
+            return CrossSection(frame.origin, frame.u, frame.w, polygon, fids)
     raise NoLoopContainsOriginError("no section loop encloses the anchor")
 
 
@@ -838,51 +856,35 @@ def _remap_loop(pts2, fids):
 
 def _stitch_loops(chords, tol):
     """Chain chords end to end into closed loops (greedy endpoint matching)."""
+
+    def near(p, q):
+        return np.linalg.norm(p - q) <= tol
+
     # drop duplicate chords (same endpoints), keep the smallest face id
     uniq = []
     for p0, p1, fid in chords:
-        dup = False
-        for q0, q1, _ in uniq:
-            if ((np.linalg.norm(p0 - q0) <= tol and np.linalg.norm(p1 - q1) <= tol)
-                    or (np.linalg.norm(p0 - q1) <= tol and np.linalg.norm(p1 - q0) <= tol)):
-                dup = True
-                break
-        if not dup:
+        if not any((near(p0, q0) and near(p1, q1)) or (near(p0, q1) and near(p1, q0))
+                   for q0, q1, _ in uniq):
             uniq.append((p0, p1, fid))
     used = [False] * len(uniq)
     loops = []
-    for start in range(len(uniq)):
+    for start, (p0, p1, fid) in enumerate(uniq):
         if used[start]:
             continue
-        p0, p1, fid = uniq[start]
         used[start] = True
-        pts = [p0, p1]
-        fids = [fid]
-        while True:
-            if np.linalg.norm(pts[-1] - pts[0]) <= tol:
-                pts.pop()
-                if len(pts) >= 3:
-                    loops.append((pts, fids))
-                break
-            found = False
-            for j in range(len(uniq)):
-                if used[j]:
-                    continue
-                q0, q1, fj = uniq[j]
-                if np.linalg.norm(q0 - pts[-1]) <= tol:
+        pts, fids = [p0, p1], [fid]
+        while not near(pts[-1], pts[0]):
+            for j, (q0, q1, fj) in enumerate(uniq):
+                if not used[j] and (near(q0, pts[-1]) or near(q1, pts[-1])):
                     used[j] = True
-                    pts.append(q1)
+                    pts.append(q1 if near(q0, pts[-1]) else q0)
                     fids.append(fj)
-                    found = True
                     break
-                if np.linalg.norm(q1 - pts[-1]) <= tol:
-                    used[j] = True
-                    pts.append(q0)
-                    fids.append(fj)
-                    found = True
-                    break
-            if not found:
+            else:
                 raise DegenerateSectionError("section chords do not close up")
+        pts.pop()
+        if len(pts) >= 3:
+            loops.append((pts, fids))
     if not loops:
         raise DegenerateSectionError("section has no closed loop")
     return loops

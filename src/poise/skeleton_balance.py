@@ -27,8 +27,7 @@ from .errors import (
     WalkFailedError,
 )
 from .geom2d import antipodal_about, eval_boundary, validate_polygon
-from .geom3d import (OUTSIDE, Plane3, Polyhedron3, _face_frame, _face_polygon2,
-                     cross_section, side3)
+from .geom3d import OUTSIDE, Plane3, Polyhedron3, cross_section, side3
 from .polytoped import (
     FaceD,
     HPolytope,
@@ -41,6 +40,9 @@ from .polytoped import (
 # largest k for pow2_points (2^k points): on the 3-cube, on a 2-vCPU Xeon,
 # k = 14 takes about 4 s and 128 MB and k = 16 about 15 s and 257 MB
 POW2_MAX_K = 16
+
+# slack of the edge parameters' [0, 1] window in three_on_edges
+EPS_T = 1e-9
 
 
 @dataclass
@@ -352,7 +354,7 @@ def _face_from_vrep(H, tight, point) -> FaceD:
 
 # --- edge triples in 3D ------------------------------------------------------
 
-def three_on_edges(H: HPolytope, target=None, eps_t=1e-9) -> SkeletonPlacement:
+def three_on_edges(H: HPolytope, target=None) -> SkeletonPlacement:
     """Three points on edges of a 3-polytope with barycenter at the target.
 
     Scans unordered edge triples (repeats allowed) in lexicographic order
@@ -363,6 +365,8 @@ def three_on_edges(H: HPolytope, target=None, eps_t=1e-9) -> SkeletonPlacement:
     if H.d != 3:
         raise InputError("edge-triple balancing is a 3-polytope operation")
     target = np.zeros(3) if target is None else np.asarray(target, dtype=float)
+    if target.shape != (3,) or not np.all(np.isfinite(target)):
+        raise InputError(f"target must be 3 finite numbers, got {target.tolist()}")
     if H.unit_residuals(target).max() > H.eps_tight():
         raise InputError("target must lie inside the polytope")
 
@@ -385,13 +389,13 @@ def three_on_edges(H: HPolytope, target=None, eps_t=1e-9) -> SkeletonPlacement:
     tsol = np.full((len(trips), 3), np.nan)
     if nonsing.any():
         tsol[nonsing] = np.linalg.solve(M[nonsing], rhs[nonsing, :, None])[:, :, 0]
-    window = nonsing & (tsol >= -eps_t).all(axis=1) & (tsol <= 1 + eps_t).all(axis=1)
+    window = nonsing & (tsol >= -EPS_T).all(axis=1) & (tsol <= 1 + EPS_T).all(axis=1)
 
     for idx in np.nonzero(window | ~nonsing)[0]:
         if nonsing[idx]:
             t = np.clip(tsol[idx], 0.0, 1.0)
         else:
-            t = _singular_triple(M[idx], rhs[idx], scale, eps_t)
+            t = _singular_triple(M[idx], rhs[idx], scale)
             if t is None:
                 continue
         i, j, k = trips[idx]
@@ -406,7 +410,7 @@ def three_on_edges(H: HPolytope, target=None, eps_t=1e-9) -> SkeletonPlacement:
         f"target {target.tolist()}")
 
 
-def _singular_triple(M, rhs, scale, eps_t):
+def _singular_triple(M, rhs, scale):
     """Solve M t = rhs with t in [0,1]^3 when M is rank-deficient."""
     u, sv, vt = np.linalg.svd(M)
     rank = int((sv > 1e-12 * max(sv[0], scale)).sum())
@@ -420,12 +424,12 @@ def _singular_triple(M, rhs, scale, eps_t):
         lo, hi = -np.inf, np.inf
         for c in range(3):
             if abs(n[c]) <= 1e-12:
-                if not (-eps_t <= t0[c] <= 1.0 + eps_t):
+                if not (-EPS_T <= t0[c] <= 1.0 + EPS_T):
                     return None
                 continue
             a, b = (0.0 - t0[c]) / n[c], (1.0 - t0[c]) / n[c]
             lo, hi = max(lo, min(a, b)), min(hi, max(a, b))
-        if lo > hi + eps_t:
+        if lo > hi + EPS_T:
             return None
         lam = min(max(0.0, lo), hi)
         t = t0 + lam * n
@@ -435,7 +439,7 @@ def _singular_triple(M, rhs, scale, eps_t):
         if res.status != 0:
             return None
         t = res.x
-    if (t < -eps_t).any() or (t > 1.0 + eps_t).any():
+    if (t < -EPS_T).any() or (t > 1.0 + EPS_T).any():
         return None
     return np.clip(t, 0.0, 1.0)
 
@@ -469,14 +473,11 @@ def four_on_edges(P: Polyhedron3, plane: Plane3 = None) -> SkeletonPlacement:
 def _face_pair(P: Polyhedron3, fid: int, center3):
     """Antipodal pair about center3 on the boundary of face fid."""
     loop = P.faces[fid]
-    fn, fc = _face_frame(P.vertices, loop, P.diam)
-    loop2, u2, w2 = _face_polygon2(P, fid, fn, fc)
-    poly = validate_polygon(loop2)
-    c2 = np.array([(center3 - fc) @ u2, (center3 - fc) @ w2])
+    frame, _, face2 = P.face_frame(fid)
+    poly = validate_polygon(face2.vertices)
     out = []
-    for bp in antipodal_about(poly, c2):
-        p2 = eval_boundary(poly, bp)
-        p3 = fc + p2[0] * u2 + p2[1] * w2
+    for bp in antipodal_about(poly, frame.to2d(center3)):
+        p3 = frame.to3d(eval_boundary(poly, bp))
         a, b = loop[bp.edge], loop[(bp.edge + 1) % len(loop)]
         seg = P.vertices[[a, b]]
         direction = seg[1] - seg[0]
@@ -567,10 +568,7 @@ def _hrep_membership(H: HPolytope, pts, eg):
 
 def _mesh_membership(P: Polyhedron3, pts, eg):
     """Largest distance to a mesh edge; host dimension 1 if within eg, else 2."""
-    segs = np.array(sorted({(min(a, b), max(a, b)) for f in P.faces
-                            for a, b in zip(f, f[1:] + f[:1])}))
-    A = P.vertices[segs[:, 0]]
-    B = P.vertices[segs[:, 1]]
+    A, B = P.vertices[P.edges[:, 0]], P.vertices[P.edges[:, 1]]
     D = B - A
     lens2 = (D * D).sum(axis=1)
     worst = 0.0

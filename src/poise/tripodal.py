@@ -19,11 +19,12 @@ import numpy as np
 from .certificate import Certificate
 from .errors import (
     BadFrameError,
+    InputError,
     NotFoundError,
     OriginOutsideError,
     SearchExhaustedError,
 )
-from .geom2d import Polygon2, locate_point
+from .geom2d import locate_point
 from .geom3d import (
     BOUNDARY,
     OUTSIDE,
@@ -31,8 +32,6 @@ from .geom3d import (
     Polyhedron3,
     SurfacePoint3,
     _closest_on_triangles,
-    _face_frame,
-    _face_polygon2,
     eval_surface,
     extreme_boundary_points,
     frame_field,
@@ -47,6 +46,8 @@ SIG_MP = "-+"
 SIG_ZERO = "00"
 
 EPS_REL = 1e-6    # default relative tolerances of verify_tripodal
+REFINE_DEPTH = 6  # subdivision levels of a grid cell whose polish stalls
+SWEEP_CHUNK = 256  # face triples solved together by the face-triple sweep
 
 
 @dataclass
@@ -216,14 +217,18 @@ def _triple_at(field: _CompanionField, poly: Polyhedron3, t, th) -> TripodalTrip
                           t=float(t), theta=float(th % (2 * np.pi)))
 
 
-def tripodal_search(poly: Polyhedron3, grid=(256, 256), refine=6) -> TripodalTriple:
+def tripodal_search(poly: Polyhedron3, grid=(256, 256)) -> TripodalTriple:
     """Grid-scan the (t, theta) rectangle and polish sign-change cells.
 
     Cells whose corners change sign in both companion distances are polished
-    with damped Newton (subdividing up to `refine` levels when a kink stalls
-    the iteration); the first verified triple in scan order wins. The grid
-    doubles up to 2048 per axis before falling back to the face-triple sweep.
+    with damped Newton (subdividing up to REFINE_DEPTH levels when a kink
+    stalls the iteration); the first verified triple in scan order wins. The
+    grid doubles up to 2048 per axis before falling back to the face-triple
+    sweep.
     """
+    nt, nth = int(grid[0]), int(grid[1])
+    if nt < 1 or nth < 1:
+        raise InputError(f"grid sides must be >= 1, got {nt}x{nth}")
     loc = side3(poly, (0.0, 0.0, 0.0))
     if loc.side == BOUNDARY:
         return _degenerate_triple(poly, loc.surface)
@@ -236,7 +241,6 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256), refine=6) -> TripodalTri
     field = _CompanionField(poly, path, frame)
     tol = 1e-9 * poly.diam
 
-    nt, nth = int(grid[0]), int(grid[1])
     while nt <= 2048 and nth <= 2048:
         ts = np.linspace(0.0, 1.0, nt + 1)
         ths = np.linspace(0.0, np.pi, nth + 1)
@@ -251,7 +255,7 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256), refine=6) -> TripodalTri
 
         for it, ith in np.argwhere(_straddle_mask(g1, g2)):
             hit = _polish_cell(field, poly, ts[it], ts[it + 1], ths[ith],
-                               ths[ith + 1], tol, refine)
+                               ths[ith + 1], tol, REFINE_DEPTH)
             if hit is not None:
                 return hit
         nt *= 2
@@ -296,17 +300,20 @@ def _polish_cell(field, poly, t0, t1, th0, th1, tol, depth):
 # --- independent face-triple sweep ----------------------------------------------
 
 def _face_planes(poly: Polyhedron3):
-    """Outward plane, 2D face polygon, frame, and radius interval per face."""
-    planes = []
+    """Per-face arrays: outward normal N, offset D, in-plane basis U (3x2),
+    centroid CEN and its circumradius CR, radius interval [r_lo, r_hi], and
+    the direction cone (axis, half-angle ang) seen from the origin."""
+    nf = len(poly.faces)
+    arrs = {"N": np.empty((nf, 3)), "D": np.empty(nf), "U": np.empty((nf, 3, 2)),
+            "CEN": np.empty((nf, 3)), "CR": np.empty(nf), "r_lo": np.empty(nf),
+            "r_hi": np.empty(nf), "axis": np.empty((nf, 3)), "ang": np.empty(nf)}
     origin = np.zeros((1, 3))
     cp = _closest_on_triangles(origin, poly._tv0, poly._ab, poly._ac)[0]
     tri_dist = np.linalg.norm(cp, axis=1)
     for fid, f in enumerate(poly.faces):
-        nrm, cen = _face_frame(poly.vertices, f, poly.diam)
-        loop2, u, w = _face_polygon2(poly, fid, nrm, cen)
+        frame, nrm, _ = poly.face_frame(fid)
+        cen = frame.origin
         pts = poly.vertices[f]
-        r_lo = float(tri_dist[poly.face_tris[fid]].min())
-        r_hi = float(np.linalg.norm(pts, axis=1).max())
         # direction cone of the face as seen from the origin
         dirs = pts / np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-300)
         axis = dirs.mean(axis=0)
@@ -318,25 +325,23 @@ def _face_planes(poly: Polyhedron3):
             cmin = float((dirs @ axis).min())
             # wide cones are not pointed; give up on pruning those
             ang = np.pi if cmin <= 0.05 else float(np.arccos(min(cmin, 1.0)))
-        planes.append({
-            "n": nrm, "d": float(nrm @ cen), "cen": cen, "u": u, "w": w,
-            "polygon": Polygon2(loop2), "r_lo": r_lo, "r_hi": r_hi,
-            "crad": float(np.linalg.norm(pts - cen, axis=1).max()),
-            "axis": axis, "ang": ang,
-            "basis": np.stack([u, w], axis=1),  # 3x2
-        })
-    return planes
+        arrs["N"][fid], arrs["D"][fid], arrs["CEN"][fid] = nrm, nrm @ cen, cen
+        arrs["U"][fid] = np.stack([frame.u, frame.w], axis=1)
+        arrs["CR"][fid] = np.linalg.norm(pts - cen, axis=1).max()
+        arrs["r_lo"][fid] = tri_dist[poly.face_tris[fid]].min()
+        arrs["r_hi"][fid] = np.linalg.norm(pts, axis=1).max()
+        arrs["axis"][fid], arrs["ang"][fid] = axis, ang
+    return arrs
 
 
-def _in_face(plane, p, tol) -> bool:
-    rel = p - plane["cen"]
-    if abs(float(rel @ plane["n"])) > tol * 10:
+def _in_face(poly: Polyhedron3, fid, p, tol) -> bool:
+    frame, nrm, polygon = poly.face_frame(fid)
+    if abs(float((p - frame.origin) @ nrm)) > tol * 10:
         return False
-    p2 = np.array([float(rel @ plane["u"]), float(rel @ plane["w"])])
-    return locate_point(plane["polygon"], p2, tol).side != OUTSIDE
+    return locate_point(polygon, frame.to2d(p), tol).side != OUTSIDE
 
 
-def tripodal_by_face_triples(poly: Polyhedron3, samples=64, chunk=256) -> TripodalTriple:
+def tripodal_by_face_triples(poly: Polyhedron3, samples=64) -> TripodalTriple:
     """Exhaustive sweep over ordered face triples (F1, F2, F3).
 
     With a on plane 1 and b on plane 2 (two parameters each), the linear
@@ -347,29 +352,22 @@ def tripodal_by_face_triples(poly: Polyhedron3, samples=64, chunk=256) -> Tripod
     radius intervals [min dist to face, max vertex norm] cannot intersect or
     when some pair of direction cones cannot span the 120 degrees any two
     points of the triple subtend; the rest are solved in lex-ordered
-    vectorized chunks. First verified triple in lex order wins.
+    vectorized chunks of SWEEP_CHUNK triples. First verified triple in lex
+    order wins.
     """
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
     loc = side3(poly, (0.0, 0.0, 0.0))
     if loc.side == BOUNDARY:
         return _degenerate_triple(poly, loc.surface)
     if loc.side == OUTSIDE:
         raise OriginOutsideError("origin lies outside the surface")
 
-    planes = _face_planes(poly)
-    nf = len(planes)
+    arrs = _face_planes(poly)
+    nf = len(poly.faces)
     tol_pos = 1e-9 * poly.diam
-    arrs = {
-        "N": np.array([p["n"] for p in planes]),
-        "D": np.array([p["d"] for p in planes]),
-        "U": np.array([p["basis"] for p in planes]),
-        "CEN": np.array([p["cen"] for p in planes]),
-        "CR": np.array([p["crad"] for p in planes]),
-        "r_lo": np.array([p["r_lo"] for p in planes]),
-        "r_hi": np.array([p["r_hi"] for p in planes]),
-    }
     r_lo, r_hi = arrs["r_lo"], arrs["r_hi"]
-    axes = np.array([p["axis"] for p in planes])
-    angs = np.array([p["ang"] for p in planes])
+    axes, angs = arrs["axis"], arrs["ang"]
     gap = np.arccos(np.clip(axes @ axes.T, -1.0, 1.0))
     can_pair = gap + angs[:, None] + angs[None, :] >= 2 * np.pi / 3 - 1e-12
 
@@ -386,20 +384,20 @@ def tripodal_by_face_triples(poly: Polyhedron3, samples=64, chunk=256) -> Tripod
                     & can_pair[i] & can_pair[j])
             for k in np.nonzero(feas)[0]:
                 batch.append((i, j, int(k)))
-                if len(batch) >= chunk:
-                    hit = _sweep_chunk(poly, planes, np.array(batch), samples,
-                                       tol_pos, arrs)
+                if len(batch) >= SWEEP_CHUNK:
+                    hit = _sweep_chunk(poly, np.array(batch), samples, tol_pos,
+                                       arrs)
                     if hit is not None:
                         return hit
                     batch = []
     if batch:
-        hit = _sweep_chunk(poly, planes, np.array(batch), samples, tol_pos, arrs)
+        hit = _sweep_chunk(poly, np.array(batch), samples, tol_pos, arrs)
         if hit is not None:
             return hit
     raise NotFoundError("no face triple admits a tripodal solution")
 
 
-def _sweep_chunk(poly, planes, trips, samples, tol_pos, arrs):
+def _sweep_chunk(poly, trips, samples, tol_pos, arrs):
     """Solve the two quadratics for a chunk of triples at once."""
     N, D, U = arrs["N"], arrs["D"], arrs["U"]
     i, j, k = trips[:, 0], trips[:, 1], trips[:, 2]
@@ -492,7 +490,6 @@ def _sweep_chunk(poly, planes, trips, samples, tol_pos, arrs):
 
     for ti in np.nonzero(conv.any(axis=1))[0]:
         fi, fj, fk = (int(v) for v in trips[ti])
-        p1, p2, p3 = planes[fi], planes[fj], planes[fk]
         seen = set()
         for r in np.nonzero(conv[ti])[0]:
             key = tuple(np.round(a[ti, r] / max(slack, 1e-300)).astype(np.int64))
@@ -500,8 +497,8 @@ def _sweep_chunk(poly, planes, trips, samples, tol_pos, arrs):
                 continue
             seen.add(key)
             av, bv, cv = a[ti, r], b[ti, r], c[ti, r]
-            if not (_in_face(p1, av, tol_pos) and _in_face(p2, bv, tol_pos)
-                    and _in_face(p3, cv, tol_pos)):
+            if not (_in_face(poly, fi, av, tol_pos) and _in_face(poly, fj, bv, tol_pos)
+                    and _in_face(poly, fk, cv, tol_pos)):
                 continue
             triple = TripodalTriple(np.array([av, bv, cv]), (fi, fj, fk),
                                     float(np.linalg.norm(av)))

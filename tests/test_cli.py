@@ -532,3 +532,49 @@ def test_check_of_huge_tripodal_coordinate_exits_3(genuine, tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "max_membership_error" in proc.stderr
+
+
+# bad vector and size arguments: each exits 2 with one "poise:" line
+BAD_ARGUMENTS = {
+    "plane-too-short": (["four-on-edges", "--off", "CUBE", "--plane", "0 1"], "need 3"),
+    "plane-too-long": (["four-on-edges", "--off", "CUBE", "--plane", "0 0 1 1"],
+                       "need 3"),
+    "plane-nan": (["four-on-edges", "--off", "CUBE", "--plane", "nan 0 1"],
+                  "non-finite"),
+    "plane-inf": (["four-on-edges", "--off", "CUBE", "--plane", "inf 0 1"],
+                  "non-finite"),
+    "edge-target-too-short": (["three-on-edges", "--hrep", "HREP", "--target", "0 0"],
+                              "need 3"),
+    "edge-target-nan": (["three-on-edges", "--hrep", "HREP", "--target", "nan 0 0"],
+                        "non-finite"),
+    "antipodal-target-too-short": (["antipodal", "--polygon", "SQUARE",
+                                    "--target", "0"], "need 2"),
+    "balance-target-too-long": (["balance2d", "--polygon", "SQUARE", "--weights",
+                                 "1 1", "--target", "0 0 0"], "need 2"),
+    "oracle-negative-samples": (["tripodal-oracle", "--off", "CUBE", "--samples",
+                                 "-3"], "samples"),
+    "oracle-zero-samples": (["tripodal-oracle", "--off", "CUBE", "--samples", "0"],
+                            "samples"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_ARGUMENTS))
+def test_bad_vector_and_size_arguments_exit_2(name, square, cube_off, cube_h, capsys):
+    argv, cause = BAD_ARGUMENTS[name]
+    paths = {"CUBE": cube_off, "HREP": cube_h, "SQUARE": square}
+    assert run([paths.get(a, a) for a in argv]).exit_code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("poise: ") and err.count("\n") == 1 and cause in err
+
+
+def test_zero_grid_side_exits_2_at_once(cube_off):
+    """A zero grid side used to double forever; the timeout catches a hang."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "poise.cli", "tripodal", "--off", cube_off,
+         "--grid", "0x0"], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "grid" in proc.stderr

@@ -210,3 +210,41 @@ def test_batched_queries_stay_small(tmp_path):
                           text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 300 * 1024     # VmHWM is in KiB
+
+
+# --- per-face frames and edges owned by the mesh ---------------------------------
+
+def _star():
+    return star_mesh(np.random.default_rng(12), subdiv=1)
+
+
+@pytest.mark.parametrize("make", [cube_mesh, _star], ids=["cube", "star"])
+def test_one_solve_frames_each_face_at_most_once(make, monkeypatch):
+    from poise.skeleton_balance import four_on_edges
+    from poise.tripodal import tripodal_by_face_triples
+    framed = []
+    real = geom3d._face_frame
+
+    def counting(verts, f, diam):
+        framed.append(tuple(f))
+        return real(verts, f, diam)
+
+    monkeypatch.setattr(geom3d, "_face_frame", counting)
+    for solve in (four_on_edges, tripodal_by_face_triples):
+        mesh = make()
+        framed.clear()    # quad faces are framed once at load, to triangulate
+        solve(mesh)
+        assert framed and len(set(framed)) == len(framed), solve.__name__
+
+
+@pytest.mark.parametrize("make", [cube_mesh, tetra_mesh, _star],
+                         ids=["cube", "tetra", "star"])
+def test_edges_are_the_face_loop_edges(make):
+    mesh = make()
+    want = {frozenset(e) for f in mesh.faces for e in zip(f, f[1:] + f[:1])}
+    got = mesh.edges
+    assert {frozenset(e) for e in got.tolist()} == want
+    assert len(got) == len(want) and (got[:, 0] < got[:, 1]).all()
+    assert got.tolist() == sorted(got.tolist())
+    assert len(mesh.vertices) - len(got) + len(mesh.faces) == 2   # Euler, genus 0
+    assert not got.flags.writeable

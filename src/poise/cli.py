@@ -27,8 +27,8 @@ from .errors import (DegenerateSectionError, EnumerationBudgetError,
                      WalkFailedError)
 from .geom2d import antipodal_about, eval_boundary, load_polygon
 from .geom3d import Plane3, Polyhedron3, load_off
-from .tripodal import (EPS_REL, tripodal_by_face_triples, tripodal_search,
-                       verify_tripodal)
+from .tripodal import (EPS_REL, SWEEP_SAMPLES, tripodal_by_face_triples,
+                       tripodal_search, verify_tripodal)
 
 # Solver ran correctly but found nothing to certify: exit 1, not 3.
 NO_RESULT_ERRORS = (NotFoundError, SearchExhaustedError, InfeasibleError,
@@ -564,7 +564,7 @@ def build_parser():
     p = command("tripodal-oracle", _cmd_tripodal,
                 "independent face-triple sweep for the same triple",
                 "off", "eps", "svg", "obj", "json")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=int, default=SWEEP_SAMPLES)
 
     p = command("three-on-edges", _cmd_placement,
                 "three edge points balancing a target", "hrep", "eps", "obj", "json")

@@ -559,7 +559,7 @@ def dump_off(poly: Polyhedron3) -> str:
 @dataclass(frozen=True)
 class PointLocation3:
     side: str
-    surface: SurfacePoint3 | None
+    surface: SurfacePoint3    # nearest surface point
     distance: float
 
 
@@ -589,18 +589,34 @@ def _surface_point_from_tri(poly: Polyhedron3, tri_id: int, point) -> SurfacePoi
 
 
 def side3(poly: Polyhedron3, point, eps=None) -> PointLocation3:
-    """Inside/outside/on-boundary within eps (default 1e-9*diam)."""
+    """Inside/outside/on-boundary within eps (default 1e-9*diam), with the
+    nearest surface point and the distance to it."""
     eps = poly.eps_geom(eps)
     dist, tri, cp = poly.closest_points([point])
     d = float(dist[0])
+    nearest = _surface_point_from_tri(poly, int(tri[0]), cp[0])
     if d <= eps:
-        return PointLocation3(BOUNDARY, _surface_point_from_tri(poly, int(tri[0]), cp[0]), d)
+        return PointLocation3(BOUNDARY, nearest, d)
     inside = bool(poly.contains([point])[0])
-    return PointLocation3(INSIDE if inside else OUTSIDE, None, d)
+    return PointLocation3(INSIDE if inside else OUTSIDE, nearest, d)
 
 
 def signed_distance(poly: Polyhedron3, point, eps=None) -> float:
     return float(poly.signed_distances([point], eps)[0])
+
+
+def farthest_vertex(poly: Polyhedron3) -> SurfacePoint3 | None:
+    """The vertex farthest from the origin (ties: smallest id) as a surface
+    point of its first triangle; None if no triangle uses it."""
+    norms = np.linalg.norm(poly.vertices, axis=1)
+    vid = int(np.argmax(norms))  # ties: smallest vertex id
+    hits = np.argwhere(poly.tris == vid)     # (triangle, corner), by triangle
+    if not len(hits):
+        return None
+    t, corner = hits[0].tolist()
+    fid = int(poly.tri_face[t])
+    return SurfacePoint3(fid, poly.face_tris[fid].index(t),
+                         tuple(float(c == corner) for c in range(3)))
 
 
 def extreme_boundary_points(poly: Polyhedron3):
@@ -610,18 +626,7 @@ def extreme_boundary_points(poly: Polyhedron3):
         raise OriginOnBoundaryError("origin lies on the surface")
     if loc.side == OUTSIDE:
         raise OriginOutsideError("origin lies outside the surface")
-    dist, tri, cp = poly.closest_points([(0.0, 0.0, 0.0)])
-    near = _surface_point_from_tri(poly, int(tri[0]), cp[0])
-    norms = np.linalg.norm(poly.vertices, axis=1)
-    vid = int(np.argmax(norms))  # ties: smallest vertex id
-    hits = np.argwhere(poly.tris == vid)     # (triangle, corner), by triangle
-    far = None
-    if len(hits):
-        t, corner = hits[0].tolist()
-        fid = int(poly.tri_face[t])
-        far = SurfacePoint3(fid, poly.face_tris[fid].index(t),
-                            tuple(float(c == corner) for c in range(3)))
-    return near, far
+    return loc.surface, farthest_vertex(poly)
 
 
 # --- surface paths and frames --------------------------------------------------

@@ -33,7 +33,7 @@ from .geom3d import (
     SurfacePoint3,
     _closest_on_triangles,
     eval_surface,
-    extreme_boundary_points,
+    farthest_vertex,
     frame_field,
     side3,
     surface_path,
@@ -47,7 +47,13 @@ SIG_ZERO = "00"
 
 EPS_REL = 1e-6    # default relative tolerances of verify_tripodal
 REFINE_DEPTH = 6  # subdivision levels of a grid cell whose polish stalls
-SWEEP_CHUNK = 256  # face triples solved together by the face-triple sweep
+GRID_MAX = 2048   # largest grid side tripodal_search scans
+# The face-triple sweep solves its triples in lex-ordered chunks: the first
+# of SWEEP_FIRST_CHUNK triples, each later one twice the last, capped at
+# SWEEP_CHUNK, so a triple found early costs one small chunk.
+SWEEP_FIRST_CHUNK = 16
+SWEEP_CHUNK = 256
+SWEEP_SAMPLES = 64  # default grid values of the sweep's free coordinate
 
 
 @dataclass
@@ -223,25 +229,25 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256)) -> TripodalTriple:
     Cells whose corners change sign in both companion distances are polished
     with damped Newton (subdividing up to REFINE_DEPTH levels when a kink
     stalls the iteration); the first verified triple in scan order wins. The
-    grid doubles up to 2048 per axis before falling back to the face-triple
-    sweep.
+    grid doubles while both sides stay <= GRID_MAX, then the face-triple
+    sweep runs. A side < 1 or > GRID_MAX is an InputError. The origin is
+    located once: its nearest surface point starts the path.
     """
     nt, nth = int(grid[0]), int(grid[1])
-    if nt < 1 or nth < 1:
-        raise InputError(f"grid sides must be >= 1, got {nt}x{nth}")
+    if not (1 <= nt <= GRID_MAX and 1 <= nth <= GRID_MAX):
+        raise InputError(f"grid sides must be in 1..{GRID_MAX}, got {nt}x{nth}")
     loc = side3(poly, (0.0, 0.0, 0.0))
     if loc.side == BOUNDARY:
         return _degenerate_triple(poly, loc.surface)
     if loc.side == OUTSIDE:
         raise OriginOutsideError("origin lies outside the surface")
 
-    near, far = extreme_boundary_points(poly)
-    path = surface_path(poly, near, far)
+    path = surface_path(poly, loc.surface, farthest_vertex(poly))
     frame = frame_field(path)
     field = _CompanionField(poly, path, frame)
     tol = 1e-9 * poly.diam
 
-    while nt <= 2048 and nth <= 2048:
+    while nt <= GRID_MAX and nth <= GRID_MAX:
         ts = np.linspace(0.0, 1.0, nt + 1)
         ths = np.linspace(0.0, np.pi, nth + 1)
         g1, g2 = field.values(*np.meshgrid(ts, ths, indexing="ij"))
@@ -262,7 +268,7 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256)) -> TripodalTriple:
         nth *= 2
 
     try:
-        return tripodal_by_face_triples(poly)
+        return _face_triple_sweep(poly, SWEEP_SAMPLES)
     except NotFoundError as exc:
         raise SearchExhaustedError("grid search and face sweep both failed") from exc
 
@@ -341,19 +347,22 @@ def _in_face(poly: Polyhedron3, fid, p, tol) -> bool:
     return locate_point(polygon, frame.to2d(p), tol).side != OUTSIDE
 
 
-def tripodal_by_face_triples(poly: Polyhedron3, samples=64) -> TripodalTriple:
+def tripodal_by_face_triples(poly: Polyhedron3,
+                             samples=SWEEP_SAMPLES) -> TripodalTriple:
     """Exhaustive sweep over ordered face triples (F1, F2, F3).
 
     With a on plane 1 and b on plane 2 (two parameters each), the linear
     condition n3.(a+b) = -d3 cuts the parameter space to three dimensions.
     One coordinate is swept over `samples` grid values; the two equal-norm
     quadratics |a|^2 = |b|^2 and |a|^2 = |a+b|^2 are solved by damped Newton
-    (4 starts per sample) in the other two. Triples are skipped when their
-    radius intervals [min dist to face, max vertex norm] cannot intersect or
-    when some pair of direction cones cannot span the 120 degrees any two
-    points of the triple subtend; the rest are solved in lex-ordered
-    vectorized chunks of SWEEP_CHUNK triples. First verified triple in lex
-    order wins.
+    (4 starts per sample) in the other two, iterating only the (triple, row)
+    pairs not yet converged. Triples are skipped when their radius intervals
+    [min dist to face, max vertex norm] cannot intersect or when some pair of
+    direction cones cannot span the 120 degrees any two points of the triple
+    subtend; the rest are solved in lex-ordered vectorized chunks of
+    SWEEP_FIRST_CHUNK triples, doubling up to SWEEP_CHUNK. A triple's
+    solutions do not depend on its chunk, so the first verified triple in
+    lex order wins whatever the chunk sizes.
     """
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
@@ -362,7 +371,11 @@ def tripodal_by_face_triples(poly: Polyhedron3, samples=64) -> TripodalTriple:
         return _degenerate_triple(poly, loc.surface)
     if loc.side == OUTSIDE:
         raise OriginOutsideError("origin lies outside the surface")
+    return _face_triple_sweep(poly, samples)
 
+
+def _face_triple_sweep(poly: Polyhedron3, samples) -> TripodalTriple:
+    """tripodal_by_face_triples for an origin strictly inside the surface."""
     arrs = _face_planes(poly)
     nf = len(poly.faces)
     tol_pos = 1e-9 * poly.diam
@@ -371,7 +384,7 @@ def tripodal_by_face_triples(poly: Polyhedron3, samples=64) -> TripodalTriple:
     gap = np.arccos(np.clip(axes @ axes.T, -1.0, 1.0))
     can_pair = gap + angs[:, None] + angs[None, :] >= 2 * np.pi / 3 - 1e-12
 
-    batch = []
+    batch, size = [], SWEEP_FIRST_CHUNK
     for i in range(nf):
         for j in range(nf):
             if not can_pair[i, j]:
@@ -384,12 +397,12 @@ def tripodal_by_face_triples(poly: Polyhedron3, samples=64) -> TripodalTriple:
                     & can_pair[i] & can_pair[j])
             for k in np.nonzero(feas)[0]:
                 batch.append((i, j, int(k)))
-                if len(batch) >= SWEEP_CHUNK:
+                if len(batch) >= size:
                     hit = _sweep_chunk(poly, np.array(batch), samples, tol_pos,
                                        arrs)
                     if hit is not None:
                         return hit
-                    batch = []
+                    batch, size = [], min(2 * size, SWEEP_CHUNK)
     if batch:
         hit = _sweep_chunk(poly, np.array(batch), samples, tol_pos, arrs)
         if hit is not None:
@@ -440,33 +453,7 @@ def _sweep_chunk(poly, trips, samples, tol_pos, arrs):
     y[:, :, :2] = Rm[:, None, None] * np.tile(starts, (samples, 1))[None, :, :]
 
     tol_g = 1e-10 * poly.diam ** 2
-    dA = A1[:, :, :2]
-    dB = A2[:, :, :2]
-    dS = dA + dB
-    for _ in range(22):
-        a = a0[:, None, :] + np.einsum("mrk,mak->mra", y, A1)
-        b = b0[:, None, :] + np.einsum("mrk,mak->mra", y, A2)
-        ab = a + b
-        g1 = (a * a).sum(-1) - (b * b).sum(-1)
-        g2 = (a * a).sum(-1) - (ab * ab).sum(-1)
-        live = (np.abs(g1) > tol_g) | (np.abs(g2) > tol_g)
-        if not live.any():
-            break
-        j11 = 2 * (np.einsum("mra,mak->mrk", a, dA)
-                   - np.einsum("mra,mak->mrk", b, dB))
-        j21 = 2 * (np.einsum("mra,mak->mrk", a, dA)
-                   - np.einsum("mra,mak->mrk", ab, dS))
-        det = j11[..., 0] * j21[..., 1] - j11[..., 1] * j21[..., 0]
-        ok = np.abs(det) > 1e-300
-        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        s0 = (-g1 * j21[..., 1] + g2 * j11[..., 1]) * inv
-        s1 = (g1 * j21[..., 0] - g2 * j11[..., 0]) * inv
-        ln = np.sqrt(s0 * s0 + s1 * s1)
-        big = ln > Rm[:, None]
-        damp = np.divide(Rm[:, None], ln, out=np.ones_like(ln), where=big)
-        damp *= (live & ok)
-        y[..., 0] += s0 * damp
-        y[..., 1] += s1 * damp
+    _newton_rows(y, a0, b0, A1, A2, Rm, tol_g)
 
     a = a0[:, None, :] + np.einsum("mrk,mak->mra", y, A1)
     b = b0[:, None, :] + np.einsum("mrk,mak->mra", y, A2)
@@ -505,3 +492,53 @@ def _sweep_chunk(poly, trips, samples, tol_pos, arrs):
             if verify_tripodal(poly, triple.points).passed:
                 return triple
     return None
+
+
+def _newton_rows(y, a0, b0, A1, A2, Rm, tol_g):
+    """Damped Newton on g1 = |a|^2 - |b|^2, g2 = |a|^2 - |a+b|^2, in place on
+    the rows y (m, rows, 3) of m triples, with a = a0 + A1 y, b = b0 + A2 y.
+
+    Only the live (triple, row) pairs, |g1| or |g2| above tol_g, are iterated:
+    the rows are flattened to one index, each with its triple's data, and
+    every iteration writes the rows that have converged back to y and drops
+    them. A converged row would get a zero step and never turn live again,
+    and a live row sees the same einsum products as in a dense (m, rows)
+    pass, so y ends bit for bit as that pass leaves it. (np.matmul or
+    hand-written sums would round differently.)
+    """
+    rows = y.shape[1]
+    flat = y.reshape(-1, 3)
+    live = np.arange(len(flat))
+    t = live // rows
+    yl, a0, b0, A1, A2, Rm = flat.copy(), a0[t], b0[t], A1[t], A2[t], Rm[t]
+    for _ in range(22):
+        a = a0 + np.einsum("nk,nak->na", yl, A1)
+        b = b0 + np.einsum("nk,nak->na", yl, A2)
+        ab = a + b
+        g1 = (a * a).sum(-1) - (b * b).sum(-1)
+        g2 = (a * a).sum(-1) - (ab * ab).sum(-1)
+        on = (np.abs(g1) > tol_g) | (np.abs(g2) > tol_g)
+        if not on.all():
+            flat[live[~on]] = yl[~on]
+            if not on.any():
+                return
+            keep = np.flatnonzero(on)
+            live, yl, a0, b0, A1, A2, Rm, a, b, ab, g1, g2 = (
+                x[keep] for x in (live, yl, a0, b0, A1, A2, Rm, a, b, ab, g1, g2))
+        dA = A1[:, :, :2]
+        dB = A2[:, :, :2]
+        ad = np.einsum("na,nak->nk", a, dA)
+        j11 = 2 * (ad - np.einsum("na,nak->nk", b, dB))
+        j21 = 2 * (ad - np.einsum("na,nak->nk", ab, dA + dB))
+        det = j11[..., 0] * j21[..., 1] - j11[..., 1] * j21[..., 0]
+        ok = np.abs(det) > 1e-300
+        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+        s0 = (-g1 * j21[..., 1] + g2 * j11[..., 1]) * inv
+        s1 = (g1 * j21[..., 0] - g2 * j11[..., 0]) * inv
+        ln = np.sqrt(s0 * s0 + s1 * s1)
+        big = ln > Rm
+        damp = np.divide(Rm, ln, out=np.ones_like(ln), where=big)
+        damp *= ok
+        yl[:, 0] += s0 * damp
+        yl[:, 1] += s1 * damp
+    flat[live] = yl

@@ -178,3 +178,37 @@ def ray_hits_all_pairs(poly, pts, d):
             dp = np.abs(np.einsum("mtj,tj->mt", s[:, para, :], poly._tn[para]))
             bad[lo:lo + chunk] |= (dp <= eps_t * np.maximum(nn[para], 1e-300)).any(axis=1)
     return counts, bad
+
+
+# --- dense oracle of the face-triple sweep's Newton iteration -----------------
+
+def newton_rows_dense(y, a0, b0, A1, A2, Rm, tol_g):
+    """tripodal._newton_rows by stepping every (triple, row) pair of the
+    (m, rows) block each iteration, a zero step where a row has converged."""
+    dA = A1[:, :, :2]
+    dB = A2[:, :, :2]
+    dS = dA + dB
+    for _ in range(22):
+        a = a0[:, None, :] + np.einsum("mrk,mak->mra", y, A1)
+        b = b0[:, None, :] + np.einsum("mrk,mak->mra", y, A2)
+        ab = a + b
+        g1 = (a * a).sum(-1) - (b * b).sum(-1)
+        g2 = (a * a).sum(-1) - (ab * ab).sum(-1)
+        live = (np.abs(g1) > tol_g) | (np.abs(g2) > tol_g)
+        if not live.any():
+            break
+        j11 = 2 * (np.einsum("mra,mak->mrk", a, dA)
+                   - np.einsum("mra,mak->mrk", b, dB))
+        j21 = 2 * (np.einsum("mra,mak->mrk", a, dA)
+                   - np.einsum("mra,mak->mrk", ab, dS))
+        det = j11[..., 0] * j21[..., 1] - j11[..., 1] * j21[..., 0]
+        ok = np.abs(det) > 1e-300
+        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+        s0 = (-g1 * j21[..., 1] + g2 * j11[..., 1]) * inv
+        s1 = (g1 * j21[..., 0] - g2 * j11[..., 0]) * inv
+        ln = np.sqrt(s0 * s0 + s1 * s1)
+        big = ln > Rm[:, None]
+        damp = np.divide(Rm[:, None], ln, out=np.ones_like(ln), where=big)
+        damp *= (live & ok)
+        y[..., 0] += s0 * damp
+        y[..., 1] += s1 * damp

@@ -555,6 +555,9 @@ BAD_ARGUMENTS = {
                                  "-3"], "samples"),
     "oracle-zero-samples": (["tripodal-oracle", "--off", "CUBE", "--samples", "0"],
                             "samples"),
+    "grid-above-limit": (["tripodal", "--off", "CUBE", "--grid", "4096x4096"], "2048"),
+    "grid-side-above-limit": (["tripodal", "--off", "CUBE", "--grid", "64x2049"],
+                              "2048"),
 }
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import cube_mesh, octa_mesh, star_mesh, tetra_mesh
+from helpers import (convex_mesh, cube_mesh, newton_rows_dense, octa_mesh,
+                     sphere_points, star_mesh, tetra_mesh)
+from poise import tripodal
 from poise.errors import BadFrameError, OriginOutsideError
-from poise.geom3d import (extreme_boundary_points, frame_field, surface_path,
-                          validate_polyhedron)
-from poise.tripodal import (SIG_MM, SIG_PP, signature,
+from poise.geom3d import (Polyhedron3, extreme_boundary_points, frame_field,
+                          surface_path, validate_polyhedron)
+from poise.tripodal import (SIG_MM, SIG_PP, SWEEP_CHUNK, SWEEP_FIRST_CHUNK, signature,
                             tripod_points, tripodal_by_face_triples,
                             tripodal_search, verify_tripodal)
 
@@ -118,3 +120,59 @@ def test_origin_on_boundary_degenerates_to_zero_radius():
     assert tri.radius == 0.0
     assert np.allclose(tri.points, 0.0)
     assert verify_tripodal(poly, tri.points).passed
+
+
+def _hull0():
+    """The first convex hull of the acceptance suite's tripodal fixtures."""
+    rng = np.random.default_rng(500)
+    n = int(rng.integers(8, 29, size=19)[0])
+    return convex_mesh(sphere_points(rng, n))
+
+
+SWEEP_MESHES = {"cube": cube_mesh, "octa": octa_mesh, "simplex": tetra_mesh,
+                "hull0": _hull0}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_MESHES))
+def test_sweep_chunks_match_the_dense_reference(name, monkeypatch):
+    """Every chunk the sweep solves gives, bit for bit, the triple the dense
+    Newton pass gives, and the chunks grow 16, 32, ... up to SWEEP_CHUNK."""
+    poly = SWEEP_MESHES[name]()
+    solve, sizes = tripodal._sweep_chunk, []
+
+    def both(*args):
+        sizes.append(len(args[1]))
+        live = solve(*args)
+        with monkeypatch.context() as m:
+            m.setattr(tripodal, "_newton_rows", newton_rows_dense)
+            dense = solve(*args)
+        assert (live is None) == (dense is None)
+        if live is not None:
+            assert live.points.tobytes() == dense.points.tobytes()
+            assert live.faces == dense.faces
+        return live
+
+    monkeypatch.setattr(tripodal, "_sweep_chunk", both)
+    tri = tripodal_by_face_triples(poly)
+    assert verify_tripodal(poly, tri.points).passed
+    full = [min(SWEEP_FIRST_CHUNK << c, SWEEP_CHUNK) for c in range(len(sizes))]
+    assert sizes[:-1] == full[:-1] and 1 <= sizes[-1] <= full[-1]
+    if name == "hull0":
+        assert sizes == [16, 32, 64, 128]
+
+
+def test_search_locates_the_origin_once(monkeypatch):
+    """One closest-point query and one parity query of the origin per search."""
+    calls = {"closest_points": 0, "contains": 0}
+    for meth in calls:
+        orig = getattr(Polyhedron3, meth)
+
+        def counted(self, points, *args, _orig=orig, _meth=meth):
+            if np.array_equal(np.atleast_2d(np.asarray(points, float)), np.zeros((1, 3))):
+                calls[_meth] += 1
+            return _orig(self, points, *args)
+
+        monkeypatch.setattr(Polyhedron3, meth, counted)
+    tri = tripodal_search(cube_mesh(), grid=(16, 16))
+    assert tri.t is not None  # the grid search answered, not the sweep
+    assert calls == {"closest_points": 1, "contains": 1}

@@ -255,36 +255,40 @@ def faces_of_dim(H: HPolytope, k: int) -> list:
     """
     V = H.vrep
     gens = [frozenset(t) for t in V.tight_sets]
+    at_row = {}                 # row -> the tight sets holding it
+    for g in gens:
+        for r in g:
+            at_row.setdefault(r, set()).add(g)
     closed = set(gens)
     frontier = set(gens)
     for _ in range(H.d + 2):
         new = set()
         for s in frontier:
-            for g in gens:
+            for g in set().union(*(at_row[r] for r in s)):
                 t = s & g
-                if t and t not in closed:
+                if t not in closed:
                     new.add(t)
         if not new:
             break
         closed |= new
         frontier = new
 
+    # ranks of the candidates' normals, one batched SVD per candidate size
+    rank = {}
+    for size in {len(t) for t in closed}:
+        group = [t for t in closed if len(t) == size]
+        rows = H.A[[sorted(t) for t in group]]
+        tol = 1e-9 * np.maximum(1.0, np.abs(rows).max(axis=(1, 2)))
+        sv = np.linalg.svd(rows, compute_uv=False)
+        rank.update(zip(group, (sv > tol[:, None]).sum(axis=1)))
     scale = max(V.diam, 1e-300)
-    faces = {}
+    faces = []
     for t in closed:
-        rows = H.A[sorted(t)]
-        rank = np.linalg.matrix_rank(rows, tol=1e-9 * max(1.0, np.abs(rows).max()))
-        if H.d - rank != k:
+        if H.d - rank[t] != k:
             continue
-        members = tuple(i for i, vt in enumerate(V.tight_sets)
-                        if t <= frozenset(vt))
-        if not members:
-            continue
-        # canonical tight set: common tight rows of all members
-        canon = frozenset.intersection(*[frozenset(V.tight_sets[i])
-                                         for i in members])
-        if canon in faces:
-            continue
+        # t is an intersection of vertex tight sets, so it is also the
+        # common tight set of its members: the face's canonical tight set
+        members = tuple(i for i, g in enumerate(gens) if t <= g)
         pts = V.vertices[list(members)]
         point = pts.mean(axis=0)
         if len(members) == 1:
@@ -295,8 +299,8 @@ def faces_of_dim(H: HPolytope, k: int) -> list:
             basis = vt[:len(sv)][nz]
         if len(basis) != k:
             continue
-        faces[canon] = FaceD(tuple(sorted(canon)), members, k, point, basis)
-    return [faces[t] for t in sorted(faces, key=lambda s: tuple(sorted(s)))]
+        faces.append(FaceD(tuple(sorted(t)), members, k, point, basis))
+    return sorted(faces, key=lambda f: f.tight)
 
 
 def edge_segment(H: HPolytope, members) -> tuple:

@@ -10,7 +10,7 @@ body entirely.
 
 from dataclasses import InitVar, dataclass
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 import math
 
 import numpy as np
@@ -43,6 +43,12 @@ POW2_MAX_K = 16
 
 # slack of the edge parameters' [0, 1] window in three_on_edges
 EPS_T = 1e-9
+# first and largest block of edge triples three_on_edges solves at once
+EDGE_FIRST_BLOCK = 256
+EDGE_BLOCK = 1 << 16
+# residual, per unit of row scale |a| max|v| + |b|, that decides a face in
+# prop9_check without an LP: ten times HiGHS's feasibility tolerance
+PROP9_MARGIN = 1e-6
 
 
 @dataclass
@@ -357,10 +363,11 @@ def _face_from_vrep(H, tight, point) -> FaceD:
 def three_on_edges(H: HPolytope, target=None) -> SkeletonPlacement:
     """Three points on edges of a 3-polytope with barycenter at the target.
 
-    Scans unordered edge triples (repeats allowed) in lexicographic order
-    and solves the 3x3 system in the edge parameters; singular systems
-    fall back to a line or plane intersection with the parameter cube.
-    The first triple meeting the residual gate wins.
+    Scans unordered edge triples (repeats allowed) in lexicographic order,
+    in blocks of EDGE_FIRST_BLOCK triples doubling up to EDGE_BLOCK, and
+    solves the 3x3 system in the edge parameters; singular systems fall
+    back to a line or plane intersection with the parameter cube. The
+    first triple meeting the residual gate wins.
     """
     if H.d != 3:
         raise InputError("edge-triple balancing is a 3-polytope operation")
@@ -381,33 +388,39 @@ def three_on_edges(H: HPolytope, target=None) -> SkeletonPlacement:
     scale = max(V.diam, 1e-300)
     tol_res = 1e-10 * scale
 
-    trips = np.array(list(combinations_with_replacement(range(ne), 3)))
-    M = np.stack([D[trips[:, 0]], D[trips[:, 1]], D[trips[:, 2]]], axis=2)
-    rhs = 3.0 * target - (U[trips[:, 0]] + U[trips[:, 1]] + U[trips[:, 2]])
-    det = np.linalg.det(M)
-    nonsing = np.abs(det) > 1e-12 * scale ** 3
-    tsol = np.full((len(trips), 3), np.nan)
-    if nonsing.any():
-        tsol[nonsing] = np.linalg.solve(M[nonsing], rhs[nonsing, :, None])[:, :, 0]
-    window = nonsing & (tsol >= -EPS_T).all(axis=1) & (tsol <= 1 + EPS_T).all(axis=1)
+    combos = combinations_with_replacement(range(ne), 3)
+    size = EDGE_FIRST_BLOCK                # the lambda reads its current value
+    for block in iter(lambda: list(islice(combos, size)), []):
+        trips = np.array(block)
+        M = np.stack([D[trips[:, 0]], D[trips[:, 1]], D[trips[:, 2]]], axis=2)
+        rhs = 3.0 * target - (U[trips[:, 0]] + U[trips[:, 1]] + U[trips[:, 2]])
+        det = np.linalg.det(M)
+        nonsing = np.abs(det) > 1e-12 * scale ** 3
+        tsol = np.full((len(trips), 3), np.nan)
+        if nonsing.any():
+            tsol[nonsing] = np.linalg.solve(M[nonsing], rhs[nonsing, :, None])[:, :, 0]
+        window = (nonsing & (tsol >= -EPS_T).all(axis=1)
+                  & (tsol <= 1 + EPS_T).all(axis=1))
 
-    for idx in np.nonzero(window | ~nonsing)[0]:
-        if nonsing[idx]:
-            t = np.clip(tsol[idx], 0.0, 1.0)
-        else:
-            t = _singular_triple(M[idx], rhs[idx], scale)
-            if t is None:
+        for idx in np.nonzero(window | ~nonsing)[0]:
+            if nonsing[idx]:
+                t = np.clip(tsol[idx], 0.0, 1.0)
+            else:
+                t = _singular_triple(M[idx], rhs[idx], scale)
+                if t is None:
+                    continue
+            i, j, k = trips[idx]
+            pts = np.array([U[i] + t[0] * D[i], U[j] + t[1] * D[j],
+                            U[k] + t[2] * D[k]])
+            if np.linalg.norm(pts.sum(axis=0) - 3.0 * target) > tol_res:
                 continue
-        i, j, k = trips[idx]
-        pts = np.array([U[i] + t[0] * D[i], U[j] + t[1] * D[j], U[k] + t[2] * D[k]])
-        if np.linalg.norm(pts.sum(axis=0) - 3.0 * target) > tol_res:
-            continue
-        entries = [(pts[0], edge_faces[i]), (pts[1], edge_faces[j]),
-                   (pts[2], edge_faces[k])]
-        return SkeletonPlacement(entries, 3, target)
+            entries = [(pts[0], edge_faces[i]), (pts[1], edge_faces[j]),
+                       (pts[2], edge_faces[k])]
+            return SkeletonPlacement(entries, 3, target)
+        size = min(2 * size, EDGE_BLOCK)
     raise NotFoundError(
-        f"no balanced edge triple: {ne} edges, {len(trips)} triples scanned, "
-        f"target {target.tolist()}")
+        f"no balanced edge triple: {ne} edges, {math.comb(ne + 2, 3)} triples "
+        f"scanned, target {target.tolist()}")
 
 
 def _singular_triple(M, rhs, scale):
@@ -507,19 +520,41 @@ def prop9_fixture(d: int) -> HPolytope:
 
 
 def prop9_check(H: HPolytope, k: int) -> bool:
-    """True iff no face of dim <= k of H meets the reflected body -H."""
+    """True iff no face of dim <= k of H meets the reflected body -H.
+
+    Every face of dimension below top = min(k, d - 1) lies in a top-face
+    (Ziegler, Lectures on Polytopes, ch. 2), so only the vertices and the
+    top-faces are tested, and a vertex v with -v strictly inside H answers
+    False at once. A face whose vertices all violate one common row of -H
+    misses -H, as the face is their hull; only the rest run an LP.
+    """
     if k < 0:
         raise InputError("face dimension bound must be >= 0")
-    for dim in range(min(k, H.d) + 1):
-        for f in faces_of_dim(H, dim):
-            Vm = H.vrep.vertices[list(f.members)]
-            # x = Vm^T lam, lam >= 0, sum lam = 1, and -x in H
-            res = linprog(np.zeros(len(Vm)), A_ub=-H.A @ Vm.T, b_ub=H.b,
-                          A_eq=np.ones((1, len(Vm))), b_eq=[1.0],
-                          bounds=(0.0, None), method="highs")
-            if res.status == 0:
-                return False
-    return True
+    V = H.vrep.vertices
+    R = -V @ H.A.T - H.b                  # residuals of each -v in H
+    margin = PROP9_MARGIN * (np.linalg.norm(H.A, axis=1)
+                             * np.linalg.norm(V, axis=1).max() + np.abs(H.b))
+    if (R < -margin).all(axis=1).any():
+        return False
+    out = R > margin
+    if any(_meets_reflection(H, out, [j]) for j in range(len(V))):
+        return False
+    top = min(k, H.d - 1)
+    return top < 1 or not any(_meets_reflection(H, out, list(f.members))
+                              for f in faces_of_dim(H, top))
+
+
+def _meets_reflection(H: HPolytope, out, members) -> bool:
+    """Whether the face spanned by these vertices meets -H; out[j, i] says
+    that -v_j violates row i by more than the margin."""
+    if out[members].all(axis=0).any():
+        return False
+    Vm = H.vrep.vertices[members]
+    # x = Vm^T lam, lam >= 0, sum lam = 1, and -x in H
+    res = linprog(np.zeros(len(Vm)), A_ub=-H.A @ Vm.T, b_ub=H.b,
+                  A_eq=np.ones((1, len(Vm))), b_eq=[1.0],
+                  bounds=(0.0, None), method="highs")
+    return res.status == 0
 
 
 # --- verification -------------------------------------------------------------

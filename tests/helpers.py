@@ -1,12 +1,17 @@
 """Shared fixture generators for the test suite."""
 
+import functools
+from itertools import combinations_with_replacement
+
 import numpy as np
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from poise.balance2d import feasibility
 from poise.geom2d import validate_polygon
 from poise.geom3d import _closest_on_triangles, validate_polyhedron
-from poise.polytoped import hpolytope
+from poise.polytoped import edge_segment, faces_of_dim, hpolytope
+from poise.skeleton_balance import EPS_T, _singular_triple
 
 
 def star_polygon(rng, n, r_lo=0.3, r_hi=1.5):
@@ -212,3 +217,58 @@ def newton_rows_dense(y, a0, b0, A1, A2, Rm, tol_g):
         damp *= (live & ok)
         y[..., 0] += s0 * damp
         y[..., 1] += s1 * damp
+
+
+# --- exhaustive oracles of the skeleton decision scans ------------------------
+
+def prop9_check_all_faces(H, k):
+    """skeleton_balance.prop9_check by one LP on every face of every
+    dimension 0..k."""
+    return not any(_some_face_meets_reflection(H, dim)
+                   for dim in range(min(k, H.d) + 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _some_face_meets_reflection(H, dim):
+    """Whether some dim-face of H meets -H, one LP per face; kept per (H, dim)
+    so that a test asking every k repeats no LP."""
+    for f in faces_of_dim(H, dim):
+        Vm = H.vrep.vertices[list(f.members)]
+        res = linprog(np.zeros(len(Vm)), A_ub=-H.A @ Vm.T, b_ub=H.b,
+                      A_eq=np.ones((1, len(Vm))), b_eq=[1.0],
+                      bounds=(0.0, None), method="highs")
+        if res.status == 0:
+            return True
+    return False
+
+
+def three_on_edges_all_triples(H, target=None):
+    """skeleton_balance.three_on_edges by solving every edge triple in one
+    batch: (points, host faces) of the first balanced triple, or None."""
+    target = np.zeros(3) if target is None else np.asarray(target, dtype=float)
+    V = H.vrep
+    edge_faces = faces_of_dim(H, 1)
+    ends = [edge_segment(H, f.members) for f in edge_faces]
+    U = V.vertices[[a for a, _ in ends]]
+    D = V.vertices[[b for _, b in ends]] - U
+    scale = max(V.diam, 1e-300)
+    trips = np.array(list(combinations_with_replacement(range(len(ends)), 3)))
+    M = np.stack([D[trips[:, 0]], D[trips[:, 1]], D[trips[:, 2]]], axis=2)
+    rhs = 3.0 * target - (U[trips[:, 0]] + U[trips[:, 1]] + U[trips[:, 2]])
+    nonsing = np.abs(np.linalg.det(M)) > 1e-12 * scale ** 3
+    tsol = np.full((len(trips), 3), np.nan)
+    if nonsing.any():
+        tsol[nonsing] = np.linalg.solve(M[nonsing], rhs[nonsing, :, None])[:, :, 0]
+    window = nonsing & (tsol >= -EPS_T).all(axis=1) & (tsol <= 1 + EPS_T).all(axis=1)
+    for idx in np.nonzero(window | ~nonsing)[0]:
+        if nonsing[idx]:
+            t = np.clip(tsol[idx], 0.0, 1.0)
+        else:
+            t = _singular_triple(M[idx], rhs[idx], scale)
+            if t is None:
+                continue
+        i, j, k = trips[idx]
+        pts = np.array([U[i] + t[0] * D[i], U[j] + t[1] * D[j], U[k] + t[2] * D[k]])
+        if np.linalg.norm(pts.sum(axis=0) - 3.0 * target) <= 1e-10 * scale:
+            return pts, [edge_faces[i], edge_faces[j], edge_faces[k]]
+    return None

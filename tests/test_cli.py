@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import cube_mesh, octa_mesh, star_mesh
+from helpers import cube_mesh, octa_mesh, random_hull_hrep, star_mesh
 import poise.cli
 import poise.polytoped
 import poise.skeleton_balance
@@ -101,6 +101,28 @@ def test_three_on_edges_round_trip(cube_h, tmp_path):
     assert run(["three-on-edges", "--hrep", cube_h,
                 "--json", str(out)]).exit_code == 0
     assert run(["check", "--json", str(out), "--hrep", cube_h]).exit_code == 0
+
+
+# three-on-edges on the hull of 160 random unit vectors: 474 edges and
+# C(476, 3) = 17.9M edge triples, whose 3x3 systems alone would take 1.3 GB
+# if built at once. The child process is capped at 2 GB of address space.
+EDGES_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from poise.cli import run
+sys.exit(run(["three-on-edges", "--hrep", sys.argv[1], "--json", sys.argv[2]]).exit_code)
+"""
+
+
+def test_three_on_edges_memory_stays_bounded(tmp_path):
+    H = random_hull_hrep(np.random.default_rng(160), 3, 160)
+    hrep, out = tmp_path / "hull160.hrep", tmp_path / "e.json"
+    hrep.write_text(dump_hrep_text(H))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", EDGES_CHILD, str(hrep), str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert run(["check", "--json", str(out), "--hrep", str(hrep)]).exit_code == 0
 
 
 def test_four_on_edges_round_trip(tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import (cube_mesh, hull_hrep, octa_mesh, random_hull_hrep,
-                     tetra_mesh)
-from poise.errors import InputError, UnsupportedDimensionError
+from helpers import (cube_mesh, hull_hrep, octa_mesh, prop9_check_all_faces,
+                     random_hull_hrep, tetra_mesh, three_on_edges_all_triples)
+from poise import skeleton_balance
+from poise.errors import InputError, NotFoundError, UnsupportedDimensionError
 from poise.geom3d import Plane3
 from poise.polytoped import (cross_hrep, cube_hrep, enumerate_vertices,
                              faces_of_dim, hpolytope, product, simplex_hrep)
@@ -126,6 +127,29 @@ def test_three_on_edges_rejects_outside_target():
         three_on_edges(cube_hrep(3), (5.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("blocks", [None, (1, 4)])
+def test_three_on_edges_matches_the_all_triples_oracle(monkeypatch, blocks):
+    """The block scan finds the first balanced triple of the one-batch scan:
+    the same points, bit for bit, on the same host edges. The winners sit
+    at scan positions 23 to 4,501, so tiny blocks put many block boundaries
+    before them."""
+    if blocks:
+        monkeypatch.setattr(skeleton_balance, "EDGE_FIRST_BLOCK", blocks[0])
+        monkeypatch.setattr(skeleton_balance, "EDGE_BLOCK", blocks[1])
+    for seed, n in enumerate(range(8, 41, 8)):
+        H = random_hull_hrep(np.random.default_rng([14, seed]), 3, n)
+        for target in (None, 0.6 * H.vrep.vertices[0]):
+            ref = three_on_edges_all_triples(H, target)
+            if ref is None:
+                with pytest.raises(NotFoundError):
+                    three_on_edges(H, target)
+                continue
+            sp = three_on_edges(H, target)
+            assert sp.points().tobytes() == ref[0].tobytes(), n
+            assert [(f.tight, f.members) for _, f in sp.entries] == \
+                [(f.tight, f.members) for f in ref[1]], n
+
+
 def test_four_on_edges_cube():
     sp = four_on_edges(cube_mesh())
     assert sp.count == 4
@@ -220,6 +244,37 @@ def test_prop9_hypercube_control_fails_immediately():
     H = cube_hrep(4)
     assert not prop9_check(H, 0)
     assert not prop9_check(H, 1)
+
+
+def _rotated(H, rng):
+    Q, _ = np.linalg.qr(rng.normal(size=(H.d, H.d)))
+    return hpolytope(H.A @ Q.T, H.b)
+
+
+def test_prop9_check_matches_the_all_faces_oracle():
+    """Vertices and top-faces only, with an LP only where no row of -H
+    separates: the same answer as one LP on every face of dimension <= k."""
+    rng = np.random.default_rng(909)
+    cases = [build(d) for d in (2, 3, 4, 5)
+             for build in (cube_hrep, cross_hrep, simplex_hrep)]
+    cases += [prop9_fixture(d) for d in (4, 5, 6, 7)]
+    cases += [_rotated(prop9_fixture(d), rng) for d in (4, 5, 6)]
+    cases += [random_hull_hrep(rng, d, d + 3 + i % 4)
+              for i, d in enumerate((2, 3, 4, 5) * 3)]
+    mismatches = [(i, k) for i, H in enumerate(cases) for k in range(H.d + 1)
+                  if prop9_check(H, k) != prop9_check_all_faces(H, k)]
+    assert mismatches == []
+
+
+def test_prop9_check_runs_lps_only_on_undecided_faces(monkeypatch):
+    calls = []
+    real = skeleton_balance.linprog
+    monkeypatch.setattr(skeleton_balance, "linprog",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert prop9_check(prop9_fixture(6), 2)
+    assert len(calls) == 0
+    assert not prop9_check(cube_hrep(6), 1)
+    assert len(calls) <= 1
 
 
 def test_verify_skeleton_rejects_interior_point():

@@ -129,6 +129,7 @@ class Polyhedron3:
         self._ab = v1 - v0
         self._ac = v2 - v0
         self._tn = np.cross(self._ab, self._ac)
+        self._tnn = np.linalg.norm(self._tn, axis=1)
         self._rays = {}     # ray direction index -> per-triangle ray data
         self._frames = {}   # face id -> face_frame(fid), filled on first use
 
@@ -225,7 +226,7 @@ class Polyhedron3:
             d = _RAY_DIRS[k]
             h = np.cross(d, self._ac)
             a = np.einsum("tj,tj->t", self._ab, h)
-            nn = np.linalg.norm(self._tn, axis=1)
+            nn = self._tnn
             para = np.abs(a) <= 1e-12 * np.maximum(nn, 1e-300)
             f = np.zeros_like(a)
             f[~para] = 1.0 / a[~para]
@@ -299,6 +300,42 @@ class Polyhedron3:
             inside = self.contains(pts[off])
             sign = np.where(inside, -1.0, 1.0)
             out[off] = dist[off] * sign
+        return out
+
+    def side_signs(self, points, eps=None):
+        """np.sign(signed_distances(points, eps)), bit for bit.
+
+        A closest point is computed only for a point that can lie on the eps
+        shell: inside some triangle's box grown by r and within r of its
+        plane, r being eps plus a rounding slack. Every other point is off
+        the shell, so parity alone gives its sign. A block whose r is not
+        finite (a NaN or inf point), a NaN test, and the plane of a sliver,
+        whose rounded normal may point anywhere, count as near.
+        """
+        eps = self.eps_geom(eps)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        lo, hi, _, _, vabs = self._boxes
+        tn, nn, lab = self._tn, self._tnn, np.linalg.norm(self._ab, axis=1)
+        sliver = nn <= 1e-8 * lab * np.linalg.norm(self._ac, axis=1)
+        base = np.einsum("tj,tj->t", self._tv0, tn)
+        near = np.ones(len(pts), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in _morton_blocks(pts, len(self.tris)):
+                p = pts[idx]
+                r = max(eps, 0.0) + 1e-6 * (np.abs(p).max() + vabs)
+                if not np.isfinite(r):
+                    continue
+                tri = np.flatnonzero(~((lo - r > p.max(axis=0))
+                                       | (hi + r < p.min(axis=0))).any(axis=1))
+                off = np.abs(p @ tn[tri].T - base[tri]) > r * nn[tri]
+                i, t = np.nonzero(~off | sliver[tri])      # near a plane, then the box
+                box = ((p[i] >= lo[tri[t]] - r) & (p[i] <= hi[tri[t]] + r)).all(axis=1)
+                near[idx] = np.bincount(i[box], minlength=len(idx)) > 0
+        out = np.empty(len(pts))
+        if near.any():
+            out[near] = np.sign(self.signed_distances(pts[near], eps))
+        if not near.all():
+            out[~near] = np.where(self.contains(pts[~near]), -1.0, 1.0)
         return out
 
     def __repr__(self):
@@ -860,36 +897,40 @@ def _remap_loop(pts2, fids):
 
 
 def _stitch_loops(chords, tol):
-    """Chain chords end to end into closed loops (greedy endpoint matching)."""
-
-    def near(p, q):
-        return np.linalg.norm(p - q) <= tol
+    """Chain chords end to end into closed loops (greedy endpoint matching).
+    Endpoints match within tol: one distance matrix decides every pair, and
+    the scalar norm again each pair within a relative 1e-12 of tol."""
+    ends = np.array([p for p0, p1, _ in chords for p in (p0, p1)])
+    dist = np.linalg.norm(ends[:, None, :] - ends[None, :, :], axis=-1)
+    near = dist <= tol
+    for i, j in np.argwhere(np.abs(dist - tol) <= 1e-12 * tol):
+        near[i, j] = np.linalg.norm(ends[i] - ends[j]) <= tol
 
     # drop duplicate chords (same endpoints), keep the smallest face id
-    uniq = []
-    for p0, p1, fid in chords:
-        if not any((near(p0, q0) and near(p1, q1)) or (near(p0, q1) and near(p1, q0))
-                   for q0, q1, _ in uniq):
-            uniq.append((p0, p1, fid))
-    used = [False] * len(uniq)
+    same = (near[0::2, 0::2] & near[1::2, 1::2]) | (near[0::2, 1::2] & near[1::2, 0::2])
+    keep = []
+    for i in range(len(chords)):
+        if not same[i, keep].any():
+            keep.append(i)
+    s = 2 * np.array(keep)          # first endpoint of each kept chord
+    used = np.zeros(len(keep), dtype=bool)
     loops = []
-    for start, (p0, p1, fid) in enumerate(uniq):
+    for start in range(len(keep)):
         if used[start]:
             continue
         used[start] = True
-        pts, fids = [p0, p1], [fid]
-        while not near(pts[-1], pts[0]):
-            for j, (q0, q1, fj) in enumerate(uniq):
-                if not used[j] and (near(q0, pts[-1]) or near(q1, pts[-1])):
-                    used[j] = True
-                    pts.append(q1 if near(q0, pts[-1]) else q0)
-                    fids.append(fj)
-                    break
-            else:
+        ids, fids = [s[start], s[start] + 1], [chords[keep[start]][2]]
+        while not near[ids[-1], ids[0]]:
+            hit = ~used & (near[s, ids[-1]] | near[s + 1, ids[-1]])
+            if not hit.any():
                 raise DegenerateSectionError("section chords do not close up")
-        pts.pop()
-        if len(pts) >= 3:
-            loops.append((pts, fids))
+            j = int(np.argmax(hit))
+            used[j] = True
+            ids.append(s[j] + 1 if near[s[j], ids[-1]] else s[j])
+            fids.append(chords[keep[j]][2])
+        ids.pop()
+        if len(ids) >= 3:
+            loops.append((ends[ids], fids))
     if not loops:
         raise DegenerateSectionError("section has no closed loop")
     return loops

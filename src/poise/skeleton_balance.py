@@ -606,11 +606,10 @@ def _mesh_membership(P: Polyhedron3, pts, eg):
     A, B = P.vertices[P.edges[:, 0]], P.vertices[P.edges[:, 1]]
     D = B - A
     lens2 = (D * D).sum(axis=1)
-    worst = 0.0
-    for p in pts:
-        t = np.clip(((p - A) * D).sum(axis=1) / lens2, 0.0, 1.0)
-        d = np.linalg.norm(A + t[:, None] * D - p, axis=1)
-        worst = max(worst, float(d.min()))
+    p = pts[:, None, :]                                  # (points, edges, 3)
+    t = np.clip(((p - A) * D).sum(axis=2) / lens2, 0.0, 1.0)
+    d = np.linalg.norm(A + t[:, :, None] * D - p, axis=2).min(axis=1)
+    worst = float(np.fmax.reduce(d, initial=0.0))     # a NaN point adds nothing
     return worst, 1 if worst <= eg else 2
 
 

@@ -110,14 +110,8 @@ def _fold(fb: int, fc: int) -> str:
 
 def signature(poly: Polyhedron3, b, c, eps=None) -> str:
     """Fold the companions' inside(+)/outside(-)/boundary(0) signs."""
-
-    def sgn(p):
-        loc = side3(poly, p, eps)
-        if loc.side == BOUNDARY:
-            return 0
-        return 1 if loc.side == "inside" else -1
-
-    return _fold(sgn(b), sgn(c))
+    sb, sc = poly.side_signs([b, c], eps)
+    return _fold(-sb, -sc)
 
 
 def verify_tripodal(poly: Polyhedron3, points, eps_geom=None,
@@ -148,7 +142,8 @@ def _degenerate_triple(poly: Polyhedron3, sp: SurfacePoint3) -> TripodalTriple:
 
 
 class _CompanionField:
-    """Batched evaluation of (g1, g2) = signed distances of the companions."""
+    """Batched evaluation of (g1, g2) = signed distances of the companions,
+    or of their signs alone."""
 
     def __init__(self, poly, path, frame):
         self.poly = poly
@@ -165,14 +160,18 @@ class _CompanionField:
         half = (np.sqrt(3.0) / 2.0) * r * u
         return -0.5 * g + half, -0.5 * g - half
 
-    def values(self, ts, thetas):
+    def values(self, ts, thetas, query="signed_distances"):
         ts = np.asarray(ts, dtype=float)
         thetas = np.asarray(thetas, dtype=float)
         b, c = self.companions(ts, thetas)
         flat = np.concatenate([b.reshape(-1, 3), c.reshape(-1, 3)])
-        sd = self.poly.signed_distances(flat)
+        sd = getattr(self.poly, query)(flat)
         half = len(flat) // 2
         return sd[:half].reshape(ts.shape), sd[half:].reshape(ts.shape)
+
+    def signs(self, ts, thetas):
+        """np.sign(values(ts, thetas)), from Polyhedron3.side_signs."""
+        return self.values(ts, thetas, "side_signs")
 
 
 def _newton_polish(field: _CompanionField, t0, th0, tol, iters=30):
@@ -229,6 +228,7 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256)) -> TripodalTriple:
     Cells whose corners change sign in both companion distances are polished
     with damped Newton (subdividing up to REFINE_DEPTH levels when a kink
     stalls the iteration); the first verified triple in scan order wins. The
+    grid and the subdivisions read only signs, Newton the distances. The
     grid doubles while both sides stay <= GRID_MAX, then the face-triple
     sweep runs. A side < 1 or > GRID_MAX is an InputError. The origin is
     located once: its nearest surface point starts the path.
@@ -250,7 +250,7 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256)) -> TripodalTriple:
     while nt <= GRID_MAX and nth <= GRID_MAX:
         ts = np.linspace(0.0, 1.0, nt + 1)
         ths = np.linspace(0.0, np.pi, nth + 1)
-        g1, g2 = field.values(*np.meshgrid(ts, ths, indexing="ij"))
+        g1, g2 = field.signs(*np.meshgrid(ts, ths, indexing="ij"))
 
         # exact on-surface grid nodes first
         zero = (g1 == 0.0) & (g2 == 0.0)
@@ -294,7 +294,7 @@ def _polish_cell(field, poly, t0, t1, th0, th1, tol, depth):
         return None
     ts = np.array([t0, 0.5 * (t0 + t1), t1])
     ths = np.array([th0, 0.5 * (th0 + th1), th1])
-    g1, g2 = field.values(*np.meshgrid(ts, ths, indexing="ij"))
+    g1, g2 = field.signs(*np.meshgrid(ts, ths, indexing="ij"))
     for i, j in np.argwhere(_straddle_mask(g1, g2)):
         hit = _polish_cell(field, poly, ts[i], ts[i + 1], ths[j], ths[j + 1],
                            tol, depth - 1)

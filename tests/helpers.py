@@ -272,3 +272,36 @@ def three_on_edges_all_triples(H, target=None):
         if np.linalg.norm(pts.sum(axis=0) - 3.0 * target) <= 1e-10 * scale:
             return pts, [edge_faces[i], edge_faces[j], edge_faces[k]]
     return None
+
+
+def stitch_loops_pairwise(chords, tol):
+    """geom3d._stitch_loops with one scalar norm per endpoint pair."""
+
+    def near(p, q):
+        return np.linalg.norm(p - q) <= tol
+
+    uniq = []
+    for p0, p1, fid in chords:
+        if not any((near(p0, q0) and near(p1, q1)) or (near(p0, q1) and near(p1, q0))
+                   for q0, q1, _ in uniq):
+            uniq.append((p0, p1, fid))
+    used = [False] * len(uniq)
+    loops = []
+    for start, (p0, p1, fid) in enumerate(uniq):
+        if used[start]:
+            continue
+        used[start] = True
+        pts, fids = [p0, p1], [fid]
+        while not near(pts[-1], pts[0]):
+            for j, (q0, q1, fj) in enumerate(uniq):
+                if not used[j] and (near(q0, pts[-1]) or near(q1, pts[-1])):
+                    used[j] = True
+                    pts.append(q1 if near(q0, pts[-1]) else q0)
+                    fids.append(fj)
+                    break
+            else:
+                raise AssertionError("section chords do not close up")
+        pts.pop()
+        if len(pts) >= 3:
+            loops.append((pts, fids))
+    return loops

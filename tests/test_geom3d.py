@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (closest_points_all_pairs, convex_mesh, cube_mesh, octa_mesh,
-                     ray_hits_all_pairs, star_mesh, tetra_mesh)
+                     ray_hits_all_pairs, star_mesh, stitch_loops_pairwise, tetra_mesh)
 from poise import geom3d
 from poise.errors import (NoLoopContainsOriginError, NonPlanarFaceError,
                           OpenSurfaceError, ParseError)
@@ -111,6 +111,31 @@ def test_cross_section_requires_origin_in_a_loop():
         cross_section(poly, Plane3((0, 0, 1), 0.0))
 
 
+def test_stitched_loops_match_the_pairwise_stitch(monkeypatch):
+    """The same loops, point for point and face for face, as a stitch that
+    takes one scalar norm per endpoint pair; planes through mesh edges give
+    duplicate chords, and the duplicate of the smaller face id stays."""
+    real, seen = geom3d._stitch_loops, []
+
+    def both(chords, tol):
+        got = real(chords, tol)
+        want = stitch_loops_pairwise(chords, tol)
+        assert len(got) == len(want)
+        for (gp, gf), (wp, wf) in zip(got, want):
+            assert np.asarray(gp).tobytes() == np.asarray(wp).tobytes()
+            assert list(gf) == list(wf)
+        seen.append(len(chords) - sum(len(f) for _, f in want))
+        return got
+
+    monkeypatch.setattr(geom3d, "_stitch_loops", both)
+    rng = np.random.default_rng(4)
+    normals = [(0, 0, 1), (1, -1, 0), (1, 1, 1)] + rng.normal(size=(3, 3)).tolist()
+    for poly in (cube_mesh(), octa_mesh(), star_mesh(rng, 1), star_mesh(rng, 3)):
+        for n in normals:
+            cross_section(poly, Plane3(n, 0.0))
+    assert max(seen) > 0      # some section had duplicate chords
+
+
 # --- culled queries against the all-pairs oracle ---------------------------------
 
 def _rotated_cube_parallel_to_first_ray():
@@ -181,6 +206,51 @@ def test_culled_queries_match_all_pairs_oracle(monkeypatch):
             monkeypatch.undo()
         saw_para |= bool(poly._ray_data(0)[2].any())
     assert saw_para
+
+
+def _shell_points(rng, poly):
+    """_query_points plus points on the eps shell's edge (eps = 1e-9 diam)
+    and rows holding NaN or inf."""
+    tri = rng.integers(0, len(poly.tris), 40)
+    bary = rng.dirichlet(np.ones(3), size=40)
+    on = np.einsum("mk,mkj->mj", bary, poly.vertices[poly.tris[tri]])
+    nrm = poly._tn[tri] / np.linalg.norm(poly._tn[tri], axis=1, keepdims=True)
+    offs = rng.choice([-1.0 - 1e-6, -1.0, 1.0, 1.0 + 1e-6], 40) * 1e-9 * poly.diam
+    bad = np.array([[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [-np.inf, 0.0, 0.0],
+                    [np.inf, -np.inf, np.nan]])
+    return np.concatenate([_query_points(rng, poly), on + offs[:, None] * nrm,
+                           bad * poly.diam])
+
+
+def _needle(rng):
+    """A tetrahedron whose four faces are slivers: two vertices sit within
+    1e-13 of the segment between the other two. Its rounded normals point
+    anywhere, and points near it are near its long edge."""
+    a, u, w = rng.normal(size=(3, 3))
+    u /= np.linalg.norm(u)
+    v = [a, a + u, a + 0.4 * u + 1e-13 * w, a + 0.6 * u - 1e-13 * w[::-1]]
+    poly = validate_polyhedron(v, [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
+    t = rng.uniform(0.0, 1.0, (200, 1))
+    scale = rng.choice([1e-10, 1e-9, 2e-9, 1e-8], (200, 1)) * poly.diam
+    return poly, a + t * u + rng.normal(size=(200, 3)) * scale
+
+
+def test_side_signs_are_the_signs_of_signed_distances(monkeypatch):
+    """np.sign(signed_distances) bit for bit, on, within 1e-12 diam of and
+    well off the surface and in non-finite rows, at both block sizes; and
+    near sliver triangles."""
+    rng = np.random.default_rng(6)
+    cases = [(poly, _shell_points(rng, poly)) for poly in _meshes()]
+    cases += [_needle(rng) for _ in range(4)]
+    for poly, pts in cases:
+        for budget in (geom3d._PAIR_BUDGET, 1 << 6):
+            monkeypatch.setattr(geom3d, "_PAIR_BUDGET", budget)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.sign(poly.signed_distances(pts))
+                got = poly.side_signs(pts)
+            assert got.tobytes() == want.tobytes(), (poly, budget)
+            assert (want == 0).any() and (want == 1).any()
+            monkeypatch.undo()
 
 
 def test_batched_queries_stay_small(tmp_path):

@@ -176,3 +176,50 @@ def test_search_locates_the_origin_once(monkeypatch):
     tri = tripodal_search(cube_mesh(), grid=(16, 16))
     assert tri.t is not None  # the grid search answered, not the sweep
     assert calls == {"closest_points": 1, "contains": 1}
+
+
+@pytest.mark.parametrize("sub", [0, 1, 2])
+def test_grid_signs_are_the_signs_of_the_values(sub, monkeypatch):
+    """Every sign grid the search reads equals np.sign of the signed
+    distances, bit for bit."""
+    poly = star_mesh(np.random.default_rng(30 + sub), sub)
+    real, sizes = tripodal._CompanionField.signs, []
+
+    def both(self, ts, thetas):
+        got = real(self, ts, thetas)
+        for g, v in zip(got, self.values(ts, thetas)):
+            assert g.tobytes() == np.sign(v).tobytes()
+        sizes.append(np.size(ts))
+        return got
+
+    monkeypatch.setattr(tripodal._CompanionField, "signs", both)
+    tri = tripodal_search(poly, grid=(32, 32))
+    assert verify_tripodal(poly, tri.points).passed
+    assert sizes[0] == 33 * 33
+
+
+def test_grid_scan_computes_few_exact_distances(monkeypatch):
+    """At most 1 % of the grid nodes reach signed_distances through the
+    sign scans."""
+    poly = star_mesh(np.random.default_rng(9), 2)
+    real_signs, real_sd = Polyhedron3.side_signs, Polyhedron3.signed_distances
+    exact, scanning, asked = [], [], []
+
+    def signs(self, points, eps=None):
+        asked.append(len(points))
+        scanning.append(True)
+        try:
+            return real_signs(self, points, eps)
+        finally:
+            scanning.pop()
+
+    def sd(self, points, eps=None):
+        if scanning:
+            exact.append(len(points))
+        return real_sd(self, points, eps)
+
+    monkeypatch.setattr(Polyhedron3, "side_signs", signs)
+    monkeypatch.setattr(Polyhedron3, "signed_distances", sd)
+    tri = tripodal_search(poly, grid=(64, 64))
+    assert verify_tripodal(poly, tri.points).passed
+    assert asked[0] == 2 * 65 * 65 and sum(exact) <= 0.01 * 65 * 65

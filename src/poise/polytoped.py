@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .errors import (
@@ -36,9 +36,9 @@ class HPolytope:
     """The polytope {x : A x <= b}: bounded, with a full-dimensional interior.
 
     hpolytope() checks both properties once, when it builds a polytope from
-    outside data. product builds its result from checked polytopes, so it
-    keeps both by construction and skips the check. A row with a zero
-    normal is allowed.
+    outside data. product, and skeleton_balance._place for the charts of a
+    checked polytope's faces, keep both by construction and skip the check.
+    A row with a zero normal is allowed.
 
     A and b are read-only copies, so what is derived from them cannot go
     stale: `chebyshev` (center and radius of a largest inscribed ball) and
@@ -120,14 +120,15 @@ def _check_bounded_interior(H: HPolytope) -> None:
 
     Bounded means {x : A x <= 0} = {0}. By Stiemke's transposition theorem
     that holds iff the nonzero normals have rank d and some y > 0 solves
-    A^T y = 0; scaled to unit normals, one LP with y >= 1 decides it. The
-    interior is then the positive radius of the Chebyshev LP.
+    A^T y = 0: on unit normals U, iff min over z >= 0 of |U^T (1 + z)| is
+    zero, one NNLS solve (Lawson and Hanson 1974, ch. 23) whose residual
+    counts as zero up to 1e-9 sqrt(n) for n rows. The interior is then the
+    positive radius of the Chebyshev LP.
     """
     norms = np.linalg.norm(H.A, axis=1)
     unit = H.A[norms > 0] / norms[norms > 0, None]
     if (np.linalg.matrix_rank(unit) < H.d
-            or linprog(np.zeros(len(unit)), A_eq=unit.T, b_eq=np.zeros(H.d),
-                       bounds=(1.0, None), method="highs").status != 0):
+            or nnls(unit.T, -unit.sum(axis=0))[1] > 1e-9 * math.sqrt(len(unit))):
         raise UnboundedError("polytope is unbounded: some direction x != 0 "
                              "has a.x <= 0 for every row")
     _, r = H.chebyshev
@@ -150,24 +151,23 @@ def chebyshev_center(H: HPolytope):
     return res.x[:-1], float(res.x[-1])
 
 
-def _dedupe(points, tights, merge_tol):
-    """Merge near-duplicate vertices, unioning their tight sets."""
+def _dedupe(points, merge_tol):
+    """Merge near-duplicate points: (vertices, label), where label[i] is the
+    vertex that points[i] merged into."""
+    label = np.arange(len(points))
     # fast pre-pass: points in the same cell two decades below merge_tol
-    # are duplicates of one another; union their sets and keep one
+    # are duplicates of one another; keep the first of each cell
     if len(points) > 256:
         cell = max(merge_tol * 1e-2, 1e-300)
         keys = np.round(points / cell).astype(np.int64)
-        buckets = {}
-        for i, key in enumerate(map(tuple, keys)):
-            j = buckets.setdefault(key, i)
-            if j != i:
-                tights[j] = tights[j] | tights[i]
-        keep = sorted(buckets.values())
+        _, first, label = np.unique(keys, axis=0, return_index=True,
+                                    return_inverse=True)
+        keep = np.sort(first)
+        label = np.searchsorted(keep, first)[label.ravel()]
         points = points[keep]
-        tights = [tights[i] for i in keep]
     order = np.lexsort(points.T[::-1])
     buf = np.empty_like(points)
-    out_tight = []
+    merged = np.empty(len(points), dtype=np.intp)
     k = 0
     for idx in order:
         p = points[idx]
@@ -175,24 +175,29 @@ def _dedupe(points, tights, merge_tol):
             dist = np.linalg.norm(buf[:k] - p, axis=1)
             q = int(np.argmin(dist))
             if dist[q] <= merge_tol:
-                out_tight[q] |= tights[idx]
+                merged[idx] = q
                 continue
         buf[k] = p
-        out_tight.append(set(tights[idx]))
+        merged[idx] = k
         k += 1
-    return buf[:k].copy(), [tuple(sorted(t)) for t in out_tight]
+    return buf[:k].copy(), merged[label]
 
 
 def _vrep_from_points(H, pts, eps_tight):
+    """Merge the points to vertices; a vertex's tight set is every row tight
+    at some point merged into it, found _BLOCK points at a time."""
     if len(pts) == 0:
         raise UnboundedError("no vertices found")
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     diam = float(np.linalg.norm(hi - lo))
-    slack = H.b[None, :] - pts @ H.A.T
-    slack[:, H.zero_rows()] = np.inf      # a zero row is never tight
-    tights = [set(np.nonzero(np.abs(slack[i]) <= eps_tight)[0].tolist())
-              for i in range(len(pts))]
-    verts, tight_sets = _dedupe(pts, tights, 1e-9 * max(diam, 1e-300))
+    verts, label = _dedupe(pts, 1e-9 * max(diam, 1e-300))
+    tight = np.zeros((len(verts), H.m), dtype=bool)
+    live = ~H.zero_rows()                  # a zero row is never tight
+    for i in range(0, len(pts), _BLOCK):
+        slack = H.b[None, :] - pts[i:i + _BLOCK] @ H.A.T
+        np.logical_or.at(tight, label[i:i + _BLOCK],
+                         (np.abs(slack) <= eps_tight) & live)
+    tight_sets = [tuple(np.flatnonzero(t).tolist()) for t in tight]
     return VRep(verts, tight_sets, diam)
 
 

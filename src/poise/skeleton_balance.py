@@ -243,8 +243,7 @@ def _translate(chart: _Chart, y) -> _Chart:
                   chart.A, chart.b - chart.A @ y)
 
 
-def _chart_polygon(chart: _Chart):
-    V = hpolytope(chart.A, chart.b).vrep
+def _chart_polygon(V):
     ctr = V.vertices.mean(axis=0)
     ang = np.arctan2(V.vertices[:, 1] - ctr[1], V.vertices[:, 0] - ctr[0])
     order = list(np.argsort(ang, kind="stable"))
@@ -259,8 +258,11 @@ def _place(chart: _Chart, count: int, out: list):
     if f <= 1:
         out.extend([chart.base.copy() for _ in range(count)])
         return
+    # a face of a checked polytope whose slacks at the local origin _descend
+    # left above 1e-8 max|b|: bounded and solid, so hpolytope's check is moot
+    face = HPolytope(chart.A, chart.b)
     if f == 2:
-        poly = _chart_polygon(chart)
+        poly = _chart_polygon(face.vrep)
         if count % 2 == 0:
             bp, bq = antipodal_about(poly, (0.0, 0.0))
             p = chart.base + eval_boundary(poly, bp) @ chart.basis
@@ -275,13 +277,13 @@ def _place(chart: _Chart, count: int, out: list):
             raise InputError(f"no 2-face placement for count {count}")
         return
     if f == 3 and count == 3:
-        sp = three_on_edges(hpolytope(chart.A, chart.b), np.zeros(3))
+        sp = three_on_edges(face, np.zeros(3))
         for p3, _ in sp.entries:
             out.append(chart.base + p3 @ chart.basis)
         return
     if count % 2:
         raise InputError(f"odd count {count} on a {f}-face")
-    wit = halving_point(hpolytope(chart.A, chart.b))
+    wit = halving_point(face)
     _place(_translate(chart, wit.x), count // 2, out)
     _place(_translate(chart, -wit.x), count // 2, out)
 

@@ -13,7 +13,9 @@ import poise.polytoped
 import poise.skeleton_balance
 from poise.cli import run
 from poise.geom3d import dump_off, validate_polyhedron
-from poise.polytoped import cross_hrep, cube_hrep, dump_hrep_text
+from poise.errors import EmptyInteriorError, UnboundedError
+from poise.polytoped import (cross_hrep, cube_hrep, dump_hrep_text, hpolytope,
+                             load_hrep, product)
 
 SQUARE_TEXT = "-1 -1\n1 -1\n1 1\n-1 1\n"
 
@@ -229,7 +231,6 @@ def test_exit_codes_for_bad_input(square, tmp_path):
 
 
 def test_compose_dimension_rejection(tmp_path):
-    from poise.polytoped import product
     H = product(cube_hrep(4), cube_hrep(5))
     p = tmp_path / "d9.hrep"
     p.write_text(dump_hrep_text(H))
@@ -416,6 +417,56 @@ def test_one_enumeration_and_one_chebyshev_lp_per_polytope(cube_h, tmp_path,
             assert run(argv).exit_code == 0, argv
             assert len(enumerated) == 1, argv
     assert centred and len({id(H) for H in centred}) == len(centred)
+
+
+def test_one_lp_per_polytope(tmp_path, monkeypatch):
+    """A polytope costs one LP, its Chebyshev LP: loading an H-rep file
+    solves one, and pow2 and compose on a 6-dimensional product one per file
+    read plus one per chart that _place builds. The cone test solves none."""
+    rng = np.random.default_rng(61)
+    path = tmp_path / "p6.hrep"
+    path.write_text(dump_hrep_text(product(random_hull_hrep(rng, 3),
+                                           random_hull_hrep(rng, 3))))
+    lps, charts = [], []
+    real_lp, real_chart = poise.polytoped.linprog, poise.skeleton_balance.HPolytope
+
+    def chebyshev_lp(c, **kw):
+        lps.append(c[-1] == -1.0 and "A_ub" in kw and "A_eq" not in kw)
+        return real_lp(c, **kw)
+
+    def chart(A, b):
+        charts.append(len(A))
+        return real_chart(A, b)
+
+    monkeypatch.setattr(poise.polytoped, "linprog", chebyshev_lp)
+    monkeypatch.setattr(poise.skeleton_balance, "HPolytope", chart)
+    load_hrep(path)
+    assert lps == [True]
+    for argv in (["pow2", "--k", "3"], ["compose"]):
+        lps.clear()
+        charts.clear()
+        assert run(argv + ["--hrep", str(path)]).exit_code == 0, argv
+        assert charts and lps == [True] * (1 + len(charts)), argv
+    lps.clear()
+    with pytest.raises(UnboundedError):
+        hpolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0])
+    assert lps == []
+    with pytest.raises(EmptyInteriorError):
+        hpolytope([[1.0], [-1.0]], [-1.0, -1.0])
+    assert lps == [True]
+
+
+def test_halving_solves_a_long_thin_polytope(tmp_path):
+    """x <= 1, |y| <= 1 and -1e-10 x + y <= 1 is bounded, of length 2e10:
+    halving solves it and check accepts the answer. The half-strip without
+    the last row is unbounded, an input error."""
+    hrep = tmp_path / "long.hrep"
+    hrep.write_text("4 2\n1 0 1\n0 1 1\n0 -1 1\n-1e-10 1 1\n")
+    out = tmp_path / "h.json"
+    assert run(["halving", "--hrep", str(hrep), "--json", str(out)]).exit_code == 0
+    assert run(["check", "--json", str(out), "--hrep", str(hrep)]).exit_code == 0
+    hrep.write_text("3 2\n1 0 1\n0 1 1\n0 -1 1\n")
+    assert run(["halving", "--hrep", str(hrep)]).exit_code == 2
 
 
 def test_console_entry_point(square, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -8,13 +9,15 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from helpers import hull_hrep, random_hull_hrep
+from helpers import (hull_hrep, random_hull_hrep, stiemke_cone_lp,
+                     vrep_from_points_with_sets)
 from poise.errors import EmptyInteriorError, ParseError, UnboundedError
-from poise.polytoped import (chebyshev_center, cross_hrep, cube_hrep,
-                             dump_hrep_text, enumerate_vertices,
+from poise.polytoped import (_vrep_from_points, chebyshev_center, cross_hrep,
+                             cube_hrep, dump_hrep_text, enumerate_vertices,
                              enumerate_vertices_bruteforce, faces_of_dim,
                              hpolytope, load_hrep, parse_hrep_text, product,
                              simplex_hrep)
+from poise.skeleton_balance import prop9_fixture
 
 
 def test_fixture_shapes():
@@ -248,3 +251,100 @@ def test_hpolytope_check_matches_hull_and_axis_probe():
             assert (got == "unbounded") == (probe == 3), (i, kind, got, probe)
     assert len(verdicts) >= 390
     assert min(verdicts.count(v) for v in ("ok", "unbounded", "empty")) >= 30
+
+
+def _near_unbounded():
+    """(A, b) just on either side of unboundedness."""
+    box = cube_hrep(3)
+    yield box.A, box.b * np.array([1e8, 1e-4, 1e-4, 1e8, 1e-4, 1e-4])  # long, thin
+    for t in (1e-9, -1e-9):                 # a facet tilted by 1e-9
+        A = box.A.copy()
+        A[3] = [-1.0, t, 0.0]
+        yield A, box.b
+    strip = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    yield strip, np.ones(3)                 # the half-strip x <= 1, |y| <= 1
+    yield np.vstack([strip, [1e-9, 1.0]]), np.ones(4)   # a row that misses it
+
+
+def test_cone_test_matches_stiemke_lp():
+    """The NNLS cone test decides boundedness as the cone LP it replaced
+    does, on every polytope the suite builds from fixtures, on seeded random
+    hulls and on inputs on either side of unboundedness."""
+    cases = [(H.A, H.b) for d in range(1, 9)
+             for H in (cube_hrep(d), cross_hrep(d), simplex_hrep(d))]
+    cases += [(H.A, H.b) for H in map(prop9_fixture, range(4, 9))]
+    for H in (product(cube_hrep(2), simplex_hrep(3)),
+              product(cube_hrep(4), cube_hrep(5)),
+              product(cross_hrep(3), prop9_fixture(4))):
+        cases.append((H.A, H.b))
+    rng = np.random.default_rng(16)
+    for i in range(40):
+        d = 2 + i % 7
+        H = random_hull_hrep(rng, d, d + 2 + i % 5)
+        cases.append((H.A, H.b * (1e-8, 1.0, 1e8)[i % 3]))
+    cases += list(_near_unbounded())
+    verdicts = [_verdict(A, b) for A, b in cases]
+    assert "empty" not in verdicts
+    assert [v == "ok" for v in verdicts] == [stiemke_cone_lp(A) for A, _ in cases]
+    assert verdicts[-5:] == ["ok", "ok", "ok", "unbounded", "unbounded"]
+
+
+def test_long_thin_polytopes_are_bounded():
+    """x <= 1, |y| <= 1 and -t x + y <= 1 is bounded, of length about 2 / t.
+    Where the cone LP calls it unbounded, the construction decides: it is
+    bounded, and its far end (-2 / t, -1) is a vertex."""
+    for t in (1e-9, 1e-10, 1e-12):
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-t, 1.0]])
+        V = hpolytope(A, np.ones(4)).vrep.vertices
+        assert np.allclose(V[0], [-2.0 / t, -1.0], rtol=1e-12), t
+
+
+def test_vertex_merge_matches_the_set_reference():
+    """Merged vertices and tight sets equal the per-point set version's, bit
+    for bit, on shuffled clouds of copies of each vertex jittered by 0, by
+    less than a pre-pass cell, by less than the merge tolerance, by more,
+    and by the tightness tolerance; 600 points take the pre-pass, 200 not."""
+    rng = np.random.default_rng(17)
+    zero_row = hpolytope(np.vstack([cube_hrep(3).A, np.zeros(3)]), np.ones(7))
+    for H in (cube_hrep(3), cross_hrep(4), random_hull_hrep(rng, 5, 9),
+              product(simplex_hrep(2), cube_hrep(2)), zero_row):
+        V = H.vrep
+        eps = H.eps_tight()
+        for n in (600, 200):
+            jitter = rng.choice([0.0, 1e-12, 1e-10, 3e-9], n) * V.diam
+            jitter = np.where(rng.random(n) < 0.2, eps, jitter)
+            pts = (V.vertices[rng.integers(len(V.vertices), size=n)]
+                   + jitter[:, None] * rng.normal(size=(n, H.d)))
+            got = _vrep_from_points(H, pts, eps)
+            want_v, want_t = vrep_from_points_with_sets(H, pts, eps)
+            assert np.array_equal(got.vertices, want_v), (H.m, n)
+            assert got.tight_sets == want_t, (H.m, n)
+
+
+# A 6-dimensional hull of 10 points with 32 rows: C(32, 6) = 906,192 subsets,
+# just under BRUTEFORCE_MAX_SUBSETS. Holding one slack row and one Python set
+# per feasible subset grew the peak RSS by 1.1 GB here.
+FALLBACK_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from poise.polytoped import enumerate_vertices_bruteforce, load_hrep
+H = load_hrep(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+V = enumerate_vertices_bruteforce(H)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(json.dumps([[len(t) for t in V.tight_sets], grown >> 10]))
+"""
+
+
+def test_subset_solver_memory_near_budget(tmp_path):
+    H = random_hull_hrep(np.random.default_rng(200), 6, 10)
+    assert H.m == 32
+    path = tmp_path / "hull6.hrep"
+    path.write_text(dump_hrep_text(H))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", FALLBACK_CHILD, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    sizes, grown_mb = json.loads(proc.stdout)
+    assert sorted(sizes) == [16] * 6 + [24] * 4
+    assert grown_mb < 600

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import (cube_mesh, hull_hrep, octa_mesh, prop9_check_all_faces,
-                     random_hull_hrep, tetra_mesh, three_on_edges_all_triples)
+                     random_hull_hrep, stiemke_cone_lp, tetra_mesh,
+                     three_on_edges_all_triples)
 from poise import skeleton_balance
 from poise.errors import InputError, NotFoundError, UnsupportedDimensionError
 from poise.geom3d import Plane3
@@ -224,6 +225,45 @@ def test_compose_rejects_unsupported_dimensions():
                   lambda: product(cube_hrep(3), cube_hrep(4))):  # d = 7
         with pytest.raises(UnsupportedDimensionError):
             compose_balance(build())
+
+
+def _tier1_pow2_and_compose():
+    """(solver, polytope, args) of every pow2 and compose run in the
+    skeleton and acceptance tests, with the same seeds."""
+    for H, k in ((cube_hrep(2), 1), (cube_hrep(3), 2), (cube_hrep(4), 2),
+                 (SIMPLEX_HULL, 2)):
+        yield pow2_points, H, (k,)
+    rng = np.random.default_rng(9000)
+    for d in (2, 3, 4):
+        for _ in range(50):
+            yield pow2_points, random_hull_hrep(rng, d), (int(np.ceil(np.log2(d))),)
+    rng = np.random.default_rng(55)
+    for H in (cube_hrep(2), cube_hrep(3), cube_hrep(4),
+              product(random_hull_hrep(rng, 3), random_hull_hrep(rng, 3))):
+        yield compose_balance, H, ()
+    rng = np.random.default_rng(10000)
+    for _ in range(10):
+        yield compose_balance, product(random_hull_hrep(rng, 3),
+                                       random_hull_hrep(rng, 3)), ()
+
+
+def test_charts_pass_the_full_check(monkeypatch):
+    """Every chart _place builds without hpolytope's check would pass the
+    check as it stood with the cone LP: bounded, with a positive Chebyshev
+    radius."""
+    charts = []
+    real_chart = skeleton_balance.HPolytope
+
+    def chart(A, b):
+        charts.append(real_chart(A, b))
+        return charts[-1]
+
+    monkeypatch.setattr(skeleton_balance, "HPolytope", chart)
+    for solve, H, args in _tier1_pow2_and_compose():
+        solve(H, *args)
+    assert len(charts) >= 300
+    for face in charts:
+        assert stiemke_cone_lp(face.A) and face.chebyshev[1] > 0.0
 
 
 def test_prop9_fixture_shapes():

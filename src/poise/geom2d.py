@@ -74,14 +74,9 @@ class Polygon2:
 
 @dataclass
 class ClosedPolyline2:
-    """Closed polyline: points[i] -> points[i+1], last wraps to first.
-
-    provenance[i] names the source polygon edge of segment i when the
-    polyline is an affine image of a polygon boundary.
-    """
+    """Closed polyline: points[i] -> points[i+1], last wraps to first."""
 
     points: np.ndarray
-    provenance: np.ndarray
 
     @property
     def n(self) -> int:
@@ -244,13 +239,13 @@ def affine_boundary_image(poly: Polygon2, scale: float, offset) -> ClosedPolylin
     """Image of the boundary under x -> scale*x + offset.
 
     Segment i of the image is the image of polygon edge i, traversed with
-    the same fraction parameter, so provenance is the identity map.
+    the same fraction parameter.
     """
     if abs(scale) < 1e-300:
         raise ZeroScaleError("scale must be nonzero")
     offset = np.asarray(offset, dtype=float)
     pts = scale * poly.vertices + offset
-    return ClosedPolyline2(points=pts, provenance=np.arange(poly.n))
+    return ClosedPolyline2(points=pts)
 
 
 def _segment_hits(a, b, c, d, tol):

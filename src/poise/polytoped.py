@@ -1,10 +1,11 @@
 """d-dimensional convex polytope kernel.
 
 H-representation polytopes (a_i . x <= b_i), vertex enumeration with tight
-sets, face-lattice slices, and the product construction used by the
-skeleton fixtures. A read-only polytope caches its Chebyshev ball and its
-vertices on first use. Desk scale throughout: d <= 8 and a few dozen
-halfspaces.
+rows, the faces of H, and the product construction used by the skeleton
+fixtures. A read-only polytope caches its Chebyshev ball and its vertices
+on first use. Every face decision, for solvers and checkers alike, is made
+here: face_of maps tight rows to a face and face_dims is the one rank rule.
+Desk scale throughout: d <= 8 and a few dozen halfspaces.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ class HPolytope:
 
     A and b are read-only copies, so what is derived from them cannot go
     stale: `chebyshev` (center and radius of a largest inscribed ball) and
-    `vrep` (the vertices and their tight sets) are computed once per
+    `vrep` (the vertices and their tight rows) are computed once per
     polytope, on first use.
     """
     A: np.ndarray            # (m, d) outward normals
@@ -74,9 +75,10 @@ class HPolytope:
         return 1e-8 * float(np.abs(self.b).max())
 
     def unit_residuals(self, x) -> np.ndarray:
-        """(a.x - b) / |a| per row; -inf for a row with a zero normal, which
-        is then never tight and never violated."""
-        r = self.A @ x - self.b
+        """(a.x - b) / |a| per row, of a point or of each row of an (n, d)
+        array; -inf for a row with a zero normal, which is then never tight
+        and never violated."""
+        r = (self.A @ np.asarray(x).T).T - self.b
         norms = np.linalg.norm(self.A, axis=1)
         return np.divide(r, norms, out=np.full_like(r, -np.inf), where=norms > 0)
 
@@ -87,17 +89,15 @@ class HPolytope:
 @dataclass
 class VRep:
     vertices: np.ndarray     # (n, d), lexicographically sorted
-    tight_sets: list         # tuple of halfspace indices per vertex
+    tight: np.ndarray        # (n, m) read-only bool: row i is tight at vertex j
     diam: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaceD:
     tight: tuple             # maximal tight halfspace index set
     members: tuple           # vertex ids
     dim: int
-    point: np.ndarray        # affine base point
-    basis: np.ndarray        # (dim, d) orthonormal spanning directions
 
 
 def hpolytope(A, b) -> HPolytope:
@@ -197,8 +197,8 @@ def _vrep_from_points(H, pts, eps_tight):
         slack = H.b[None, :] - pts[i:i + _BLOCK] @ H.A.T
         np.logical_or.at(tight, label[i:i + _BLOCK],
                          (np.abs(slack) <= eps_tight) & live)
-    tight_sets = [tuple(np.flatnonzero(t).tolist()) for t in tight]
-    return VRep(verts, tight_sets, diam)
+    tight.flags.writeable = False
+    return VRep(verts, tight, diam)
 
 
 def enumerate_vertices(H: HPolytope) -> VRep:
@@ -250,16 +250,56 @@ def enumerate_vertices_bruteforce(H: HPolytope, eps_tight=None) -> VRep:
     return _vrep_from_points(H, pts, eps)
 
 
+# --- faces ---------------------------------------------------------------------
+
+def face_dims(H: HPolytope, row_sets) -> list:
+    """Dimension of the face each set of nonzero rows cuts out: d minus the
+    rank of their unit normals, singular values above 1e-9 counting. The
+    one rank rule of every face decision; one batched SVD per set size."""
+    dims = [H.d] * len(row_sets)
+    for size in {len(rows) for rows in row_sets} - {0}:
+        idx = [i for i, rows in enumerate(row_sets) if len(rows) == size]
+        normals = H.A[np.array([row_sets[i] for i in idx])]
+        unit = normals / np.linalg.norm(normals, axis=2, keepdims=True)
+        for i, r in zip(idx, np.linalg.matrix_rank(unit, tol=1e-9)):
+            dims[i] = H.d - int(r)
+    return dims
+
+
+def face_of(H: HPolytope, tight) -> FaceD:
+    """The face of H on which the rows `tight` are tight: its members are
+    the vertices tight on all of them, and its tight set is the rows tight
+    at every member (`tight` itself when no vertex is)."""
+    T = H.vrep.tight
+    on = T[:, list(tight)].all(axis=1)
+    members = tuple(np.flatnonzero(on).tolist())
+    if members:
+        tight = np.flatnonzero(T[on].all(axis=0)).tolist()
+    tight = tuple(int(i) for i in tight)
+    return FaceD(tight, members, face_dims(H, [tight])[0])
+
+
+def host_faces(H: HPolytope, points, tol) -> list:
+    """The face of each point: face_of the rows within tol of it, in unit
+    residuals. Each distinct tight pattern is solved once."""
+    pts = np.asarray(points, dtype=float).reshape(-1, H.d)
+    tight = np.abs(H.unit_residuals(pts)) <= tol
+    keys = [row.tobytes() for row in tight]
+    faces = {key: face_of(H, np.flatnonzero(row))
+             for key, row in dict(zip(keys, tight)).items()}
+    return [faces[key] for key in keys]
+
+
 def faces_of_dim(H: HPolytope, k: int) -> list:
     """All k-dimensional faces, from the closure of vertex tight sets.
 
     Candidate face tight sets are intersections of vertex tight sets,
-    closed under further pairwise intersection; a candidate's members are
-    the vertices whose tight set contains it, and its dimension is d minus
-    the rank of its tight normals.
+    closed under further pairwise intersection. A candidate is also the
+    common tight set of its members (the vertices whose tight set contains
+    it), and face_dims gives its dimension.
     """
     V = H.vrep
-    gens = [frozenset(t) for t in V.tight_sets]
+    gens = [frozenset(np.flatnonzero(t).tolist()) for t in V.tight]
     at_row = {}                 # row -> the tight sets holding it
     for g in gens:
         for r in g:
@@ -277,34 +317,12 @@ def faces_of_dim(H: HPolytope, k: int) -> list:
             break
         closed |= new
         frontier = new
-
-    # ranks of the candidates' normals, one batched SVD per candidate size
-    rank = {}
-    for size in {len(t) for t in closed}:
-        group = [t for t in closed if len(t) == size]
-        rows = H.A[[sorted(t) for t in group]]
-        tol = 1e-9 * np.maximum(1.0, np.abs(rows).max(axis=(1, 2)))
-        sv = np.linalg.svd(rows, compute_uv=False)
-        rank.update(zip(group, (sv > tol[:, None]).sum(axis=1)))
-    scale = max(V.diam, 1e-300)
+    cands = [tuple(sorted(t)) for t in closed]
     faces = []
-    for t in closed:
-        if H.d - rank[t] != k:
-            continue
-        # t is an intersection of vertex tight sets, so it is also the
-        # common tight set of its members: the face's canonical tight set
-        members = tuple(i for i, g in enumerate(gens) if t <= g)
-        pts = V.vertices[list(members)]
-        point = pts.mean(axis=0)
-        if len(members) == 1:
-            basis = np.empty((0, H.d))
-        else:
-            _, sv, vt = np.linalg.svd(pts - point)
-            nz = sv > 1e-9 * scale
-            basis = vt[:len(sv)][nz]
-        if len(basis) != k:
-            continue
-        faces.append(FaceD(tuple(sorted(t)), members, k, point, basis))
+    for t, dim in zip(cands, face_dims(H, cands)):
+        if dim == k:
+            members = np.flatnonzero(V.tight[:, list(t)].all(axis=1))
+            faces.append(FaceD(t, tuple(members.tolist()), k))
     return sorted(faces, key=lambda f: f.tight)
 
 

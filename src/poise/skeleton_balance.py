@@ -32,7 +32,10 @@ from .polytoped import (
     FaceD,
     HPolytope,
     edge_segment,
+    face_dims,
+    face_of,
     faces_of_dim,
+    host_faces,
     hpolytope,
     product,
 )
@@ -166,8 +169,7 @@ def halving_point(H: HPolytope) -> HalvingWitness:
     tight_negP = tuple(sorted(int(keep[r - m]) for r in basis if r >= m))
     # attempts is always 1, as nothing is retried; it stays because the
     # traced benchmark (perfbench/spans.py) counts it
-    return HalvingWitness(x, _face_from_vrep(H, tight_P, x),
-                          _face_from_vrep(H, tight_negP, -x),
+    return HalvingWitness(x, face_of(H, tight_P), face_of(H, tight_negP),
                           (target, d - target), 1)
 
 
@@ -212,10 +214,12 @@ class _Chart:
     basis: np.ndarray        # (f, d) orthonormal rows
     A: np.ndarray            # (mf, f)
     b: np.ndarray            # (mf,) slacks at the local origin
+    face: HPolytope = None   # the polytope A y <= b, where already built
 
 
 def _descend(chart: _Chart) -> _Chart:
-    """Drop to the minimal face holding the local origin in its interior."""
+    """Drop to the minimal face holding the local origin in its interior:
+    the chart itself, built face and all, when no row is tight there."""
     A, b, basis = chart.A, chart.b, chart.basis
     while len(basis):
         eps = 1e-8 * float(np.abs(b).max()) if len(b) else 0.0
@@ -234,6 +238,8 @@ def _descend(chart: _Chart) -> _Chart:
         nrm = np.linalg.norm(A2, axis=1)
         A, b = A2 / nrm[:, None], b2 / nrm
         basis = ns.T @ basis
+    if basis is chart.basis:
+        return chart
     return _Chart(chart.base, basis, A, b)
 
 
@@ -260,7 +266,7 @@ def _place(chart: _Chart, count: int, out: list):
         return
     # a face of a checked polytope whose slacks at the local origin _descend
     # left above 1e-8 max|b|: bounded and solid, so hpolytope's check is moot
-    face = HPolytope(chart.A, chart.b)
+    face = chart.face or HPolytope(chart.A, chart.b)
     if f == 2:
         poly = _chart_polygon(face.vrep)
         if count % 2 == 0:
@@ -288,12 +294,10 @@ def _place(chart: _Chart, count: int, out: list):
     _place(_translate(chart, -wit.x), count // 2, out)
 
 
-def _root_chart(H: HPolytope, target) -> _Chart:
-    target = np.zeros(H.d) if target is None else np.asarray(target, dtype=float)
-    b = H.b - H.A @ target
-    if not (b[~H.zero_rows()] > 0).all():
+def _root_chart(H: HPolytope) -> _Chart:
+    if not (H.b[~H.zero_rows()] > 0).all():
         raise InputError("target must be strictly interior")
-    return _Chart(target, np.eye(H.d), H.A.copy(), b)
+    return _Chart(np.zeros(H.d), np.eye(H.d), H.A, H.b, H)
 
 
 def pow2_points(H: HPolytope, k: int) -> SkeletonPlacement:
@@ -329,35 +333,14 @@ def compose_balance(H: HPolytope) -> SkeletonPlacement:
 
 def _placement_from_recursion(H, count):
     pts = []
-    _place(_root_chart(H, None), count, pts)
-    tol = max(H.eps_tight(), 1e-9 * H.vrep.diam)
-    entries = [(p, _host_face(H, p, tol)) for p in pts]
-    return SkeletonPlacement(entries, count, np.zeros(H.d))
+    _place(_root_chart(H), count, pts)
+    return SkeletonPlacement(list(zip(pts, host_faces(H, pts, _solver_tol(H)))),
+                             count, np.zeros(H.d))
 
 
-def _host_face(H: HPolytope, p, tol) -> FaceD:
-    """Minimal face of H containing p (rows within tol count as tight)."""
-    p = np.asarray(p, dtype=float)
-    resid = np.abs(H.unit_residuals(p))
-    tight = tuple(int(i) for i in np.nonzero(resid <= tol)[0])
-    return _face_from_vrep(H, tight, p)
-
-
-def _face_from_vrep(H, tight, point) -> FaceD:
-    """Face of H whose tight set extends `tight`, with point as base point."""
-    V = H.vrep
-    members = tuple(i for i, t in enumerate(V.tight_sets)
-                    if set(tight) <= set(t))
-    canon = tight
-    if members:
-        canon = tuple(sorted(frozenset.intersection(
-            *[frozenset(V.tight_sets[i]) for i in members])))
-    if len(canon) == 0:
-        basis = np.eye(H.d)
-    else:
-        basis = null_space(H.A[list(canon)]).T
-    return FaceD(canon, members, basis.shape[0],
-                 np.asarray(point, dtype=float), basis)
+def _solver_tol(H: HPolytope) -> float:
+    """Unit residual within which a row is tight at a placed point."""
+    return max(H.eps_tight(), 1e-9 * H.vrep.diam)
 
 
 # --- edge triples in 3D ------------------------------------------------------
@@ -494,11 +477,7 @@ def _face_pair(P: Polyhedron3, fid: int, center3):
     for bp in antipodal_about(poly, frame.to2d(center3)):
         p3 = frame.to3d(eval_boundary(poly, bp))
         a, b = loop[bp.edge], loop[(bp.edge + 1) % len(loop)]
-        seg = P.vertices[[a, b]]
-        direction = seg[1] - seg[0]
-        basis = (direction / np.linalg.norm(direction))[None, :]
-        host = FaceD((fid,), (a, b), 1, 0.5 * (seg[0] + seg[1]), basis)
-        out.append((p3, host))
+        out.append((p3, FaceD((fid,), (a, b), 1)))
     return out
 
 
@@ -591,16 +570,18 @@ def verify_skeleton(body, points, target=None, eps_geom=None,
 
 
 def _hrep_membership(H: HPolytope, pts, eg):
-    worst, dim_max = 0.0, 0
-    for p in pts:
-        face = _host_face(H, p, max(H.eps_tight(), eg))
-        dim_max = max(dim_max, face.dim)
-        if not face.members:
-            worst = float("inf")
-            continue
-        seg = H.vrep.vertices[list(edge_segment(H, face.members))]
-        worst = max(worst, _point_segment_distance(p, *seg))
-    return worst, dim_max
+    """Largest distance of a point to its host face's segment, and the
+    largest host dimension, rows within eg tight. A point off the skeleton
+    there counts if it is on it at the solver's tolerance (_solver_tol):
+    both are faces of H, and both distances are true distances."""
+    got = [_segment_distance(H, p, f)
+           for p, f in zip(pts, host_faces(H, pts, max(H.eps_tight(), eg)))]
+    miss = [i for i, (dim, dist) in enumerate(got) if dim > 1 or not dist <= eg]
+    for i, face in zip(miss, host_faces(H, pts[miss], _solver_tol(H))):
+        dim, dist = _segment_distance(H, pts[i], face)
+        if dim <= 1 and dist <= eg:
+            got[i] = dim, dist
+    return max([0.0] + [dist for _, dist in got]), max([0] + [dim for dim, _ in got])
 
 
 def _mesh_membership(P: Polyhedron3, pts, eg):
@@ -615,10 +596,15 @@ def _mesh_membership(P: Polyhedron3, pts, eg):
     return worst, 1 if worst <= eg else 2
 
 
-def _point_segment_distance(p, a, b):
+def _segment_distance(H: HPolytope, p, face):
+    """(dim, distance from p to the segment of the face's extreme members),
+    the distance inf for a face without members."""
+    if not face.members:
+        return face.dim, float("inf")
+    a, b = H.vrep.vertices[list(edge_segment(H, face.members))]
     d = b - a
     t = float(np.clip((p - a) @ d / max(d @ d, 1e-300), 0.0, 1.0))
-    return float(np.linalg.norm(a + t * d - p))
+    return face.dim, float(np.linalg.norm(a + t * d - p))
 
 
 def verify_halving(H: HPolytope, x, eps_geom=None) -> HalvingCertificate:
@@ -636,12 +622,6 @@ def verify_halving(H: HPolytope, x, eps_geom=None) -> HalvingCertificate:
     rn = H.unit_residuals(-x)
     violation = max(float(rp.max()), float(rn.max()), 0.0)
     touch = max(float(np.abs(rp).min()), float(np.abs(rn).min()))
-    return HalvingCertificate(violation, touch, _face_dim(H.A[np.abs(rp) <= eps]),
-                              _face_dim(H.A[np.abs(rn) <= eps]), eps, H.d)
-
-
-def _face_dim(rows) -> int:
-    """Dimension of the face cut out by these tight (nonzero) normals."""
-    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    rank = np.linalg.matrix_rank(unit, tol=1e-9) if len(rows) else 0
-    return rows.shape[1] - int(rank)
+    dim_P, dim_negP = face_dims(H, [np.flatnonzero(np.abs(r) <= eps)
+                                    for r in (rp, rn)])
+    return HalvingCertificate(violation, touch, dim_P, dim_negP, eps, H.d)

@@ -4,6 +4,7 @@ import functools
 from itertools import combinations_with_replacement
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
@@ -169,6 +170,66 @@ def vrep_from_points_with_sets(H, pts, eps_tight):
         verts.append(pts[idx])
         out_tight.append(set(tights[idx]))
     return np.array(verts), [tuple(sorted(t)) for t in out_tight]
+
+
+# --- per-face references of polytoped's face decisions -----------------------
+
+def tight_sets(V):
+    """A V-rep's tight rows as one tuple of row indices per vertex."""
+    return [tuple(np.flatnonzero(t).tolist()) for t in V.tight]
+
+
+def face_from_tight_sets(H, tight):
+    """(tight, members, dim) of polytoped.face_of(H, tight) from the vertex
+    tight sets, its dimension the width of its tight rows' null space."""
+    sets = tight_sets(H.vrep)
+    members = tuple(i for i, t in enumerate(sets) if set(tight) <= set(t))
+    canon = tuple(tight)
+    if members:
+        canon = tuple(sorted(frozenset.intersection(
+            *[frozenset(sets[i]) for i in members])))
+    dim = null_space(H.A[list(canon)]).shape[1] if canon else H.d
+    return canon, members, dim
+
+
+def host_face_per_point(H, p, tol):
+    """(tight, members, dim) of one point's face in polytoped.host_faces:
+    face_from_tight_sets of the rows within tol of p in unit residuals."""
+    resid = np.abs(H.unit_residuals(np.asarray(p, dtype=float)))
+    return face_from_tight_sets(H, tuple(int(i) for i in np.nonzero(resid <= tol)[0]))
+
+
+def faces_by_svd(H):
+    """(dim, tight, members) of every proper face, sorted: the union of
+    polytoped.faces_of_dim over k < d as it stood with ranks of the raw rows
+    and one SVD of each face's vertices."""
+    V = H.vrep
+    gens = [frozenset(t) for t in tight_sets(V)]
+    closed, frontier = set(gens), set(gens)
+    for _ in range(H.d + 2):
+        new = {s & g for s in frontier for g in gens if s & g} - closed
+        if not new:
+            break
+        closed |= new
+        frontier = new
+    scale = max(V.diam, 1e-300)
+    faces = []
+    for t in closed:
+        rows = H.A[sorted(t)]
+        sv = np.linalg.svd(rows, compute_uv=False)
+        k = H.d - int((sv > 1e-9 * max(1.0, np.abs(rows).max())).sum())
+        if k == H.d:
+            continue
+        members = tuple(i for i, g in enumerate(gens) if t <= g)
+        pts = V.vertices[list(members)]
+        if len(members) > 1:
+            sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+            if int((sv > 1e-9 * scale).sum()) != k:
+                continue
+        elif k:
+            continue
+        faces.append((k, tuple(sorted(t)), members))
+    return sorted(faces)
 
 
 # --- all-pairs oracles of the culled Polyhedron3 queries ----------------------

@@ -456,6 +456,65 @@ def test_one_lp_per_polytope(tmp_path, monkeypatch):
     assert lps == [True]
 
 
+def test_root_chart_is_the_loaded_polytope(cube_h, tmp_path, monkeypatch):
+    """pow2 on the 3-cube and compose on a 6-dimensional product enumerate
+    the vertices of H's own rows once per run, and solve its Chebyshev LP
+    once: the root chart is H itself, not a copy built again."""
+    rng = np.random.default_rng(61)
+    prod = tmp_path / "p6.hrep"
+    prod.write_text(dump_hrep_text(product(random_hull_hrep(rng, 3),
+                                           random_hull_hrep(rng, 3))))
+    calls = []
+    for name in ("enumerate_vertices", "chebyshev_center"):
+        def wrapper(H, *args, name=name, real=getattr(poise.polytoped, name)):
+            calls.append((name, H.A.tobytes(), H.b.tobytes()))
+            return real(H, *args)
+        monkeypatch.setattr(poise.polytoped, name, wrapper)
+    for argv, path in ((["pow2", "--k", "2"], cube_h), (["compose"], str(prod))):
+        H = load_hrep(path)
+        calls.clear()
+        assert run(argv + ["--hrep", path]).exit_code == 0, argv
+        own = [name for name, A, b in calls if (A, b) == (H.A.tobytes(), H.b.tobytes())]
+        assert sorted(own) == ["chebyshev_center", "enumerate_vertices"], argv
+
+
+# A product of two random 3-hulls whose rows within 1e-7 diam of some compose
+# points have rank 6, so those rows alone put the points on a vertex 1e-3 away
+COMPOSE_NEAR_DEGENERATE = (
+    "20 6\n"
+    "-0.743329020919235 -0.6508954005035482 -0.15426323042960383 0.0 0.0 0.0 0.38482603788950215\n"
+    "0.18275084310577547 -0.9264423531389072 0.32909982627551226 0.0 0.0 0.0 0.3848260378895021\n"
+    "0.5800873164930658 0.5547435102098458 -0.5964548123067936 0.0 0.0 0.0 0.45842989367909703\n"
+    "-0.4039689086325647 0.5227743354917613 0.7506771043593656 0.0 0.0 0.0 0.4774465116819727\n"
+    "-0.10759640264192072 0.5692284013031657 0.8151086070508394 0.0 0.0 0.0 0.3848470328326889\n"
+    "-0.44614750662941927 0.4090186082304722 -0.7960252385757375 0.0 0.0 0.0 0.41935621925699473\n"
+    "-0.046644499847522905 0.6247688506302406 -0.7794152769327417 0.0 0.0 0.0 0.384826037889502\n"
+    "0.18302630616946677 -0.9261715097830155 0.3297085162931192 0.0 0.0 0.0 0.3850130649369343\n"
+    "0.6707113515031279 0.5595249275970672 0.4869067039611843 0.0 0.0 0.0 0.5110045827370893\n"
+    "-0.10722236768899483 0.5690875892852288 0.8152562048759229 0.0 0.0 0.0 0.384826037889502\n"
+    "0.0 0.0 0.0 0.8272133499633704 -0.4815351947865091 0.28955470955295676 0.3815433093916064\n"
+    "0.0 0.0 0.0 -0.9458100528070951 0.11822291237421555 0.3024345995397992 0.2978460630673592\n"
+    "0.0 0.0 0.0 0.9557712185067105 -0.24135380564169132 0.16807652535815548 0.2978460630673594\n"
+    "0.0 0.0 0.0 0.8407118158211176 -0.46007301070845896 0.28554591146856484 0.36805650931010186\n"
+    "0.0 0.0 0.0 -0.3964695930763513 0.7723803985419682 0.4962261396924015 0.3378271468579912\n"
+    "0.0 0.0 0.0 -0.6647249229389147 0.510789837798789 0.545192184853507 0.3259290022101577\n"
+    "0.0 0.0 0.0 0.833723912107831 0.326614902748948 -0.44522706979911836 0.30769357584057055\n"
+    "0.0 0.0 0.0 0.129467857071107 0.8939788749492958 -0.42899865399533205 0.2978460630673594\n"
+    "0.0 0.0 0.0 -0.8509886010349693 -0.2947976873048914 -0.4346409143974291 0.49123507813541195\n"
+    "0.0 0.0 0.0 -0.9707148281314852 -0.036292655680680526 -0.23747750543852475 0.2978460630673592\n")
+
+
+def test_compose_passes_its_own_check_on_a_near_degenerate_product(tmp_path):
+    """compose's points lie within 6e-14 of their host edges at the
+    solver's tolerance; the checker measures a point again there when its
+    eps_geom rows miss, so the solve and check both exit 0."""
+    hrep = tmp_path / "p.hrep"
+    hrep.write_text(COMPOSE_NEAR_DEGENERATE)
+    out = tmp_path / "c.json"
+    assert run(["compose", "--hrep", str(hrep), "--json", str(out)]).exit_code == 0
+    assert run(["check", "--json", str(out), "--hrep", str(hrep)]).exit_code == 0
+
+
 def test_halving_solves_a_long_thin_polytope(tmp_path):
     """x <= 1, |y| <= 1 and -1e-10 x + y <= 1 is bounded, of length 2e10:
     halving solves it and check accepts the answer. The half-strip without

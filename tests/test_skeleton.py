@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import (cube_mesh, hull_hrep, octa_mesh, prop9_check_all_faces,
+from helpers import (cube_mesh, face_from_tight_sets, host_face_per_point,
+                     hull_hrep, octa_mesh, prop9_check_all_faces,
                      random_hull_hrep, stiemke_cone_lp, tetra_mesh,
                      three_on_edges_all_triples)
 from poise import skeleton_balance
@@ -250,7 +251,7 @@ def _tier1_pow2_and_compose():
 def test_charts_pass_the_full_check(monkeypatch):
     """Every chart _place builds without hpolytope's check would pass the
     check as it stood with the cone LP: bounded, with a positive Chebyshev
-    radius."""
+    radius. The root chart is H itself, which is not built again."""
     charts = []
     real_chart = skeleton_balance.HPolytope
 
@@ -261,9 +262,53 @@ def test_charts_pass_the_full_check(monkeypatch):
     monkeypatch.setattr(skeleton_balance, "HPolytope", chart)
     for solve, H, args in _tier1_pow2_and_compose():
         solve(H, *args)
-    assert len(charts) >= 300
+    assert len(charts) >= 150
     for face in charts:
         assert stiemke_cone_lp(face.A) and face.chebyshev[1] > 0.0
+
+
+def _tier1_halving():
+    """Every polytope the halving tests and criterion 08 walk on, up to the
+    7-cube and 7-cross-polytope."""
+    yield from (cube_hrep(2), cube_hrep(3), SIMPLEX_HULL, cube_hrep(4))
+    for seed, dims, count in ((101, range(2, 6), 1), (32, range(2, 11), 1),
+                              (8000, range(2, 7), 20)):
+        rng = np.random.default_rng(seed)
+        for d in dims:
+            for _ in range(count):
+                yield random_hull_hrep(rng, d)
+    for d in range(2, 8):
+        yield from (cube_hrep(d), cross_hrep(d))
+
+
+def test_faces_match_the_per_face_reference(monkeypatch):
+    """Every face decided for the tier-1 pow2, compose and halving inputs,
+    by the solvers and by verify_skeleton, has the (tight, members, dim) of
+    the reference that decides one point or tight set at a time."""
+    seen = []
+
+    def recorded(fn):
+        def wrapper(H, *args):
+            seen.append((H, args, fn(H, *args)))
+            return seen[-1][2]
+        return wrapper
+
+    for name in ("host_faces", "face_of"):
+        monkeypatch.setattr(skeleton_balance, name,
+                            recorded(getattr(skeleton_balance, name)))
+    for solve, H, args in _tier1_pow2_and_compose():
+        verify_skeleton(H, solve(H, *args).points())
+    for H in _tier1_halving():
+        halving_point(H)
+    points = 0
+    for H, args, got in seen:
+        if len(args) == 2:                 # host_faces(H, points, tol)
+            want = [host_face_per_point(H, p, args[1]) for p in args[0]]
+            points += len(want)
+        else:                              # face_of(H, tight)
+            got, want = [got], [face_from_tight_sets(H, args[0])]
+        assert [(f.tight, f.members, f.dim) for f in got] == want
+    assert points >= 1000
 
 
 def test_prop9_fixture_shapes():
@@ -340,7 +385,6 @@ def test_skeleton_edges_match_walk_adjacency():
         byrows = set()
         for i in range(len(V.vertices)):
             for j in range(i + 1, len(V.vertices)):
-                shared = set(V.tight_sets[i]) & set(V.tight_sets[j])
-                if len(shared) == d - 1:
+                if (V.tight[i] & V.tight[j]).sum() == d - 1:
                     byrows.add((i, j))
         assert edges == byrows

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .geom2d import (
     OUTSIDE,
-    BoundaryPoint2,
     Polygon2,
     _nearest_with_distance,
     affine_boundary_image,
@@ -138,11 +137,25 @@ def feasibility(weights) -> bool:
         return w[0] == 0.0
     i = int(np.argmax(w))
     rest = math.fsum(float(x) for j, x in enumerate(w) if j != i)
-    if rest == float(w[i]):
-        return True
-    # fsum is correctly rounded; settle near-ties exactly
+    if rest != float(w[i]):
+        return rest > float(w[i])  # rounding is monotone: fsum keeps the order
+    # an fsum tie may hide an exact sum on either side; settle it exactly
     exact = sum((Fraction(float(x)) for j, x in enumerate(w) if j != i), Fraction(0))
     return exact >= Fraction(float(w[i]))
+
+
+def _check_instance(poly: Polygon2, weights, target, eps_geom):
+    """(weights, polygon translated so the target sits at the origin, its
+    eps_geom, target), after the input checks and then the feasibility one."""
+    w = _check_weights(weights)
+    target = np.asarray(target, dtype=float)
+    work = Polygon2(poly.vertices - target)
+    eps_g = work.eps_geom(eps_geom)
+    if locate_point(work, (0.0, 0.0), eps_g).side == OUTSIDE:
+        raise OriginOutsideError("target lies outside the polygon")
+    if not feasibility(w):
+        raise InfeasibleError("largest weight exceeds the sum of the others")
+    return w, work, eps_g, target
 
 
 def balance_iterative(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None,
@@ -152,21 +165,13 @@ def balance_iterative(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None,
     Runs at most k-1 migration rounds; zero rounds when the shared
     counterweight point already sits on the boundary.
     """
-    w = _check_weights(weights)
-    target = np.asarray(target, dtype=float)
-    work = Polygon2(poly.vertices - target)  # translate target to origin
-    eps_g = work.eps_geom(eps_geom)
-    if locate_point(work, (0.0, 0.0), eps_g).side == OUTSIDE:
-        raise OriginOutsideError("target lies outside the polygon")
-
+    w, work, eps_g, target = _check_instance(poly, weights, target, eps_geom)
     k = len(w)
     order = [i for i in range(k) if w[i] > 0.0]
     if not order:
         # nothing to balance; park all (zero) weights at the nearest boundary point
         bp = nearest_boundary_point(work, (0.0, 0.0))
         return Placement2([(i, bp) for i in range(k)], target, rounds=0)
-    if not feasibility(w):
-        raise InfeasibleError("largest weight exceeds the sum of the others")
     order.sort(key=lambda i: -w[i])  # stable: ties keep input order
     ws = w[order]
     kk = len(ws)
@@ -196,11 +201,10 @@ def balance_iterative(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None,
             offset = -c_vec / ws[s]
             curve = affine_boundary_image(work, scale, offset)
             try:
-                hit = first_hit_from(curve, work, slots[s - 1].param, eps_g)
+                slots[s - 1], slots[s] = first_hit_from(curve, work,
+                                                        slots[s - 1].param, eps_g)
             except NoIntersectionError as exc:
                 raise NoCrossingError(f"round {s}: no boundary crossing") from exc
-            slots[s - 1] = BoundaryPoint2(hit.seg, hit.t)
-            slots[s] = BoundaryPoint2(hit.edge, hit.u)
             pts[s - 1] = eval_boundary(work, slots[s - 1])
             pts[s] = eval_boundary(work, slots[s])
             rounds += 1
@@ -271,25 +275,18 @@ def balance_fast(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None) -> P
 
     Weights collapse onto the three partition groups; the tiny super-weight
     instance is solved exactly, then every member inherits its group's spot.
+    Feasibility is decided on the weights, not on the rounded group sums.
     """
-    w = _check_weights(weights)
+    w = _check_instance(poly, weights, target, eps_geom)[0]
     parts = partition_three(w)
     live = [(g, s) for g, s in zip(parts.groups, parts.sums) if s > 0.0]
     if not live:
         return balance_iterative(poly, w, target, eps_geom)
-    super_w = [s for _, s in live]
-    inner = balance_iterative(poly, super_w, target, eps_geom)
-    spot = {j: bp for j, bp in inner.assignments}
-    assignments = []
-    for j, (group, _) in enumerate(live):
-        for i in group:
-            assignments.append((i, spot[j]))
-    placed = {i for i, _ in assignments}
-    big = spot[0]
-    for i in range(len(w)):
-        if i not in placed:  # members of zero-total groups
-            assignments.append((i, big))
-    assignments.sort(key=lambda t: t[0])
+    inner = balance_iterative(poly, [s for _, s in live], target, eps_geom)
+    spot = dict(inner.assignments)
+    where = {i: spot[j] for j, (group, _) in enumerate(live) for i in group}
+    # members of zero-total groups ride along with the largest weight
+    assignments = [(i, where.get(i, spot[0])) for i in range(len(w))]
     return Placement2(assignments, np.asarray(target, float), rounds=inner.rounds)
 
 

@@ -90,17 +90,6 @@ class PointLocation:
     distance: float
 
 
-@dataclass(frozen=True)
-class Hit:
-    """One intersection between a polyline segment and a polygon edge."""
-
-    seg: int
-    t: float
-    edge: int
-    u: float
-    point: np.ndarray
-
-
 def validate_polygon(vertices) -> Polygon2:
     """Check simplicity and nondegeneracy; normalize orientation to CCW."""
     v = np.asarray(vertices, dtype=float)
@@ -166,7 +155,7 @@ def _check_pair(v, w, i, j, n, tol) -> None:
         return
     if not (j == i + 1 or (i == 0 and j == n - 1)):
         raise NonSimpleError(f"edges {i} and {j} touch")
-    for t, u, _ in hits:
+    for t, u in hits:
         if j == i + 1 and (t < 1.0 - 1e-9 or u > 1e-9):
             raise NonSimpleError(f"edges {i} and {j} overlap")
         if j == n - 1 and i == 0 and (u < 1.0 - 1e-9 or t > 1e-9):
@@ -251,7 +240,7 @@ def affine_boundary_image(poly: Polygon2, scale: float, offset) -> ClosedPolylin
 def _segment_hits(a, b, c, d, tol):
     """Intersections of segment ab with cd.
 
-    Returns a list of (t, u, point) with t along ab and u along cd, both
+    Returns a list of (t, u) with t along ab and u along cd, both
     clamped to [0, 1]. Proper and touching crossings give one entry;
     collinear overlaps give the two overlap endpoints.
     """
@@ -271,7 +260,7 @@ def _segment_hits(a, b, c, d, tol):
         if -et <= t <= 1.0 + et and -eu <= u <= 1.0 + eu:
             t = min(max(t, 0.0), 1.0)
             u = min(max(u, 0.0), 1.0)
-            return [(t, u, a + t * r)]
+            return [(t, u)]
         return []
     # parallel: either clearly apart or collinear overlap
     h = abs(qp[0] * r[1] - qp[1] * r[0]) / lr
@@ -289,7 +278,7 @@ def _segment_hits(a, b, c, d, tol):
     for t in ([t0] if t1 - t0 <= et else [t0, t1]):
         u = (t - tc) / denom if abs(denom) > 1e-300 else 0.0
         u = min(max(u, 0.0), 1.0)
-        out.append((t, u, a + t * r))
+        out.append((t, u))
     return out
 
 
@@ -322,58 +311,72 @@ def _crossings(a, r, c, s, tol):
     return ok, general, hit, t, u
 
 
-def curve_polygon_intersections(curve: ClosedPolyline2, poly: Polygon2, eps=None):
-    """All hits between a closed polyline and the polygon boundary.
+def _clamp01(x):
+    """min(max(x, 0.0), 1.0) elementwise, keeping -0.0 as Python's min/max do."""
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
-    Candidate pairs are pruned by bounding-box overlap; the general-position
-    crossings solve in one batch and only (near-)parallel pairs fall back to
-    the scalar routine. Hits come back sorted by (segment, t, edge, u).
+
+def curve_polygon_intersections(curve: ClosedPolyline2, poly: Polygon2, segs, eps=None):
+    """Hits of the curve segments with indices `segs` with the boundary.
+
+    Returns arrays (seg, t, edge, u), t along the segment and u along the
+    edge, both clamped to [0, 1]. Pairs are pruned by bounding-box overlap;
+    general-position crossings solve in one batch and only (near-)parallel
+    pairs fall back to the scalar routine.
     """
     tol = poly.eps_geom(eps)
-    cp = curve.points
-    cq = np.roll(cp, -1, axis=0)
+    seg = np.asarray(segs)
+    a = curve.points[seg]
+    b = curve.points[(seg + 1) % curve.n]
     pv, pw = poly.edge_arrays()
-    overlap = _boxes_overlap(np.minimum(cp, cq) - tol, np.maximum(cp, cq) + tol,
-                             np.minimum(pv, pw), np.maximum(pv, pw))
-    I, J = np.nonzero(overlap)
-    hits = []
-    if len(I):
-        a = cp[I]
-        r = cq[I] - a
-        ok, general, good, t, u = _crossings(a, r, pv[J], pw[J] - pv[J], tol)
-        for idx in np.nonzero(good)[0]:
-            tt = min(max(float(t[idx]), 0.0), 1.0)
-            uu = min(max(float(u[idx]), 0.0), 1.0)
-            hits.append(Hit(int(I[idx]), tt, int(J[idx]), uu,
-                            a[idx] + tt * r[idx]))
-        for idx in np.nonzero(ok & ~general)[0]:
-            i, j = int(I[idx]), int(J[idx])
-            for tt, uu, point in _segment_hits(cp[i], cq[i], pv[j], pw[j], tol):
-                hits.append(Hit(i, tt, j, uu, point))
-    hits.sort(key=lambda h: (h.seg, h.t, h.edge, h.u))
-    return hits
+    I, J = np.nonzero(_boxes_overlap(np.minimum(a, b) - tol, np.maximum(a, b) + tol,
+                                     np.minimum(pv, pw), np.maximum(pv, pw)))
+    a, b = a[I], b[I]
+    ok, general, hit, t, u = _crossings(a, b - a, pv[J], pw[J] - pv[J], tol)
+    cols = [seg[I[hit]], _clamp01(t[hit]), J[hit], _clamp01(u[hit])]
+    extra = [(seg[I[k]], tt, J[k], uu) for k in np.nonzero(ok & ~general)[0]
+             for tt, uu in _segment_hits(a[k], b[k], pv[J[k]], pw[J[k]], tol)]
+    if extra:
+        cols = [np.concatenate([c, x]) for c, x in zip(cols, zip(*extra))]
+    return tuple(cols)
+
+
+# first_hit_from tests blocks of _FIRST_BLOCK segments, doubling up to
+# _ROW_BLOCK; its offsets (segment units, below n) round by far less than
+# _OFFSET_MARGIN.
+_FIRST_BLOCK, _OFFSET_MARGIN = 8, 1e-6
 
 
 def first_hit_from(curve: ClosedPolyline2, poly: Polygon2, start_param: float, eps=None):
-    """First boundary hit at or after start_param along the curve (CCW).
+    """First boundary hit at or after start_param along the curve (CCW), as
+    (BoundaryPoint2(segment, t), BoundaryPoint2(edge, u)).
 
-    Traversal offset is measured in edge units modulo n; offsets within
+    Traversal offset is measured in segment units modulo n; offsets within
     1e-7 of a full loop are folded to zero so a start point sitting on the
-    boundary is accepted immediately.
+    boundary is accepted immediately. Ties go to the least (segment, t,
+    edge, u). Segments are tested in cyclic blocks from the one before
+    start_param's (the fold reaches no further back) until no untested
+    segment can reach an offset as small as the best hit's.
     """
-    hits = curve_polygon_intersections(curve, poly, eps)
-    if not hits:
-        raise NoIntersectionError("curve does not meet the boundary")
     n = curve.n
-    best = None
-    for h in hits:
-        off = (h.seg + h.t - start_param) % n
-        if off > n - 1e-7:
-            off = 0.0
-        key = (off, h.seg, h.t, h.edge, h.u)
-        if best is None or key < best[0]:
-            best = (key, h)
-    return best[1]
+    first = int(np.floor(start_param)) - 1
+    best, done, size = None, 0, _FIRST_BLOCK
+    while done < n:
+        block = np.arange(first + done, first + min(done + size, n)) % n
+        done, size = done + len(block), min(2 * size, _ROW_BLOCK)
+        seg, t, edge, u = curve_polygon_intersections(curve, poly, block, eps)
+        if len(seg):
+            off = np.mod(seg + t - start_param, n)
+            off[off > n - 1e-7] = 0.0
+            k = np.lexsort((u, edge, t, seg, off))[0]
+            key = (float(off[k]), int(seg[k]), float(t[k]), int(edge[k]), float(u[k]))
+            best = key if best is None else min(best, key)
+        # an untested segment's offset is at least first + done - start_param
+        if best is not None and best[0] < first + done - start_param - _OFFSET_MARGIN:
+            break
+    if best is None:
+        raise NoIntersectionError("curve does not meet the boundary")
+    return BoundaryPoint2(best[1], best[2]), BoundaryPoint2(best[3], best[4])
 
 
 def antipodal_about(poly: Polygon2, c, eps=None):
@@ -395,8 +398,7 @@ def antipodal_about(poly: Polygon2, c, eps=None):
     if dist <= eps_v:
         return bp0, bpc
     image = affine_boundary_image(poly, -1.0, 2.0 * c)
-    hit = first_hit_from(image, poly, bp0.param, eps_v)
-    return BoundaryPoint2(hit.seg, hit.t), BoundaryPoint2(hit.edge, hit.u)
+    return first_hit_from(image, poly, bp0.param, eps_v)
 
 
 # --- file formats -----------------------------------------------------------

@@ -9,7 +9,8 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from poise.balance2d import feasibility
-from poise.geom2d import validate_polygon
+from poise.errors import NoIntersectionError
+from poise.geom2d import _boxes_overlap, _crossings, _segment_hits, validate_polygon
 from poise.geom3d import _closest_on_triangles, validate_polyhedron
 from poise.polytoped import edge_segment, faces_of_dim, hpolytope
 from poise.skeleton_balance import EPS_T, _singular_triple
@@ -26,6 +27,36 @@ def star_polygon(rng, n, r_lo=0.3, r_hi=1.5):
     rad = rng.uniform(r_lo, r_hi, size=n)
     return validate_polygon(np.column_stack([rad * np.cos(ang),
                                              rad * np.sin(ang)]))
+
+
+def first_hit_all_hits(curve, poly, start_param, eps=None):
+    """first_hit_from by the plain route, as (seg, t, edge, u): every hit of
+    the whole curve as a Python tuple, sorted, then one key scan over all."""
+    tol = poly.eps_geom(eps)
+    cp = curve.points
+    cq = np.roll(cp, -1, axis=0)
+    pv, pw = poly.edge_arrays()
+    I, J = np.nonzero(_boxes_overlap(np.minimum(cp, cq) - tol, np.maximum(cp, cq) + tol,
+                                     np.minimum(pv, pw), np.maximum(pv, pw)))
+    a = cp[I]
+    ok, general, good, t, u = _crossings(a, cq[I] - a, pv[J], pw[J] - pv[J], tol)
+    hits = [(int(I[k]), min(max(float(t[k]), 0.0), 1.0),
+             int(J[k]), min(max(float(u[k]), 0.0), 1.0)) for k in np.nonzero(good)[0]]
+    for k in np.nonzero(ok & ~general)[0]:
+        i, j = int(I[k]), int(J[k])
+        hits += [(i, tt, j, uu)
+                 for tt, uu in _segment_hits(cp[i], cq[i], pv[j], pw[j], tol)]
+    if not hits:
+        raise NoIntersectionError("curve does not meet the boundary")
+    n = curve.n
+    best = None
+    for h in sorted(hits):
+        off = (h[0] + h[1] - start_param) % n
+        if off > n - 1e-7:
+            off = 0.0
+        if best is None or (off,) + h < best:
+            best = (off,) + h
+    return best[1:]
 
 
 def feasible_weights(rng, k):

@@ -36,6 +36,20 @@ def test_feasibility_exact_ties():
     assert not feasibility([5.0, 4.0])
 
 
+def test_feasibility_rounding_ties():
+    # fsum(0.1, 0.2) rounds to 0.30000000000000004, the exact sum lies below it
+    assert not feasibility([0.1, 0.2, 0.30000000000000004])
+    assert feasibility([0.5, 0.25, 0.75])
+    for w in (0.1, 0.30000000000000004, 1e-300):
+        assert feasibility([w, w])
+
+
+def test_fast_rejects_infeasible_weights_with_feasible_group_sums():
+    # groups [2] and [0, 1] both sum to 0.30000000000000004 once rounded
+    with pytest.raises(InfeasibleError):
+        balance_fast(SQUARE, [0.1, 0.2, 0.30000000000000004])
+
+
 def test_iterative_square_three_weights():
     placement = balance_iterative(SQUARE, [3.0, 2.0, 2.0])
     cert = verify_balance_points(SQUARE, placement.points(SQUARE), [3.0, 2.0, 2.0])

@@ -225,6 +225,9 @@ def test_exit_codes_for_bad_input(square, tmp_path):
                 "--weights", "nope"]).exit_code == 2
     assert run(["balance2d", "--polygon", square,
                 "--weights", "9 1 1"]).exit_code == 1  # infeasible
+    for cmd in ("balance2d", "balance2d-fast"):  # infeasible by a rounding tie
+        assert run([cmd, "--polygon", square,
+                    "--weights", "0.1 0.2 0.30000000000000004"]).exit_code == 1
     assert run(["tripodal", "--off", square, "--grid", "8x8"]).exit_code == 2
     assert run(["no-such-command"]).exit_code == 2
     assert run([]).exit_code == 2

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import star_polygon
+from helpers import first_hit_all_hits, star_polygon
 from poise import geom2d
-from poise.errors import DegenerateError, NonSimpleError, ParseError
+from poise.errors import DegenerateError, NoIntersectionError, NonSimpleError, ParseError
 from poise.geom2d import (BoundaryPoint2, _segment_hits, affine_boundary_image, antipodal_about,
                           boundary_point_at_param, curve_polygon_intersections,
                           dump_polygon_text, eval_boundary, locate_point,
@@ -49,7 +49,7 @@ def all_pairs_check_simple(poly):
                 continue
             if not adjacent:
                 raise NonSimpleError(f"edges {i} and {j} touch")
-            for t, u, _ in hits:
+            for t, u in hits:
                 if j == i + 1 and (t < 1.0 - 1e-9 or u > 1e-9):
                     raise NonSimpleError(f"edges {i} and {j} overlap")
                 if j == n - 1 and i == 0 and (u < 1.0 - 1e-9 or t > 1e-9):
@@ -178,8 +178,9 @@ def test_curve_intersections_match_brute_force():
         poly = star_polygon(rng, int(rng.integers(4, 24)))
         for scale in (-0.5, -1.0, -2.0):
             curve = affine_boundary_image(poly, scale, 0.1 * rng.normal(size=2))
-            hits = curve_polygon_intersections(curve, poly)
-            got = np.array([h.point for h in hits])
+            seg, t, _, _ = curve_polygon_intersections(curve, poly, np.arange(curve.n))
+            a, b = curve.points[seg], curve.points[(seg + 1) % curve.n]
+            got = a + t[:, None] * (b - a)
             ref = brute_segment_intersections(curve, poly)
             assert len(got) == len(ref)
             if len(ref) == 0:
@@ -188,6 +189,70 @@ def test_curve_intersections_match_brute_force():
             cost = np.linalg.norm(got[:, None, :] - ref[None, :, :], axis=2)
             assert cost.min(axis=1).max() <= 1e-9 * poly.diam
     assert crossing_cases >= 10  # the oracle comparison must actually bite
+
+
+@pytest.fixture(params=["real", "1-to-4"])
+def block_sizes(request, monkeypatch):
+    """first_hit_from's own block sizes, or blocks of 1, 2, 4, 4, ... segments,
+    which leave the start segment out of the first block and wrap past n - 1."""
+    if request.param == "1-to-4":
+        monkeypatch.setattr(geom2d, "_FIRST_BLOCK", 1)
+        monkeypatch.setattr(geom2d, "_ROW_BLOCK", 4)
+
+
+def _first_hit_cases():
+    """(curve, polygon, start_param) triples for the block scan."""
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5, 7, 16, 33, 64, 256):
+        poly = star_polygon(rng, n)
+        for scale in (-0.5, -1.0, -2.0):
+            curve = affine_boundary_image(poly, scale, 0.1 * rng.normal(size=2))
+            starts = [float(rng.integers(n)), n - 1e-9, float(rng.uniform(0, n))]
+            try:
+                seg, t, _, _ = first_hit_all_hits(curve, poly, starts[-1])
+                starts.append((seg + t + 1e-9) % n)  # a hair after a crossing: the fold
+            except NoIntersectionError:
+                pass
+            for start in starts:
+                yield curve, poly, start
+        # curve vertex k on the boundary: from start k the hit ends segment k - 1
+        k, j = int(rng.integers(1, n)), int(rng.integers(n))
+        p = 0.5 * (poly.vertices[j] + poly.vertices[(j + 1) % n])
+        for scale in (-1.0, -2.0):
+            curve = affine_boundary_image(poly, scale, p - scale * poly.vertices[k])
+            yield curve, poly, float(k)
+    # collinear overlaps take the parallel fallback; the last two curves miss
+    square = validate_polygon(SQUARE)
+    for scale, offset in ((-1.0, (0.0, 0.0)), (-2.0, (0.0, 1.0)), (-1.0, (0.5, 0.0)),
+                          (-0.5, (0.0, 0.0)), (1.0, (10.0, 10.0))):
+        curve = affine_boundary_image(square, scale, offset)
+        for start in (0.0, 1.0, 1.5, 3.0, 4 - 1e-9):
+            yield curve, square, start
+
+
+def _first_hit_outcome(find, curve, poly, start):
+    try:
+        return find(curve, poly, start)
+    except NoIntersectionError:
+        return None
+
+
+def _block_scan(curve, poly, start):
+    q, q_companion = geom2d.first_hit_from(curve, poly, start)
+    return q.edge, q.s, q_companion.edge, q_companion.s
+
+
+def test_first_hit_from_matches_all_hits(block_sizes):
+    before_start = misses = 0
+    for curve, poly, start in _first_hit_cases():
+        want = _first_hit_outcome(first_hit_all_hits, curve, poly, start)
+        got = _first_hit_outcome(_block_scan, curve, poly, start)
+        assert repr(got) == repr(want), (poly.n, start)  # repr tells -0.0 from 0.0
+        misses += want is None
+        before_start += want is not None and want[0] == (int(np.floor(start)) - 1) % poly.n
+    # the comparison must bite: curves that miss, and winners on the segment
+    # before the start's, which the first block must hold
+    assert misses >= 5 and before_start >= 10
 
 
 def test_parse_dump_round_trip():

@@ -28,8 +28,8 @@ from .errors import (
 from .geom2d import (
     OUTSIDE,
     Polygon2,
+    _nearest_point,
     _nearest_with_distance,
-    affine_boundary_image,
     eval_boundary,
     first_hit_from,
     locate_point,
@@ -184,7 +184,7 @@ def balance_iterative(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None,
     trace = [] if collect_trace else None
     rounds = 0
 
-    bpm, dist_m = _nearest_with_distance(work, m)
+    bpm, dist_m = _nearest_point(work, m)
     if dist_m <= eps_g:
         for s in range(1, kk):
             slots[s] = bpm
@@ -199,7 +199,7 @@ def balance_iterative(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None,
                 c_vec += ws[i] * pts[i]
             scale = -ws[s - 1] / ws[s]
             offset = -c_vec / ws[s]
-            curve = affine_boundary_image(work, scale, offset)
+            curve = scale * work.vertices + offset   # segment i: image of edge i
             try:
                 slots[s - 1], slots[s] = first_hit_from(curve, work,
                                                         slots[s - 1].param, eps_g)
@@ -213,7 +213,7 @@ def balance_iterative(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None,
                     "round": s,
                     "scale": scale,
                     "offset": offset + target,
-                    "curve": curve.points + target,
+                    "curve": curve + target,
                     "driver": pts[s - 1] + target,
                     "companion": pts[s] + target,
                 })
@@ -319,7 +319,7 @@ def verify_antipodal(poly: Polygon2, points, center,
 
 def _boundary_distance(poly: Polygon2, pts) -> float:
     """Largest distance from a point of pts to the polygon boundary."""
-    return max([0.0] + [_nearest_with_distance(poly, p)[1] for p in pts])
+    return max([0.0] + _nearest_with_distance(poly, pts)[2].tolist())
 
 
 # --- PARTITION hardness gadget ----------------------------------------------

@@ -32,10 +32,6 @@ class IndexOutOfRangeError(InputError, IndexError):
     """Boundary parameter refers to a nonexistent edge or s outside [0, 1]."""
 
 
-class ZeroScaleError(InputError):
-    """Affine boundary image requested with scale 0."""
-
-
 class CenterOutsideError(InputError):
     """Antipodal center lies outside the polygon."""
 

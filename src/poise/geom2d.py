@@ -1,8 +1,10 @@
-"""Simple-polygon kernel: validation, boundary parametrization, affine
-boundary images, curve/boundary intersections, and antipodal pairs.
+"""Simple-polygon kernel: validation, boundary parametrization,
+curve/boundary intersections, and antipodal pairs.
 
 Boundary points are addressed as (edge index, fraction s in [0, 1]); the
-scalar parameter edge + s runs over [0, n) counterclockwise.
+scalar parameter edge + s runs over [0, n) counterclockwise. A curve is a
+closed polyline, an (m, 2) array of points: segment i runs from point i to
+point i + 1, and the last wraps to the first.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from .errors import (
     NoIntersectionError,
     NonSimpleError,
     ParseError,
-    ZeroScaleError,
 )
 
 # Relative tolerances; absolute values scale with the polygon diameter.
@@ -70,17 +71,6 @@ class Polygon2:
 
     def __repr__(self):
         return f"Polygon2(n={self.n}, diam={self.diam:.6g})"
-
-
-@dataclass
-class ClosedPolyline2:
-    """Closed polyline: points[i] -> points[i+1], last wraps to first."""
-
-    points: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -185,28 +175,42 @@ def boundary_point_at_param(poly: Polygon2, param: float) -> BoundaryPoint2:
 
 def nearest_boundary_point(poly: Polygon2, q) -> BoundaryPoint2:
     """Closest boundary point; ties pick the smallest edge index, then s."""
-    bp, _ = _nearest_with_distance(poly, q)
-    return bp
+    return _nearest_point(poly, q)[0]
+
+
+def _nearest_point(poly: Polygon2, q):
+    """(BoundaryPoint2, distance) of the boundary point nearest the point q."""
+    edge, s, dist = _nearest_with_distance(poly, [q])
+    return BoundaryPoint2(int(edge[0]), float(s[0])), float(dist[0])
+
+
+# _nearest_with_distance takes about this many (point, edge) pairs at a time
+_PAIR_BLOCK = 1 << 16
 
 
 def _nearest_with_distance(poly: Polygon2, q):
+    """Arrays (edge, s, distance) of the boundary point nearest each row of
+    q, shape (m, 2), in (points x edges) passes; ties pick the smallest edge."""
     q = np.asarray(q, dtype=float)
     v, w = poly.edge_arrays()
     e = w - v
-    ee = np.einsum("ij,ij->i", e, e)
     # guards a zero-length edge of a Polygon2 built without validation
-    t = np.einsum("ij,ij->i", q - v, e) / np.maximum(ee, 1e-300)
-    t = np.clip(t, 0.0, 1.0)
-    proj = v + t[:, None] * e
-    d2 = np.einsum("ij,ij->i", proj - q, proj - q)
-    i = int(np.argmin(d2))  # argmin keeps the first minimum: edge tie-break
-    return BoundaryPoint2(i, float(t[i])), float(np.sqrt(d2[i]))
+    ee = np.maximum(np.einsum("ij,ij->i", e, e), 1e-300)
+    out = []
+    for qb in np.array_split(q, max(1, min(len(q), len(q) * poly.n // _PAIR_BLOCK))):
+        t = np.clip(np.einsum("mij,ij->mi", qb[:, None, :] - v, e) / ee, 0.0, 1.0)
+        off = v + t[..., None] * e - qb[:, None, :]
+        d2 = np.einsum("mij,mij->mi", off, off)
+        i = np.argmin(d2, axis=1)   # argmin keeps the first minimum: edge tie-break
+        rows = np.arange(len(qb))
+        out.append((i, t[rows, i], np.sqrt(d2[rows, i])))
+    return tuple(np.concatenate(col) for col in zip(*out))
 
 
 def locate_point(poly: Polygon2, q, eps=None) -> PointLocation:
     """Classify q against the polygon within tolerance eps (default 1e-9*diam)."""
     eps = poly.eps_geom(eps)
-    bp, dist = _nearest_with_distance(poly, q)
+    bp, dist = _nearest_point(poly, q)
     if dist <= eps:
         return PointLocation(BOUNDARY, bp, dist)
     side = INSIDE if _parity_inside(poly.vertices, np.asarray(q, float)) else OUTSIDE
@@ -222,19 +226,6 @@ def _parity_inside(vertices: np.ndarray, q: np.ndarray) -> bool:
     with np.errstate(divide="ignore", invalid="ignore"):
         xint = xs + (y - ys) * (x2 - xs) / (y2 - ys)
     return bool(np.count_nonzero(straddle & (x < xint)) % 2)
-
-
-def affine_boundary_image(poly: Polygon2, scale: float, offset) -> ClosedPolyline2:
-    """Image of the boundary under x -> scale*x + offset.
-
-    Segment i of the image is the image of polygon edge i, traversed with
-    the same fraction parameter.
-    """
-    if abs(scale) < 1e-300:
-        raise ZeroScaleError("scale must be nonzero")
-    offset = np.asarray(offset, dtype=float)
-    pts = scale * poly.vertices + offset
-    return ClosedPolyline2(points=pts)
 
 
 def _segment_hits(a, b, c, d, tol):
@@ -316,7 +307,7 @@ def _clamp01(x):
     return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
-def curve_polygon_intersections(curve: ClosedPolyline2, poly: Polygon2, segs, eps=None):
+def curve_polygon_intersections(curve, poly: Polygon2, segs, eps=None):
     """Hits of the curve segments with indices `segs` with the boundary.
 
     Returns arrays (seg, t, edge, u), t along the segment and u along the
@@ -326,8 +317,8 @@ def curve_polygon_intersections(curve: ClosedPolyline2, poly: Polygon2, segs, ep
     """
     tol = poly.eps_geom(eps)
     seg = np.asarray(segs)
-    a = curve.points[seg]
-    b = curve.points[(seg + 1) % curve.n]
+    a = curve[seg]
+    b = curve[(seg + 1) % len(curve)]
     pv, pw = poly.edge_arrays()
     I, J = np.nonzero(_boxes_overlap(np.minimum(a, b) - tol, np.maximum(a, b) + tol,
                                      np.minimum(pv, pw), np.maximum(pv, pw)))
@@ -347,7 +338,7 @@ def curve_polygon_intersections(curve: ClosedPolyline2, poly: Polygon2, segs, ep
 _FIRST_BLOCK, _OFFSET_MARGIN = 8, 1e-6
 
 
-def first_hit_from(curve: ClosedPolyline2, poly: Polygon2, start_param: float, eps=None):
+def first_hit_from(curve, poly: Polygon2, start_param: float, eps=None):
     """First boundary hit at or after start_param along the curve (CCW), as
     (BoundaryPoint2(segment, t), BoundaryPoint2(edge, u)).
 
@@ -358,7 +349,7 @@ def first_hit_from(curve: ClosedPolyline2, poly: Polygon2, start_param: float, e
     start_param's (the fold reaches no further back) until no untested
     segment can reach an offset as small as the best hit's.
     """
-    n = curve.n
+    n = len(curve)
     first = int(np.floor(start_param)) - 1
     best, done, size = None, 0, _FIRST_BLOCK
     while done < n:
@@ -394,11 +385,11 @@ def antipodal_about(poly: Polygon2, c, eps=None):
     bp0 = loc.boundary if loc.boundary is not None else nearest_boundary_point(poly, c)
     p0 = eval_boundary(poly, bp0)
     comp = 2.0 * c - p0
-    bpc, dist = _nearest_with_distance(poly, comp)
+    bpc, dist = _nearest_point(poly, comp)
     if dist <= eps_v:
         return bp0, bpc
-    image = affine_boundary_image(poly, -1.0, 2.0 * c)
-    return first_hit_from(image, poly, bp0.param, eps_v)
+    # the boundary reflected through c: segment i is the image of edge i
+    return first_hit_from(-1.0 * poly.vertices + 2.0 * c, poly, bp0.param, eps_v)
 
 
 # --- file formats -----------------------------------------------------------

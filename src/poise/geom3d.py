@@ -823,114 +823,107 @@ def frame_field(path: SurfacePath) -> FrameField:
 @dataclass(frozen=True, eq=False)
 class CrossSection(PlaneFrame):
     """Section loop around the plane anchor (the frame origin), as a 2D
-    polygon plus the face hosting each of its edges."""
+    polygon plus the face hosting each of its edges. Polygon vertex i is the
+    projection of points3[i], which lies on the faces of its two edges."""
 
     polygon: Polygon2
     edge_faces: np.ndarray
+    points3: np.ndarray
 
 
 def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
     """Slice the surface; return the loop whose interior holds the anchor.
 
-    Face by face: boundary crossings and on-plane vertices become section
-    points, consecutive pairs along the section line are kept when their
-    midpoint lies in the face, chords are stitched into loops.
+    A vertex within eps_geom of the plane is on it, and each triangulation
+    edge with ends strictly on opposite sides crosses it once. A section
+    point is keyed by its vertex id, or by nv + its edge id; a triangle with
+    two keys gives a chord of its face. Chords join by equal keys, never by
+    coordinates (Minetto et al., "An optimal algorithm for 3D triangle mesh
+    slicing", CAD 2017).
     """
     n = plane.unit_normal()
-    tol = poly.eps_geom() * 1e3  # slicing tolerance, still tiny vs diam
     d = poly.vertices @ n - plane.offset
-    on = np.abs(d) <= tol
-
-    chords = []
-    for fid, f in enumerate(poly.faces):
-        pts = []
-        for i, a in enumerate(f):
-            b = f[(i + 1) % len(f)]
-            if on[a]:
-                pts.append(poly.vertices[a])
-            elif not on[b] and d[a] * d[b] < 0.0:
-                frac = d[a] / (d[a] - d[b])
-                pts.append(poly.vertices[a] + frac * (poly.vertices[b] - poly.vertices[a]))
-        if not pts:
-            continue
-        uniq = []
-        for p in pts:
-            if all(np.linalg.norm(p - q) > tol for q in uniq):
-                uniq.append(p)
-        if len(uniq) < 2:
-            continue
-        ff, fn, face2 = poly.face_frame(fid)
-        line = np.cross(n, fn)
-        ll = np.linalg.norm(line)
-        if ll <= 1e-9:
-            raise DegenerateSectionError(f"face {fid} lies in the cutting plane")
-        line = line / ll
-        uniq.sort(key=lambda p: float(p @ line))
-        for p0, p1 in zip(uniq, uniq[1:]):
-            if locate_point(face2, ff.to2d(0.5 * (p0 + p1)), tol).side != OUTSIDE:
-                chords.append((p0, p1, fid))
-
-    if not chords:
+    on = np.abs(d) <= poly.eps_geom()
+    side = np.where(on, 0.0, np.sign(d))
+    tris = poly.tris
+    nxt = np.roll(tris, -1, axis=1)         # edge k of a triangle: corner k to k + 1
+    crosses = side[tris] * side[nxt] < 0.0
+    # each crossing edge once, from its negative end to its positive end
+    lo = np.where(d[tris] < 0.0, tris, nxt)[crosses]
+    hi = np.where(d[tris] < 0.0, nxt, tris)[crosses]
+    edges, eid = np.unique(np.stack([lo, hi], axis=1), axis=0, return_inverse=True)
+    lo, hi = edges.T
+    frac = d[lo] / (d[lo] - d[hi])
+    points = np.concatenate([poly.vertices, poly.vertices[lo]
+                             + frac[:, None] * (poly.vertices[hi] - poly.vertices[lo])])
+    edge_keys = np.full(tris.shape, -1)
+    edge_keys[crosses] = len(d) + eid.ravel()
+    keys = np.hstack([np.where(on[tris], tris, -1), edge_keys])
+    count = (keys >= 0).sum(axis=1)
+    if (count == 3).any():
+        fid = int(poly.tri_face[np.argmax(count == 3)])
+        raise DegenerateSectionError(f"face {fid} lies in the cutting plane")
+    rows = np.nonzero(count == 2)[0]
+    if not len(rows):
         if on.any():
             raise DegenerateSectionError("plane only grazes vertices or edges")
         raise NoLoopContainsOriginError("plane misses the surface")
+    ends = keys[rows][keys[rows] >= 0].reshape(-1, 2)
 
-    loops = _stitch_loops(chords, tol)
     frame = PlaneFrame.about(n * plane.offset, n)
-    for pts3, fids in loops:
+    for loop, fids in _stitch_loops(ends, poly.tri_face[rows]):
         try:
-            polygon, fids = _remap_loop(frame.to2d(pts3), list(fids))
+            polygon, pts3, fids = _remap_loop(frame, points[loop], fids)
         except (InputError, PoiseError):
             continue  # sliver loop below validation tolerances
         if locate_point(polygon, (0.0, 0.0)).side != OUTSIDE:
-            return CrossSection(frame.origin, frame.u, frame.w, polygon, fids)
+            return CrossSection(frame.origin, frame.u, frame.w, polygon, fids, pts3)
     raise NoLoopContainsOriginError("no section loop encloses the anchor")
 
 
-def _remap_loop(pts2, fids):
-    """Validate the loop; if validation reversed it, reverse edge provenance."""
+def _remap_loop(frame, pts3, fids):
+    """Validate the loop in the frame; if validation reversed it, reverse
+    its 3D points and edge provenance too."""
+    pts2 = frame.to2d(pts3)
     polygon = validate_polygon(pts2)
     if Polygon2(pts2).signed_area() < 0.0:
         m = len(fids)
         fids = [fids[(m - 2 - j) % m] for j in range(m)]
-    return polygon, np.asarray(fids, dtype=int)
+        pts3 = pts3[::-1]
+    return polygon, pts3, np.asarray(fids, dtype=int)
 
 
-def _stitch_loops(chords, tol):
-    """Chain chords end to end into closed loops (greedy endpoint matching).
-    Endpoints match within tol: one distance matrix decides every pair, and
-    the scalar norm again each pair within a relative 1e-12 of tol."""
-    ends = np.array([p for p0, p1, _ in chords for p in (p0, p1)])
-    dist = np.linalg.norm(ends[:, None, :] - ends[None, :, :], axis=-1)
-    near = dist <= tol
-    for i, j in np.argwhere(np.abs(dist - tol) <= 1e-12 * tol):
-        near[i, j] = np.linalg.norm(ends[i] - ends[j]) <= tol
-
-    # drop duplicate chords (same endpoints), keep the smallest face id
-    same = (near[0::2, 0::2] & near[1::2, 1::2]) | (near[0::2, 1::2] & near[1::2, 0::2])
-    keep = []
-    for i in range(len(chords)):
-        if not same[i, keep].any():
-            keep.append(i)
-    s = 2 * np.array(keep)          # first endpoint of each kept chord
-    used = np.zeros(len(keep), dtype=bool)
+def _stitch_loops(ends, fids):
+    """Chain chords, (m, 2) key pairs with their face ids, into closed loops
+    of keys: greedily, in chord order, each chord's end meets the first
+    unused chord with an equal key. The first chord of a repeated key pair
+    stays (the smallest face id). Two consecutive chords of one face become
+    one chord. Chord i of a returned loop runs from key i to key i + 1."""
+    _, first = np.unique(np.sort(ends, axis=1), axis=0, return_index=True)
+    first.sort()
+    ends, fids = ends[first].tolist(), fids[first].tolist()
+    at = {}
+    for i, pair in enumerate(ends):
+        for key in pair:
+            at.setdefault(key, []).append(i)
+    used = [False] * len(ends)
     loops = []
-    for start in range(len(keep)):
+    for start in range(len(ends)):
         if used[start]:
             continue
         used[start] = True
-        ids, fids = [s[start], s[start] + 1], [chords[keep[start]][2]]
-        while not near[ids[-1], ids[0]]:
-            hit = ~used & (near[s, ids[-1]] | near[s + 1, ids[-1]])
-            if not hit.any():
+        keys, faces = list(ends[start]), [fids[start]]
+        while keys[-1] != keys[0]:
+            j = next((j for j in at[keys[-1]] if not used[j]), None)
+            if j is None:
                 raise DegenerateSectionError("section chords do not close up")
-            j = int(np.argmax(hit))
             used[j] = True
-            ids.append(s[j] + 1 if near[s[j], ids[-1]] else s[j])
-            fids.append(chords[keep[j]][2])
-        ids.pop()
-        if len(ids) >= 3:
-            loops.append((ends[ids], fids))
+            keys.append(ends[j][1] if ends[j][0] == keys[-1] else ends[j][0])
+            faces.append(fids[j])
+        keys.pop()
+        heads = [i for i in range(len(faces)) if faces[i] != faces[i - 1]]
+        if len(heads) >= 3:
+            loops.append(([keys[i] for i in heads], [faces[i] for i in heads]))
     if not loops:
         raise DegenerateSectionError("section has no closed loop")
     return loops

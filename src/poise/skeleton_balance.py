@@ -450,7 +450,9 @@ def four_on_edges(P: Polyhedron3, plane: Plane3 = None) -> SkeletonPlacement:
     An antipodal pair (q, -q) on the section loop pins down two host faces;
     an antipodal pair inside each face polygon about its section point then
     lands on the face's boundary edges.  A section point already sitting on
-    an edge collapses its pair to two copies of itself.
+    an edge collapses its pair to two copies of itself. Each section point
+    is taken on its face's chord in 3D, so a vertex up to eps_geom off the
+    plane moves the sum by at most that much per point, never off the face.
     """
     if plane is None:
         plane = Plane3((0.0, 0.0, 1.0), 0.0)
@@ -462,7 +464,8 @@ def four_on_edges(P: Polyhedron3, plane: Plane3 = None) -> SkeletonPlacement:
     bq, bq2 = antipodal_about(sec.polygon, (0.0, 0.0))
     entries = []
     for bp in (bq, bq2):
-        center3 = sec.to3d(eval_boundary(sec.polygon, bp))
+        a, b = sec.points3[bp.edge], sec.points3[(bp.edge + 1) % sec.polygon.n]
+        center3 = a + bp.s * (b - a)
         fid = int(sec.edge_faces[bp.edge])
         entries.extend(_face_pair(P, fid, center3))
     return SkeletonPlacement(entries, 4, np.zeros(3))

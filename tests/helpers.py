@@ -9,9 +9,11 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from poise.balance2d import feasibility
-from poise.errors import NoIntersectionError
-from poise.geom2d import _boxes_overlap, _crossings, _segment_hits, validate_polygon
-from poise.geom3d import _closest_on_triangles, validate_polyhedron
+from poise.errors import (DegenerateSectionError, InputError, NoIntersectionError,
+                          NoLoopContainsOriginError, PoiseError)
+from poise.geom2d import (OUTSIDE, _boxes_overlap, _crossings, _segment_hits,
+                          locate_point, validate_polygon)
+from poise.geom3d import PlaneFrame, _closest_on_triangles, _remap_loop, validate_polyhedron
 from poise.polytoped import edge_segment, faces_of_dim, hpolytope
 from poise.skeleton_balance import EPS_T, _singular_triple
 
@@ -33,22 +35,22 @@ def first_hit_all_hits(curve, poly, start_param, eps=None):
     """first_hit_from by the plain route, as (seg, t, edge, u): every hit of
     the whole curve as a Python tuple, sorted, then one key scan over all."""
     tol = poly.eps_geom(eps)
-    cp = curve.points
-    cq = np.roll(cp, -1, axis=0)
+    cq = np.roll(curve, -1, axis=0)
     pv, pw = poly.edge_arrays()
-    I, J = np.nonzero(_boxes_overlap(np.minimum(cp, cq) - tol, np.maximum(cp, cq) + tol,
+    I, J = np.nonzero(_boxes_overlap(np.minimum(curve, cq) - tol,
+                                     np.maximum(curve, cq) + tol,
                                      np.minimum(pv, pw), np.maximum(pv, pw)))
-    a = cp[I]
+    a = curve[I]
     ok, general, good, t, u = _crossings(a, cq[I] - a, pv[J], pw[J] - pv[J], tol)
     hits = [(int(I[k]), min(max(float(t[k]), 0.0), 1.0),
              int(J[k]), min(max(float(u[k]), 0.0), 1.0)) for k in np.nonzero(good)[0]]
     for k in np.nonzero(ok & ~general)[0]:
         i, j = int(I[k]), int(J[k])
         hits += [(i, tt, j, uu)
-                 for tt, uu in _segment_hits(cp[i], cq[i], pv[j], pw[j], tol)]
+                 for tt, uu in _segment_hits(curve[i], cq[i], pv[j], pw[j], tol)]
     if not hits:
         raise NoIntersectionError("curve does not meet the boundary")
-    n = curve.n
+    n = len(curve)
     best = None
     for h in sorted(hits):
         off = (h[0] + h[1] - start_param) % n
@@ -412,8 +414,56 @@ def three_on_edges_all_triples(H, target=None):
     return None
 
 
+def cross_section_per_face(poly, plane, tol):
+    """geom3d.cross_section face by face, matching points by coordinates.
+
+    On-plane vertices (|d| <= tol) and boundary crossings become each face's
+    section points; points within tol merge, the rest are sorted along the
+    section line, and consecutive pairs whose midpoint lies in the face are
+    chords, stitched by stitch_loops_pairwise. Returns (frame, loop polygon,
+    edge faces) of the loop around the anchor.
+    """
+    n = plane.unit_normal()
+    d = poly.vertices @ n - plane.offset
+    on = np.abs(d) <= tol
+    chords = []
+    for fid, f in enumerate(poly.faces):
+        pts = []
+        for i, a in enumerate(f):
+            b = f[(i + 1) % len(f)]
+            if on[a]:
+                pts.append(poly.vertices[a])
+            elif not on[b] and d[a] * d[b] < 0.0:
+                frac = d[a] / (d[a] - d[b])
+                pts.append(poly.vertices[a] + frac * (poly.vertices[b] - poly.vertices[a]))
+        uniq = []
+        for p in pts:
+            if all(np.linalg.norm(p - q) > tol for q in uniq):
+                uniq.append(p)
+        if len(uniq) < 2:
+            continue
+        ff, fn, face2 = poly.face_frame(fid)
+        line = np.cross(n, fn)
+        if np.linalg.norm(line) <= 1e-9:
+            raise DegenerateSectionError(f"face {fid} lies in the cutting plane")
+        uniq.sort(key=lambda p: float(p @ line))
+        for p0, p1 in zip(uniq, uniq[1:]):
+            if locate_point(face2, ff.to2d(0.5 * (p0 + p1)), tol).side != OUTSIDE:
+                chords.append((p0, p1, fid))
+    frame = PlaneFrame.about(n * plane.offset, n)
+    for pts3, fids in stitch_loops_pairwise(chords, tol):
+        try:
+            polygon, _, fids = _remap_loop(frame, np.array(pts3), list(fids))
+        except (InputError, PoiseError):
+            continue
+        if locate_point(polygon, (0.0, 0.0)).side != OUTSIDE:
+            return frame, polygon, fids
+    raise NoLoopContainsOriginError("no section loop encloses the anchor")
+
+
 def stitch_loops_pairwise(chords, tol):
-    """geom3d._stitch_loops with one scalar norm per endpoint pair."""
+    """Chain (p0, p1, face id) chords into loops, one scalar norm per endpoint
+    pair; the first of two chords with the same endpoints stays."""
 
     def near(p, q):
         return np.linalg.norm(p - q) <= tol
@@ -438,8 +488,10 @@ def stitch_loops_pairwise(chords, tol):
                     fids.append(fj)
                     break
             else:
-                raise AssertionError("section chords do not close up")
+                raise DegenerateSectionError("section chords do not close up")
         pts.pop()
         if len(pts) >= 3:
             loops.append((pts, fids))
+    if not loops:
+        raise DegenerateSectionError("section has no closed loop")
     return loops

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import cube_mesh, octa_mesh, random_hull_hrep, star_mesh
 import poise.cli
@@ -134,6 +137,77 @@ def test_four_on_edges_round_trip(tmp_path):
     assert run(["four-on-edges", "--off", str(off), "--plane", "0 0 1",
                 "--json", str(out)]).exit_code == 0
     assert run(["check", "--json", str(out), "--off", str(off)]).exit_code == 0
+
+
+def _solves_and_checks(off, plane):
+    """four-on-edges on the OFF file with the plane exits 0, and so does
+    check of its certificate."""
+    out = Path(off).with_suffix(".json")
+    code = run(["four-on-edges", "--off", str(off), "--plane", plane,
+                "--json", str(out)]).exit_code
+    return code == 0 and run(["check", "--json", str(out), "--off", str(off)]).exit_code == 0
+
+
+@pytest.mark.parametrize("plane", ["0 0 1", "0.3 0.1 1"])
+@pytest.mark.parametrize("dz", [0.0, 1e-9, 1e-8, 1e-7, 1e-6, 3e-6])
+def test_four_on_edges_vertices_near_the_plane(dz, plane, tmp_path):
+    """The octahedron +-e_i with (1, 0, 0) raised to z = dz and (0, 1, 0)
+    lowered to -0.7 dz. A vertex within 1e3 eps_geom of the plane once became
+    a section point as it stood: dz = 1e-8 then had no crossing (exit 1), and
+    1e-7 to 3e-6 put a section point outside its face (exit 2)."""
+    octa = octa_mesh()
+    V = octa.vertices.copy()
+    V[0, 2], V[2, 2] = dz, -0.7 * dz
+    off = tmp_path / "tipped.off"
+    off.write_text(dump_off(validate_polyhedron(V, octa.faces)))
+    assert _solves_and_checks(off, plane)
+
+
+@pytest.mark.parametrize("h", [0.9e-9, 1e-9])
+def test_four_on_edges_vertex_on_the_plane_within_eps_geom(h, tmp_path):
+    """Vertex (1, 0, 0) raised to h diam is on the plane z = 0, and so is the
+    edge to (0, 1, 0); its chord is kept from the upper face. The in-plane
+    point of that chord lies below the edge, outside the upper face, and the
+    face's antipodal pair found no crossing (exit 1); the section point is
+    now taken on the chord in 3D."""
+    octa = octa_mesh()
+    V = octa.vertices.copy()
+    V[0, 2] = h * octa.diam
+    off = tmp_path / "raised.off"
+    off.write_text(dump_off(validate_polyhedron(V, octa.faces)))
+    assert _solves_and_checks(off, "0 0 1")
+
+
+def test_four_on_edges_surface_seed4_mesh(tmp_path):
+    """The surface benchmark's seed 4, pass 6 mesh5.off (512 triangles): its
+    vertex 70 sits 2.6e-6 above z = 0, and its four points once summed to
+    8.8e-7 against a bound of 4.2e-8 (exit 3)."""
+    off = tmp_path / "mesh5.off"
+    off.write_text((Path(__file__).parent / "data" / "surface_seed4_mesh5.off").read_text())
+    assert _solves_and_checks(off, "0 0 1")
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(mesh=st.sampled_from(["octa", "star1", "star2"]), pick=st.integers(0, 15),
+       h=st.floats(-13.0, -5.0).map(lambda e: 10.0 ** e), up=st.booleans(),
+       plane=st.sampled_from(["z", "tilted", "vertex"]), other=st.integers(0, 65))
+def test_four_on_edges_with_a_vertex_jittered_off_the_plane(mesh, pick, h, up, plane, other):
+    """One equator vertex of the octahedron or of a seeded star mesh, moved
+    to height +-h diam: four-on-edges solves and check accepts, cut by z = 0,
+    by a tilted plane, or by the vertical plane through a mesh vertex."""
+    poly = octa_mesh() if mesh == "octa" else star_mesh(np.random.default_rng(7), int(mesh[-1]))
+    V = poly.vertices.copy()
+    equator = np.flatnonzero(V[:, 2] == 0.0)
+    i = equator[pick % len(equator)]
+    V[i, 2] = (h if up else -h) * poly.diam
+    normal = {"z": (0.0, 0.0, 1.0), "tilted": (0.3, 0.1, 1.0),
+              "vertex": np.cross(V[other % len(V)], (0.0, 0.0, 1.0))}[plane]
+    if not np.any(normal):
+        normal = (0.0, 0.0, 1.0)    # a pole: every vertical plane holds it
+    with tempfile.TemporaryDirectory() as wd:
+        off = Path(wd) / "jittered.off"
+        off.write_text(dump_off(validate_polyhedron(V, poly.faces)))
+        assert _solves_and_checks(off, " ".join(repr(float(x)) for x in normal))
 
 
 def test_halving_pow2_compose_round_trips(cube_h, tmp_path):

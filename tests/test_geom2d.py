@@ -6,7 +6,7 @@ import pytest
 from helpers import first_hit_all_hits, star_polygon
 from poise import geom2d
 from poise.errors import DegenerateError, NoIntersectionError, NonSimpleError, ParseError
-from poise.geom2d import (BoundaryPoint2, _segment_hits, affine_boundary_image, antipodal_about,
+from poise.geom2d import (BoundaryPoint2, _segment_hits, antipodal_about,
                           boundary_point_at_param, curve_polygon_intersections,
                           dump_polygon_text, eval_boundary, locate_point,
                           nearest_boundary_point, parse_polygon_text,
@@ -18,10 +18,9 @@ SQUARE = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
 def brute_segment_intersections(curve, poly):
     """All curve-segment x polygon-edge crossing points, O(n*m) reference."""
     hits = []
-    cp = curve.points
     pv = poly.vertices
-    for i in range(len(cp)):
-        a, b = cp[i], cp[(i + 1) % len(cp)]
+    for i in range(len(curve)):
+        a, b = curve[i], curve[(i + 1) % len(curve)]
         for j in range(poly.n):
             c, d = pv[j], pv[(j + 1) % poly.n]
             r, s = b - a, d - c
@@ -177,9 +176,9 @@ def test_curve_intersections_match_brute_force():
     for _ in range(10):
         poly = star_polygon(rng, int(rng.integers(4, 24)))
         for scale in (-0.5, -1.0, -2.0):
-            curve = affine_boundary_image(poly, scale, 0.1 * rng.normal(size=2))
-            seg, t, _, _ = curve_polygon_intersections(curve, poly, np.arange(curve.n))
-            a, b = curve.points[seg], curve.points[(seg + 1) % curve.n]
+            curve = scale * poly.vertices + 0.1 * rng.normal(size=2)
+            seg, t, _, _ = curve_polygon_intersections(curve, poly, np.arange(len(curve)))
+            a, b = curve[seg], curve[(seg + 1) % len(curve)]
             got = a + t[:, None] * (b - a)
             ref = brute_segment_intersections(curve, poly)
             assert len(got) == len(ref)
@@ -206,7 +205,7 @@ def _first_hit_cases():
     for n in (3, 4, 5, 7, 16, 33, 64, 256):
         poly = star_polygon(rng, n)
         for scale in (-0.5, -1.0, -2.0):
-            curve = affine_boundary_image(poly, scale, 0.1 * rng.normal(size=2))
+            curve = scale * poly.vertices + 0.1 * rng.normal(size=2)
             starts = [float(rng.integers(n)), n - 1e-9, float(rng.uniform(0, n))]
             try:
                 seg, t, _, _ = first_hit_all_hits(curve, poly, starts[-1])
@@ -219,13 +218,13 @@ def _first_hit_cases():
         k, j = int(rng.integers(1, n)), int(rng.integers(n))
         p = 0.5 * (poly.vertices[j] + poly.vertices[(j + 1) % n])
         for scale in (-1.0, -2.0):
-            curve = affine_boundary_image(poly, scale, p - scale * poly.vertices[k])
+            curve = scale * poly.vertices + (p - scale * poly.vertices[k])
             yield curve, poly, float(k)
     # collinear overlaps take the parallel fallback; the last two curves miss
     square = validate_polygon(SQUARE)
     for scale, offset in ((-1.0, (0.0, 0.0)), (-2.0, (0.0, 1.0)), (-1.0, (0.5, 0.0)),
                           (-0.5, (0.0, 0.0)), (1.0, (10.0, 10.0))):
-        curve = affine_boundary_image(square, scale, offset)
+        curve = scale * square.vertices + np.asarray(offset)
         for start in (0.0, 1.0, 1.5, 3.0, 4 - 1e-9):
             yield curve, square, start
 
@@ -253,6 +252,26 @@ def test_first_hit_from_matches_all_hits(block_sizes):
     # the comparison must bite: curves that miss, and winners on the segment
     # before the start's, which the first block must hold
     assert misses >= 5 and before_start >= 10
+
+
+@pytest.mark.parametrize("block", [geom2d._PAIR_BLOCK, 40])
+def test_nearest_in_one_pass_matches_one_point_at_a_time(block, monkeypatch):
+    """Every point gets the edge, fraction and distance bits it gets alone,
+    at the real block size and at blocks of a few points."""
+    monkeypatch.setattr(geom2d, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 9, 40, 200):
+        poly = star_polygon(rng, n)
+        v = poly.vertices
+        pts = np.concatenate([rng.normal(size=(8, 2)), v[rng.integers(0, n, 3)],
+                              0.5 * (v + np.roll(v, -1, axis=0))[:3],
+                              v[:2] + 1e-12 * rng.normal(size=(2, 2))])
+        edge, s, dist = geom2d._nearest_with_distance(poly, pts)
+        for i, p in enumerate(pts):
+            one = geom2d._nearest_with_distance(poly, p[None])
+            assert repr([c[0].item() for c in one]) == repr([edge[i].item(), s[i].item(),
+                                                            dist[i].item()])
+    assert all(len(c) == 0 for c in geom2d._nearest_with_distance(poly, np.zeros((0, 2))))
 
 
 def test_parse_dump_round_trip():

@@ -5,11 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import (closest_points_all_pairs, convex_mesh, cube_mesh, octa_mesh,
-                     ray_hits_all_pairs, star_mesh, stitch_loops_pairwise, tetra_mesh)
+from helpers import (closest_points_all_pairs, convex_mesh, cross_section_per_face,
+                     cube_mesh, octa_mesh, ray_hits_all_pairs, star_mesh, tetra_mesh)
 from poise import geom3d
-from poise.errors import (NoLoopContainsOriginError, NonPlanarFaceError,
-                          OpenSurfaceError, ParseError)
+from poise.errors import (DegenerateSectionError, NoLoopContainsOriginError,
+                          NonPlanarFaceError, OpenSurfaceError, ParseError)
 from poise.geom3d import (Plane3, cross_section, dump_off,
                           extreme_boundary_points, frame_field, parse_off,
                           side3, signed_distance, surface_path,
@@ -111,31 +111,6 @@ def test_cross_section_requires_origin_in_a_loop():
         cross_section(poly, Plane3((0, 0, 1), 0.0))
 
 
-def test_stitched_loops_match_the_pairwise_stitch(monkeypatch):
-    """The same loops, point for point and face for face, as a stitch that
-    takes one scalar norm per endpoint pair; planes through mesh edges give
-    duplicate chords, and the duplicate of the smaller face id stays."""
-    real, seen = geom3d._stitch_loops, []
-
-    def both(chords, tol):
-        got = real(chords, tol)
-        want = stitch_loops_pairwise(chords, tol)
-        assert len(got) == len(want)
-        for (gp, gf), (wp, wf) in zip(got, want):
-            assert np.asarray(gp).tobytes() == np.asarray(wp).tobytes()
-            assert list(gf) == list(wf)
-        seen.append(len(chords) - sum(len(f) for _, f in want))
-        return got
-
-    monkeypatch.setattr(geom3d, "_stitch_loops", both)
-    rng = np.random.default_rng(4)
-    normals = [(0, 0, 1), (1, -1, 0), (1, 1, 1)] + rng.normal(size=(3, 3)).tolist()
-    for poly in (cube_mesh(), octa_mesh(), star_mesh(rng, 1), star_mesh(rng, 3)):
-        for n in normals:
-            cross_section(poly, Plane3(n, 0.0))
-    assert max(seen) > 0      # some section had duplicate chords
-
-
 # --- culled queries against the all-pairs oracle ---------------------------------
 
 def _rotated_cube_parallel_to_first_ray():
@@ -179,6 +154,70 @@ def _meshes():
     scaled = [validate_polyhedron(p.vertices * s, p.faces)
               for p in base[1:2] + base[5:] for s in (1e-8, 1e8)]
     return base + scaled + [_rotated_cube_parallel_to_first_ray()]
+
+
+def _section_planes(rng, poly):
+    """Axis and random planes through the origin, planes through the origin
+    and a mesh vertex or a mesh edge, and off-origin planes through an edge."""
+    V = poly.vertices
+    edges = poly.edges[rng.choice(len(poly.edges), 3, replace=False)]
+    normals = [(0, 0, 1), (1, -1, 0), (1, 1, 1)] + rng.normal(size=(2, 3)).tolist()
+    normals += [np.cross(V[a], V[b]) for a, b in edges]
+    normals += [np.cross(V[i], rng.normal(size=3)) for i in rng.choice(len(V), 3)]
+    planes = [Plane3(tuple(n), 0.0) for n in normals]
+    for a, b in edges:
+        n = np.cross(V[b] - V[a], rng.normal(size=3))
+        n /= np.linalg.norm(n)
+        planes.append(Plane3(tuple(n), float(n @ V[a])))
+    return planes
+
+
+def _section_outcome(section):
+    try:
+        return section()
+    except (DegenerateSectionError, NoLoopContainsOriginError) as exc:
+        return type(exc)
+
+
+def test_cross_section_matches_the_per_face_section(monkeypatch):
+    """The loop of the per-face routine that matches points by coordinates,
+    with tol = eps_geom: the same length, the same edge faces up to a cyclic
+    shift, and vertices within 1e-15 diam, on planes through mesh vertices
+    and edges, whose in-plane edges give duplicate chords. Each polygon
+    vertex is the projection of its 3D point, which lies on the faces of
+    its two edges."""
+    real, dup = geom3d._stitch_loops, []
+
+    def counting(ends, fids):
+        dup.append(len(ends) - len(np.unique(np.sort(ends, axis=1), axis=0)))
+        return real(ends, fids)
+
+    monkeypatch.setattr(geom3d, "_stitch_loops", counting)
+    rng = np.random.default_rng(4)
+    sections = 0
+    for poly in _meshes():
+        for plane in _section_planes(rng, poly):
+            got = _section_outcome(lambda: cross_section(poly, plane))
+            want = _section_outcome(
+                lambda: cross_section_per_face(poly, plane, poly.eps_geom()))
+            if isinstance(want, type):
+                assert got is want, (poly, plane)
+                continue
+            sections += 1
+            frame, loop, fids = want
+            assert got.polygon.n == loop.n, (poly, plane)
+            assert np.array_equal(got.origin, frame.origin)
+            errs = [np.abs(np.roll(got.polygon.vertices, -r, axis=0) - loop.vertices).max()
+                    if list(np.roll(got.edge_faces, -r)) == list(fids) else np.inf
+                    for r in range(loop.n)]
+            assert min(errs) <= 1e-15 * poly.diam, (poly, plane, min(errs))
+            assert np.array_equal(got.to2d(got.points3), got.polygon.vertices)
+            for i, p in enumerate(got.points3):
+                for f in (got.edge_faces[i - 1], got.edge_faces[i]):
+                    frame, normal, _ = poly.face_frame(f)
+                    assert abs((p - frame.origin) @ normal) <= 1e-15 * poly.diam
+    assert sections >= 100
+    assert max(dup) > 0      # some section had duplicate chords
 
 
 def test_culled_queries_match_all_pairs_oracle(monkeypatch):

@@ -318,8 +318,9 @@ def verify_antipodal(poly: Polygon2, points, center,
 
 
 def _boundary_distance(poly: Polygon2, pts) -> float:
-    """Largest distance from a point of pts to the polygon boundary."""
-    return max([0.0] + _nearest_with_distance(poly, pts)[2].tolist())
+    """Largest distance from a point of pts to the polygon boundary; NaN if
+    a point is NaN."""
+    return float(np.max(_nearest_with_distance(poly, pts)[2], initial=0.0))
 
 
 # --- PARTITION hardness gadget ----------------------------------------------

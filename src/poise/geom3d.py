@@ -160,9 +160,9 @@ class Polyhedron3:
 
     # --- batched metric queries ------------------------------------------
     # Points run in Morton-ordered blocks of about _PAIR_BUDGET point-triangle
-    # pairs. In a query of several blocks, each scans only the triangles that
-    # can change its answers (box culling, Ericson, Real-Time Collision
-    # Detection, ch. 5.1 and 6): the answers of an all-pairs scan, bit for bit.
+    # pairs. Each block scans only the triangles that can change its answers
+    # (box culling, Ericson, Real-Time Collision Detection, ch. 5.1 and 6):
+    # the answers of an all-pairs scan, bit for bit.
 
     @cached_property
     def _boxes(self):
@@ -177,10 +177,9 @@ class Polyhedron3:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         m = len(pts)
         best_d2, best_tri, best_cp = np.empty(m), np.empty(m, dtype=int), np.empty((m, 3))
-        blocks = _morton_blocks(pts, len(self.tris))
-        for idx in blocks:
+        for idx in _morton_blocks(pts, len(self.tris)):
             p = pts[idx]
-            tri = self._near_tris(p) if len(blocks) > 1 else np.arange(len(self.tris))
+            tri = self._near_tris(p)
             cp = _closest_on_triangles(p, self._tv0[tri], self._ab[tri], self._ac[tri])
             d2 = np.einsum("mtj,mtj->mt", cp - p[:, None, :], cp - p[:, None, :])
             ti = np.argmin(d2, axis=1)
@@ -221,7 +220,9 @@ class Polyhedron3:
 
     def _ray_data(self, k):
         """Once per direction: Moller-Trumbore's h and f = 1/a, parallel flags,
-        normal lengths, and the triangles' boxes in the frame (u, w, d)."""
+        normal lengths, and for _ray_tris the triangles' boxes in the frame
+        (u, w, d), their low d ends at -inf, and per box the growth terms g0
+        and g1 of the rounding bound g0 + S g1 on each axis."""
         if k not in self._rays:
             d = _RAY_DIRS[k]
             h = np.cross(d, self._ac)
@@ -232,8 +233,17 @@ class Polyhedron3:
             f[~para] = 1.0 / a[~para]
             frame = np.stack(_plane_basis(d) + (d,))
             corners = (self.vertices @ frame.T)[self.tris]
-            self._rays[k] = (h, f, para, nn, frame, corners.min(axis=1),
-                             corners.max(axis=1))
+            lo, hi = corners.min(axis=1), corners.max(axis=1)
+            lab, lac = np.linalg.norm(self._ab, axis=1), np.linalg.norm(self._ac, axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rho = _EPS * (64.0 * lab * lac * np.abs(f) + 8.0)
+                ext = 32.0 * (hi - lo).max(axis=1)
+                g0 = np.where(rho < 0.05, ext * (1e-9 + rho), np.inf)
+                g1 = 64.0 * _EPS * (ext * (lab + lac) * np.abs(f) + 1.0)
+                g0 = g0[:, None] + [0.0, 0.0, 1e-9 * self.diam]
+                g1 = g1[:, None] + np.outer(16.0 * rho, [0.0, 0.0, 1.0])
+            lo[:, 2] = -np.inf
+            self._rays[k] = (h, f, para, nn, frame, lo, hi, g0, g1)
         return self._rays[k]
 
     def _ray_hits(self, pts, k):
@@ -244,10 +254,9 @@ class Polyhedron3:
         eps_t = 1e-9 * self.diam
         counts = np.zeros(len(pts), dtype=int)
         bad = np.zeros(len(pts), dtype=bool)
-        blocks = _morton_blocks(pts, len(self.tris))
-        for idx in blocks:
+        for idx in _morton_blocks(pts, len(self.tris)):
             p = pts[idx]
-            tri = self._ray_tris(p, k) if len(blocks) > 1 else np.flatnonzero(~para)
+            tri = self._ray_tris(p, k)
             s = p[:, None, :] - self._tv0[tri][None, :, :]
             u = np.einsum("mtj,tj->mt", s, h[tri]) * f[tri]
             q = np.cross(s, self._ab[tri][None, :, :])
@@ -271,20 +280,11 @@ class Polyhedron3:
         grow by the rounding of the Moller-Trumbore values, in barycentric units
         eps_b + eps (S (|ab| + |ac|) + |ab| |ac|) / |a| up to constant factors,
         S = max |p| + max |vertex|; a triangle with no usable bound is kept."""
-        _, f, para, _, frame, lo, hi = self._ray_data(k)
-        lab, lac = np.linalg.norm(self._ab, axis=1), np.linalg.norm(self._ac, axis=1)
+        _, _, para, _, frame, lo, hi, g0, g1 = self._ray_data(k)
         with np.errstate(over="ignore", invalid="ignore"):
             c = p @ frame.T
-            cmin, cmax = c.min(axis=0), c.max(axis=0)
-            S = np.abs(p).max() + self._boxes[4]
-            rho = _EPS * (64.0 * lab * lac * np.abs(f) + 8.0)
-            beta = 8.0 * (1e-9 + 64.0 * _EPS * S * (lab + lac) * np.abs(f) + rho)
-            grow = 4.0 * beta * (hi - lo).max(axis=1) + 64.0 * _EPS * S
-            grow = np.where(rho < 0.05, grow, np.inf)
-            grow_d = grow + 1e-9 * self.diam + 16.0 * rho * S
-            miss = ((lo[:, 0] - grow > cmax[0]) | (hi[:, 0] + grow < cmin[0])
-                    | (lo[:, 1] - grow > cmax[1]) | (hi[:, 1] + grow < cmin[1])
-                    | (hi[:, 2] + grow_d < cmin[2]))
+            grow = g0 + (np.abs(p).max() + self._boxes[4]) * g1
+            miss = ((lo - grow > c.max(axis=0)) | (hi + grow < c.min(axis=0))).any(axis=1)
         return np.flatnonzero(~(miss | para))
 
     def signed_distances(self, points, eps=None):

@@ -48,6 +48,7 @@ SIG_ZERO = "00"
 EPS_REL = 1e-6    # default relative tolerances of verify_tripodal
 REFINE_DEPTH = 6  # subdivision levels of a grid cell whose polish stalls
 GRID_MAX = 2048   # largest grid side tripodal_search scans
+ROW_FIRST_BLOCK = 8  # cell rows of the grid's first sign block; later ones double
 # The face-triple sweep solves its triples in lex-ordered chunks: the first
 # of SWEEP_FIRST_CHUNK triples, each later one twice the last, capped at
 # SWEEP_CHUNK, so a triple found early costs one small chunk.
@@ -175,40 +176,40 @@ class _CompanionField:
 
 
 def _newton_polish(field: _CompanionField, t0, th0, tol, iters=30):
-    """Damped 2-var Newton with central-difference Jacobian; t clamped to [0,1]."""
+    """Damped 2-var Newton with central-difference Jacobian; t clamped to [0,1].
+
+    Each step asks field.values twice: once for the four Jacobian points,
+    once for all ten damped trials, of which the first to lower max|g| is
+    taken. Every value is per point, so these are the bits of one-point calls.
+    """
     dt, dth = 1e-6, 1e-6
     t, th = float(t0), float(th0)
+    lams = 0.5 ** np.arange(10)
 
-    def val(tt, hh):
-        g1, g2 = field.values(np.array([tt]), np.array([hh]))
-        return np.array([g1[0], g2[0]])
+    def vals(ts, ths):      # one row (g1, g2) per (t, theta)
+        return np.stack(field.values(ts, ths), axis=1)
 
-    g = val(t, th)
+    g = vals([t], [th])[0]
     for _ in range(iters):
         if np.abs(g).max() <= tol:
             return t, th, g
         tp = min(t + dt, 1.0)
         tm = max(t - dt, 0.0)
-        gp, gm = val(tp, th), val(tm, th)
+        gp, gm, hp, hm = vals([tp, tm, t, t], [th, th, th + dth, th - dth])
         col_t = (gp - gm) / max(tp - tm, 1e-300)
-        gp, gm = val(t, th + dth), val(t, th - dth)
-        col_th = (gp - gm) / (2 * dth)
+        col_th = (hp - hm) / (2 * dth)
         J = np.stack([col_t, col_th], axis=1)
         try:
             step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError:
             return t, th, g
-        lam = 1.0
-        for _ in range(10):
-            tn = min(max(t + lam * step[0], 0.0), 1.0)
-            thn = th + lam * step[1]
-            gn = val(tn, thn)
-            if np.abs(gn).max() < np.abs(g).max():
-                t, th, g = tn, thn, gn
-                break
-            lam *= 0.5
-        else:
+        tns = [min(max(t + lam * step[0], 0.0), 1.0) for lam in lams]
+        thns = th + lams * step[1]
+        gns = vals(tns, thns)
+        better = np.flatnonzero(np.abs(gns).max(axis=1) < np.abs(g).max())
+        if len(better) == 0:
             return t, th, g
+        t, th, g = tns[better[0]], thns[better[0]], gns[better[0]]
     return t, th, g
 
 
@@ -228,6 +229,9 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256)) -> TripodalTriple:
     Cells whose corners change sign in both companion distances are polished
     with damped Newton (subdividing up to REFINE_DEPTH levels when a kink
     stalls the iteration); the first verified triple in scan order wins. The
+    grid is signed in blocks of cell rows, ROW_FIRST_BLOCK first, each later
+    block twice the last, and the exact on-surface nodes of a block are tried
+    before its cells, so the scan stops in the block of its answer. The
     grid and the subdivisions read only signs, Newton the distances. The
     grid doubles while both sides stay <= GRID_MAX, then the face-triple
     sweep runs. A side < 1 or > GRID_MAX is an InputError. The origin is
@@ -250,20 +254,22 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256)) -> TripodalTriple:
     while nt <= GRID_MAX and nth <= GRID_MAX:
         ts = np.linspace(0.0, 1.0, nt + 1)
         ths = np.linspace(0.0, np.pi, nth + 1)
-        g1, g2 = field.signs(*np.meshgrid(ts, ths, indexing="ij"))
-
-        # exact on-surface grid nodes first
-        zero = (g1 == 0.0) & (g2 == 0.0)
-        for it, ith in np.argwhere(zero):
-            cand = _triple_at(field, poly, ts[it], ths[ith])
-            if verify_tripodal(poly, cand.points).passed:
-                return cand
-
-        for it, ith in np.argwhere(_straddle_mask(g1, g2)):
-            hit = _polish_cell(field, poly, ts[it], ts[it + 1], ths[ith],
-                               ths[ith + 1], tol, REFINE_DEPTH)
-            if hit is not None:
-                return hit
+        g1, g2 = np.empty((2, nt + 1, nth + 1))
+        c0, c1 = 0, min(ROW_FIRST_BLOCK, nt)
+        while c0 < nt:   # cell rows c0..c1-1; node row c0 carries over
+            new = slice(c0 + (c0 > 0), c1 + 1)
+            g1[new], g2[new] = field.signs(*np.meshgrid(ts[new], ths, indexing="ij"))
+            # exact on-surface nodes of the block first
+            for it, ith in np.argwhere((g1[new] == 0.0) & (g2[new] == 0.0)):
+                cand = _triple_at(field, poly, ts[new.start + it], ths[ith])
+                if verify_tripodal(poly, cand.points).passed:
+                    return cand
+            for it, ith in np.argwhere(_straddle_mask(g1[c0:c1 + 1], g2[c0:c1 + 1])):
+                hit = _polish_cell(field, poly, ts[c0 + it], ts[c0 + it + 1],
+                                   ths[ith], ths[ith + 1], tol, REFINE_DEPTH)
+                if hit is not None:
+                    return hit
+            c0, c1 = c1, min(c1 + 2 * (c1 - c0), nt)
         nt *= 2
         nth *= 2
 

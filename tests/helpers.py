@@ -9,11 +9,15 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from poise.balance2d import feasibility
+from poise import tripodal as tp
 from poise.errors import (DegenerateSectionError, InputError, NoIntersectionError,
-                          NoLoopContainsOriginError, PoiseError)
+                          NoLoopContainsOriginError, NotFoundError, OriginOutsideError,
+                          PoiseError, SearchExhaustedError)
 from poise.geom2d import (OUTSIDE, _boxes_overlap, _crossings, _segment_hits,
                           locate_point, validate_polygon)
-from poise.geom3d import PlaneFrame, _closest_on_triangles, _remap_loop, validate_polyhedron
+from poise.geom3d import (BOUNDARY, PlaneFrame, _closest_on_triangles,
+                          _remap_loop, farthest_vertex, frame_field, side3, surface_path,
+                          validate_polyhedron)
 from poise.polytoped import edge_segment, faces_of_dim, hpolytope
 from poise.skeleton_balance import EPS_T, _singular_triple
 
@@ -135,6 +139,19 @@ def octa_mesh():
 def tetra_mesh():
     return convex_mesh(np.array([[3, 0, 0], [0, 3, 0], [0, 0, 3],
                                  [-1, -1, -1]], float))
+
+
+def criterion05_meshes():
+    """(name, mesh) pairs of the acceptance suite's tripodal criterion."""
+    rng = np.random.default_rng(500)
+    meshes = [("cube", cube_mesh()), ("octa", octa_mesh()),
+              ("simplex", tetra_mesh())]
+    sizes = list(rng.integers(8, 29, size=19)) + [50]
+    for i, n in enumerate(sizes):
+        meshes.append((f"hull{i}", convex_mesh(sphere_points(rng, int(n)))))
+    for i in range(5):
+        meshes.append((f"star{i}", star_mesh(rng, subdiv=1)))
+    return meshes
 
 
 def hull_hrep(points):
@@ -357,6 +374,83 @@ def newton_rows_dense(y, a0, b0, A1, A2, Rm, tol_g):
         damp *= (live & ok)
         y[..., 0] += s0 * damp
         y[..., 1] += s1 * damp
+
+
+# --- one-point and whole-grid oracles of the tripodal search -----------------
+
+def newton_polish_pointwise(field, t0, th0, tol, iters=30):
+    """tripodal._newton_polish with one (t, theta) per field.values call:
+    four calls per Jacobian, then one per damped trial until one lowers
+    max|g|."""
+    dt, dth = 1e-6, 1e-6
+    t, th = float(t0), float(th0)
+
+    def val(tt, hh):
+        g1, g2 = field.values(np.array([tt]), np.array([hh]))
+        return np.array([g1[0], g2[0]])
+
+    g = val(t, th)
+    for _ in range(iters):
+        if np.abs(g).max() <= tol:
+            return t, th, g
+        tp = min(t + dt, 1.0)
+        tm = max(t - dt, 0.0)
+        gp, gm = val(tp, th), val(tm, th)
+        col_t = (gp - gm) / max(tp - tm, 1e-300)
+        gp, gm = val(t, th + dth), val(t, th - dth)
+        col_th = (gp - gm) / (2 * dth)
+        J = np.stack([col_t, col_th], axis=1)
+        try:
+            step = np.linalg.solve(J, -g)
+        except np.linalg.LinAlgError:
+            return t, th, g
+        lam = 1.0
+        for _ in range(10):
+            tn = min(max(t + lam * step[0], 0.0), 1.0)
+            thn = th + lam * step[1]
+            gn = val(tn, thn)
+            if np.abs(gn).max() < np.abs(g).max():
+                t, th, g = tn, thn, gn
+                break
+            lam *= 0.5
+        else:
+            return t, th, g
+    return t, th, g
+
+
+def tripodal_search_whole_grid(poly, grid=(256, 256)):
+    """tripodal.tripodal_search signing each whole grid in one query, then
+    trying every exact on-surface node before the first straddling cell."""
+    nt, nth = int(grid[0]), int(grid[1])
+    if not (1 <= nt <= tp.GRID_MAX and 1 <= nth <= tp.GRID_MAX):
+        raise InputError(f"grid sides must be in 1..{tp.GRID_MAX}, got {nt}x{nth}")
+    loc = side3(poly, (0.0, 0.0, 0.0))
+    if loc.side == BOUNDARY:
+        return tp._degenerate_triple(poly, loc.surface)
+    if loc.side == OUTSIDE:
+        raise OriginOutsideError("origin lies outside the surface")
+    path = surface_path(poly, loc.surface, farthest_vertex(poly))
+    field = tp._CompanionField(poly, path, frame_field(path))
+    tol = 1e-9 * poly.diam
+    while nt <= tp.GRID_MAX and nth <= tp.GRID_MAX:
+        ts = np.linspace(0.0, 1.0, nt + 1)
+        ths = np.linspace(0.0, np.pi, nth + 1)
+        g1, g2 = field.signs(*np.meshgrid(ts, ths, indexing="ij"))
+        for it, ith in np.argwhere((g1 == 0.0) & (g2 == 0.0)):
+            cand = tp._triple_at(field, poly, ts[it], ths[ith])
+            if tp.verify_tripodal(poly, cand.points).passed:
+                return cand
+        for it, ith in np.argwhere(tp._straddle_mask(g1, g2)):
+            hit = tp._polish_cell(field, poly, ts[it], ts[it + 1], ths[ith],
+                                  ths[ith + 1], tol, tp.REFINE_DEPTH)
+            if hit is not None:
+                return hit
+        nt *= 2
+        nth *= 2
+    try:
+        return tp._face_triple_sweep(poly, tp.SWEEP_SAMPLES)
+    except NotFoundError as exc:
+        raise SearchExhaustedError("grid search and face sweep both failed") from exc
 
 
 # --- exhaustive oracles of the skeleton decision scans ------------------------

@@ -11,9 +11,8 @@ from math import comb, fsum, log2
 
 import numpy as np
 
-from helpers import (convex_mesh, cube_mesh, feasible_weights, octa_mesh,
-                     random_hull_hrep, sphere_points, star_mesh, star_polygon,
-                     tetra_mesh)
+from helpers import (criterion05_meshes, cube_mesh, feasible_weights,
+                     random_hull_hrep, star_polygon)
 from poise.balance2d import (PartitionInstance, balance_fast, balance_iterative,
                              gadget_decide, gadget_from_partition,
                              gadget_witness, partition_oracle, partition_three,
@@ -44,18 +43,6 @@ def _balance_instances(seed, count):
         k = int(rng.integers(2, 17))
         out.append((poly, feasible_weights(rng, k)))
     return out
-
-
-def _mesh_fixtures():
-    rng = np.random.default_rng(500)
-    meshes = [("cube", cube_mesh()), ("octa", octa_mesh()),
-              ("simplex", tetra_mesh())]
-    sizes = list(rng.integers(8, 29, size=19)) + [50]
-    for i, n in enumerate(sizes):
-        meshes.append((f"hull{i}", convex_mesh(sphere_points(rng, int(n)))))
-    for i in range(5):
-        meshes.append((f"star{i}", star_mesh(rng, subdiv=1)))
-    return meshes
 
 
 def test_criterion_01_iterative_balance():
@@ -139,7 +126,7 @@ def test_criterion_04_gadget_equivalence():
 
 def test_criterion_05_tripodal_suite():
     worst_spread, worst_sum, worst_mem = 0.0, 0.0, 0.0
-    for name, mesh in _mesh_fixtures():
+    for name, mesh in criterion05_meshes():
         tri = tripodal_search(mesh, grid=(64, 64))
         cert = verify_tripodal(mesh, tri.points)
         assert cert.passed, name
@@ -187,7 +174,7 @@ def test_criterion_06_three_on_edges_suite():
 
 def test_criterion_07_four_on_edges_suite():
     worst_sum, worst_mem = 0.0, 0.0
-    for name, mesh in _mesh_fixtures():
+    for name, mesh in criterion05_meshes():
         sp = four_on_edges(mesh)
         cert = verify_skeleton(mesh, sp.points(), eps_geom=1e-9 * mesh.diam,
                                eps_bal=1e-8)

@@ -9,7 +9,7 @@ from poise.balance2d import (GADGET_VERTICES, PartitionInstance, balance_fast,
                              balance_iterative, feasibility, gadget_decide,
                              gadget_from_partition, gadget_polygon,
                              gadget_witness, partition_oracle, partition_three,
-                             verify_balance_points)
+                             verify_antipodal, verify_balance_points)
 from poise.errors import InfeasibleError
 from poise.geom2d import eval_boundary, validate_polygon
 
@@ -184,3 +184,11 @@ def test_verify_points_rejects_off_balance():
     pts = [(1.0, 0.0), (0.5, 1.0)]
     cert = verify_balance_points(SQUARE, pts, [1.0, 1.0])
     assert not cert.passed
+
+
+def test_nan_point_reports_nan_membership_error():
+    """A NaN point has no distance to the boundary: NaN, not 0.0."""
+    pts = [(np.nan, np.nan), (1.0, 0.0)]
+    for cert in (verify_balance_points(SQUARE, pts, [1.0, 1.0]),
+                 verify_antipodal(SQUARE, pts, (0.0, 0.0))):
+        assert np.isnan(cert.max_membership_error) and not cert.passed

@@ -223,8 +223,10 @@ def test_cross_section_matches_the_per_face_section(monkeypatch):
 def test_culled_queries_match_all_pairs_oracle(monkeypatch):
     """Bitwise equal answers, at the default block size and at blocks of
     2^6 pairs (one to sixteen points), where a block can hold only the
-    points just past a vertex and so tests every slack on its own."""
-    rng = np.random.default_rng(5)
+    points just past a vertex and so tests every slack on its own; and on
+    queries of 1, 2, 8 and 20 points, one block at the default size, drawn
+    from near-surface, vertex, edge, far, NaN and inf points."""
+    rng, qrng = np.random.default_rng(5), np.random.default_rng(7)
     saw_para = False
     for poly in _meshes():
         pts = _query_points(rng, poly)
@@ -244,6 +246,21 @@ def test_culled_queries_match_all_pairs_oracle(monkeypatch):
                 assert np.array_equal(got[1], rays[k][1]), (poly, budget, k)
             monkeypatch.undo()
         saw_para |= bool(poly._ray_data(0)[2].any())
+
+        pool = _shell_points(qrng, poly)
+        queries = [pool[[i]] for i in np.flatnonzero(~np.isfinite(pool).all(axis=1))]
+        for n in (1, 2, 8, 20):
+            assert len(geom3d._morton_blocks(pool[:n], len(poly.tris))) == 1
+            queries += [pool[qrng.choice(len(pool), n, replace=False)] for _ in range(8)]
+        for q in queries:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for g, w in zip(poly.closest_points(q), closest_points_all_pairs(poly, q)):
+                    assert np.array_equal(g, w, equal_nan=True), (poly, q)
+                for k in (0, 1):
+                    got = poly._ray_hits(q, k)
+                    want = ray_hits_all_pairs(poly, q, geom3d._RAY_DIRS[k])
+                    assert np.array_equal(got[0], want[0]), (poly, q, k)
+                    assert np.array_equal(got[1], want[1]), (poly, q, k)
     assert saw_para
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import (convex_mesh, cube_mesh, newton_rows_dense, octa_mesh,
-                     sphere_points, star_mesh, tetra_mesh)
+from helpers import (convex_mesh, criterion05_meshes, cube_mesh, newton_polish_pointwise,
+                     newton_rows_dense, octa_mesh, sphere_points, star_mesh, tetra_mesh,
+                     tripodal_search_whole_grid)
 from poise import tripodal
-from poise.errors import BadFrameError, OriginOutsideError
+from poise.errors import BadFrameError, OriginOutsideError, PoiseError
 from poise.geom3d import (Polyhedron3, extreme_boundary_points, frame_field,
                           surface_path, validate_polyhedron)
 from poise.tripodal import (SIG_MM, SIG_PP, SWEEP_CHUNK, SWEEP_FIRST_CHUNK, signature,
@@ -195,12 +196,12 @@ def test_grid_signs_are_the_signs_of_the_values(sub, monkeypatch):
     monkeypatch.setattr(tripodal._CompanionField, "signs", both)
     tri = tripodal_search(poly, grid=(32, 32))
     assert verify_tripodal(poly, tri.points).passed
-    assert sizes[0] == 33 * 33
+    assert sizes[0] == (tripodal.ROW_FIRST_BLOCK + 1) * 33
 
 
 def test_grid_scan_computes_few_exact_distances(monkeypatch):
-    """At most 1 % of the grid nodes reach signed_distances through the
-    sign scans."""
+    """The first sign query holds the first block of node rows, and at most
+    1 % of the nodes scanned reach signed_distances through the sign scans."""
     poly = star_mesh(np.random.default_rng(9), 2)
     real_signs, real_sd = Polyhedron3.side_signs, Polyhedron3.signed_distances
     exact, scanning, asked = [], [], []
@@ -222,4 +223,58 @@ def test_grid_scan_computes_few_exact_distances(monkeypatch):
     monkeypatch.setattr(Polyhedron3, "signed_distances", sd)
     tri = tripodal_search(poly, grid=(64, 64))
     assert verify_tripodal(poly, tri.points).passed
-    assert asked[0] == 2 * 65 * 65 and sum(exact) <= 0.01 * 65 * 65
+    assert asked[0] == 2 * (tripodal.ROW_FIRST_BLOCK + 1) * 65
+    assert sum(exact) <= 0.01 * sum(asked) / 2
+
+
+def _polish_meshes():
+    return [m for _, m in criterion05_meshes()] + [
+        star_mesh(np.random.default_rng(40 + sub), sub) for sub in range(3)]
+
+
+def test_newton_polish_matches_the_pointwise_oracle(monkeypatch):
+    """Every polish of a search gives the (t, theta, g) bytes of the
+    one-point-per-query Newton iteration."""
+    real, calls = tripodal._newton_polish, []
+
+    def both(field, t0, th0, tol, iters=30):
+        got = real(field, t0, th0, tol, iters)
+        want = newton_polish_pointwise(field, t0, th0, tol, iters)
+        for g, w in zip(got, want):
+            assert np.float64(g).tobytes() == np.float64(w).tobytes(), (t0, th0)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(tripodal, "_newton_polish", both)
+    for poly in _polish_meshes():
+        assert verify_tripodal(poly, tripodal_search(poly, grid=(64, 64)).points).passed
+    assert len(calls) >= 40
+    assert any(np.abs(g).max() > 1e-9 for _, _, g in calls)   # some polish stalled
+
+
+def _search_outcome(search, poly, grid):
+    try:
+        tri = search(poly, grid=(grid, grid))
+    except PoiseError as exc:
+        return type(exc), str(exc)
+    t = None if tri.t is None else np.float64(tri.t).tobytes()
+    theta = None if tri.theta is None else np.float64(tri.theta).tobytes()
+    return tri.points.tobytes(), tri.faces, t, theta
+
+
+def test_row_blocks_match_the_whole_grid_scan(monkeypatch):
+    """The row-block scan returns the whole-grid scan's triple, bit for bit,
+    at the real block sizes and at blocks of 1, 2, 4, ... rows, so that the
+    winners sit past block edges."""
+    meshes = [m for _, m in criterion05_meshes()] + [star_mesh(np.random.default_rng(44), 3)]
+    rows = []
+    for poly in meshes:
+        for grid in (16, 64):
+            want = _search_outcome(tripodal_search_whole_grid, poly, grid)
+            for first in (tripodal.ROW_FIRST_BLOCK, 1):
+                monkeypatch.setattr(tripodal, "ROW_FIRST_BLOCK", first)
+                assert _search_outcome(tripodal_search, poly, grid) == want, (poly, grid)
+            monkeypatch.undo()
+            if want[2] is not None:
+                rows.append(int(np.frombuffer(want[2])[0] * grid))
+    assert max(rows) >= tripodal.ROW_FIRST_BLOCK

@@ -105,8 +105,7 @@ def _figure(path, render):
 
 
 def _face_dict(face, tight_key="tight"):
-    return {tight_key: list(face.tight), "members": list(face.members),
-            "dim": int(face.dim)}
+    return {tight_key: list(face.tight), "dim": int(face.dim)}
 
 
 def _placement_payload(sp, cert, tight_key="tight"):
@@ -129,7 +128,7 @@ def _hrep_obj(args, H, points):
     from .polytoped import edge_segment, faces_of_dim
     if H.d != 3:
         raise InputError("--obj output needs a 3-dimensional polytope")
-    loops = [H.vrep.vertices[list(edge_segment(H, f.members))]
+    loops = [H.vrep.vertices[list(edge_segment(H, f.tight))]
              for f in faces_of_dim(H, 1)]
     labels = tuple(f"edge{i}" for i in range(len(loops)))
     text = figures.obj_overlay(points=points, loops=loops, labels=labels)

@@ -164,15 +164,6 @@ def eval_boundary(poly: Polygon2, bp: BoundaryPoint2) -> np.ndarray:
     return a + s * (b - a)
 
 
-def boundary_point_at_param(poly: Polygon2, param: float) -> BoundaryPoint2:
-    """Inverse of BoundaryPoint2.param, with wraparound."""
-    param = param % poly.n
-    edge = int(param)
-    if edge == poly.n:  # param == n after fp wrap
-        edge = 0
-    return BoundaryPoint2(edge, param - edge)
-
-
 def nearest_boundary_point(poly: Polygon2, q) -> BoundaryPoint2:
     """Closest boundary point; ties pick the smallest edge index, then s."""
     return _nearest_point(poly, q)[0]
@@ -427,8 +418,3 @@ def parse_polygon_text(text: str) -> Polygon2:
 def load_polygon(path) -> Polygon2:
     with open(path, "r", encoding="utf-8") as f:
         return parse_polygon_text(f.read())
-
-
-def dump_polygon_text(poly: Polygon2) -> str:
-    lines = [f"{float(x)!r} {float(y)!r}" for x, y in poly.vertices]
-    return "\n".join(lines) + "\n"

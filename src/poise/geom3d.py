@@ -19,8 +19,6 @@ from .errors import (
     NoLoopContainsOriginError,
     NonPlanarFaceError,
     OpenSurfaceError,
-    OriginOnBoundaryError,
-    OriginOutsideError,
     ParseError,
     PoiseError,
     SubdivisionLimitError,
@@ -154,9 +152,6 @@ class Polyhedron3:
                                  for a, b in zip(f, f[1:] + f[:1])}))
         edges.flags.writeable = False
         return edges
-
-    def volume(self) -> float:
-        return float(np.einsum("ij,ij->i", self._tv0, self._tn).sum()) / 6.0
 
     # --- batched metric queries ------------------------------------------
     # Points run in Morton-ordered blocks of about _PAIR_BUDGET point-triangle
@@ -427,12 +422,11 @@ def validate_polyhedron(vertices, faces) -> Polyhedron3:
     _check_closed(faces)
     diam = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
     tris, tri_face = _triangulate(verts, faces, diam)
-    poly = Polyhedron3(verts, faces, tris, tri_face)
-    if poly.volume() < 0.0:
-        faces = [f[::-1] for f in faces]
+    v0, v1, v2 = (verts[tris[:, k]] for k in range(3))
+    if np.einsum("ij,ij->i", v0, np.cross(v1 - v0, v2 - v0)).sum() < 0.0:
+        faces = [f[::-1] for f in faces]          # signed volume below zero
         tris, tri_face = _triangulate(verts, faces, diam)
-        poly = Polyhedron3(verts, faces, tris, tri_face)
-    return poly
+    return Polyhedron3(verts, faces, tris, tri_face)
 
 
 def _check_closed(faces) -> None:
@@ -581,16 +575,6 @@ def load_off(path) -> Polyhedron3:
         return parse_off(f.read())
 
 
-def dump_off(poly: Polyhedron3) -> str:
-    lines = ["OFF", f"{len(poly.vertices)} {len(poly.faces)} 0"]
-    for v in poly.vertices:
-        # repr of a Python float round-trips exactly
-        lines.append(" ".join(repr(float(x)) for x in v))
-    for f in poly.faces:
-        lines.append(" ".join([str(len(f))] + [str(i) for i in f]))
-    return "\n".join(lines) + "\n"
-
-
 # --- point classification -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -638,10 +622,6 @@ def side3(poly: Polyhedron3, point, eps=None) -> PointLocation3:
     return PointLocation3(INSIDE if inside else OUTSIDE, nearest, d)
 
 
-def signed_distance(poly: Polyhedron3, point, eps=None) -> float:
-    return float(poly.signed_distances([point], eps)[0])
-
-
 def farthest_vertex(poly: Polyhedron3) -> SurfacePoint3 | None:
     """The vertex farthest from the origin (ties: smallest id) as a surface
     point of its first triangle; None if no triangle uses it."""
@@ -654,16 +634,6 @@ def farthest_vertex(poly: Polyhedron3) -> SurfacePoint3 | None:
     fid = int(poly.tri_face[t])
     return SurfacePoint3(fid, poly.face_tris[fid].index(t),
                          tuple(float(c == corner) for c in range(3)))
-
-
-def extreme_boundary_points(poly: Polyhedron3):
-    """(nearest surface point to origin, farthest vertex); origin must be interior."""
-    loc = side3(poly, (0.0, 0.0, 0.0))
-    if loc.side == BOUNDARY:
-        raise OriginOnBoundaryError("origin lies on the surface")
-    if loc.side == OUTSIDE:
-        raise OriginOutsideError("origin lies outside the surface")
-    return loc.surface, farthest_vertex(poly)
 
 
 # --- surface paths and frames --------------------------------------------------

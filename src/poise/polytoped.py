@@ -2,10 +2,12 @@
 
 H-representation polytopes (a_i . x <= b_i), vertex enumeration with tight
 rows, the faces of H, and the product construction used by the skeleton
-fixtures. A read-only polytope caches its Chebyshev ball and its vertices
-on first use. Every face decision, for solvers and checkers alike, is made
-here: face_of maps tight rows to a face and face_dims is the one rank rule.
-Desk scale throughout: d <= 8 and a few dozen halfspaces.
+fixtures. A read-only polytope caches its Chebyshev ball, its width bound
+and its vertices on first use. Every face decision, for solvers and
+checkers alike, is made here, from the rows tight at a point: face_dims is
+the one rank rule, and point_faces reads no vertex. Only the answers that
+are vertices (edges, face members) enumerate them, and vertex enumeration
+is the dimension wall: the 8-cross-polytope takes about a second.
 """
 from __future__ import annotations
 
@@ -30,6 +32,8 @@ from .errors import (
 # second on a 2-vCPU Xeon, an allowed fallback takes 3 to 10 s
 BRUTEFORCE_MAX_SUBSETS = 1_000_000
 _BLOCK = 200_000            # d-subsets solved per batch
+# default membership tolerance of the verifiers, per unit of HPolytope.scale
+EPS_GEOM_REL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +46,9 @@ class HPolytope:
     A row with a zero normal is allowed.
 
     A and b are read-only copies, so what is derived from them cannot go
-    stale: `chebyshev` (center and radius of a largest inscribed ball) and
-    `vrep` (the vertices and their tight rows) are computed once per
-    polytope, on first use.
+    stale: `chebyshev` (center and radius of a largest inscribed ball),
+    `scale` (a bound on its width, from its rows) and `vrep` (the vertices
+    and their tight rows) are computed once per polytope, on first use.
     """
     A: np.ndarray            # (m, d) outward normals
     b: np.ndarray            # (m,) offsets, a.x <= b
@@ -63,6 +67,31 @@ class HPolytope:
     def vrep(self) -> VRep:
         return enumerate_vertices(self)
 
+    @functools.cached_property
+    def _stiemke(self):
+        """(y, residual): y >= 1 with U^T y ~ 0 on the unit normals U of the
+        nonzero rows, one NNLS solve (Lawson and Hanson 1974, ch. 23)."""
+        unit = self.A[~self.zero_rows()] / self.norms[~self.zero_rows(), None]
+        z, res = nnls(unit.T, -unit.sum(axis=0))
+        return 1.0 + z, res
+
+    @functools.cached_property
+    def scale(self) -> float:
+        """Bound on the width of H along every row normal, from its rows alone.
+
+        With c = b / |a| on the nonzero rows and y from _stiemke, y_j u_j.x
+        = -sum_{i != j} y_i u_i.x >= -sum_{i != j} y_i c_i, so u_j.x spans
+        at most (y . c) / y_j; the largest, (y . c) / min y, does not move
+        when H is translated.
+        """
+        y, _ = self._stiemke
+        c = self.b[~self.zero_rows()] / self.norms[~self.zero_rows()]
+        return max(float(y @ c) / float(y.min()), 1e-300)
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        return np.linalg.norm(self.A, axis=1)
+
     @property
     def d(self) -> int:
         return self.A.shape[1]
@@ -74,12 +103,16 @@ class HPolytope:
     def eps_tight(self) -> float:
         return 1e-8 * float(np.abs(self.b).max())
 
+    def eps_geom(self, eps=None) -> float:
+        """Membership tolerance of the verifiers: 1e-7 scale by default."""
+        return EPS_GEOM_REL * self.scale if eps is None else float(eps)
+
     def unit_residuals(self, x) -> np.ndarray:
         """(a.x - b) / |a| per row, of a point or of each row of an (n, d)
         array; -inf for a row with a zero normal, which is then never tight
         and never violated."""
         r = (self.A @ np.asarray(x).T).T - self.b
-        norms = np.linalg.norm(self.A, axis=1)
+        norms = self.norms
         return np.divide(r, norms, out=np.full_like(r, -np.inf), where=norms > 0)
 
     def zero_rows(self) -> np.ndarray:
@@ -95,8 +128,7 @@ class VRep:
 
 @dataclass(frozen=True)
 class FaceD:
-    tight: tuple             # maximal tight halfspace index set
-    members: tuple           # vertex ids
+    tight: tuple             # the rows tight on the face, sorted
     dim: int
 
 
@@ -121,14 +153,13 @@ def _check_bounded_interior(H: HPolytope) -> None:
     Bounded means {x : A x <= 0} = {0}. By Stiemke's transposition theorem
     that holds iff the nonzero normals have rank d and some y > 0 solves
     A^T y = 0: on unit normals U, iff min over z >= 0 of |U^T (1 + z)| is
-    zero, one NNLS solve (Lawson and Hanson 1974, ch. 23) whose residual
-    counts as zero up to 1e-9 sqrt(n) for n rows. The interior is then the
-    positive radius of the Chebyshev LP.
+    zero (H._stiemke), a residual that counts as zero up to 1e-9 sqrt(n)
+    for n rows. The interior is then the positive radius of the Chebyshev
+    LP.
     """
-    norms = np.linalg.norm(H.A, axis=1)
-    unit = H.A[norms > 0] / norms[norms > 0, None]
-    if (np.linalg.matrix_rank(unit) < H.d
-            or nnls(unit.T, -unit.sum(axis=0))[1] > 1e-9 * math.sqrt(len(unit))):
+    live = ~H.zero_rows()
+    if (np.linalg.matrix_rank(H.A[live] / H.norms[live, None]) < H.d
+            or H._stiemke[1] > 1e-9 * math.sqrt(live.sum())):
         raise UnboundedError("polytope is unbounded: some direction x != 0 "
                              "has a.x <= 0 for every row")
     _, r = H.chebyshev
@@ -266,28 +297,21 @@ def face_dims(H: HPolytope, row_sets) -> list:
     return dims
 
 
-def face_of(H: HPolytope, tight) -> FaceD:
-    """The face of H on which the rows `tight` are tight: its members are
-    the vertices tight on all of them, and its tight set is the rows tight
-    at every member (`tight` itself when no vertex is)."""
-    T = H.vrep.tight
-    on = T[:, list(tight)].all(axis=1)
-    members = tuple(np.flatnonzero(on).tolist())
-    if members:
-        tight = np.flatnonzero(T[on].all(axis=0)).tolist()
-    tight = tuple(int(i) for i in tight)
-    return FaceD(tight, members, face_dims(H, [tight])[0])
-
-
-def host_faces(H: HPolytope, points, tol) -> list:
-    """The face of each point: face_of the rows within tol of it, in unit
-    residuals. Each distinct tight pattern is solved once."""
+def point_faces(H: HPolytope, points, tol) -> list:
+    """The face of each point, read from H's rows alone: the rows within tol
+    of it in unit residuals, of dimension face_dims. Each distinct tight
+    pattern is ranked once."""
     pts = np.asarray(points, dtype=float).reshape(-1, H.d)
-    tight = np.abs(H.unit_residuals(pts)) <= tol
-    keys = [row.tobytes() for row in tight]
-    faces = {key: face_of(H, np.flatnonzero(row))
-             for key, row in dict(zip(keys, tight)).items()}
-    return [faces[key] for key in keys]
+    pats, inv = np.unique(np.abs(H.unit_residuals(pts)) <= tol, axis=0,
+                          return_inverse=True)
+    rows = [tuple(np.flatnonzero(p).tolist()) for p in pats]
+    faces = [FaceD(t, dim) for t, dim in zip(rows, face_dims(H, rows))]
+    return [faces[i] for i in inv.ravel()]
+
+
+def members(H: HPolytope, tight) -> np.ndarray:
+    """Ids of the vertices of H at which every row of `tight` is tight."""
+    return np.flatnonzero(H.vrep.tight[:, list(tight)].all(axis=1))
 
 
 def faces_of_dim(H: HPolytope, k: int) -> list:
@@ -298,8 +322,7 @@ def faces_of_dim(H: HPolytope, k: int) -> list:
     common tight set of its members (the vertices whose tight set contains
     it), and face_dims gives its dimension.
     """
-    V = H.vrep
-    gens = [frozenset(np.flatnonzero(t).tolist()) for t in V.tight]
+    gens = [frozenset(np.flatnonzero(t).tolist()) for t in H.vrep.tight]
     at_row = {}                 # row -> the tight sets holding it
     for g in gens:
         for r in g:
@@ -318,25 +341,21 @@ def faces_of_dim(H: HPolytope, k: int) -> list:
         closed |= new
         frontier = new
     cands = [tuple(sorted(t)) for t in closed]
-    faces = []
-    for t, dim in zip(cands, face_dims(H, cands)):
-        if dim == k:
-            members = np.flatnonzero(V.tight[:, list(t)].all(axis=1))
-            faces.append(FaceD(t, tuple(members.tolist()), k))
-    return sorted(faces, key=lambda f: f.tight)
+    return sorted((FaceD(t, k) for t, dim in zip(cands, face_dims(H, cands))
+                   if dim == k), key=lambda f: f.tight)
 
 
-def edge_segment(H: HPolytope, members) -> tuple:
-    """Endpoint vertex ids (low, high) of a face of H with the given members.
+def edge_segment(H: HPolytope, tight) -> tuple:
+    """Endpoint vertex ids (low, high) of the edge of H with these tight rows.
 
     An edge whose collinear near-duplicate vertices were merged has more
     than two members; its extreme pair along the edge is kept.
     """
-    mem = tuple(members)
+    mem = members(H, tight).tolist()
     if len(mem) > 2:
-        pts = H.vrep.vertices[list(mem)]
+        pts = H.vrep.vertices[mem]
         t = (pts - pts[0]) @ (pts[-1] - pts[0])
-        mem = (mem[int(np.argmin(t))], mem[int(np.argmax(t))])
+        mem = [mem[int(np.argmin(t))], mem[int(np.argmax(t))]]
     return min(mem), max(mem)
 
 
@@ -396,15 +415,3 @@ def load_hrep(path) -> HPolytope:
 def cube_hrep(d: int, half=1.0) -> HPolytope:
     A = np.vstack([np.eye(d), -np.eye(d)])
     return hpolytope(A, np.full(2 * d, float(half)))
-
-
-def cross_hrep(d: int) -> HPolytope:
-    A = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
-    return hpolytope(A, np.ones(len(A)))
-
-
-def simplex_hrep(d: int) -> HPolytope:
-    # regular-enough simplex with the origin interior
-    A = np.vstack([-np.eye(d), np.ones(d)])
-    b = np.concatenate([np.ones(d) * 0.5, [0.5 * d + 1.0 - 0.5]])
-    return hpolytope(A, b)

@@ -32,11 +32,10 @@ from .polytoped import (
     FaceD,
     HPolytope,
     edge_segment,
-    face_dims,
-    face_of,
     faces_of_dim,
-    host_faces,
     hpolytope,
+    members,
+    point_faces,
     product,
 )
 
@@ -80,11 +79,11 @@ class SkeletonCertificate(Certificate):
     max_membership_error: float
     max_host_dim: int
     eps_geom: float
-    eps_bal: float           # relative: the sum bound is eps_bal * diam
-    diam: InitVar[float]
+    eps_bal: float           # relative: the sum bound is eps_bal * scale
+    scale: InitVar[float]
 
-    def __post_init__(self, diam):
-        self.sum_bound = self.eps_bal * diam
+    def __post_init__(self, scale):
+        self.sum_bound = self.eps_bal * scale
         super().__post_init__()
 
     def limits(self):
@@ -129,7 +128,8 @@ def halving_point(H: HPolytope) -> HalvingWitness:
     meets, reaches a basis B0. Maximising c = -(sum of B0's normals), whose
     unique optimum is the mirror basis -B0, Dantzig's rule picks the row
     that leaves. Each pivot swaps one row, so the count of P rows passes
-    ceil(d/2) on the way, and x is the point of the first such basis.
+    ceil(d/2) on the way, and x is the point of the first such basis. Its
+    faces are those of x and -x, from the rows within H.eps_geom() of each.
     """
     keep = np.flatnonzero(~H.zero_rows())
     if not (H.b[keep] > 0).all():
@@ -165,12 +165,10 @@ def halving_point(H: HPolytope) -> HalvingWitness:
         raise WalkFailedError("halving walk exceeded its pivot bound")
 
     x = scale * np.linalg.solve(AC[basis], bC[basis])
-    tight_P = tuple(sorted(int(keep[r]) for r in basis if r < m))
-    tight_negP = tuple(sorted(int(keep[r - m]) for r in basis if r >= m))
+    face_P, face_negP = point_faces(H, [x, -x], H.eps_geom())
     # attempts is always 1, as nothing is retried; it stays because the
     # traced benchmark (perfbench/spans.py) counts it
-    return HalvingWitness(x, face_of(H, tight_P), face_of(H, tight_negP),
-                          (target, d - target), 1)
+    return HalvingWitness(x, face_P, face_negP, (target, d - target), 1)
 
 
 def _entering(AC, bC, m, basis, M, u):
@@ -334,13 +332,8 @@ def compose_balance(H: HPolytope) -> SkeletonPlacement:
 def _placement_from_recursion(H, count):
     pts = []
     _place(_root_chart(H), count, pts)
-    return SkeletonPlacement(list(zip(pts, host_faces(H, pts, _solver_tol(H)))),
+    return SkeletonPlacement(list(zip(pts, point_faces(H, pts, H.eps_geom()))),
                              count, np.zeros(H.d))
-
-
-def _solver_tol(H: HPolytope) -> float:
-    """Unit residual within which a row is tight at a placed point."""
-    return max(H.eps_tight(), 1e-9 * H.vrep.diam)
 
 
 # --- edge triples in 3D ------------------------------------------------------
@@ -366,7 +359,7 @@ def three_on_edges(H: HPolytope, target=None) -> SkeletonPlacement:
     edge_faces = faces_of_dim(H, 1)
     if not edge_faces:
         raise NotFoundError("polytope has no edges")
-    ends = [edge_segment(H, f.members) for f in edge_faces]
+    ends = [edge_segment(H, f.tight) for f in edge_faces]
     U = V.vertices[[a for a, _ in ends]]
     D = V.vertices[[b for _, b in ends]] - U
     ne = len(ends)
@@ -473,15 +466,10 @@ def four_on_edges(P: Polyhedron3, plane: Plane3 = None) -> SkeletonPlacement:
 
 def _face_pair(P: Polyhedron3, fid: int, center3):
     """Antipodal pair about center3 on the boundary of face fid."""
-    loop = P.faces[fid]
     frame, _, face2 = P.face_frame(fid)
     poly = validate_polygon(face2.vertices)
-    out = []
-    for bp in antipodal_about(poly, frame.to2d(center3)):
-        p3 = frame.to3d(eval_boundary(poly, bp))
-        a, b = loop[bp.edge], loop[(bp.edge + 1) % len(loop)]
-        out.append((p3, FaceD((fid,), (a, b), 1)))
-    return out
+    return [(frame.to3d(eval_boundary(poly, bp)), FaceD((fid,), 1))
+            for bp in antipodal_about(poly, frame.to2d(center3))]
 
 
 # --- product fixtures and low-skeleton separation -----------------------------
@@ -524,16 +512,16 @@ def prop9_check(H: HPolytope, k: int) -> bool:
     if any(_meets_reflection(H, out, [j]) for j in range(len(V))):
         return False
     top = min(k, H.d - 1)
-    return top < 1 or not any(_meets_reflection(H, out, list(f.members))
+    return top < 1 or not any(_meets_reflection(H, out, members(H, f.tight))
                               for f in faces_of_dim(H, top))
 
 
-def _meets_reflection(H: HPolytope, out, members) -> bool:
+def _meets_reflection(H: HPolytope, out, ids) -> bool:
     """Whether the face spanned by these vertices meets -H; out[j, i] says
     that -v_j violates row i by more than the margin."""
-    if out[members].all(axis=0).any():
+    if out[ids].all(axis=0).any():
         return False
-    Vm = H.vrep.vertices[members]
+    Vm = H.vrep.vertices[ids]
     # x = Vm^T lam, lam >= 0, sum lam = 1, and -x in H
     res = linprog(np.zeros(len(Vm)), A_ub=-H.A @ Vm.T, b_ub=H.b,
                   A_eq=np.ones((1, len(Vm))), b_eq=[1.0],
@@ -548,43 +536,35 @@ def verify_skeleton(body, points, target=None, eps_geom=None,
     """Check points on the 1-skeleton whose sum is len(points) * target.
 
     body is an HPolytope, or a Polyhedron3 whose 1-skeleton is its mesh
-    edges; target defaults to the origin. eps_geom is an absolute distance
-    (default 1e-7 * diam); the sum residual is compared against
-    eps_bal * diam (default eps_bal = 1e-8).
+    edges; target defaults to the origin. eps_geom is an absolute distance,
+    by default 1e-7 * scale, where scale is H.scale (a bound on H's width
+    from its rows) or the mesh diameter; the sum residual is compared
+    against eps_bal * scale (default eps_bal = 1e-8).
     """
     mesh = isinstance(body, Polyhedron3)
     if mesh:
-        d, diam = 3, body.diam
+        d, scale = 3, body.diam
+        eg = 1e-7 * scale if eps_geom is None else float(eps_geom)
     else:
-        d, diam = body.d, max(body.vrep.diam, 1e-300)
+        d, scale, eg = body.d, body.scale, body.eps_geom(eps_geom)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise InputError(f"need points of shape (n, {d})")
     target = np.zeros(d) if target is None else np.asarray(target, dtype=float)
-    eg = 1e-7 * diam if eps_geom is None else float(eps_geom)
-    if mesh:
-        mem_err, host_dim = _mesh_membership(body, pts, eg)
-    else:
-        mem_err, host_dim = _hrep_membership(body, pts, eg)
+    membership = _mesh_membership if mesh else _hrep_membership
+    mem_err, host_dim = membership(body, pts, eg)
     eb = 1e-8 if eps_bal is None else float(eps_bal)
     ssum = float(np.linalg.norm(pts.sum(axis=0) - len(pts) * target))
     return SkeletonCertificate(len(pts), ssum, float(mem_err), int(host_dim),
-                               eg, eb, diam)
+                               eg, eb, scale)
 
 
 def _hrep_membership(H: HPolytope, pts, eg):
-    """Largest distance of a point to its host face's segment, and the
-    largest host dimension, rows within eg tight. A point off the skeleton
-    there counts if it is on it at the solver's tolerance (_solver_tol):
-    both are faces of H, and both distances are true distances."""
-    got = [_segment_distance(H, p, f)
-           for p, f in zip(pts, host_faces(H, pts, max(H.eps_tight(), eg)))]
-    miss = [i for i, (dim, dist) in enumerate(got) if dim > 1 or not dist <= eg]
-    for i, face in zip(miss, host_faces(H, pts[miss], _solver_tol(H))):
-        dim, dist = _segment_distance(H, pts[i], face)
-        if dim <= 1 and dist <= eg:
-            got[i] = dim, dist
-    return max([0.0] + [dist for _, dist in got]), max([0] + [dim for dim, _ in got])
+    """Largest row violation of a point, and the largest dimension of a
+    point's face: d minus the rank of the rows within eg of the point. More
+    rows within eg can only lower that dimension."""
+    worst = np.fmax.reduce(H.unit_residuals(pts).ravel(), initial=0.0)
+    return float(worst), max((f.dim for f in point_faces(H, pts, eg)), default=0)
 
 
 def _mesh_membership(P: Polyhedron3, pts, eg):
@@ -599,32 +579,20 @@ def _mesh_membership(P: Polyhedron3, pts, eg):
     return worst, 1 if worst <= eg else 2
 
 
-def _segment_distance(H: HPolytope, p, face):
-    """(dim, distance from p to the segment of the face's extreme members),
-    the distance inf for a face without members."""
-    if not face.members:
-        return face.dim, float("inf")
-    a, b = H.vrep.vertices[list(edge_segment(H, face.members))]
-    d = b - a
-    t = float(np.clip((p - a) @ d / max(d @ d, 1e-300), 0.0, 1.0))
-    return face.dim, float(np.linalg.norm(a + t * d - p))
-
-
 def verify_halving(H: HPolytope, x, eps_geom=None) -> HalvingCertificate:
     """x and -x lie on the boundary of P within eps_geom, on faces of P of
     dimension <= floor(d/2) and <= ceil(d/2) respectively.
 
-    eps_geom defaults to 1e-7 * diam; a row counts as tight within eps_geom
-    and a face's dimension is d minus the rank of its tight rows.
+    eps_geom defaults to 1e-7 * H.scale, a bound on H's width from its rows;
+    a row counts as tight within eps_geom and a face's dimension is d minus
+    the rank of its tight rows.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (H.d,):
         raise InputError(f"need a point of shape ({H.d},)")
-    eps = 1e-7 * H.vrep.diam if eps_geom is None else float(eps_geom)
-    rp = H.unit_residuals(x)
-    rn = H.unit_residuals(-x)
-    violation = max(float(rp.max()), float(rn.max()), 0.0)
-    touch = max(float(np.abs(rp).min()), float(np.abs(rn).min()))
-    dim_P, dim_negP = face_dims(H, [np.flatnonzero(np.abs(r) <= eps)
-                                    for r in (rp, rn)])
-    return HalvingCertificate(violation, touch, dim_P, dim_negP, eps, H.d)
+    eps = H.eps_geom(eps_geom)
+    r = np.array([H.unit_residuals(x), H.unit_residuals(-x)])
+    face_P, face_negP = point_faces(H, [x, -x], eps)
+    return HalvingCertificate(max(float(r.max()), 0.0),
+                              float(np.abs(r).min(axis=1).max()),
+                              face_P.dim, face_negP.dim, eps, H.d)

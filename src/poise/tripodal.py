@@ -18,7 +18,6 @@ import numpy as np
 
 from .certificate import Certificate
 from .errors import (
-    BadFrameError,
     InputError,
     NotFoundError,
     OriginOutsideError,
@@ -38,12 +37,6 @@ from .geom3d import (
     side3,
     surface_path,
 )
-
-SIG_PP = "++"
-SIG_MM = "--"
-SIG_PM = "+-"
-SIG_MP = "-+"
-SIG_ZERO = "00"
 
 EPS_REL = 1e-6    # default relative tolerances of verify_tripodal
 REFINE_DEPTH = 6  # subdivision levels of a grid cell whose polish stalls
@@ -82,37 +75,6 @@ class TripodalCertificate(Certificate):
                 ("sum_residual", self.sum_residual, eb),
                 ("max_membership_error", self.max_membership_error, eg),
                 ("side_spread", self.side_spread, 2 * (eg + eb)))
-
-
-def tripod_points(gamma, v, theta):
-    """Companions b, c for anchor gamma and frame vector v at angle theta."""
-    g = np.asarray(gamma, dtype=float)
-    v = np.asarray(v, dtype=float)
-    r = float(np.linalg.norm(g))
-    if r < 1e-300:
-        raise BadFrameError("anchor at the origin has no frame")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9 or abs(float(v @ g)) > 1e-9 * r:
-        raise BadFrameError("v must be unit and perpendicular to gamma")
-    ahat = g / r
-    u = np.cos(theta) * v + np.sin(theta) * np.cross(ahat, v)
-    half = np.sqrt(3.0) / 2.0 * r * u
-    return -0.5 * g + half, -0.5 * g - half
-
-
-def _fold(fb: int, fc: int) -> str:
-    if fb == 0 and fc == 0:
-        return SIG_ZERO
-    if fb >= 0 and fc >= 0:
-        return SIG_PP
-    if fb <= 0 and fc <= 0:
-        return SIG_MM
-    return SIG_PM if fb > 0 else SIG_MP
-
-
-def signature(poly: Polyhedron3, b, c, eps=None) -> str:
-    """Fold the companions' inside(+)/outside(-)/boundary(0) signs."""
-    sb, sc = poly.side_signs([b, c], eps)
-    return _fold(-sb, -sc)
 
 
 def verify_tripodal(poly: Polyhedron3, points, eps_geom=None,

@@ -1,6 +1,7 @@
 """Shared fixture generators for the test suite."""
 
 import functools
+import itertools
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -10,15 +11,17 @@ from scipy.spatial import ConvexHull
 
 from poise.balance2d import feasibility
 from poise import tripodal as tp
-from poise.errors import (DegenerateSectionError, InputError, NoIntersectionError,
-                          NoLoopContainsOriginError, NotFoundError, OriginOutsideError,
+from poise.errors import (BadFrameError, DegenerateSectionError, InputError,
+                          NoIntersectionError, NoLoopContainsOriginError,
+                          NotFoundError, OriginOnBoundaryError, OriginOutsideError,
                           PoiseError, SearchExhaustedError)
-from poise.geom2d import (OUTSIDE, _boxes_overlap, _crossings, _segment_hits,
-                          locate_point, validate_polygon)
+from poise.geom2d import (OUTSIDE, BoundaryPoint2, _boxes_overlap, _crossings,
+                          _segment_hits, locate_point, validate_polygon)
 from poise.geom3d import (BOUNDARY, PlaneFrame, _closest_on_triangles,
                           _remap_loop, farthest_vertex, frame_field, side3, surface_path,
                           validate_polyhedron)
-from poise.polytoped import edge_segment, faces_of_dim, hpolytope
+from poise.polytoped import (HPolytope, edge_segment, faces_of_dim, hpolytope,
+                             members)
 from poise.skeleton_balance import EPS_T, _singular_triple
 
 
@@ -229,24 +232,13 @@ def tight_sets(V):
     return [tuple(np.flatnonzero(t).tolist()) for t in V.tight]
 
 
-def face_from_tight_sets(H, tight):
-    """(tight, members, dim) of polytoped.face_of(H, tight) from the vertex
-    tight sets, its dimension the width of its tight rows' null space."""
-    sets = tight_sets(H.vrep)
-    members = tuple(i for i, t in enumerate(sets) if set(tight) <= set(t))
-    canon = tuple(tight)
-    if members:
-        canon = tuple(sorted(frozenset.intersection(
-            *[frozenset(sets[i]) for i in members])))
-    dim = null_space(H.A[list(canon)]).shape[1] if canon else H.d
-    return canon, members, dim
-
-
-def host_face_per_point(H, p, tol):
-    """(tight, members, dim) of one point's face in polytoped.host_faces:
-    face_from_tight_sets of the rows within tol of p in unit residuals."""
+def face_per_point(H, p, tol):
+    """(tight, dim) of one point's face in polytoped.point_faces: the rows
+    within tol of p in unit residuals, one at a time, and the width of their
+    null space."""
     resid = np.abs(H.unit_residuals(np.asarray(p, dtype=float)))
-    return face_from_tight_sets(H, tuple(int(i) for i in np.nonzero(resid <= tol)[0]))
+    tight = tuple(int(i) for i in np.nonzero(resid <= tol)[0])
+    return tight, null_space(H.A[list(tight)]).shape[1] if tight else H.d
 
 
 def faces_by_svd(H):
@@ -467,7 +459,7 @@ def _some_face_meets_reflection(H, dim):
     """Whether some dim-face of H meets -H, one LP per face; kept per (H, dim)
     so that a test asking every k repeats no LP."""
     for f in faces_of_dim(H, dim):
-        Vm = H.vrep.vertices[list(f.members)]
+        Vm = H.vrep.vertices[members(H, f.tight)]
         res = linprog(np.zeros(len(Vm)), A_ub=-H.A @ Vm.T, b_ub=H.b,
                       A_eq=np.ones((1, len(Vm))), b_eq=[1.0],
                       bounds=(0.0, None), method="highs")
@@ -482,7 +474,7 @@ def three_on_edges_all_triples(H, target=None):
     target = np.zeros(3) if target is None else np.asarray(target, dtype=float)
     V = H.vrep
     edge_faces = faces_of_dim(H, 1)
-    ends = [edge_segment(H, f.members) for f in edge_faces]
+    ends = [edge_segment(H, f.tight) for f in edge_faces]
     U = V.vertices[[a for a, _ in ends]]
     D = V.vertices[[b for _, b in ends]] - U
     scale = max(V.diam, 1e-300)
@@ -589,3 +581,89 @@ def stitch_loops_pairwise(chords, tol):
     if not loops:
         raise DegenerateSectionError("section has no closed loop")
     return loops
+
+
+# --- routines only the tests call ----------------------------------------------
+
+def boundary_point_at_param(poly, param):
+    """Inverse of BoundaryPoint2.param, with wraparound."""
+    param = param % poly.n
+    edge = int(param)
+    if edge == poly.n:  # param == n after fp wrap
+        edge = 0
+    return BoundaryPoint2(edge, param - edge)
+
+
+def dump_polygon_text(poly) -> str:
+    lines = [f"{float(x)!r} {float(y)!r}" for x, y in poly.vertices]
+    return "\n".join(lines) + "\n"
+
+
+def dump_off(poly) -> str:
+    lines = ["OFF", f"{len(poly.vertices)} {len(poly.faces)} 0"]
+    for v in poly.vertices:
+        # repr of a Python float round-trips exactly
+        lines.append(" ".join(repr(float(x)) for x in v))
+    for f in poly.faces:
+        lines.append(" ".join([str(len(f))] + [str(i) for i in f]))
+    return "\n".join(lines) + "\n"
+
+
+def signed_distance(poly, point, eps=None) -> float:
+    return float(poly.signed_distances([point], eps)[0])
+
+
+def extreme_boundary_points(poly):
+    """(nearest surface point to origin, farthest vertex); origin must be interior."""
+    loc = side3(poly, (0.0, 0.0, 0.0))
+    if loc.side == BOUNDARY:
+        raise OriginOnBoundaryError("origin lies on the surface")
+    if loc.side == OUTSIDE:
+        raise OriginOutsideError("origin lies outside the surface")
+    return loc.surface, farthest_vertex(poly)
+
+
+def tripod_points(gamma, v, theta):
+    """Companions b, c for anchor gamma and frame vector v at angle theta."""
+    g = np.asarray(gamma, dtype=float)
+    v = np.asarray(v, dtype=float)
+    r = float(np.linalg.norm(g))
+    if r < 1e-300:
+        raise BadFrameError("anchor at the origin has no frame")
+    if abs(np.linalg.norm(v) - 1.0) > 1e-9 or abs(float(v @ g)) > 1e-9 * r:
+        raise BadFrameError("v must be unit and perpendicular to gamma")
+    ahat = g / r
+    u = np.cos(theta) * v + np.sin(theta) * np.cross(ahat, v)
+    half = np.sqrt(3.0) / 2.0 * r * u
+    return -0.5 * g + half, -0.5 * g - half
+
+
+SIG_PP = "++"
+SIG_MM = "--"
+SIG_PM = "+-"
+SIG_MP = "-+"
+SIG_ZERO = "00"
+
+
+def signature(poly, b, c, eps=None) -> str:
+    """Fold the companions' inside(+)/outside(-)/boundary(0) signs."""
+    fb, fc = -poly.side_signs([b, c], eps)
+    if fb == 0 and fc == 0:
+        return SIG_ZERO
+    if fb >= 0 and fc >= 0:
+        return SIG_PP
+    if fb <= 0 and fc <= 0:
+        return SIG_MM
+    return SIG_PM if fb > 0 else SIG_MP
+
+
+def cross_hrep(d: int) -> HPolytope:
+    A = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    return hpolytope(A, np.ones(len(A)))
+
+
+def simplex_hrep(d: int) -> HPolytope:
+    # regular-enough simplex with the origin interior
+    A = np.vstack([-np.eye(d), np.ones(d)])
+    b = np.concatenate([np.ones(d) * 0.5, [0.5 * d + 1.0 - 0.5]])
+    return hpolytope(A, b)

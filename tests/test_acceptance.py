@@ -11,8 +11,9 @@ from math import comb, fsum, log2
 
 import numpy as np
 
-from helpers import (criterion05_meshes, cube_mesh, feasible_weights,
-                     random_hull_hrep, star_polygon)
+from helpers import (SIG_MM, SIG_PP, criterion05_meshes, cube_mesh, dump_off,
+                     extreme_boundary_points, feasible_weights, random_hull_hrep,
+                     signature, star_polygon, tripod_points)
 from poise.balance2d import (PartitionInstance, balance_fast, balance_iterative,
                              gadget_decide, gadget_from_partition,
                              gadget_witness, partition_oracle, partition_three,
@@ -20,14 +21,12 @@ from poise.balance2d import (PartitionInstance, balance_fast, balance_iterative,
 from poise.cli import run
 from poise.errors import UnsupportedDimensionError
 from poise.geom2d import eval_boundary
-from poise.geom3d import (dump_off, extreme_boundary_points, frame_field,
-                          surface_path)
+from poise.geom3d import frame_field, surface_path
 from poise.polytoped import cube_hrep, dump_hrep_text, faces_of_dim, product
 from poise.skeleton_balance import (compose_balance, four_on_edges,
                                     halving_point, pow2_points, prop9_check,
                                     prop9_fixture, three_on_edges, verify_skeleton)
-from poise.tripodal import (SIG_MM, SIG_PP, signature, tripod_points,
-                            tripodal_by_face_triples, tripodal_search,
+from poise.tripodal import (tripodal_by_face_triples, tripodal_search,
                             verify_tripodal)
 
 
@@ -215,7 +214,7 @@ def test_criterion_09_pow2_suite():
             assert sp.count == 2 ** k
             cert = verify_skeleton(H, sp.points())
             assert cert.passed
-            diam = cert.eps_geom / 1e-7  # eps_geom defaulted to 1e-7*diam
+            diam = H.vrep.diam
             assert cert.sum_residual <= 1e-7 * diam
             worst = max(worst, cert.sum_residual / diam)
     H = cube_hrep(4)

@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cube_mesh, octa_mesh, random_hull_hrep, star_mesh
+from helpers import (cross_hrep, cube_mesh, dump_off, octa_mesh, random_hull_hrep,
+                     star_mesh)
 import poise.cli
 import poise.polytoped
 import poise.skeleton_balance
 from poise.cli import run
-from poise.geom3d import dump_off, validate_polyhedron
+from poise.geom3d import validate_polyhedron
 from poise.errors import EmptyInteriorError, UnboundedError
-from poise.polytoped import (cross_hrep, cube_hrep, dump_hrep_text, hpolytope,
-                             load_hrep, product)
+from poise.polytoped import cube_hrep, dump_hrep_text, hpolytope, load_hrep, product
 
 SQUARE_TEXT = "-1 -1\n1 -1\n1 1\n-1 1\n"
 
@@ -422,6 +422,43 @@ def test_check_detects_tampering(genuine, tmp_path, capsys, kind, edit, code):
         assert "check failed" in capsys.readouterr().err
 
 
+def _slide_pow2(payload, step):
+    """Slide the cube's vertex (-1, -1, 1) and its mirror in opposite
+    directions along their facets x = -1 and x = 1: off their edges, with
+    the sum kept."""
+    pts = payload["points"]
+    assert pts[0] == [-1.0, -1.0, 1.0] and pts[2] == [1.0, 1.0, -1.0]
+    pts[0] = (np.array(pts[0]) + step).tolist()
+    pts[2] = (np.array(pts[2]) - step).tolist()
+
+
+def _slide_halving(payload, step):
+    """Slide x = (-1, -1, 1) along its facet x = -1, off its vertex and
+    edges; -x slides along the facet x = 1."""
+    assert payload["x"] == [-1.0, -1.0, 1.0]
+    payload["x"] = (np.array(payload["x"]) + step).tolist()
+
+
+@pytest.mark.parametrize("kind,edit,quantity", [
+    ("pow2", _slide_pow2, "max_host_dim"),
+    ("halving", _slide_halving, "face_P_dim"),
+], ids=["pow2-point-off-its-edge", "halving-x-off-its-face"])
+def test_check_applies_the_rank_rule(genuine, tmp_path, capsys, kind, edit,
+                                     quantity):
+    """A point moved 10 eps_geom along a facet of the 3-cube stays on H, but
+    the rows within eps_geom of it have rank 1: check exits 3, and the face
+    dimension is the one quantity that fails."""
+    payload, geometry = genuine[kind]
+    payload = json.loads(json.dumps(payload))
+    edit(payload, 10 * payload["certificate"]["eps_geom"] * np.array([0.0, 1.0, -1.0]))
+    out = tmp_path / "c.json"
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["check", "--json", str(out)] + geometry).exit_code == 3
+    failed = [ln for ln in capsys.readouterr().err.splitlines() if "check failed" in ln]
+    assert len(failed) == 1 and quantity in failed[0], failed
+
+
 def test_check_prop9_fixture_needs_the_fixture(cube_h, tmp_path):
     H = cube_hrep(3)
     out = tmp_path / "f.json"
@@ -469,9 +506,10 @@ def test_obj_edges_are_cube_edges(cube_h, tmp_path):
 
 def test_one_enumeration_and_one_chebyshev_lp_per_polytope(cube_h, tmp_path,
                                                           monkeypatch):
-    """halving and three-on-edges on the cube, and check of each result,
-    enumerate the cube's vertices once per run; no polytope solves its
-    Chebyshev LP twice."""
+    """Of halving and three-on-edges on the cube, and check of each result,
+    only the three-on-edges solve enumerates the cube's vertices, once: its
+    answer is edges. The others decide faces from rows. No polytope solves
+    its Chebyshev LP twice."""
     enumerated, centred = [], []
 
     def counted(fn, log):
@@ -487,25 +525,28 @@ def test_one_enumeration_and_one_chebyshev_lp_per_polytope(cube_h, tmp_path,
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, wrapper)
     cert = str(tmp_path / "c.json")
-    for cmd in ("halving", "three-on-edges"):
-        for argv in ([cmd, "--hrep", cube_h, "--json", cert],
-                     ["check", "--json", cert, "--hrep", cube_h]):
+    for cmd, solved in (("halving", 0), ("three-on-edges", 1)):
+        for argv, count in (([cmd, "--hrep", cube_h, "--json", cert], solved),
+                            (["check", "--json", cert, "--hrep", cube_h], 0)):
             enumerated.clear()
             assert run(argv).exit_code == 0, argv
-            assert len(enumerated) == 1, argv
+            assert len(enumerated) == count, argv
     assert centred and len({id(H) for H in centred}) == len(centred)
 
 
 def test_one_lp_per_polytope(tmp_path, monkeypatch):
     """A polytope costs one LP, its Chebyshev LP: loading an H-rep file
     solves one, and pow2 and compose on a 6-dimensional product one per file
-    read plus one per chart that _place builds. The cone test solves none."""
+    read plus one per chart of _place whose vertices are enumerated (2-face
+    polygons and three-on-edges on 3-faces); a chart that is only halved
+    solves none. The cone test solves none."""
     rng = np.random.default_rng(61)
     path = tmp_path / "p6.hrep"
     path.write_text(dump_hrep_text(product(random_hull_hrep(rng, 3),
                                            random_hull_hrep(rng, 3))))
-    lps, charts = [], []
+    lps, charts, enumerated = [], [], []
     real_lp, real_chart = poise.polytoped.linprog, poise.skeleton_balance.HPolytope
+    real_enum = poise.polytoped.enumerate_vertices
 
     def chebyshev_lp(c, **kw):
         lps.append(c[-1] == -1.0 and "A_ub" in kw and "A_eq" not in kw)
@@ -517,13 +558,17 @@ def test_one_lp_per_polytope(tmp_path, monkeypatch):
 
     monkeypatch.setattr(poise.polytoped, "linprog", chebyshev_lp)
     monkeypatch.setattr(poise.skeleton_balance, "HPolytope", chart)
+    monkeypatch.setattr(poise.polytoped, "enumerate_vertices",
+                        lambda H: enumerated.append(H.d) or real_enum(H))
     load_hrep(path)
     assert lps == [True]
     for argv in (["pow2", "--k", "3"], ["compose"]):
         lps.clear()
         charts.clear()
+        enumerated.clear()
         assert run(argv + ["--hrep", str(path)]).exit_code == 0, argv
-        assert charts and lps == [True] * (1 + len(charts)), argv
+        assert len(charts) >= len(enumerated) > 0, argv
+        assert lps == [True] * (1 + len(enumerated)), argv
     lps.clear()
     with pytest.raises(UnboundedError):
         hpolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0])
@@ -534,9 +579,10 @@ def test_one_lp_per_polytope(tmp_path, monkeypatch):
 
 
 def test_root_chart_is_the_loaded_polytope(cube_h, tmp_path, monkeypatch):
-    """pow2 on the 3-cube and compose on a 6-dimensional product enumerate
-    the vertices of H's own rows once per run, and solve its Chebyshev LP
-    once: the root chart is H itself, not a copy built again."""
+    """pow2 on the 3-cube and compose on a 6-dimensional product, and check
+    of each result, never enumerate the vertices of H's own rows, and solve
+    its Chebyshev LP once: the root chart is H itself, not a copy built
+    again."""
     rng = np.random.default_rng(61)
     prod = tmp_path / "p6.hrep"
     prod.write_text(dump_hrep_text(product(random_hull_hrep(rng, 3),
@@ -547,12 +593,16 @@ def test_root_chart_is_the_loaded_polytope(cube_h, tmp_path, monkeypatch):
             calls.append((name, H.A.tobytes(), H.b.tobytes()))
             return real(H, *args)
         monkeypatch.setattr(poise.polytoped, name, wrapper)
+    cert = str(tmp_path / "c.json")
     for argv, path in ((["pow2", "--k", "2"], cube_h), (["compose"], str(prod))):
         H = load_hrep(path)
-        calls.clear()
-        assert run(argv + ["--hrep", path]).exit_code == 0, argv
-        own = [name for name, A, b in calls if (A, b) == (H.A.tobytes(), H.b.tobytes())]
-        assert sorted(own) == ["chebyshev_center", "enumerate_vertices"], argv
+        for run_argv in (argv + ["--hrep", path, "--json", cert],
+                         ["check", "--json", cert, "--hrep", path]):
+            calls.clear()
+            assert run(run_argv).exit_code == 0, run_argv
+            own = [name for name, A, b in calls
+                   if (A, b) == (H.A.tobytes(), H.b.tobytes())]
+            assert own == ["chebyshev_center"], run_argv
 
 
 # A product of two random 3-hulls whose rows within 1e-7 diam of some compose
@@ -589,6 +639,27 @@ def test_compose_passes_its_own_check_on_a_near_degenerate_product(tmp_path):
     hrep.write_text(COMPOSE_NEAR_DEGENERATE)
     out = tmp_path / "c.json"
     assert run(["compose", "--hrep", str(hrep), "--json", str(out)]).exit_code == 0
+    assert run(["check", "--json", str(out), "--hrep", str(hrep)]).exit_code == 0
+
+
+@pytest.mark.parametrize("argv,d", [(["halving"], 9), (["pow2", "--k", "4"], 9),
+                                    (["compose"], 8)])
+def test_cross_polytopes_solve_and_check_from_rows(tmp_path, monkeypatch, argv, d):
+    """halving and pow2 --k 4 on the 9-cross-polytope (512 rows; enumerating
+    its 18 vertices takes most of a minute), compose on the 8-cross-polytope,
+    and check of each: no run enumerates the vertices of a d-polytope. pow2
+    and compose read vertices only of the 2-face charts they place on."""
+    hrep = tmp_path / "cross.hrep"
+    hrep.write_text(dump_hrep_text(cross_hrep(d)))
+    real = poise.polytoped.enumerate_vertices
+
+    def enumerate_low(H):
+        assert H.d < d, "enumerated the vertices of H"
+        return real(H)
+
+    monkeypatch.setattr(poise.polytoped, "enumerate_vertices", enumerate_low)
+    out = tmp_path / "c.json"
+    assert run(argv + ["--hrep", str(hrep), "--json", str(out)]).exit_code == 0
     assert run(["check", "--json", str(out), "--hrep", str(hrep)]).exit_code == 0
 
 

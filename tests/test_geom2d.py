@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import first_hit_all_hits, star_polygon
+from helpers import (boundary_point_at_param, dump_polygon_text, first_hit_all_hits,
+                     star_polygon)
 from poise import geom2d
 from poise.errors import DegenerateError, NoIntersectionError, NonSimpleError, ParseError
 from poise.geom2d import (BoundaryPoint2, _segment_hits, antipodal_about,
-                          boundary_point_at_param, curve_polygon_intersections,
-                          dump_polygon_text, eval_boundary, locate_point,
+                          curve_polygon_intersections, eval_boundary, locate_point,
                           nearest_boundary_point, parse_polygon_text,
                           validate_polygon)
 

@@ -1,25 +1,45 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import (closest_points_all_pairs, convex_mesh, cross_section_per_face,
-                     cube_mesh, octa_mesh, ray_hits_all_pairs, star_mesh, tetra_mesh)
+                     cube_mesh, dump_off, extreme_boundary_points, octa_mesh,
+                     ray_hits_all_pairs, signed_distance, star_mesh, tetra_mesh)
 from poise import geom3d
 from poise.errors import (DegenerateSectionError, NoLoopContainsOriginError,
                           NonPlanarFaceError, OpenSurfaceError, ParseError)
-from poise.geom3d import (Plane3, cross_section, dump_off,
-                          extreme_boundary_points, frame_field, parse_off,
-                          side3, signed_distance, surface_path,
-                          validate_polyhedron)
+from poise.geom3d import (Plane3, cross_section, frame_field, parse_off, side3,
+                          surface_path, validate_polyhedron)
 
 
 def test_validate_rejects_open_surface():
     v = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     with pytest.raises(OpenSurfaceError):
         validate_polyhedron(v, [[0, 2, 1], [0, 1, 3], [1, 2, 3]])
+
+
+@pytest.mark.parametrize("make", [cube_mesh, lambda: star_mesh(np.random.default_rng(5))],
+                         ids=["cube", "star"])
+def test_inward_mesh_is_built_once(monkeypatch, make):
+    """parse_off of an inward-oriented mesh decides its orientation from the
+    triangulation's signed volume and builds one Polyhedron3: the faces and
+    triangles of the same mesh read outward."""
+    outward = make()
+    inward = dump_off(SimpleNamespace(vertices=outward.vertices,
+                                      faces=[f[::-1] for f in outward.faces]))
+    builds = []
+    real = geom3d.Polyhedron3
+    monkeypatch.setattr(geom3d, "Polyhedron3",
+                        lambda *args: builds.append(1) or real(*args))
+    poly = geom3d.parse_off(inward)
+    assert len(builds) == 1
+    assert poly.faces == outward.faces
+    assert poly.tris.tobytes() == outward.tris.tobytes()
+    assert poly.tri_face.tobytes() == outward.tri_face.tobytes()
 
 
 def test_validate_rejects_nonplanar_face():

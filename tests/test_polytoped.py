@@ -9,14 +9,15 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from helpers import (faces_by_svd, hull_hrep, random_hull_hrep,
-                     stiemke_cone_lp, tight_sets, vrep_from_points_with_sets)
+from helpers import (cross_hrep, faces_by_svd, hull_hrep, random_hull_hrep,
+                     simplex_hrep, stiemke_cone_lp, tight_sets,
+                     vrep_from_points_with_sets)
 from poise.errors import EmptyInteriorError, ParseError, UnboundedError
-from poise.polytoped import (_vrep_from_points, chebyshev_center, cross_hrep,
-                             cube_hrep, dump_hrep_text, enumerate_vertices,
+from poise.polytoped import (_vrep_from_points, chebyshev_center, cube_hrep,
+                             dump_hrep_text, enumerate_vertices,
                              enumerate_vertices_bruteforce, faces_of_dim,
-                             hpolytope, load_hrep, parse_hrep_text, product,
-                             simplex_hrep)
+                             hpolytope, load_hrep, members, parse_hrep_text,
+                             product)
 from poise.skeleton_balance import prop9_fixture
 
 
@@ -47,7 +48,7 @@ def test_hypercube4_face_counts():
 
 
 def test_faces_of_dim_matches_the_svd_reference():
-    """Every proper face's (tight, members, dim) equals the reference's, which
+    """Every proper face's (dim, tight, members) equals the reference's, which
     ranks raw rows and takes an SVD of each face's vertices, on cubes,
     cross-polytopes and simplices (d = 2..6), prop9_fixture(4..7) and
     seeded random hulls, with offsets scaled by 1, 1e-8 and 1e8."""
@@ -58,7 +59,7 @@ def test_faces_of_dim_matches_the_svd_reference():
     for H in cases:
         for s in (1.0, 1e-8, 1e8):
             Hs = hpolytope(H.A, H.b * s)
-            got = [(f.dim, f.tight, f.members)
+            got = [(f.dim, f.tight, tuple(members(Hs, f.tight).tolist()))
                    for k in range(H.d) for f in faces_of_dim(Hs, k)]
             assert got == faces_by_svd(Hs), (H.d, H.m, s)
 
@@ -66,7 +67,7 @@ def test_faces_of_dim_matches_the_svd_reference():
 def test_edges_have_two_endpoints_on_simple_polytopes():
     for H in (cube_hrep(3), simplex_hrep(4)):
         for f in faces_of_dim(H, 1):
-            assert len(f.members) == 2
+            assert len(members(H, f.tight)) == 2
             assert f.dim == 1
 
 
@@ -89,7 +90,8 @@ def test_arrays_are_read_only_and_owned():
 # A 7-dimensional hull scaled by 1e-8: Qhull cannot intersect its halfspaces,
 # and the subset solver would need C(196, 7) ~ 2e12 of them. Run in a child
 # process capped at 2 GB, so that an enumerator that builds every subset
-# fails there with a MemoryError instead of exhausting the host.
+# fails there with a MemoryError instead of exhausting the host. prop9-check
+# reads the vertices; halving, which reads only rows, solves the hull.
 BUDGET_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -100,7 +102,9 @@ try:
     enumerate_vertices_bruteforce(load_hrep(sys.argv[1]))
 except EnumerationBudgetError as exc:
     print(exc)
-sys.exit(run(["halving", "--hrep", sys.argv[1]]).exit_code)
+if run(["halving", "--hrep", sys.argv[1], "--json", sys.argv[2]]).exit_code:
+    sys.exit("halving failed")
+sys.exit(run(["prop9-check", "--k", "1", "--hrep", sys.argv[1]]).exit_code)
 """
 
 
@@ -109,9 +113,11 @@ def test_subset_solver_refuses_over_budget(tmp_path):
     path = tmp_path / "tiny7.hrep"
     path.write_text(dump_hrep_text(hpolytope(H.A, H.b * 1e-8)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", BUDGET_CHILD, str(path)],
+    proc = subprocess.run([sys.executable, "-c", BUDGET_CHILD, str(path),
+                           str(tmp_path / "h.json")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1, proc.stderr
+    assert json.loads((tmp_path / "h.json").read_text())["certificate"]["passed"]
     assert f"C({H.m}, 7) = " in proc.stdout and "budget" in proc.stdout
     assert proc.stderr.startswith("poise: no result: subset vertex enumeration")
     assert f"C({H.m}, 7)" in proc.stderr

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import (cube_mesh, face_from_tight_sets, host_face_per_point,
-                     hull_hrep, octa_mesh, prop9_check_all_faces,
-                     random_hull_hrep, stiemke_cone_lp, tetra_mesh,
-                     three_on_edges_all_triples)
+from helpers import (cross_hrep, cube_mesh, face_per_point, hull_hrep, octa_mesh,
+                     prop9_check_all_faces, random_hull_hrep, simplex_hrep,
+                     stiemke_cone_lp, tetra_mesh, three_on_edges_all_triples)
 from poise import skeleton_balance
 from poise.errors import InputError, NotFoundError, UnsupportedDimensionError
 from poise.geom3d import Plane3
-from poise.polytoped import (cross_hrep, cube_hrep, enumerate_vertices,
-                             faces_of_dim, hpolytope, product, simplex_hrep)
+from poise.polytoped import (cube_hrep, enumerate_vertices, faces_of_dim,
+                             hpolytope, members, product)
 from poise.skeleton_balance import (compose_balance, four_on_edges,
                                     halving_point, pow2_points, prop9_check,
                                     prop9_fixture, three_on_edges,
@@ -41,7 +40,9 @@ def test_halving_cube_degenerate_intersection():
     assert wit.vertex_type == (2, 1)
     viol, touch = hrep_boundary_gap(H, wit.x)
     assert viol <= 1e-7 and touch <= 1e-7
-    assert wit.face_P.dim == 1 and wit.face_negP.dim == 2
+    # x = (-1, -1, 1) and -x are vertices, though the basis holds two and one
+    # rows of P
+    assert wit.face_P.dim == 0 and wit.face_negP.dim == 0
 
 
 def test_halving_simplex_hull_vertex_on_reflection():
@@ -148,8 +149,7 @@ def test_three_on_edges_matches_the_all_triples_oracle(monkeypatch, blocks):
                 continue
             sp = three_on_edges(H, target)
             assert sp.points().tobytes() == ref[0].tobytes(), n
-            assert [(f.tight, f.members) for _, f in sp.entries] == \
-                [(f.tight, f.members) for f in ref[1]], n
+            assert [f.tight for _, f in sp.entries] == [f.tight for f in ref[1]], n
 
 
 def test_four_on_edges_cube():
@@ -283,31 +283,25 @@ def _tier1_halving():
 
 def test_faces_match_the_per_face_reference(monkeypatch):
     """Every face decided for the tier-1 pow2, compose and halving inputs,
-    by the solvers and by verify_skeleton, has the (tight, members, dim) of
-    the reference that decides one point or tight set at a time."""
+    by the solvers and by verify_skeleton and verify_halving, has the
+    (tight, dim) of the reference that decides one point at a time."""
     seen = []
+    real = skeleton_balance.point_faces
 
-    def recorded(fn):
-        def wrapper(H, *args):
-            seen.append((H, args, fn(H, *args)))
-            return seen[-1][2]
-        return wrapper
+    def recorded(H, points, tol):
+        seen.append((H, points, tol, real(H, points, tol)))
+        return seen[-1][3]
 
-    for name in ("host_faces", "face_of"):
-        monkeypatch.setattr(skeleton_balance, name,
-                            recorded(getattr(skeleton_balance, name)))
+    monkeypatch.setattr(skeleton_balance, "point_faces", recorded)
     for solve, H, args in _tier1_pow2_and_compose():
         verify_skeleton(H, solve(H, *args).points())
     for H in _tier1_halving():
-        halving_point(H)
+        verify_halving(H, halving_point(H).x)
     points = 0
-    for H, args, got in seen:
-        if len(args) == 2:                 # host_faces(H, points, tol)
-            want = [host_face_per_point(H, p, args[1]) for p in args[0]]
-            points += len(want)
-        else:                              # face_of(H, tight)
-            got, want = [got], [face_from_tight_sets(H, args[0])]
-        assert [(f.tight, f.members, f.dim) for f in got] == want
+    for H, pts, tol, got in seen:
+        want = [face_per_point(H, p, tol) for p in pts]
+        assert [(f.tight, f.dim) for f in got] == want
+        points += len(want)
     assert points >= 1000
 
 
@@ -380,7 +374,7 @@ def test_skeleton_edges_match_walk_adjacency():
     # lattice-route edges equal shared-(d-1)-tight-rows adjacency when simple
     for H in (cube_hrep(3), simplex_hrep(4)):
         V = enumerate_vertices(H)
-        edges = {tuple(sorted(f.members)) for f in faces_of_dim(H, 1)}
+        edges = {tuple(members(H, f.tight).tolist()) for f in faces_of_dim(H, 1)}
         d = H.d
         byrows = set()
         for i in range(len(V.vertices)):

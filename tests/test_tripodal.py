@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import (convex_mesh, criterion05_meshes, cube_mesh, newton_polish_pointwise,
-                     newton_rows_dense, octa_mesh, sphere_points, star_mesh, tetra_mesh,
-                     tripodal_search_whole_grid)
+from helpers import (SIG_MM, SIG_PP, convex_mesh, criterion05_meshes, cube_mesh,
+                     extreme_boundary_points, newton_polish_pointwise, newton_rows_dense,
+                     octa_mesh, signature, sphere_points, star_mesh, tetra_mesh,
+                     tripod_points, tripodal_search_whole_grid)
 from poise import tripodal
 from poise.errors import BadFrameError, OriginOutsideError, PoiseError
-from poise.geom3d import (Polyhedron3, extreme_boundary_points, frame_field,
-                          surface_path, validate_polyhedron)
-from poise.tripodal import (SIG_MM, SIG_PP, SWEEP_CHUNK, SWEEP_FIRST_CHUNK, signature,
-                            tripod_points, tripodal_by_face_triples,
+from poise.geom3d import Polyhedron3, frame_field, surface_path, validate_polyhedron
+from poise.tripodal import (SWEEP_CHUNK, SWEEP_FIRST_CHUNK, tripodal_by_face_triples,
                             tripodal_search, verify_tripodal)
 
 

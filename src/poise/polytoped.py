@@ -31,7 +31,7 @@ from .errors import (
 # largest C(m, d) the subset solver takes on: at 0.1M to 0.3M subsets a
 # second on a 2-vCPU Xeon, an allowed fallback takes 3 to 10 s
 BRUTEFORCE_MAX_SUBSETS = 1_000_000
-_BLOCK = 200_000            # d-subsets solved per batch
+_BLOCK = 200_000            # d-subsets solved, or points masked, per batch
 # default membership tolerance of the verifiers, per unit of HPolytope.scale
 EPS_GEOM_REL = 1e-7
 
@@ -167,88 +167,74 @@ def _check_bounded_interior(H: HPolytope) -> None:
         raise EmptyInteriorError("no full-dimensional interior")
 
 
+def _frame(H: HPolytope) -> float:
+    """The power of two s that brings max|s b| into [1, 2).
+
+    chebyshev_center and Qhull work on (A, s b) and divide their answers by
+    s: exact in both directions, and the identity where max|b| is in [1, 2).
+    """
+    return math.ldexp(1.0, 1 - math.frexp(float(np.abs(H.b).max()))[1])
+
+
 def chebyshev_center(H: HPolytope):
-    """Center and radius of a largest inscribed ball."""
+    """Center and radius of a largest inscribed ball, solved in _frame."""
+    s = _frame(H)
     norms = np.linalg.norm(H.A, axis=1)
     A = np.column_stack([H.A, norms])
     c = np.zeros(H.d + 1)
     c[-1] = -1.0
-    res = linprog(c, A_ub=A, b_ub=H.b, bounds=[(None, None)] * H.d + [(0, None)],
-                  method="highs")
+    res = linprog(c, A_ub=A, b_ub=H.b * s,
+                  bounds=[(None, None)] * H.d + [(0, None)], method="highs")
     if res.status == 3:
         raise UnboundedError("polytope is unbounded")
     if res.status != 0:
         raise EmptyInteriorError("halfspace system infeasible")
-    return res.x[:-1], float(res.x[-1])
-
-
-def _dedupe(points, merge_tol):
-    """Merge near-duplicate points: (vertices, label), where label[i] is the
-    vertex that points[i] merged into."""
-    label = np.arange(len(points))
-    # fast pre-pass: points in the same cell two decades below merge_tol
-    # are duplicates of one another; keep the first of each cell
-    if len(points) > 256:
-        cell = max(merge_tol * 1e-2, 1e-300)
-        keys = np.round(points / cell).astype(np.int64)
-        _, first, label = np.unique(keys, axis=0, return_index=True,
-                                    return_inverse=True)
-        keep = np.sort(first)
-        label = np.searchsorted(keep, first)[label.ravel()]
-        points = points[keep]
-    order = np.lexsort(points.T[::-1])
-    buf = np.empty_like(points)
-    merged = np.empty(len(points), dtype=np.intp)
-    k = 0
-    for idx in order:
-        p = points[idx]
-        if k:
-            dist = np.linalg.norm(buf[:k] - p, axis=1)
-            q = int(np.argmin(dist))
-            if dist[q] <= merge_tol:
-                merged[idx] = q
-                continue
-        buf[k] = p
-        merged[idx] = k
-        k += 1
-    return buf[:k].copy(), merged[label]
+    return res.x[:-1] / s, float(res.x[-1]) / s
 
 
 def _vrep_from_points(H, pts, eps_tight):
-    """Merge the points to vertices; a vertex's tight set is every row tight
-    at some point merged into it, found _BLOCK points at a time."""
+    """The V-rep of points that each lie on a vertex of H.
+
+    A vertex is its set of tight rows (|b - a.x| <= eps_tight, a zero row
+    never tight), so points with one tight-row pattern are one vertex: the
+    lexicographically first of them stands for it, whatever the distances
+    between points or the diameter. Masks are found _BLOCK points at a time.
+    """
     if len(pts) == 0:
         raise UnboundedError("no vertices found")
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    diam = float(np.linalg.norm(hi - lo))
-    verts, label = _dedupe(pts, 1e-9 * max(diam, 1e-300))
-    tight = np.zeros((len(verts), H.m), dtype=bool)
-    live = ~H.zero_rows()                  # a zero row is never tight
-    for i in range(0, len(pts), _BLOCK):
-        slack = H.b[None, :] - pts[i:i + _BLOCK] @ H.A.T
-        np.logical_or.at(tight, label[i:i + _BLOCK],
-                         (np.abs(slack) <= eps_tight) & live)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    live = ~H.zero_rows()
+    mask = np.concatenate([
+        (np.abs(H.b - pts[i:i + _BLOCK] @ H.A.T) <= eps_tight) & live
+        for i in range(0, len(pts), _BLOCK)])
+    first = np.sort(np.unique(mask, axis=0, return_index=True)[1])
+    tight = mask[first]
     tight.flags.writeable = False
-    return VRep(verts, tight, diam)
+    return VRep(pts[first], tight, diam)
 
 
 def enumerate_vertices(H: HPolytope) -> VRep:
     """All vertices with their tight halfspace index sets.
 
-    Near-duplicate solutions are merged within 1e-9 of the diameter, so a
-    non-simple vertex carries more than d tight indices. Uses the halfspace
-    intersection dual about the Chebyshev center when Qhull succeeds,
-    falling back to the subset solver. Callers read the cached H.vrep.
+    Qhull intersects the halfspaces in _frame about the Chebyshev center;
+    if it fails there, it tries once more from the center moved r/2 along
+    e_1, still r/2 inside every row, and then the subset solver takes
+    over. A non-simple vertex carries more than d tight indices. Callers
+    read the cached H.vrep.
     """
     eps = H.eps_tight()
     if H.d >= 2:
-        try:
-            keep = ~H.zero_rows()       # Qhull rejects 0.x <= 0
-            hs = HalfspaceIntersection(
-                np.column_stack([H.A[keep], -H.b[keep]]), H.chebyshev[0])
-            return _vrep_from_points(H, hs.intersections, eps)
-        except QhullError:
-            pass
+        s = _frame(H)
+        keep = ~H.zero_rows()           # Qhull rejects 0.x <= 0
+        halfspaces = np.column_stack([H.A[keep], -s * H.b[keep]])
+        c, r = H.chebyshev
+        for start in (c, c + np.eye(H.d)[0] * (r / 2)):
+            try:
+                pts = HalfspaceIntersection(halfspaces, s * start).intersections
+            except QhullError:
+                continue
+            return _vrep_from_points(H, pts / s, eps)
     return enumerate_vertices_bruteforce(H, eps)
 
 
@@ -348,8 +334,10 @@ def faces_of_dim(H: HPolytope, k: int) -> list:
 def edge_segment(H: HPolytope, tight) -> tuple:
     """Endpoint vertex ids (low, high) of the edge of H with these tight rows.
 
-    An edge whose collinear near-duplicate vertices were merged has more
-    than two members; its extreme pair along the edge is kept.
+    A vertex within eps_tight of a row it is not on is a member of that
+    row's faces too: the long, thin x <= 1, |y| <= 1, -1e-10 x + y <= 1
+    has (1, 1) on row 3, so the edge of row 3 has three members. The
+    extreme pair along the edge is kept.
     """
     mem = members(H, tight).tolist()
     if len(mem) > 2:

@@ -179,7 +179,7 @@ def random_hull_hrep(rng, d, npts=None):
     return hpolytope(A, b - A @ c)
 
 
-# --- references of the polytope load check and vertex merge -----------------
+# --- reference of the polytope load check -------------------------------------
 
 def stiemke_cone_lp(A):
     """Whether {x : A x <= 0} = {0}, by the cone LP polytoped used before its
@@ -192,37 +192,6 @@ def stiemke_cone_lp(A):
                 and linprog(np.zeros(len(unit)), A_eq=unit.T,
                             b_eq=np.zeros(A.shape[1]), bounds=(1.0, None),
                             method="highs").status == 0)
-
-
-def vrep_from_points_with_sets(H, pts, eps_tight):
-    """polytoped._vrep_from_points with one slack row and one Python set per
-    point, merged by a dict pre-pass: (vertices, tight sets)."""
-    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    merge_tol = 1e-9 * max(diam, 1e-300)
-    slack = H.b[None, :] - pts @ H.A.T
-    slack[:, H.zero_rows()] = np.inf
-    tights = [set(np.nonzero(np.abs(row) <= eps_tight)[0].tolist()) for row in slack]
-    if len(pts) > 256:
-        keys = np.round(pts / max(merge_tol * 1e-2, 1e-300)).astype(np.int64)
-        buckets = {}
-        for i, key in enumerate(map(tuple, keys)):
-            j = buckets.setdefault(key, i)
-            if j != i:
-                tights[j] = tights[j] | tights[i]
-        keep = sorted(buckets.values())
-        pts = pts[keep]
-        tights = [tights[i] for i in keep]
-    verts, out_tight = [], []
-    for idx in np.lexsort(pts.T[::-1]):
-        if verts:
-            dist = np.linalg.norm(np.array(verts) - pts[idx], axis=1)
-            q = int(np.argmin(dist))
-            if dist[q] <= merge_tol:
-                out_tight[q] |= tights[idx]
-                continue
-        verts.append(pts[idx])
-        out_tight.append(set(tights[idx]))
-    return np.array(verts), [tuple(sorted(t)) for t in out_tight]
 
 
 # --- per-face references of polytoped's face decisions -----------------------

@@ -10,8 +10,8 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from helpers import (cross_hrep, faces_by_svd, hull_hrep, random_hull_hrep,
-                     simplex_hrep, stiemke_cone_lp, tight_sets,
-                     vrep_from_points_with_sets)
+                     simplex_hrep, stiemke_cone_lp, tight_sets)
+from poise import polytoped
 from poise.errors import EmptyInteriorError, ParseError, UnboundedError
 from poise.polytoped import (_vrep_from_points, chebyshev_center, cube_hrep,
                              dump_hrep_text, enumerate_vertices,
@@ -87,40 +87,74 @@ def test_arrays_are_read_only_and_owned():
         H.vrep.tight[0, 0] = False
 
 
-# A 7-dimensional hull scaled by 1e-8: Qhull cannot intersect its halfspaces,
-# and the subset solver would need C(196, 7) ~ 2e12 of them. Run in a child
-# process capped at 2 GB, so that an enumerator that builds every subset
-# fails there with a MemoryError instead of exhausting the host. prop9-check
-# reads the vertices; halving, which reads only rows, solves the hull.
+# tests/data/tiny7.hrep is random_hull_hrep(default_rng(2), 7, 14) with its
+# offsets scaled by 1e-8: the subset solver would need C(196, 7) ~ 2e12
+# subsets. Qhull enumerates it in the power-of-two frame, so prop9-check
+# solves it and its check passes. With HalfspaceIntersection made to fail,
+# the subset solver refuses it up front, exit 1. The child is capped at
+# 2 GB, so that an enumerator that builds every subset fails there with a
+# MemoryError instead of exhausting the host.
+TINY7 = os.path.join(os.path.dirname(__file__), "data", "tiny7.hrep")
 BUDGET_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from poise import polytoped
 from poise.cli import run
 from poise.errors import EnumerationBudgetError
-from poise.polytoped import enumerate_vertices_bruteforce, load_hrep
+hrep, cert = sys.argv[1:3]
+argv = ["prop9-check", "--k", "0", "--hrep", hrep]
+if (run(argv + ["--json", cert]).exit_code
+        or run(["check", "--json", cert, "--hrep", hrep]).exit_code):
+    sys.exit(4)
+def no_qhull(*args, **kwargs):
+    raise polytoped.QhullError("disabled")
+polytoped.HalfspaceIntersection = no_qhull
 try:
-    enumerate_vertices_bruteforce(load_hrep(sys.argv[1]))
+    polytoped.enumerate_vertices_bruteforce(polytoped.load_hrep(hrep))
 except EnumerationBudgetError as exc:
     print(exc)
-if run(["halving", "--hrep", sys.argv[1], "--json", sys.argv[2]]).exit_code:
-    sys.exit("halving failed")
-sys.exit(run(["prop9-check", "--k", "1", "--hrep", sys.argv[1]]).exit_code)
+sys.exit(run(argv).exit_code)
 """
 
 
 def test_subset_solver_refuses_over_budget(tmp_path):
-    H = random_hull_hrep(np.random.default_rng(2), 7, 14)
-    path = tmp_path / "tiny7.hrep"
-    path.write_text(dump_hrep_text(hpolytope(H.A, H.b * 1e-8)))
+    assert load_hrep(TINY7).m == 196
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", BUDGET_CHILD, str(path),
-                           str(tmp_path / "h.json")],
+    proc = subprocess.run([sys.executable, "-c", BUDGET_CHILD, TINY7,
+                           str(tmp_path / "p.json")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1, proc.stderr
-    assert json.loads((tmp_path / "h.json").read_text())["certificate"]["passed"]
-    assert f"C({H.m}, 7) = " in proc.stdout and "budget" in proc.stdout
+    assert json.loads((tmp_path / "p.json").read_text())["certificate"]["passed"]
+    assert "C(196, 7) = " in proc.stdout and "budget" in proc.stdout
     assert proc.stderr.startswith("poise: no result: subset vertex enumeration")
-    assert f"C({H.m}, 7)" in proc.stderr
+    assert "C(196, 7)" in proc.stderr
+
+
+def test_qhull_retries_from_a_second_interior_point(monkeypatch):
+    """When Qhull fails from the Chebyshev center, the second start, r/2
+    along e_1 from it and r/2 inside every row, gives the same tight sets
+    and, up to rounding, the same vertices."""
+    H = hpolytope(cross_hrep(3).A, cross_hrep(3).b * 3.0)
+    want = enumerate_vertices(H)
+    starts = []
+    real = polytoped.HalfspaceIntersection
+
+    def first_fails(halfspaces, interior):
+        starts.append(interior)
+        if len(starts) == 1:
+            raise polytoped.QhullError("first start refused")
+        return real(halfspaces, interior)
+
+    monkeypatch.setattr(polytoped, "HalfspaceIntersection", first_fails)
+    got = enumerate_vertices(hpolytope(H.A, H.b))
+    c, r = H.chebyshev
+    assert len(starts) == 2 and np.array_equal(starts[0], c * 0.5)
+    assert np.array_equal(starts[1], (c + [r / 2, 0.0, 0.0]) * 0.5)
+    assert H.unit_residuals(starts[1] / 0.5).max() <= -r / 2 * (1 - 1e-12)
+    assert sorted(tight_sets(got)) == sorted(tight_sets(want))
+    at = dict(zip(tight_sets(want), want.vertices))
+    for t, v in zip(tight_sets(got), got.vertices):
+        assert np.allclose(v, at[t], atol=1e-12), t
 
 
 def test_chebyshev_center_and_support():
@@ -140,10 +174,34 @@ def test_hull_with_interior_points_has_cube_vertices():
     assert np.allclose(np.sort(np.abs(V.vertices).ravel()), 1.0)
 
 
+# Random 7-hulls whose offsets scaled by 1e-8 Qhull rejected about the
+# Chebyshev center, each then over the subset budget, and the ones where
+# Qhull needs the second interior point (seed 1 unscaled, seed 21 at 1 and
+# at 1e8). Run capped at 2 GB, like BUDGET_CHILD.
+SCALED7_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from helpers import random_hull_hrep
+from poise.polytoped import enumerate_vertices, hpolytope
+out = []
+for seed in (1, 2, 4, 5, 8, 15, 16, 21, 26, 34, 35, 38, 39):
+    H = random_hull_hrep(np.random.default_rng(seed), 7, 14)
+    want = enumerate_vertices(H)
+    for s in (1e-8, 1e8) if seed == 21 else (1e-8,):
+        got = enumerate_vertices(hpolytope(H.A, H.b * s))
+        out.append([seed, s, len(want.vertices), len(got.vertices),
+                    bool(np.array_equal(got.tight, want.tight))])
+print(json.dumps(out))
+"""
+
+
 def test_enumeration_is_scale_invariant():
     """Vertex counts and tight sets of 45 polytopes (random, cube and cross,
-    d = 2..6) scaled by 1e-8, 1e-6 and 1e8 equal the unscaled ones: the
-    tightness tolerance is relative to the offsets, with no absolute floor."""
+    d = 2..6) scaled by 1e-8, 1e-6 and 1e8, and of 13 random 7-hulls scaled
+    by 1e-8 (and one by 1e8), equal the unscaled ones: the tightness
+    tolerance is relative to the offsets, with no absolute floor, and
+    Qhull runs in a frame where max|b| is in [1, 2)."""
     rng = np.random.default_rng(45)
     for d in range(2, 7):
         for H in (random_hull_hrep(rng, d), cube_hrep(d), cross_hrep(d)):
@@ -152,6 +210,15 @@ def test_enumeration_is_scale_invariant():
                 got = enumerate_vertices(hpolytope(H.A, H.b * s))
                 assert len(got.vertices) == len(want.vertices), (d, H.m, s)
                 assert np.array_equal(got.tight, want.tight), (d, H.m, s)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", SCALED7_CHILD], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert len(runs) == 14
+    for seed, s, n_want, n_got, same_tight in runs:
+        assert n_got == n_want and same_tight, (seed, s)
 
 
 def test_enumerate_handles_many_duplicate_intersections():
@@ -317,33 +384,45 @@ def test_cone_test_matches_stiemke_lp():
 def test_long_thin_polytopes_are_bounded():
     """x <= 1, |y| <= 1 and -t x + y <= 1 is bounded, of length about 2 / t.
     Where the cone LP calls it unbounded, the construction decides: it is
-    bounded, and its far end (-2 / t, -1) is a vertex."""
+    bounded, and its far end (-2 / t, -1) is a vertex. Both enumerators
+    give its four vertices, (1, 1) and (0, 1) apart although the diameter
+    is 2 / t, with equal tight sets."""
     for t in (1e-9, 1e-10, 1e-12):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-t, 1.0]])
-        V = hpolytope(A, np.ones(4)).vrep.vertices
-        assert np.allclose(V[0], [-2.0 / t, -1.0], rtol=1e-12), t
+        H = hpolytope(A, np.ones(4))
+        V = H.vrep
+        assert np.allclose(V.vertices[0], [-2.0 / t, -1.0], rtol=1e-12), t
+        slow = enumerate_vertices_bruteforce(H)
+        assert len(V.vertices) == len(slow.vertices) == 4, t
+        assert np.allclose(V.vertices, slow.vertices, rtol=1e-12, atol=1e-12), t
+        assert np.array_equal(V.tight, slow.tight), t
 
 
-def test_vertex_merge_matches_the_set_reference():
-    """Merged vertices and tight sets equal the per-point set version's, bit
-    for bit, on shuffled clouds of copies of each vertex jittered by 0, by
-    less than a pre-pass cell, by less than the merge tolerance, by more,
-    and by the tightness tolerance; 600 points take the pre-pass, 200 not."""
+def test_jittered_vertex_copies_give_the_vrep(monkeypatch):
+    """Shuffled copies of each vertex, jittered by 0 and by up to half the
+    tightness tolerance, give the V-rep's tight sets bit for bit, each
+    vertex once, stood for by the lexicographically first of its copies,
+    found in blocks of 64 points."""
+    monkeypatch.setattr(polytoped, "_BLOCK", 64)
     rng = np.random.default_rng(17)
     zero_row = hpolytope(np.vstack([cube_hrep(3).A, np.zeros(3)]), np.ones(7))
+    thin = hpolytope(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-1e-10, 1.0]]),
+                     np.ones(4))
     for H in (cube_hrep(3), cross_hrep(4), random_hull_hrep(rng, 5, 9),
-              product(simplex_hrep(2), cube_hrep(2)), zero_row):
+              product(simplex_hrep(2), cube_hrep(2)), zero_row, thin):
         V = H.vrep
         eps = H.eps_tight()
-        for n in (600, 200):
-            jitter = rng.choice([0.0, 1e-12, 1e-10, 3e-9], n) * V.diam
-            jitter = np.where(rng.random(n) < 0.2, eps, jitter)
-            pts = (V.vertices[rng.integers(len(V.vertices), size=n)]
-                   + jitter[:, None] * rng.normal(size=(n, H.d)))
-            got = _vrep_from_points(H, pts, eps)
-            want_v, want_t = vrep_from_points_with_sets(H, pts, eps)
-            assert np.array_equal(got.vertices, want_v), (H.m, n)
-            assert tight_sets(got) == want_t, (H.m, n)
+        n = 400
+        of = rng.integers(len(V.vertices), size=n)
+        step = rng.choice([0.0, 1e-3, 0.5], n) * eps / H.norms.max()
+        u = rng.normal(size=(n, H.d))
+        pts = V.vertices[of] + (step / np.linalg.norm(u, axis=1))[:, None] * u
+        got = _vrep_from_points(H, pts, eps)
+        assert sorted(tight_sets(got)) == sorted(tight_sets(V)), H.m
+        for v, t in zip(got.vertices, got.tight):
+            j = int(np.flatnonzero((V.tight == t).all(axis=1))[0])
+            copies = pts[of == j]
+            assert np.array_equal(v, copies[np.lexsort(copies.T[::-1])[0]]), H.m
 
 
 # A 6-dimensional hull of 10 points with 32 rows: C(32, 6) = 906,192 subsets,

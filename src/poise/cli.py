@@ -84,7 +84,9 @@ def _write(path, text):
         f.write(text)
 
 
-def _emit(args, payload, passed, no_result=False, figure=None):
+def _emit(args, payload, passed, no_result=False, figure=None, cert=None):
+    """Write the payload; exit 0 if passed, else 1 (no result) or 3. On exit
+    3, each quantity over its bound in `cert` gets one stderr line."""
     payload = dict(payload)
     payload["schema"] = 1
     text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
@@ -94,6 +96,10 @@ def _emit(args, payload, passed, no_result=False, figure=None):
     else:
         sys.stdout.write(text)
     code = 0 if passed else (1 if no_result else 3)
+    if code == 3 and cert is not None:
+        for line in cert.failures():
+            print(f"poise: verification failure: {payload['command']}: {line}",
+                  file=sys.stderr)
     return CommandResult(code, json_path, figure)
 
 
@@ -164,7 +170,7 @@ def _cmd_balance2d(args):
     fig = _figure(args.svg, lambda: figures.svg_scene(
         polygon=poly.vertices, points=pts, point_sizes=weights, target=target,
         trace=placement.trace))
-    return _emit(args, payload, cert.passed, figure=fig)
+    return _emit(args, payload, cert.passed, figure=fig, cert=cert)
 
 
 def _cmd_antipodal(args):
@@ -183,7 +189,7 @@ def _cmd_antipodal(args):
     }
     fig = _figure(args.svg, lambda: figures.svg_scene(
         polygon=poly.vertices, points=pts, target=center))
-    return _emit(args, payload, cert.passed, figure=fig)
+    return _emit(args, payload, cert.passed, figure=fig, cert=cert)
 
 
 def _cmd_reduce_partition(args):
@@ -236,7 +242,7 @@ def _cmd_gadget_decide(args):
         polygon=poly.vertices, points=pts,
         point_sizes=weights if pts is not None else None))
     return _emit(args, payload, cert.passed and decision,
-                 no_result=cert.passed and not decision, figure=fig)
+                 no_result=cert.passed and not decision, figure=fig, cert=cert)
 
 
 def _cmd_tripodal(args):
@@ -263,7 +269,7 @@ def _cmd_tripodal(args):
         poly, points=triple.points, loop=triple.points, target=np.zeros(3)))
     obj = _figure(args.obj, lambda: figures.obj_overlay(
         poly, points=triple.points, loops=[triple.points], labels=("tripod",)))
-    return _emit(args, payload, cert.passed, figure=svg or obj)
+    return _emit(args, payload, cert.passed, figure=svg or obj, cert=cert)
 
 
 def _cmd_placement(args):
@@ -280,7 +286,7 @@ def _cmd_placement(args):
     cert = verify_skeleton(H, sp.points(), sp.target, args.eps_geom, args.eps_bal)
     payload.update(_placement_payload(sp, cert), command=args.cmd)
     fig = _hrep_obj(args, H, sp.points()) if args.obj else None
-    return _emit(args, payload, cert.passed, figure=fig)
+    return _emit(args, payload, cert.passed, figure=fig, cert=cert)
 
 
 def _cmd_four_on_edges(args):
@@ -293,7 +299,7 @@ def _cmd_four_on_edges(args):
     payload.update(_placement_payload(sp, cert, tight_key="face"))
     svg = _figure(args.svg, lambda: figures.svg_scene3(poly, points=sp.points()))
     obj = _figure(args.obj, lambda: figures.obj_overlay(poly, points=sp.points()))
-    return _emit(args, payload, cert.passed, figure=svg or obj)
+    return _emit(args, payload, cert.passed, figure=svg or obj, cert=cert)
 
 
 def _cmd_halving(args):
@@ -311,7 +317,7 @@ def _cmd_halving(args):
                         "boundary_distance": cert.boundary_distance,
                         "eps_geom": cert.eps_geom, "passed": cert.passed},
     }
-    return _emit(args, payload, cert.passed)
+    return _emit(args, payload, cert.passed, cert=cert)
 
 
 def _cmd_prop9_fixture(args):

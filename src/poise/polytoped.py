@@ -46,9 +46,11 @@ class HPolytope:
     A row with a zero normal is allowed.
 
     A and b are read-only copies, so what is derived from them cannot go
-    stale: `chebyshev` (center and radius of a largest inscribed ball),
-    `scale` (a bound on its width, from its rows) and `vrep` (the vertices
-    and their tight rows) are computed once per polytope, on first use.
+    stale: `chebyshev` (center and radius of a largest inscribed ball, an
+    LP), `scale` (a bound on its width, from its rows) and `vrep` (the
+    vertices and their tight rows) are computed once per polytope, on first
+    use. Where every b_i > 0 the Chebyshev LP runs only to give Qhull its
+    start point, that is, only if the vertices are enumerated.
     """
     A: np.ndarray            # (m, d) outward normals
     b: np.ndarray            # (m,) offsets, a.x <= b
@@ -133,7 +135,9 @@ class FaceD:
 
 
 def hpolytope(A, b) -> HPolytope:
-    """Checked HPolytope; raises UnboundedError or EmptyInteriorError."""
+    """Checked HPolytope; raises UnboundedError or EmptyInteriorError.
+
+    Every b_i > 0 costs no LP: the origin witnesses the interior."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or len(A) != len(b):
@@ -154,14 +158,17 @@ def _check_bounded_interior(H: HPolytope) -> None:
     that holds iff the nonzero normals have rank d and some y > 0 solves
     A^T y = 0: on unit normals U, iff min over z >= 0 of |U^T (1 + z)| is
     zero (H._stiemke), a residual that counts as zero up to 1e-9 sqrt(n)
-    for n rows. The interior is then the positive radius of the Chebyshev
-    LP.
+    for n rows. If every b_i > 0, zero rows included, the origin satisfies
+    every row strictly, an exact witness of the interior. Otherwise the
+    interior is the positive radius of the Chebyshev LP.
     """
     live = ~H.zero_rows()
     if (np.linalg.matrix_rank(H.A[live] / H.norms[live, None]) < H.d
             or H._stiemke[1] > 1e-9 * math.sqrt(live.sum())):
         raise UnboundedError("polytope is unbounded: some direction x != 0 "
                              "has a.x <= 0 for every row")
+    if (H.b > 0.0).all():
+        return
     _, r = H.chebyshev
     if r <= 0.0:
         raise EmptyInteriorError("no full-dimensional interior")

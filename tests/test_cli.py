@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -535,11 +536,12 @@ def test_one_enumeration_and_one_chebyshev_lp_per_polytope(cube_h, tmp_path,
 
 
 def test_one_lp_per_polytope(tmp_path, monkeypatch):
-    """A polytope costs one LP, its Chebyshev LP: loading an H-rep file
-    solves one, and pow2 and compose on a 6-dimensional product one per file
-    read plus one per chart of _place whose vertices are enumerated (2-face
-    polygons and three-on-edges on 3-faces); a chart that is only halved
-    solves none. The cone test solves none."""
+    """The Chebyshev LP runs only to start Qhull: loading an H-rep file whose
+    offsets are all positive solves none (the origin witnesses its
+    interior), and pow2 and compose on a 6-dimensional product solve one
+    per chart of _place whose vertices are enumerated (2-face polygons and
+    three-on-edges on 3-faces); a chart that is only halved solves none.
+    The cone test solves none; an empty polytope still needs its LP."""
     rng = np.random.default_rng(61)
     path = tmp_path / "p6.hrep"
     path.write_text(dump_hrep_text(product(random_hull_hrep(rng, 3),
@@ -560,15 +562,15 @@ def test_one_lp_per_polytope(tmp_path, monkeypatch):
     monkeypatch.setattr(poise.skeleton_balance, "HPolytope", chart)
     monkeypatch.setattr(poise.polytoped, "enumerate_vertices",
                         lambda H: enumerated.append(H.d) or real_enum(H))
-    load_hrep(path)
-    assert lps == [True]
+    assert (load_hrep(path).b > 0).all()
+    assert lps == []
     for argv in (["pow2", "--k", "3"], ["compose"]):
         lps.clear()
         charts.clear()
         enumerated.clear()
         assert run(argv + ["--hrep", str(path)]).exit_code == 0, argv
         assert len(charts) >= len(enumerated) > 0, argv
-        assert lps == [True] * (1 + len(enumerated)), argv
+        assert lps == [True] * len(enumerated), argv
     lps.clear()
     with pytest.raises(UnboundedError):
         hpolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0])
@@ -580,9 +582,9 @@ def test_one_lp_per_polytope(tmp_path, monkeypatch):
 
 def test_root_chart_is_the_loaded_polytope(cube_h, tmp_path, monkeypatch):
     """pow2 on the 3-cube and compose on a 6-dimensional product, and check
-    of each result, never enumerate the vertices of H's own rows, and solve
-    its Chebyshev LP once: the root chart is H itself, not a copy built
-    again."""
+    of each result, never enumerate the vertices of H's own rows, nor solve
+    its Chebyshev LP, since b > 0 and its vertices are never read: the root
+    chart is H itself, not a copy built again."""
     rng = np.random.default_rng(61)
     prod = tmp_path / "p6.hrep"
     prod.write_text(dump_hrep_text(product(random_hull_hrep(rng, 3),
@@ -602,7 +604,65 @@ def test_root_chart_is_the_loaded_polytope(cube_h, tmp_path, monkeypatch):
             assert run(run_argv).exit_code == 0, run_argv
             own = [name for name, A, b in calls
                    if (A, b) == (H.A.tobytes(), H.b.tobytes())]
-            assert own == ["chebyshev_center"], run_argv
+            assert own == [], run_argv
+
+
+def test_check_of_skeleton_certificates_solves_no_lp(cube_h, tmp_path,
+                                                      monkeypatch):
+    """check of halving, pow2, compose and three-on-edges certificates on the
+    3-cube and on a 6-dimensional product reads only rows and points: it
+    loads a b > 0 polytope without an LP and enumerates no vertices, so
+    neither polytoped nor skeleton_balance calls linprog."""
+    rng = np.random.default_rng(61)
+    prod = tmp_path / "p6.hrep"
+    prod.write_text(dump_hrep_text(product(random_hull_hrep(rng, 3),
+                                           random_hull_hrep(rng, 3))))
+    cases = [(argv, cube_h) for argv in (["halving"], ["pow2", "--k", "2"],
+                                         ["compose"], ["three-on-edges"])]
+    cases += [(argv, str(prod)) for argv in (["halving"], ["pow2", "--k", "3"],
+                                             ["compose"])]
+    lps = []
+    for mod in (poise.polytoped, poise.skeleton_balance):
+        monkeypatch.setattr(mod, "linprog", lambda *a, real=mod.linprog, **kw:
+                            lps.append(a) or real(*a, **kw))
+    for i, (argv, path) in enumerate(cases):
+        cert = str(tmp_path / f"c{i}.json")
+        assert run(argv + ["--hrep", path, "--json", cert]).exit_code == 0, argv
+        lps.clear()
+        assert run(["check", "--json", cert, "--hrep", path]).exit_code == 0, argv
+        assert lps == [], argv
+
+
+def _fail_halving(real, H, x, eps_geom):
+    return dataclasses.replace(real(H, x, eps_geom), violation=1.0)
+
+
+def _fail_sum(real, H, pts, target, eps_geom, eps_bal):
+    return real(H, pts, target, eps_geom, -1.0)        # a negative sum bound
+
+
+@pytest.mark.parametrize("argv,verifier,fail,field", [
+    (["halving"], "verify_halving", _fail_halving, "violation"),
+    (["three-on-edges"], "verify_skeleton", _fail_sum, "sum_residual"),
+])
+def test_failed_own_certificate_names_the_quantity(argv, verifier, fail, field,
+                                                   cube_h, tmp_path, capsys,
+                                                   monkeypatch):
+    """A solver whose own certificate fails exits 3 and prints one stderr
+    line per quantity over its bound, in check's format; the JSON is the
+    certificate as computed, with passed false."""
+    certs = []
+    real = getattr(poise.skeleton_balance, verifier)
+    monkeypatch.setattr(poise.skeleton_balance, verifier,
+                        lambda *a: certs.append(fail(real, *a)) or certs[-1])
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert run(argv + ["--hrep", cube_h, "--json", str(out)]).exit_code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" = ")[0] for line in certs[0].failures()] == [field]
+    assert err == [f"poise: verification failure: {argv[0]}: {line}"
+                   for line in certs[0].failures()]
+    assert json.loads(out.read_text())["certificate"]["passed"] is False
 
 
 # A product of two random 3-hulls whose rows within 1e-7 diam of some compose
@@ -733,6 +793,7 @@ BAD_HREPS = {
     "wedge": ("3 2\n1 0 1\n0 1 1\n1 1 1\n", "unbounded"),
     "strip": ("4 3\n1 0 0 1\n-1 0 0 1\n0 1 0 1\n0 -1 0 1\n", "unbounded"),
     "empty": ("4 2\n1 0 1\n-1 0 -2\n0 1 1\n0 -1 1\n", "infeasible"),
+    "flat": ("4 2\n1 0 1\n-1 0 -1\n0 1 1\n0 -1 1\n", "full-dimensional"),
     "cube-with-infeasible-zero-row":
         ("\n".join(["7 3"] + CUBE_ROWS + ["0 0 0 -1"]) + "\n", "infeasible"),
 }

@@ -163,6 +163,55 @@ def test_chebyshev_center_and_support():
     assert np.allclose(c, 0.0, atol=1e-9) and r == pytest.approx(1.0)
 
 
+def _count_lps(monkeypatch):
+    calls = []
+    real = polytoped.linprog
+    monkeypatch.setattr(polytoped, "linprog",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+CUBE_A = np.vstack([np.eye(3), -np.eye(3)])
+
+
+@pytest.mark.parametrize("b", [
+    [3.0, 1.0, 1.0, -1.0, 1.0, 1.0],     # 1 <= x <= 3: the origin is outside
+    [2.0, 1.0, 1.0, 0.0, 1.0, 1.0],      # 0 <= x <= 2: the origin is on a facet
+])
+def test_load_without_the_origin_inside_solves_one_lp(b, monkeypatch):
+    """Where some b_i <= 0 the origin witnesses nothing, and the Chebyshev LP
+    decides the interior; enumeration then reuses its cached answer."""
+    lps = _count_lps(monkeypatch)
+    H = hpolytope(CUBE_A, b)
+    assert len(lps) == 1
+    assert len(H.vrep.vertices) == 8 and len(lps) == 1
+    assert H.chebyshev[1] == pytest.approx(1.0)
+
+
+def test_empty_inputs_still_raise_after_their_lp(monkeypatch):
+    lps = _count_lps(monkeypatch)
+    with pytest.raises(EmptyInteriorError):
+        hpolytope([[1.0], [-1.0]], [-1.0, -1.0])
+    assert len(lps) == 1
+    with pytest.raises(EmptyInteriorError):    # the zero row reads 0 <= -1
+        hpolytope(np.vstack([CUBE_A, np.zeros(3)]), [1.0] * 6 + [-1.0])
+    assert len(lps) == 2
+
+
+def test_origin_inside_defers_the_lp_to_the_first_vrep(monkeypatch):
+    """b > 0, a vacuous zero row included: loading solves no Chebyshev LP;
+    the first H.vrep solves one, for Qhull's start point, and no more."""
+    centred = []
+    real = polytoped.chebyshev_center
+    monkeypatch.setattr(polytoped, "chebyshev_center",
+                        lambda H: centred.append(H) or real(H))
+    H = hpolytope(np.vstack([CUBE_A, np.zeros(3)]), [1.0] * 6 + [0.5])
+    assert H.scale > 0 and centred == []
+    assert len(H.vrep.vertices) == 8 and centred == [H]
+    assert len(members(H, (0,))) == 4 and H.chebyshev[1] == pytest.approx(1.0)
+    assert centred == [H]
+
+
 def test_hull_with_interior_points_has_cube_vertices():
     corners = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1)
                         for z in (-1, 1)], float)

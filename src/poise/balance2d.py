@@ -127,6 +127,10 @@ def _check_weights(weights) -> np.ndarray:
         raise InputError("weights must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise InputError("weights must be finite and nonnegative")
+    try:
+        math.fsum(w.tolist())
+    except OverflowError as exc:
+        raise InputError("weights total overflows a float") from exc
     return w
 
 
@@ -144,13 +148,13 @@ def feasibility(weights) -> bool:
     return exact >= Fraction(float(w[i]))
 
 
-def _check_instance(poly: Polygon2, weights, target, eps_geom):
+def _check_instance(poly: Polygon2, weights, target):
     """(weights, polygon translated so the target sits at the origin, its
     eps_geom, target), after the input checks and then the feasibility one."""
     w = _check_weights(weights)
     target = np.asarray(target, dtype=float)
     work = Polygon2(poly.vertices - target)
-    eps_g = work.eps_geom(eps_geom)
+    eps_g = work.eps_geom()
     if locate_point(work, (0.0, 0.0), eps_g).side == OUTSIDE:
         raise OriginOutsideError("target lies outside the polygon")
     if not feasibility(w):
@@ -158,14 +162,14 @@ def _check_instance(poly: Polygon2, weights, target, eps_geom):
     return w, work, eps_g, target
 
 
-def balance_iterative(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None,
+def balance_iterative(poly: Polygon2, weights, target=(0.0, 0.0),
                       collect_trace=False) -> Placement2:
     """Place weights on the boundary so the barycenter hits the target.
 
     Runs at most k-1 migration rounds; zero rounds when the shared
     counterweight point already sits on the boundary.
     """
-    w, work, eps_g, target = _check_instance(poly, weights, target, eps_geom)
+    w, work, eps_g, target = _check_instance(poly, weights, target)
     k = len(w)
     order = [i for i in range(k) if w[i] > 0.0]
     if not order:
@@ -270,19 +274,19 @@ def verify_partition_three(weights, groups) -> PartitionCertificate:
     return PartitionCertificate(misplaced, largest, sum(exact, Fraction(0)) / 2)
 
 
-def balance_fast(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None) -> Placement2:
+def balance_fast(poly: Polygon2, weights, target=(0.0, 0.0)) -> Placement2:
     """Like balance_iterative but with at most three distinct locations.
 
     Weights collapse onto the three partition groups; the tiny super-weight
     instance is solved exactly, then every member inherits its group's spot.
     Feasibility is decided on the weights, not on the rounded group sums.
     """
-    w = _check_instance(poly, weights, target, eps_geom)[0]
+    w = _check_instance(poly, weights, target)[0]
     parts = partition_three(w)
     live = [(g, s) for g, s in zip(parts.groups, parts.sums) if s > 0.0]
     if not live:
-        return balance_iterative(poly, w, target, eps_geom)
-    inner = balance_iterative(poly, [s for _, s in live], target, eps_geom)
+        return balance_iterative(poly, w, target)
+    inner = balance_iterative(poly, [s for _, s in live], target)
     spot = dict(inner.assignments)
     where = {i: spot[j] for j, (group, _) in enumerate(live) for i in group}
     # members of zero-total groups ride along with the largest weight
@@ -290,31 +294,32 @@ def balance_fast(poly: Polygon2, weights, target=(0.0, 0.0), eps_geom=None) -> P
     return Placement2(assignments, np.asarray(target, float), rounds=inner.rounds)
 
 
-def verify_balance_points(poly: Polygon2, points, weights, target=(0.0, 0.0),
-                          eps_geom=None, eps_bal=None) -> BalanceCertificate:
-    """Points on the boundary (within eps_geom) whose weighted barycenter is
-    the target (moment residual within eps_bal); points[i] carries weights[i]."""
+def verify_balance_points(poly: Polygon2, points, weights,
+                          target=(0.0, 0.0)) -> BalanceCertificate:
+    """Points on the boundary (within eps_geom, 1e-9 diam) whose weighted
+    barycenter is the target (moment residual within eps_bal, 1e-8 diam
+    times the weight total, or 1e-8 diam if that is 0); points[i] carries
+    weights[i]."""
     w = _check_weights(weights)
     pts = np.asarray(points, dtype=float)
     if pts.shape != (len(w), 2):
         raise InputError(f"need one 2-d point per weight, got shape {pts.shape}")
     target = np.asarray(target, dtype=float)
     total = math.fsum(w.tolist())
-    if eps_bal is None:
-        eps_bal = EPS_BAL_REL * poly.diam * (total if total > 0 else 1.0)
+    eps_bal = EPS_BAL_REL * poly.diam * (total if total > 0 else 1.0)
     moment = (w[:, None] * pts).sum(axis=0) - total * target
     residual = float(np.linalg.norm(moment))
     return BalanceCertificate(residual, _boundary_distance(poly, pts),
-                              float(eps_bal), poly.eps_geom(eps_geom))
+                              float(eps_bal), poly.eps_geom())
 
 
-def verify_antipodal(poly: Polygon2, points, center,
-                     eps_geom=None) -> AntipodalCertificate:
-    """Two boundary points whose midpoint is the center, within eps_geom."""
+def verify_antipodal(poly: Polygon2, points, center) -> AntipodalCertificate:
+    """Two boundary points whose midpoint is the center, within eps_geom
+    (1e-9 diam)."""
     pts = np.asarray(points, dtype=float)
     err = float(np.linalg.norm(0.5 * (pts[0] + pts[1]) - np.asarray(center, float)))
     return AntipodalCertificate(err, _boundary_distance(poly, pts),
-                                poly.eps_geom(eps_geom))
+                                poly.eps_geom())
 
 
 def _boundary_distance(poly: Polygon2, pts) -> float:
@@ -373,26 +378,15 @@ def verify_gadget_decision(inst: PartitionInstance, balanceable,
     return GadgetCertificate(bool(balanceable), partition_oracle(inst), witness)
 
 
-def gadget_decide(inst: PartitionInstance) -> bool:
-    """Decide balanceability of the gadget by corner-assignment search.
-
-    The heavy weight must take a reflex vertex (0, +-1); vertical balance
-    then holds automatically and horizontal balance needs the remaining
-    weights split between the corners x = -2 and x = +2 with equal totals.
-    Reachable corner loads are grown as a plain set, a deliberately
-    different route from the bitmask oracle.
-    """
-    total = sum(int(a) for a in inst.values)
-    if total % 2 == 1:
-        return False
-    reachable = {0}
-    for a in inst.values:
-        reachable |= {r + int(a) for r in reachable}
-    return total // 2 in reachable
-
-
 def gadget_witness(inst: PartitionInstance) -> Placement2 | None:
-    """Explicit balanced placement for yes-instances, None otherwise."""
+    """Explicit balanced placement for yes-instances, None otherwise.
+
+    The heavy weight takes the reflex vertex (0, -1); vertical balance then
+    holds and horizontal balance needs the rest split between the corners
+    x = -2 and x = +2 with equal totals. Reachable corner loads are grown
+    as a parent map, a different route from the bitmask partition_oracle,
+    so whether a witness exists is the gadget's decision.
+    """
     total = sum(int(a) for a in inst.values)
     if total % 2 == 1:
         return None

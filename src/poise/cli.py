@@ -22,20 +22,18 @@ from . import figures
 from .errors import (DegenerateSectionError, EnumerationBudgetError,
                      InfeasibleError, InputError, NoCrossingError,
                      NoIntersectionError, NoLoopContainsOriginError,
-                     NotFoundError, OriginOnBoundaryError, ParseError,
-                     PoiseError, SearchExhaustedError, SubdivisionLimitError,
-                     WalkFailedError)
+                     NotFoundError, ParseError, PoiseError,
+                     SearchExhaustedError, SubdivisionLimitError)
 from .geom2d import antipodal_about, eval_boundary, load_polygon
 from .geom3d import Plane3, Polyhedron3, load_off
-from .tripodal import (EPS_REL, SWEEP_SAMPLES, tripodal_by_face_triples,
-                       tripodal_search, verify_tripodal)
+from .tripodal import (EPS_REL, tripodal_by_face_triples, tripodal_search,
+                       verify_tripodal)
 
 # Solver ran correctly but found nothing to certify: exit 1, not 3.
 NO_RESULT_ERRORS = (NotFoundError, SearchExhaustedError, InfeasibleError,
                     NoLoopContainsOriginError, DegenerateSectionError,
                     NoCrossingError, NoIntersectionError,
-                    SubdivisionLimitError, OriginOnBoundaryError,
-                    EnumerationBudgetError)
+                    SubdivisionLimitError, EnumerationBudgetError)
 
 
 @dataclass
@@ -149,15 +147,13 @@ def _cmd_balance2d(args):
     weights = _numbers(args.weights)
     target = _numbers(args.target, count=2)
     if args.cmd == "balance2d-fast":
-        placement = b2.balance_fast(poly, weights, target, eps_geom=args.eps_geom)
+        placement = b2.balance_fast(poly, weights, target)
     else:
         placement = b2.balance_iterative(poly, weights, target,
-                                         eps_geom=args.eps_geom,
                                          collect_trace=bool(args.trace))
     order = sorted(placement.assignments, key=lambda t: t[0])
     pts = np.array([eval_boundary(poly, bp) for _, bp in order])
-    cert = b2.verify_balance_points(poly, pts, weights, target,
-                                    eps_geom=args.eps_geom, eps_bal=args.eps_bal)
+    cert = b2.verify_balance_points(poly, pts, weights, target)
     payload = {
         "command": args.cmd,
         "weights": weights,
@@ -178,7 +174,7 @@ def _cmd_antipodal(args):
     center = np.asarray(_numbers(args.target, count=2))
     bp1, bp2 = antipodal_about(poly, center)
     pts = np.array([eval_boundary(poly, bp1), eval_boundary(poly, bp2)])
-    cert = b2.verify_antipodal(poly, pts, center, eps_geom=args.eps_geom)
+    cert = b2.verify_antipodal(poly, pts, center)
     payload = {
         "command": "antipodal",
         "center": center,
@@ -223,15 +219,13 @@ def _cmd_solve_partition(args):
 
 def _cmd_gadget_decide(args):
     inst = b2.PartitionInstance(tuple(_numbers(args.partition, int)))
-    decision = b2.gadget_decide(inst)
+    placement = b2.gadget_witness(inst)
+    decision = placement is not None
     poly, weights = b2.gadget_from_partition(inst)
     payload = {"command": "gadget-decide", "values": list(inst.values),
                "balanceable": decision}
     pts = None
     if decision:
-        placement = b2.gadget_witness(inst)
-        if placement is None:
-            raise WalkFailedError("decision true but no witness reconstructed")
         order = sorted(placement.assignments, key=lambda t: t[0])
         pts = np.array([eval_boundary(poly, bp) for _, bp in order])
     payload["witness"] = {"weights": weights, "points": pts} if decision else None
@@ -250,14 +244,12 @@ def _cmd_tripodal(args):
     if args.cmd == "tripodal":
         triple = tripodal_search(poly, grid=_grid(args.grid))
     else:
-        triple = tripodal_by_face_triples(poly, samples=args.samples)
-    eps_geom = EPS_REL if args.eps_geom is None else args.eps_geom
-    eps_bal = EPS_REL if args.eps_bal is None else args.eps_bal
-    cert = verify_tripodal(poly, triple.points, eps_geom, eps_bal)
+        triple = tripodal_by_face_triples(poly)
+    cert = verify_tripodal(poly, triple.points)
     payload = {
         "command": args.cmd,
-        "eps_geom": eps_geom,
-        "eps_bal": eps_bal,
+        "eps_geom": EPS_REL,
+        "eps_bal": EPS_REL,
         "points": triple.points,
         "faces": list(triple.faces),
         "radius": triple.radius,
@@ -283,7 +275,7 @@ def _cmd_placement(args):
         sp, payload = pow2_points(H, args.k), {"k": args.k}
     else:
         sp, payload = compose_balance(H), {}
-    cert = verify_skeleton(H, sp.points(), sp.target, args.eps_geom, args.eps_bal)
+    cert = verify_skeleton(H, sp.points(), sp.target)
     payload.update(_placement_payload(sp, cert), command=args.cmd)
     fig = _hrep_obj(args, H, sp.points()) if args.obj else None
     return _emit(args, payload, cert.passed, figure=fig, cert=cert)
@@ -294,7 +286,7 @@ def _cmd_four_on_edges(args):
     poly = load_off(args.off)
     plane = Plane3(tuple(_numbers(args.plane, count=3)), 0.0)
     sp = four_on_edges(poly, plane)
-    cert = verify_skeleton(poly, sp.points(), None, args.eps_geom, args.eps_bal)
+    cert = verify_skeleton(poly, sp.points())
     payload = {"command": "four-on-edges", "plane": list(plane.normal)}
     payload.update(_placement_payload(sp, cert, tight_key="face"))
     svg = _figure(args.svg, lambda: figures.svg_scene3(poly, points=sp.points()))
@@ -306,7 +298,7 @@ def _cmd_halving(args):
     from .skeleton_balance import halving_point, verify_halving
     H = _load_hrep(args.hrep)
     wit = halving_point(H)
-    cert = verify_halving(H, wit.x, args.eps_geom)
+    cert = verify_halving(H, wit.x)
     payload = {
         "command": "halving",
         "x": wit.x,
@@ -352,9 +344,10 @@ def _cmd_prop9_check(args):
 
 # --- certificate re-verification ----------------------------------------------
 #
-# `check` runs the verifier the solver ran, on the certificate's coordinates
-# and inputs, at the command's default tolerances. Derived fields (hosts,
-# faces, params, sums, residuals and every tolerance) are never read.
+# `check` makes the verifier call the solver made, on the certificate's
+# coordinates and inputs; every verifier has one tolerance rule, so a solve
+# exits 0 exactly when `check` of its certificate does. Derived fields
+# (hosts, faces, params, sums, residuals and every tolerance) are never read.
 
 def _field(payload, key, kind):
     """payload[key], which must be a kind (a bool is no int here)."""
@@ -510,11 +503,6 @@ def _add_common(p, *names):
         p.add_argument("--svg", help="SVG figure output path")
     if "obj" in names:
         p.add_argument("--obj", help="OBJ overlay output path")
-    if "eps" in names:
-        p.add_argument("--eps-geom", type=float, default=None,
-                       help="membership tolerance (command-specific scale)")
-        p.add_argument("--eps-bal", type=float, default=None,
-                       help="balance tolerance (command-specific scale)")
 
 
 @functools.cache
@@ -533,7 +521,7 @@ def build_parser():
         return p
 
     p = command("balance2d", _cmd_balance2d, "place weights on a polygon boundary",
-                "polygon", "eps", "svg", "json")
+                "polygon", "svg", "json")
     p.add_argument("--weights", required=True, help='e.g. "3 2 2"')
     p.add_argument("--target", default="0 0")
     p.add_argument("--trace", action="store_true",
@@ -541,13 +529,13 @@ def build_parser():
 
     p = command("balance2d-fast", _cmd_balance2d,
                 "three-location variant via weight partitioning",
-                "polygon", "eps", "svg", "json")
+                "polygon", "svg", "json")
     p.add_argument("--weights", required=True)
     p.add_argument("--target", default="0 0")
     p.set_defaults(trace=False)
 
     p = command("antipodal", _cmd_antipodal, "boundary pair with a given midpoint",
-                "polygon", "eps", "svg", "json")
+                "polygon", "svg", "json")
     p.add_argument("--target", default="0 0", help="midpoint (default origin)")
 
     p = command("reduce-partition", _cmd_reduce_partition,
@@ -563,32 +551,31 @@ def build_parser():
     p.add_argument("--partition", required=True)
 
     p = command("tripodal", _cmd_tripodal, "equilateral origin-centered triple",
-                "off", "eps", "svg", "obj", "json")
+                "off", "svg", "obj", "json")
     p.add_argument("--grid", default="256x256", help="search grid (default 256x256)")
 
-    p = command("tripodal-oracle", _cmd_tripodal,
-                "independent face-triple sweep for the same triple",
-                "off", "eps", "svg", "obj", "json")
-    p.add_argument("--samples", type=int, default=SWEEP_SAMPLES)
+    command("tripodal-oracle", _cmd_tripodal,
+            "independent face-triple sweep for the same triple",
+            "off", "svg", "obj", "json")
 
     p = command("three-on-edges", _cmd_placement,
-                "three edge points balancing a target", "hrep", "eps", "obj", "json")
+                "three edge points balancing a target", "hrep", "obj", "json")
     p.add_argument("--target", default="0 0 0")
 
     p = command("four-on-edges", _cmd_four_on_edges,
                 "four edge points from a planar section",
-                "off", "eps", "svg", "obj", "json")
+                "off", "svg", "obj", "json")
     p.add_argument("--plane", default="0 0 1", help="section plane normal")
 
     command("halving", _cmd_halving, "boundary point with x and -x on low faces",
-            "hrep", "eps", "json")
+            "hrep", "json")
 
     p = command("pow2", _cmd_placement, "2^k skeleton points summing to the origin",
-                "hrep", "eps", "obj", "json")
+                "hrep", "obj", "json")
     p.add_argument("--k", type=int, required=True)
 
     command("compose", _cmd_placement, "d skeleton points for d = 2^i*3^j, j <= 1",
-            "hrep", "eps", "obj", "json")
+            "hrep", "obj", "json")
 
     p = command("prop9-fixture", _cmd_prop9_fixture,
                 "triangle-product separation fixture", "json")

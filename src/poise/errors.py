@@ -84,10 +84,6 @@ class NoLoopContainsOriginError(PoiseError):
     """No cross-section loop encloses the origin."""
 
 
-class OriginOnBoundaryError(PoiseError):
-    """Origin lies on the surface; extreme points are undefined."""
-
-
 class BadFrameError(InputError):
     """Frame vector is not unit length and perpendicular to its anchor."""
 
@@ -115,7 +111,7 @@ class EnumerationBudgetError(PoiseError):
 
 
 class WalkFailedError(PoiseError):
-    """A pivot walk or witness reconstruction broke down (numerical)."""
+    """A pivot walk broke down (numerical)."""
 
 
 class UnsupportedDimensionError(InputError):

@@ -105,9 +105,9 @@ class HPolytope:
     def eps_tight(self) -> float:
         return 1e-8 * float(np.abs(self.b).max())
 
-    def eps_geom(self, eps=None) -> float:
-        """Membership tolerance of the verifiers: 1e-7 scale by default."""
-        return EPS_GEOM_REL * self.scale if eps is None else float(eps)
+    def eps_geom(self) -> float:
+        """Membership tolerance of the verifiers: 1e-7 scale."""
+        return EPS_GEOM_REL * self.scale
 
     def unit_residuals(self, x) -> np.ndarray:
         """(a.x - b) / |a| per row, of a point or of each row of an (n, d)

@@ -365,6 +365,10 @@ def three_on_edges(H: HPolytope, target=None) -> SkeletonPlacement:
     ne = len(ends)
     scale = max(V.diam, 1e-300)
     tol_res = 1e-10 * scale
+    # the determinant test runs on M * f, f the power of two that puts
+    # scale * f in [1, 2): exact, and neither side overflows on a big polytope
+    f = math.ldexp(1.0, 1 - math.frexp(scale)[1])
+    det_tol = 1e-12 * (scale * f) ** 3
 
     combos = combinations_with_replacement(range(ne), 3)
     size = EDGE_FIRST_BLOCK                # the lambda reads its current value
@@ -372,8 +376,7 @@ def three_on_edges(H: HPolytope, target=None) -> SkeletonPlacement:
         trips = np.array(block)
         M = np.stack([D[trips[:, 0]], D[trips[:, 1]], D[trips[:, 2]]], axis=2)
         rhs = 3.0 * target - (U[trips[:, 0]] + U[trips[:, 1]] + U[trips[:, 2]])
-        det = np.linalg.det(M)
-        nonsing = np.abs(det) > 1e-12 * scale ** 3
+        nonsing = np.abs(np.linalg.det(M * f)) > det_tol
         tsol = np.full((len(trips), 3), np.nan)
         if nonsing.any():
             tsol[nonsing] = np.linalg.solve(M[nonsing], rhs[nonsing, :, None])[:, :, 0]
@@ -531,32 +534,30 @@ def _meets_reflection(H: HPolytope, out, ids) -> bool:
 
 # --- verification -------------------------------------------------------------
 
-def verify_skeleton(body, points, target=None, eps_geom=None,
-                    eps_bal=None) -> SkeletonCertificate:
+def verify_skeleton(body, points, target=None) -> SkeletonCertificate:
     """Check points on the 1-skeleton whose sum is len(points) * target.
 
     body is an HPolytope, or a Polyhedron3 whose 1-skeleton is its mesh
-    edges; target defaults to the origin. eps_geom is an absolute distance,
-    by default 1e-7 * scale, where scale is H.scale (a bound on H's width
-    from its rows) or the mesh diameter; the sum residual is compared
-    against eps_bal * scale (default eps_bal = 1e-8).
+    edges; target defaults to the origin. eps_geom is 1e-7 * scale, where
+    scale is H.scale (a bound on H's width from its rows) or the mesh
+    diameter; the sum residual is compared against eps_bal * scale, with
+    eps_bal = 1e-8.
     """
     mesh = isinstance(body, Polyhedron3)
     if mesh:
         d, scale = 3, body.diam
-        eg = 1e-7 * scale if eps_geom is None else float(eps_geom)
+        eg = 1e-7 * scale
     else:
-        d, scale, eg = body.d, body.scale, body.eps_geom(eps_geom)
+        d, scale, eg = body.d, body.scale, body.eps_geom()
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise InputError(f"need points of shape (n, {d})")
     target = np.zeros(d) if target is None else np.asarray(target, dtype=float)
     membership = _mesh_membership if mesh else _hrep_membership
     mem_err, host_dim = membership(body, pts, eg)
-    eb = 1e-8 if eps_bal is None else float(eps_bal)
     ssum = float(np.linalg.norm(pts.sum(axis=0) - len(pts) * target))
     return SkeletonCertificate(len(pts), ssum, float(mem_err), int(host_dim),
-                               eg, eb, scale)
+                               eg, 1e-8, scale)
 
 
 def _hrep_membership(H: HPolytope, pts, eg):
@@ -579,18 +580,18 @@ def _mesh_membership(P: Polyhedron3, pts, eg):
     return worst, 1 if worst <= eg else 2
 
 
-def verify_halving(H: HPolytope, x, eps_geom=None) -> HalvingCertificate:
+def verify_halving(H: HPolytope, x) -> HalvingCertificate:
     """x and -x lie on the boundary of P within eps_geom, on faces of P of
     dimension <= floor(d/2) and <= ceil(d/2) respectively.
 
-    eps_geom defaults to 1e-7 * H.scale, a bound on H's width from its rows;
-    a row counts as tight within eps_geom and a face's dimension is d minus
+    eps_geom is 1e-7 * H.scale, a bound on H's width from its rows; a row
+    counts as tight within eps_geom and a face's dimension is d minus
     the rank of its tight rows.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (H.d,):
         raise InputError(f"need a point of shape ({H.d},)")
-    eps = H.eps_geom(eps_geom)
+    eps = H.eps_geom()
     r = np.array([H.unit_residuals(x), H.unit_residuals(-x)])
     face_P, face_negP = point_faces(H, [x, -x], eps)
     return HalvingCertificate(max(float(r.max()), 0.0),

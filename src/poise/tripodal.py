@@ -38,7 +38,7 @@ from .geom3d import (
     surface_path,
 )
 
-EPS_REL = 1e-6    # default relative tolerances of verify_tripodal
+EPS_REL = 1e-6    # relative tolerances of verify_tripodal
 REFINE_DEPTH = 6  # subdivision levels of a grid cell whose polish stalls
 GRID_MAX = 2048   # largest grid side tripodal_search scans
 ROW_FIRST_BLOCK = 8  # cell rows of the grid's first sign block; later ones double
@@ -47,7 +47,7 @@ ROW_FIRST_BLOCK = 8  # cell rows of the grid's first sign block; later ones doub
 # SWEEP_CHUNK, so a triple found early costs one small chunk.
 SWEEP_FIRST_CHUNK = 16
 SWEEP_CHUNK = 256
-SWEEP_SAMPLES = 64  # default grid values of the sweep's free coordinate
+SWEEP_SAMPLES = 64  # grid values of the sweep's free coordinate
 
 
 @dataclass
@@ -77,16 +77,14 @@ class TripodalCertificate(Certificate):
                 ("side_spread", self.side_spread, 2 * (eg + eb)))
 
 
-def verify_tripodal(poly: Polyhedron3, points, eps_geom=None,
-                    eps_bal=None) -> TripodalCertificate:
-    """Equal norms and membership within eps_geom*diam, zero sum within eps_bal*diam.
+def verify_tripodal(poly: Polyhedron3, points) -> TripodalCertificate:
+    """Equal norms and membership within eps_geom, zero sum within eps_bal.
 
-    Both tolerances are relative and default to 1e-6. Pairwise side lengths
-    are also compared (equilateral redundancy); equal norms plus zero sum
-    already imply it, so its tolerance is the slack 2*(eps_geom + eps_bal)*diam.
+    Both tolerances are EPS_REL * diam. Pairwise side lengths are also
+    compared (equilateral redundancy); equal norms plus zero sum already
+    imply it, so its tolerance is the slack 2*(eps_geom + eps_bal).
     """
-    eg = (EPS_REL if eps_geom is None else float(eps_geom)) * poly.diam
-    eb = (EPS_REL if eps_bal is None else float(eps_bal)) * poly.diam
+    eg = eb = EPS_REL * poly.diam
     pts = np.asarray(points, dtype=float)
     norms = np.linalg.norm(pts, axis=1)
     spread = float(max(abs(norms[0] - norms[1]), abs(norms[1] - norms[2])))
@@ -236,7 +234,7 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256)) -> TripodalTriple:
         nth *= 2
 
     try:
-        return _face_triple_sweep(poly, SWEEP_SAMPLES)
+        return _face_triple_sweep(poly)
     except NotFoundError as exc:
         raise SearchExhaustedError("grid search and face sweep both failed") from exc
 
@@ -315,13 +313,12 @@ def _in_face(poly: Polyhedron3, fid, p, tol) -> bool:
     return locate_point(polygon, frame.to2d(p), tol).side != OUTSIDE
 
 
-def tripodal_by_face_triples(poly: Polyhedron3,
-                             samples=SWEEP_SAMPLES) -> TripodalTriple:
+def tripodal_by_face_triples(poly: Polyhedron3) -> TripodalTriple:
     """Exhaustive sweep over ordered face triples (F1, F2, F3).
 
     With a on plane 1 and b on plane 2 (two parameters each), the linear
     condition n3.(a+b) = -d3 cuts the parameter space to three dimensions.
-    One coordinate is swept over `samples` grid values; the two equal-norm
+    One coordinate is swept over SWEEP_SAMPLES grid values; the two equal-norm
     quadratics |a|^2 = |b|^2 and |a|^2 = |a+b|^2 are solved by damped Newton
     (4 starts per sample) in the other two, iterating only the (triple, row)
     pairs not yet converged. Triples are skipped when their radius intervals
@@ -332,17 +329,15 @@ def tripodal_by_face_triples(poly: Polyhedron3,
     solutions do not depend on its chunk, so the first verified triple in
     lex order wins whatever the chunk sizes.
     """
-    if samples < 1:
-        raise InputError(f"samples must be >= 1, got {samples}")
     loc = side3(poly, (0.0, 0.0, 0.0))
     if loc.side == BOUNDARY:
         return _degenerate_triple(poly, loc.surface)
     if loc.side == OUTSIDE:
         raise OriginOutsideError("origin lies outside the surface")
-    return _face_triple_sweep(poly, samples)
+    return _face_triple_sweep(poly)
 
 
-def _face_triple_sweep(poly: Polyhedron3, samples) -> TripodalTriple:
+def _face_triple_sweep(poly: Polyhedron3) -> TripodalTriple:
     """tripodal_by_face_triples for an origin strictly inside the surface."""
     arrs = _face_planes(poly)
     nf = len(poly.faces)
@@ -366,19 +361,18 @@ def _face_triple_sweep(poly: Polyhedron3, samples) -> TripodalTriple:
             for k in np.nonzero(feas)[0]:
                 batch.append((i, j, int(k)))
                 if len(batch) >= size:
-                    hit = _sweep_chunk(poly, np.array(batch), samples, tol_pos,
-                                       arrs)
+                    hit = _sweep_chunk(poly, np.array(batch), tol_pos, arrs)
                     if hit is not None:
                         return hit
                     batch, size = [], min(2 * size, SWEEP_CHUNK)
     if batch:
-        hit = _sweep_chunk(poly, np.array(batch), samples, tol_pos, arrs)
+        hit = _sweep_chunk(poly, np.array(batch), tol_pos, arrs)
         if hit is not None:
             return hit
     raise NotFoundError("no face triple admits a tripodal solution")
 
 
-def _sweep_chunk(poly, trips, samples, tol_pos, arrs):
+def _sweep_chunk(poly, trips, tol_pos, arrs):
     """Solve the two quadratics for a chunk of triples at once."""
     N, D, U = arrs["N"], arrs["D"], arrs["U"]
     i, j, k = trips[:, 0], trips[:, 1], trips[:, 2]
@@ -413,12 +407,12 @@ def _sweep_chunk(poly, trips, samples, tol_pos, arrs):
     Rm = 2.0 * np.maximum(np.maximum(arrs["r_hi"][i], arrs["r_hi"][j]),
                           arrs["r_hi"][k])             # (m,)
 
-    sweep = np.linspace(-1.0, 1.0, samples)
+    sweep = np.linspace(-1.0, 1.0, SWEEP_SAMPLES)
     starts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, -0.5]])
-    rows = samples * len(starts)
+    rows = SWEEP_SAMPLES * len(starts)
     y = np.empty((m, rows, 3))
     y[:, :, 2] = Rm[:, None] * np.repeat(sweep, len(starts))[None, :]
-    y[:, :, :2] = Rm[:, None, None] * np.tile(starts, (samples, 1))[None, :, :]
+    y[:, :, :2] = Rm[:, None, None] * np.tile(starts, (SWEEP_SAMPLES, 1))[None, :, :]
 
     tol_g = 1e-10 * poly.diam ** 2
     _newton_rows(y, a0, b0, A1, A2, Rm, tol_g)

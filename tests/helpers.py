@@ -13,8 +13,8 @@ from poise.balance2d import feasibility
 from poise import tripodal as tp
 from poise.errors import (BadFrameError, DegenerateSectionError, InputError,
                           NoIntersectionError, NoLoopContainsOriginError,
-                          NotFoundError, OriginOnBoundaryError, OriginOutsideError,
-                          PoiseError, SearchExhaustedError)
+                          NotFoundError, OriginOutsideError, PoiseError,
+                          SearchExhaustedError)
 from poise.geom2d import (OUTSIDE, BoundaryPoint2, _boxes_overlap, _crossings,
                           _segment_hits, locate_point, validate_polygon)
 from poise.geom3d import (BOUNDARY, PlaneFrame, _closest_on_triangles,
@@ -409,7 +409,7 @@ def tripodal_search_whole_grid(poly, grid=(256, 256)):
         nt *= 2
         nth *= 2
     try:
-        return tp._face_triple_sweep(poly, tp.SWEEP_SAMPLES)
+        return tp._face_triple_sweep(poly)
     except NotFoundError as exc:
         raise SearchExhaustedError("grid search and face sweep both failed") from exc
 
@@ -580,6 +580,10 @@ def dump_off(poly) -> str:
 
 def signed_distance(poly, point, eps=None) -> float:
     return float(poly.signed_distances([point], eps)[0])
+
+
+class OriginOnBoundaryError(PoiseError):
+    """Origin lies on the surface; extreme points are undefined."""
 
 
 def extreme_boundary_points(poly):

@@ -15,8 +15,8 @@ from helpers import (SIG_MM, SIG_PP, criterion05_meshes, cube_mesh, dump_off,
                      extreme_boundary_points, feasible_weights, random_hull_hrep,
                      signature, star_polygon, tripod_points)
 from poise.balance2d import (PartitionInstance, balance_fast, balance_iterative,
-                             gadget_decide, gadget_from_partition,
-                             gadget_witness, partition_oracle, partition_three,
+                             gadget_from_partition, gadget_witness,
+                             partition_oracle, partition_three,
                              verify_balance_points)
 from poise.cli import run
 from poise.errors import UnsupportedDimensionError
@@ -111,7 +111,7 @@ def test_criterion_04_gadget_equivalence():
         n = int(rng.integers(1, 13))
         inst = PartitionInstance(tuple(int(v) for v in
                                        rng.integers(0, 21, size=n)))
-        assert gadget_decide(inst) == partition_oracle(inst)
+        assert (gadget_witness(inst) is not None) == partition_oracle(inst)
     inst = PartitionInstance((1, 1))
     poly, weights = gadget_from_partition(inst)
     placement = gadget_witness(inst)
@@ -175,9 +175,10 @@ def test_criterion_07_four_on_edges_suite():
     worst_sum, worst_mem = 0.0, 0.0
     for name, mesh in criterion05_meshes():
         sp = four_on_edges(mesh)
-        cert = verify_skeleton(mesh, sp.points(), eps_geom=1e-9 * mesh.diam,
-                               eps_bal=1e-8)
+        cert = verify_skeleton(mesh, sp.points())
         assert cert.passed, (name, cert)
+        assert cert.max_membership_error <= 1e-9 * mesh.diam, (name, cert)
+        assert cert.sum_residual <= 1e-8 * mesh.diam, (name, cert)
         worst_sum = max(worst_sum, cert.sum_residual / mesh.diam)
         worst_mem = max(worst_mem, cert.max_membership_error / mesh.diam)
     _report(7, f"28 meshes, worst sum {worst_sum:.2e}*diam, "

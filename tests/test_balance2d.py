@@ -6,7 +6,7 @@ import pytest
 
 from helpers import feasible_weights, star_polygon
 from poise.balance2d import (GADGET_VERTICES, PartitionInstance, balance_fast,
-                             balance_iterative, feasibility, gadget_decide,
+                             balance_iterative, feasibility,
                              gadget_from_partition, gadget_polygon,
                              gadget_witness, partition_oracle, partition_three,
                              verify_antipodal, verify_balance_points)
@@ -157,9 +157,9 @@ def test_gadget_decide_agrees_with_oracle():
         n = int(rng.integers(1, 9))
         vals = tuple(int(v) for v in rng.integers(0, 21, size=n))
         inst = PartitionInstance(vals)
-        assert gadget_decide(inst) == partition_oracle(inst)
-    assert not gadget_decide(PartitionInstance((2, 3, 7)))
-    assert gadget_decide(PartitionInstance((1, 1)))
+        assert (gadget_witness(inst) is not None) == partition_oracle(inst)
+    assert gadget_witness(PartitionInstance((2, 3, 7))) is None
+    assert gadget_witness(PartitionInstance((1, 1))) is not None
 
 
 def test_gadget_witness_for_unit_pair():

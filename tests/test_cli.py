@@ -233,11 +233,15 @@ def test_halving_cross_polytope_6(tmp_path):
     assert run(["check", "--json", str(out), "--hrep", str(hrep)]).exit_code == 0
 
 
-@pytest.mark.parametrize("half", [1e-8, 1e8])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("half", [1e-8, 1e8, 1e103, 1e150])
 def test_hrep_commands_scale_with_the_polytope(half, tmp_path):
+    """Past a diameter of about 5e102, 1e-12 scale^3 overflowed, and so did
+    each edge triple's determinant: three-on-edges and compose (three points
+    on the edges of a 3-polytope) found no triple."""
     hrep = tmp_path / "cube.hrep"
     hrep.write_text(dump_hrep_text(cube_hrep(3, half=half)))
-    for argv in (["halving"], ["pow2", "--k", "2"], ["three-on-edges"]):
+    for argv in (["halving"], ["pow2", "--k", "2"], ["three-on-edges"], ["compose"]):
         out = tmp_path / f"{argv[0]}.json"
         assert run(argv + ["--hrep", str(hrep), "--json", str(out)]).exit_code == 0, argv
         assert run(["check", "--json", str(out), "--hrep", str(hrep)]).exit_code == 0, argv
@@ -315,10 +319,9 @@ def test_compose_dimension_rejection(tmp_path):
     assert run(["compose", "--hrep", str(p)]).exit_code == 2
 
 
-@pytest.fixture(scope="module")
-def genuine(tmp_path_factory):
-    """One genuine certificate per kind: kind -> (payload, check geometry)."""
-    d = tmp_path_factory.mktemp("genuine")
+def _genuine_solves(d):
+    """Write the test geometry into d; kind -> (solve argv, check geometry)
+    for one solve of each certificate kind."""
     (d / "square.txt").write_text(SQUARE_TEXT)
     (d / "cube.hrep").write_text(dump_hrep_text(cube_hrep(3)))
     (d / "octa.off").write_text(dump_off(octa_mesh()))
@@ -326,7 +329,7 @@ def genuine(tmp_path_factory):
     hrep = ["--hrep", str(d / "cube.hrep")]
     off = ["--off", str(d / "octa.off")]
     p9 = ["--hrep", str(d / "p9.hrep")]
-    solves = {
+    return {
         "balance2d": (["balance2d", "--weights", "2 1 1"] + poly, poly),
         "antipodal": (["antipodal"] + poly, poly),
         "reduce-partition": (["reduce-partition", "--partition", "2 3 7"], []),
@@ -340,12 +343,42 @@ def genuine(tmp_path_factory):
         "prop9-fixture": (["prop9-fixture", "--dim", "4", "--out", p9[1]], p9),
         "prop9-check": (["prop9-check", "--k", "1"] + p9, p9),
     }
+
+
+@pytest.fixture(scope="module")
+def genuine(tmp_path_factory):
+    """One genuine certificate per kind: kind -> (payload, check geometry)."""
+    d = tmp_path_factory.mktemp("genuine")
     out = {}
-    for kind, (argv, geometry) in solves.items():
+    for kind, (argv, geometry) in _genuine_solves(d).items():
         path = d / f"{kind}.json"
         assert run(argv + ["--json", str(path)]).exit_code == 0, kind
         out[kind] = (json.loads(path.read_text()), geometry)
     return out
+
+
+def test_solve_exit_code_is_the_check_verdict(tmp_path):
+    """Every solving command, the diamond's balance2d included, exits 0
+    exactly when its certificate says passed and exactly when check of that
+    certificate exits 0: the solve and check make one verifier call."""
+    solves = _genuine_solves(tmp_path)
+    (tmp_path / "diamond.txt").write_text(DIAMOND_TEXT)
+    poly, off, hrep = (solves["balance2d"][1], solves["tripodal"][1],
+                       solves["halving"][1])
+    diamond = ["--polygon", str(tmp_path / "diamond.txt")]
+    solves.update({
+        "balance2d-diamond": (["balance2d", "--weights", "3 2 2"] + diamond,
+                              diamond),
+        "balance2d-fast": (["balance2d-fast", "--weights", "5 3 2 1"] + poly, poly),
+        "tripodal-oracle": (["tripodal-oracle"] + off, off),
+        "compose": (["compose"] + hrep, hrep),
+    })
+    for kind, (argv, geometry) in solves.items():
+        path = tmp_path / f"{kind}.json"
+        code = run(argv + ["--json", str(path)]).exit_code
+        passed = json.loads(path.read_text())["certificate"]["passed"]
+        verdict = run(["check", "--json", str(path)] + geometry).exit_code
+        assert (code == 0) == passed == (verdict == 0), (kind, code, verdict)
 
 
 def _far(key, *eps_keys):
@@ -466,15 +499,6 @@ def test_check_prop9_fixture_needs_the_fixture(cube_h, tmp_path):
     out.write_text(json.dumps({"schema": 1, "command": "prop9-fixture", "dim": 3,
                                "m": H.m, "A": H.A.tolist(), "b": H.b.tolist()}))
     assert run(["check", "--json", str(out), "--hrep", cube_h]).exit_code == 3
-
-
-def test_tripodal_honours_zero_tolerances(cube_off, tmp_path):
-    out = tmp_path / "t.json"
-    run(["tripodal", "--off", cube_off, "--grid", "16x16", "--eps-geom", "0",
-         "--eps-bal", "0", "--json", str(out)])
-    payload = json.loads(out.read_text())
-    assert payload["eps_geom"] == 0.0 and payload["eps_bal"] == 0.0
-    assert payload["certificate"]["eps_geom"] == 0.0
 
 
 def test_four_on_edges_origin_outside_is_input_error(tmp_path):
@@ -633,12 +657,12 @@ def test_check_of_skeleton_certificates_solves_no_lp(cube_h, tmp_path,
         assert lps == [], argv
 
 
-def _fail_halving(real, H, x, eps_geom):
-    return dataclasses.replace(real(H, x, eps_geom), violation=1.0)
+def _fail_halving(real, H, x):
+    return dataclasses.replace(real(H, x), violation=1.0)
 
 
-def _fail_sum(real, H, pts, target, eps_geom, eps_bal):
-    return real(H, pts, target, eps_geom, -1.0)        # a negative sum bound
+def _fail_sum(real, H, pts, target):
+    return real(H, pts, np.asarray(target) + 1.0)      # a target moved by 1
 
 
 @pytest.mark.parametrize("argv,verifier,fail,field", [
@@ -835,6 +859,35 @@ def test_seed_option_is_rejected(cube_h):
         assert run(argv + ["--hrep", cube_h, "--seed", "1"]).exit_code == 2, argv[0]
 
 
+DIAMOND_TEXT = "1 0\n0 1\n-1 0\n0 -1\n"
+
+
+def test_tolerance_options_are_rejected(square, cube_off, cube_h, tmp_path, capsys):
+    """No solve takes a tolerance or a sweep size: each claim has one
+    tolerance rule, the one check applies. With --eps-geom 1e9 --eps-bal 1e9
+    the diamond's balance2d once exited 0 on points 0.707 off balance."""
+    diamond = tmp_path / "diamond.txt"
+    diamond.write_text(DIAMOND_TEXT)
+    solves = (["balance2d", "--polygon", square, "--weights", "3 2 2"],
+              ["balance2d", "--polygon", str(diamond), "--weights", "3 2 2"],
+              ["balance2d-fast", "--polygon", square, "--weights", "3 2 2"],
+              ["antipodal", "--polygon", square],
+              ["tripodal", "--off", cube_off, "--grid", "16x16"],
+              ["tripodal-oracle", "--off", cube_off],
+              ["four-on-edges", "--off", cube_off],
+              ["three-on-edges", "--hrep", cube_h],
+              ["halving", "--hrep", cube_h],
+              ["pow2", "--hrep", cube_h, "--k", "2"],
+              ["compose", "--hrep", cube_h])
+    for argv in solves:
+        for option in (["--eps-geom", "1e9"], ["--eps-bal", "1e9"],
+                       ["--eps-geom", "1e9", "--eps-bal", "1e9"]):
+            assert run(argv + option).exit_code == 2, (argv[0], option)
+            assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(["tripodal-oracle", "--off", cube_off, "--samples", "8"]).exit_code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_pow2_k_above_limit_is_input_error(cube_h, capsys):
     from poise.skeleton_balance import POW2_MAX_K
     for k in (POW2_MAX_K + 1, 30):
@@ -892,13 +945,16 @@ BAD_ARGUMENTS = {
                                     "--target", "0"], "need 2"),
     "balance-target-too-long": (["balance2d", "--polygon", "SQUARE", "--weights",
                                  "1 1", "--target", "0 0 0"], "need 2"),
-    "oracle-negative-samples": (["tripodal-oracle", "--off", "CUBE", "--samples",
-                                 "-3"], "samples"),
-    "oracle-zero-samples": (["tripodal-oracle", "--off", "CUBE", "--samples", "0"],
-                            "samples"),
     "grid-above-limit": (["tripodal", "--off", "CUBE", "--grid", "4096x4096"], "2048"),
     "grid-side-above-limit": (["tripodal", "--off", "CUBE", "--grid", "64x2049"],
                               "2048"),
+    # weight totals beyond the float range once died in math.fsum
+    "balance-weights-overflow": (["balance2d", "--polygon", "SQUARE", "--weights",
+                                  "1e308 1e308"], "overflow"),
+    "fast-weights-overflow": (["balance2d-fast", "--polygon", "SQUARE",
+                               "--weights", "1e308 1e308"], "overflow"),
+    "partition-weights-overflow": (["solve-partition", "--weights",
+                                    "1e308 1e308 1e308 1e308 1e308"], "overflow"),
 }
 
 

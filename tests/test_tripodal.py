@@ -87,7 +87,7 @@ def test_search_and_sweep_cross_validate():
     for poly in (cube_mesh(), octa_mesh(), tetra_mesh(), star_mesh(rng)):
         t1 = tripodal_search(poly, grid=(64, 64))
         assert verify_tripodal(poly, t1.points).passed
-        t2 = tripodal_by_face_triples(poly, samples=48)
+        t2 = tripodal_by_face_triples(poly)
         assert verify_tripodal(poly, t2.points).passed
 
 

@@ -1,4 +1,4 @@
-"""Base class of the verifiers' certificates.
+"""Base class of the verifiers' certificates, and the host faces they name.
 
 A certificate lists the quantities its claim bounds as (name, value, bound)
 triples; the claim holds iff every value is at most its bound. The solvers
@@ -21,3 +21,9 @@ class Certificate:
         """One line per quantity above its bound (NaN counts as above)."""
         return [f"{name} = {float(value):.6g} exceeds {float(bound):.6g}"
                 for name, value, bound in self.limits() if not value <= bound]
+
+
+@dataclass(frozen=True)
+class FaceD:
+    tight: tuple             # H-rep: its tight rows, sorted; mesh: the face id
+    dim: int

@@ -4,8 +4,8 @@ Exit codes: 0 verified success, 1 infeasible or no result, 2 input error,
 3 verification failure. No command draws random numbers, so identical
 arguments produce byte-identical JSON.
 
-The polytope and skeleton modules load SciPy, so they are imported inside
-the handlers and checks that use them: 2D commands never load SciPy.
+The polytope modules load SciPy, so they are imported inside the handlers
+and checks that use them: planar and mesh commands never load SciPy.
 """
 
 import argparse
@@ -266,8 +266,8 @@ def _cmd_tripodal(args):
 
 def _cmd_placement(args):
     """three-on-edges, pow2 and compose: skeleton points on an H-polytope."""
-    from .skeleton_balance import (compose_balance, pow2_points, three_on_edges,
-                                   verify_skeleton)
+    from .skeleton import verify_skeleton
+    from .skeleton_balance import compose_balance, pow2_points, three_on_edges
     H = _load_hrep(args.hrep)
     if args.cmd == "three-on-edges":
         sp, payload = three_on_edges(H, np.asarray(_numbers(args.target, count=3))), {}
@@ -282,7 +282,7 @@ def _cmd_placement(args):
 
 
 def _cmd_four_on_edges(args):
-    from .skeleton_balance import four_on_edges, verify_skeleton
+    from .skeleton import four_on_edges, verify_skeleton
     poly = load_off(args.off)
     plane = Plane3(tuple(_numbers(args.plane, count=3)), 0.0)
     sp = four_on_edges(poly, plane)
@@ -413,18 +413,23 @@ def _check_tripodal(poly, p):
 
 
 def _check_skeleton(body, p):
-    from .skeleton_balance import POW2_MAX_K, verify_skeleton
+    from .skeleton import verify_skeleton
     cmd = p["command"]
     d = 3 if isinstance(body, Polyhedron3) else body.d
     if cmd == "pow2":
+        from .skeleton_balance import POW2_MAX_K
         k = _field(p, "k", int)
         if not 0 <= k <= POW2_MAX_K:
             raise InputError(f"certificate field 'k' must lie in 0..{POW2_MAX_K}")
         count = 2 ** k
     else:
         count = {"three-on-edges": 3, "four-on-edges": 4, "compose": d}[cmd]
-    target = _array(p, "target", (d,)) if cmd == "three-on-edges" else None
-    return verify_skeleton(body, _array(p, "points", (count, d)), target).failures()
+    target = _array(p, "target", (d,))
+    failures = verify_skeleton(body, _array(p, "points", (count, d)), target).failures()
+    # only three-on-edges takes a target; the others balance about the origin
+    if cmd != "three-on-edges" and target.any():
+        failures.insert(0, f"target = {target.tolist()} differs from the origin")
+    return failures
 
 
 def _check_halving(H, p):

@@ -77,10 +77,12 @@ class Plane3:
         n = np.asarray(self.normal, dtype=float)
         if n.shape != (3,) or not np.all(np.isfinite(n)):
             raise InputError(f"plane normal must be 3 finite numbers, got {self.normal}")
-        norm = np.linalg.norm(n)
-        if norm < 1e-300:
+        big = np.abs(n).max()
+        if big == 0.0:
             raise InputError("zero plane normal")
-        return n / norm
+        # max|n_i| into [0.5, 1) by a power of two: exact, even from a subnormal
+        n = np.ldexp(n, -np.frexp(big)[1])
+        return n / np.linalg.norm(n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import linprog, nnls
 from scipy.spatial import HalfspaceIntersection, QhullError
 
+from .certificate import FaceD
 from .errors import (
     EmptyInteriorError,
     EnumerationBudgetError,
@@ -126,12 +127,6 @@ class VRep:
     vertices: np.ndarray     # (n, d), lexicographically sorted
     tight: np.ndarray        # (n, m) read-only bool: row i is tight at vertex j
     diam: float
-
-
-@dataclass(frozen=True)
-class FaceD:
-    tight: tuple             # the rows tight on the face, sorted
-    dim: int
 
 
 def hpolytope(A, b) -> HPolytope:

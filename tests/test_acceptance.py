@@ -23,9 +23,9 @@ from poise.errors import UnsupportedDimensionError
 from poise.geom2d import eval_boundary
 from poise.geom3d import frame_field, surface_path
 from poise.polytoped import cube_hrep, dump_hrep_text, faces_of_dim, product
-from poise.skeleton_balance import (compose_balance, four_on_edges,
-                                    halving_point, pow2_points, prop9_check,
-                                    prop9_fixture, three_on_edges, verify_skeleton)
+from poise.skeleton import four_on_edges, verify_skeleton
+from poise.skeleton_balance import (compose_balance, halving_point, pow2_points,
+                                    prop9_check, prop9_fixture, three_on_edges)
 from poise.tripodal import (tripodal_by_face_triples, tripodal_search,
                             verify_tripodal)
 

@@ -15,6 +15,7 @@ from helpers import (cross_hrep, cube_mesh, dump_off, octa_mesh, random_hull_hre
                      star_mesh)
 import poise.cli
 import poise.polytoped
+import poise.skeleton
 import poise.skeleton_balance
 from poise.cli import run
 from poise.geom3d import validate_polyhedron
@@ -179,6 +180,24 @@ def test_four_on_edges_vertex_on_the_plane_within_eps_geom(h, tmp_path):
     assert _solves_and_checks(off, "0 0 1")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("plane", ["1e308 1e308 1e308", "1e200 1e200 1e200",
+                                   "0 0 1e-200", "0 0 1e-300", "0 0 5e-324"])
+def test_four_on_edges_huge_and_tiny_plane_normals(plane, tmp_path):
+    """A normal's length once overflowed ("face 0 lies in the cutting
+    plane", exit 1) or underflowed ("zero plane normal", exit 2)."""
+    off = tmp_path / "octa.off"
+    off.write_text(dump_off(octa_mesh()))
+    assert _solves_and_checks(off, plane)
+
+
+def test_four_on_edges_zero_plane_normal_exits_2(tmp_path, capsys):
+    off = tmp_path / "octa.off"
+    off.write_text(dump_off(octa_mesh()))
+    assert run(["four-on-edges", "--off", str(off), "--plane", "0 0 0"]).exit_code == 2
+    assert "zero plane normal" in capsys.readouterr().err
+
+
 def test_four_on_edges_surface_seed4_mesh(tmp_path):
     """The surface benchmark's seed 4, pass 6 mesh5.off (512 triangles): its
     vertex 70 sits 2.6e-6 above z = 0, and its four points once summed to
@@ -339,6 +358,7 @@ def _genuine_solves(d):
         "four-on-edges": (["four-on-edges"] + off, off),
         "three-on-edges": (["three-on-edges"] + hrep, hrep),
         "pow2": (["pow2", "--k", "2"] + hrep, hrep),
+        "compose": (["compose"] + hrep, hrep),
         "halving": (["halving"] + hrep, hrep),
         "prop9-fixture": (["prop9-fixture", "--dim", "4", "--out", p9[1]], p9),
         "prop9-check": (["prop9-check", "--k", "1"] + p9, p9),
@@ -371,7 +391,6 @@ def test_solve_exit_code_is_the_check_verdict(tmp_path):
                               diamond),
         "balance2d-fast": (["balance2d-fast", "--weights", "5 3 2 1"] + poly, poly),
         "tripodal-oracle": (["tripodal-oracle"] + off, off),
-        "compose": (["compose"] + hrep, hrep),
     })
     for kind, (argv, geometry) in solves.items():
         path = tmp_path / f"{kind}.json"
@@ -434,6 +453,20 @@ TAMPERED = [
      lambda p: p["groups"][0].append(99), 2),
     ("unknown-command", "pow2", lambda p: p.update(command="pow3"), 2),
     ("pow2-k-above-limit", "pow2", lambda p: p.update(k=17), 2),
+    # pow2, compose and four-on-edges balance about the origin: check reads
+    # their written target, which must be 3 numbers and the origin
+    ("pow2-target-moved", "pow2", lambda p: p.update(target=[5, 5, 5]), 3),
+    ("compose-target-moved", "compose", lambda p: p.update(target=[5, 5, 5]), 3),
+    ("four-on-edges-target-moved", "four-on-edges",
+     lambda p: p.update(target=[5, 5, 5]), 3),
+    ("pow2-target-not-numeric", "pow2", lambda p: p.update(target="x"), 2),
+    ("compose-target-not-numeric", "compose", lambda p: p.update(target="x"), 2),
+    ("four-on-edges-target-not-numeric", "four-on-edges",
+     lambda p: p.update(target="x"), 2),
+    ("four-on-edges-target-too-short", "four-on-edges",
+     lambda p: p.update(target=[0, 0]), 2),
+    ("three-on-edges-target-not-numeric", "three-on-edges",
+     lambda p: p.update(target="x"), 2),
     # hosts are derived data: check never reads them, so a bad index is harmless
     ("four-on-edges-hosts-ignored", "four-on-edges",
      lambda p: p["hosts"][0].update(members=[999, 1000]), 0),
@@ -454,6 +487,19 @@ def test_check_detects_tampering(genuine, tmp_path, capsys, kind, edit, code):
     assert run(["check", "--json", str(out)] + geometry).exit_code == code
     if code == 3:
         assert "check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["pow2", "compose", "four-on-edges"])
+def test_check_names_a_moved_target(genuine, tmp_path, capsys, kind):
+    """A target off the origin fails check by name, whatever the points."""
+    payload, geometry = genuine[kind]
+    payload = dict(payload, target=[0.0, 0.0, 1e-300])
+    out = tmp_path / "c.json"
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["check", "--json", str(out)] + geometry).exit_code == 3
+    err = capsys.readouterr().err
+    assert f"poise: check failed: {kind}: target = [0.0, 0.0, 1e-300]" in err, err
 
 
 def _slide_pow2(payload, step):
@@ -676,8 +722,9 @@ def test_failed_own_certificate_names_the_quantity(argv, verifier, fail, field,
     line per quantity over its bound, in check's format; the JSON is the
     certificate as computed, with passed false."""
     certs = []
-    real = getattr(poise.skeleton_balance, verifier)
-    monkeypatch.setattr(poise.skeleton_balance, verifier,
+    module = poise.skeleton if verifier == "verify_skeleton" else poise.skeleton_balance
+    real = getattr(module, verifier)
+    monkeypatch.setattr(module, verifier,
                         lambda *a: certs.append(fail(real, *a)) or certs[-1])
     out = tmp_path / "c.json"
     capsys.readouterr()
@@ -895,18 +942,32 @@ def test_pow2_k_above_limit_is_input_error(cube_h, capsys):
         assert "limit" in capsys.readouterr().err
 
 
-def test_planar_commands_do_not_load_scipy(square, tmp_path):
-    out = tmp_path / "c.json"
+def test_planar_and_mesh_commands_load_no_scipy(tmp_path):
+    """In a fresh interpreter, every planar and mesh command and check of its
+    certificate leave SciPy, polytoped and skeleton_balance unloaded."""
+    solves = _genuine_solves(tmp_path)
+    poly, off = solves["balance2d"][1], solves["tripodal"][1]
+    solves.update({
+        "balance2d-fast": (["balance2d-fast", "--weights", "5 3 2 1"] + poly, poly),
+        "tripodal-oracle": (["tripodal-oracle"] + off, off),
+    })
+    runs = []
+    for kind in ("balance2d", "balance2d-fast", "antipodal", "gadget-decide",
+                 "solve-partition", "reduce-partition", "tripodal",
+                 "tripodal-oracle", "four-on-edges"):
+        argv, geometry = solves[kind]
+        out = str(tmp_path / f"{kind}.json")
+        runs += [argv + ["--json", out], ["check", "--json", out] + geometry]
     script = (
         "import sys\n"
         "from poise.cli import run\n"
-        f"solve = ['balance2d', '--polygon', {square!r}, '--weights', '3 2 2',"
-        f" '--json', {str(out)!r}]\n"
-        f"check = ['check', '--json', {str(out)!r}, '--polygon', {square!r}]\n"
-        "assert run(solve).exit_code == 0 and run(check).exit_code == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        f"for argv in {runs!r}:\n"
+        "    assert run(argv).exit_code == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m in ('poise.polytoped', 'poise.skeleton_balance')))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True)
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

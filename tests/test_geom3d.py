@@ -10,8 +10,9 @@ from helpers import (closest_points_all_pairs, convex_mesh, cross_section_per_fa
                      cube_mesh, dump_off, extreme_boundary_points, octa_mesh,
                      ray_hits_all_pairs, signed_distance, star_mesh, tetra_mesh)
 from poise import geom3d
-from poise.errors import (DegenerateSectionError, NoLoopContainsOriginError,
-                          NonPlanarFaceError, OpenSurfaceError, ParseError)
+from poise.errors import (DegenerateSectionError, InputError,
+                          NoLoopContainsOriginError, NonPlanarFaceError,
+                          OpenSurfaceError, ParseError)
 from poise.geom3d import (Plane3, cross_section, frame_field, parse_off, side3,
                           surface_path, validate_polyhedron)
 
@@ -120,6 +121,25 @@ def test_cross_section_cube_through_origin():
     # each section edge is owned by a mesh face
     assert len(sec.edge_faces) == loop.n
     assert all(0 <= f < len(cube.faces) for f in sec.edge_faces)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("normal,unit", [
+    ((1e308, 1e308, 1e308), (3 ** -0.5,) * 3),
+    ((1e200, 1e200, 1e200), (3 ** -0.5,) * 3),
+    ((0.0, 0.0, 1e-200), (0.0, 0.0, 1.0)),
+    ((0.0, 0.0, 5e-324), (0.0, 0.0, 1.0)),
+    ((0.0, -3.0, 4.0), (0.0, -0.6, 0.8)),
+])
+def test_unit_normal_neither_overflows_nor_underflows(normal, unit):
+    """A normal's length once overflowed to inf above about 1e154 and fell
+    below the zero test under about 1e-300."""
+    assert np.allclose(Plane3(normal).unit_normal(), unit, rtol=1e-15, atol=0.0)
+
+
+def test_only_the_zero_normal_is_rejected():
+    with pytest.raises(InputError, match="zero plane normal"):
+        Plane3((0.0, -0.0, 0.0)).unit_normal()
 
 
 def test_cross_section_requires_origin_in_a_loop():
@@ -366,7 +386,7 @@ def _star():
 
 @pytest.mark.parametrize("make", [cube_mesh, _star], ids=["cube", "star"])
 def test_one_solve_frames_each_face_at_most_once(make, monkeypatch):
-    from poise.skeleton_balance import four_on_edges
+    from poise.skeleton import four_on_edges
     from poise.tripodal import tripodal_by_face_triples
     framed = []
     real = geom3d._face_frame

@@ -4,15 +4,15 @@ import pytest
 from helpers import (cross_hrep, cube_mesh, face_per_point, hull_hrep, octa_mesh,
                      prop9_check_all_faces, random_hull_hrep, simplex_hrep,
                      stiemke_cone_lp, tetra_mesh, three_on_edges_all_triples)
-from poise import skeleton_balance
+from poise import polytoped, skeleton_balance
 from poise.errors import InputError, NotFoundError, UnsupportedDimensionError
 from poise.geom3d import Plane3
 from poise.polytoped import (cube_hrep, enumerate_vertices, faces_of_dim,
                              hpolytope, members, product)
-from poise.skeleton_balance import (compose_balance, four_on_edges,
-                                    halving_point, pow2_points, prop9_check,
-                                    prop9_fixture, three_on_edges,
-                                    verify_halving, verify_skeleton)
+from poise.skeleton import four_on_edges, verify_skeleton
+from poise.skeleton_balance import (compose_balance, halving_point, pow2_points,
+                                    prop9_check, prop9_fixture, three_on_edges,
+                                    verify_halving)
 
 SIMPLEX_HULL = hpolytope(*hull_hrep([(3.0, 0.0, 0.0), (0.0, 3.0, 0.0),
                                     (0.0, 0.0, 3.0), (-1.0, -1.0, -1.0)]))
@@ -292,7 +292,9 @@ def test_faces_match_the_per_face_reference(monkeypatch):
         seen.append((H, points, tol, real(H, points, tol)))
         return seen[-1][3]
 
+    # the solvers call it by their module's name, verify_skeleton from polytoped
     monkeypatch.setattr(skeleton_balance, "point_faces", recorded)
+    monkeypatch.setattr(polytoped, "point_faces", recorded)
     for solve, H, args in _tier1_pow2_and_compose():
         verify_skeleton(H, solve(H, *args).points())
     for H in _tier1_halving():

@@ -4,8 +4,10 @@ Exit codes: 0 verified success, 1 infeasible or no result, 2 input error,
 3 verification failure. No command draws random numbers, so identical
 arguments produce byte-identical JSON.
 
-The polytope modules load SciPy, so they are imported inside the handlers
-and checks that use them: planar and mesh commands never load SciPy.
+The polytope modules are imported inside the handlers that use them and
+load SciPy only for an LP or Qhull: three-on-edges, pow2 and compose when
+they enumerate a 2-face chart, prop9-check and its check, --obj, and an
+H-rep file whose offsets are not all positive.
 """
 
 import argparse

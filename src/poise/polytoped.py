@@ -12,13 +12,13 @@ is the dimension wall: the 8-cross-polytope takes about a second.
 from __future__ import annotations
 
 import functools
+import importlib
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
-from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .certificate import FaceD
 from .errors import (
@@ -35,6 +35,25 @@ BRUTEFORCE_MAX_SUBSETS = 1_000_000
 _BLOCK = 200_000            # d-subsets solved, or points masked, per batch
 # default membership tolerance of the verifiers, per unit of HPolytope.scale
 EPS_GEOM_REL = 1e-7
+
+
+def _lazy_scipy(module: str, names: dict):
+    """A PEP 562 module __getattr__: SciPy loads when a name (name -> SciPy
+    module) is first read, which then stays a global of `module`, where
+    every call site reads it, so that a caller may wrap or replace it."""
+    def __getattr__(name):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(names[name]), name)
+        setattr(sys.modules[module], name, value)
+        return value
+    return __getattr__
+
+
+__getattr__ = _lazy_scipy(__name__, {"linprog": "scipy.optimize",
+                                     "HalfspaceIntersection": "scipy.spatial",
+                                     "QhullError": "scipy.spatial"})
+_module = sys.modules[__name__]         # call sites read SciPy's names here
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +94,7 @@ class HPolytope:
         """(y, residual): y >= 1 with U^T y ~ 0 on the unit normals U of the
         nonzero rows, one NNLS solve (Lawson and Hanson 1974, ch. 23)."""
         unit = self.A[~self.zero_rows()] / self.norms[~self.zero_rows(), None]
-        z, res = nnls(unit.T, -unit.sum(axis=0))
+        z, res = _nnls(unit.T, -unit.sum(axis=0))
         return 1.0 + z, res
 
     @functools.cached_property
@@ -169,6 +188,54 @@ def _check_bounded_interior(H: HPolytope) -> None:
         raise EmptyInteriorError("no full-dimensional interior")
 
 
+def _nnls(A, b):
+    """x >= 0 minimising |A x - b|, and the norm of b off the span of the
+    passive columns: Lawson and Hanson's NNLS (1974, ch. 23) with the rules
+    of scipy.optimize.nnls. Q and R^-1 grow a column per entry; the residual
+    comes from Q, as |A x - b| is all rounding once x is large."""
+    m, n = A.shape
+    x, order = np.zeros(n), np.arange(n)    # order: passive columns first
+    Qt, Ri, z = np.zeros((m, m)), np.zeros((m, m)), np.zeros(m)
+    r, k = np.array(b, dtype=float), 0      # r: b off the span of Q
+    for _ in range(3 * n + 1):
+        w = (A * r[:, None]).sum(axis=0)[order[k:]]   # ties stay exact
+        # the largest gradient enters, if its column is not nearly dependent
+        # on the passive ones and its trial value is positive
+        while k < min(m, n) and w[i := int(w.argmax())] > 0.0:
+            a = A[:, order[k + i]]
+            c = Qt[:k] @ a
+            v = a - c @ Qt[:k]
+            v -= (Qt[:k] @ v) @ Qt[:k]      # Gram-Schmidt twice
+            vn, cn = math.sqrt(v @ v), math.sqrt(c @ c)
+            if cn + 0.01 * vn - cn > 0.0 and (proj := v @ r / vn) / vn > 0.0:
+                break
+            w[i] = 0.0
+        else:
+            return x, (0.0 if k == m else math.sqrt(r @ r))
+        order[k], order[k + i] = order[k + i], order[k]
+        Qt[k] = v / vn
+        u, t = Ri[:k, :k] @ c, proj / vn    # t: the entering value
+        Ri[:k, k], Ri[k, k] = -u / vn, 1.0 / vn
+        r -= proj * Qt[k]
+        z[:k] -= t * u
+        z[k] = t
+        k += 1
+        while k and z[:k].min() <= 0.0:     # step to the first zero; it leaves
+            P, zp, xp = order[:k], z[:k], x[order[:k]]
+            step = np.divide(xp, xp - zp, out=np.full(k, np.inf), where=zp <= 0.0)
+            jj = int(step.argmin())
+            x[P] = xp + step[jj] * (zp - xp)
+            out = [jj] + [p for p in range(k) if p != jj and x[P[p]] <= 0.0]
+            x[P[out]] = 0.0
+            order = np.concatenate([np.delete(P, out), P[out][::-1], order[k:]])
+            k -= len(out)
+            Q, R = np.linalg.qr(A[:, order[:k]])
+            Qt[:k], Ri[:k, :k] = Q.T, np.linalg.inv(R)
+            r, z[:k] = b - Q @ (Q.T @ b), Ri[:k, :k] @ (Q.T @ b)
+        x[order[:k]] = z[:k]
+    raise RuntimeError("NNLS iteration limit reached")
+
+
 def _frame(H: HPolytope) -> float:
     """The power of two s that brings max|s b| into [1, 2).
 
@@ -181,12 +248,11 @@ def _frame(H: HPolytope) -> float:
 def chebyshev_center(H: HPolytope):
     """Center and radius of a largest inscribed ball, solved in _frame."""
     s = _frame(H)
-    norms = np.linalg.norm(H.A, axis=1)
-    A = np.column_stack([H.A, norms])
+    A = np.column_stack([H.A, H.norms])
     c = np.zeros(H.d + 1)
     c[-1] = -1.0
-    res = linprog(c, A_ub=A, b_ub=H.b * s,
-                  bounds=[(None, None)] * H.d + [(0, None)], method="highs")
+    res = _module.linprog(c, A_ub=A, b_ub=H.b * s, method="highs",
+                          bounds=[(None, None)] * H.d + [(0, None)])
     if res.status == 3:
         raise UnboundedError("polytope is unbounded")
     if res.status != 0:
@@ -210,7 +276,7 @@ def _vrep_from_points(H, pts, eps_tight):
     mask = np.concatenate([
         (np.abs(H.b - pts[i:i + _BLOCK] @ H.A.T) <= eps_tight) & live
         for i in range(0, len(pts), _BLOCK)])
-    first = np.sort(np.unique(mask, axis=0, return_index=True)[1])
+    first = sorted(set(_first_equal_row(mask)))
     tight = mask[first]
     tight.flags.writeable = False
     return VRep(pts[first], tight, diam)
@@ -233,8 +299,8 @@ def enumerate_vertices(H: HPolytope) -> VRep:
         c, r = H.chebyshev
         for start in (c, c + np.eye(H.d)[0] * (r / 2)):
             try:
-                pts = HalfspaceIntersection(halfspaces, s * start).intersections
-            except QhullError:
+                pts = _module.HalfspaceIntersection(halfspaces, s * start).intersections
+            except _module.QhullError:
                 continue
             return _vrep_from_points(H, pts / s, eps)
     return enumerate_vertices_bruteforce(H, eps)
@@ -290,11 +356,18 @@ def point_faces(H: HPolytope, points, tol) -> list:
     of it in unit residuals, of dimension face_dims. Each distinct tight
     pattern is ranked once."""
     pts = np.asarray(points, dtype=float).reshape(-1, H.d)
-    pats, inv = np.unique(np.abs(H.unit_residuals(pts)) <= tol, axis=0,
-                          return_inverse=True)
-    rows = [tuple(np.flatnonzero(p).tolist()) for p in pats]
-    faces = [FaceD(t, dim) for t, dim in zip(rows, face_dims(H, rows))]
-    return [faces[i] for i in inv.ravel()]
+    pats = np.abs(H.unit_residuals(pts)) <= tol
+    first = _first_equal_row(pats)
+    ids = list(dict.fromkeys(first))
+    rows = [tuple(np.flatnonzero(pats[i]).tolist()) for i in ids]
+    faces = dict(zip(ids, map(FaceD, rows, face_dims(H, rows))))
+    return [faces[i] for i in first]
+
+
+def _first_equal_row(mask) -> list:
+    """The index of each row's first equal row (np.unique(axis=0) is slow)."""
+    seen = {}
+    return [seen.setdefault(row.tobytes(), i) for i, row in enumerate(mask)]
 
 
 def members(H: HPolytope, tight) -> np.ndarray:

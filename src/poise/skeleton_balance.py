@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 from itertools import combinations_with_replacement, islice
 import math
+import sys
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from .balance2d import balance_iterative
 from .certificate import Certificate, FaceD
@@ -28,6 +27,7 @@ from .errors import (
 from .geom2d import antipodal_about, eval_boundary, validate_polygon
 from .polytoped import (
     HPolytope,
+    _lazy_scipy,
     edge_segment,
     faces_of_dim,
     hpolytope,
@@ -49,6 +49,9 @@ EDGE_BLOCK = 1 << 16
 # residual, per unit of row scale |a| max|v| + |b|, that decides a face in
 # prop9_check without an LP: ten times HiGHS's feasibility tolerance
 PROP9_MARGIN = 1e-6
+
+__getattr__ = _lazy_scipy(__name__, {"linprog": "scipy.optimize"})
+_module = sys.modules[__name__]         # call sites read linprog here
 
 
 @dataclass
@@ -112,7 +115,7 @@ def halving_point(H: HPolytope) -> HalvingWitness:
 
     basis, M = [], np.zeros((d, 0))        # x(eps) = M @ (bC + eps)[basis]
     while len(basis) < d:
-        u = null_space(AC[basis])[:, 0] if basis else np.eye(d)[0]
+        u = _null_space(AC[basis])[:, 0] if basis else np.eye(d)[0]
         r = _entering(AC, bC, m, basis, M, u)
         au = AC[r] @ u
         M = np.column_stack([M - np.outer(u, AC[r] @ M) / au, u / au])
@@ -171,6 +174,14 @@ def _entering(AC, bC, m, basis, M, u):
     return int(tied[alive[0]])
 
 
+def _null_space(A):
+    """Orthonormal null-space columns, by scipy.linalg.null_space's rule:
+    singular values above max(shape) * eps * s_max count."""
+    _, s, vt = np.linalg.svd(A)
+    tol = max(A.shape) * np.finfo(float).eps * s.max(initial=0.0)
+    return vt[int((s > tol).sum()):].T
+
+
 # --- recursive placements ----------------------------------------------------
 
 @dataclass
@@ -192,7 +203,7 @@ def _descend(chart: _Chart) -> _Chart:
         tight = b <= eps
         if not tight.any():
             break
-        ns = null_space(A[tight])
+        ns = _null_space(A[tight])
         if ns.shape[1] == 0:
             basis = np.empty((0, chart.base.shape[0]))
             A, b = np.empty((0, 0)), np.empty(0)
@@ -311,9 +322,9 @@ def three_on_edges(H: HPolytope, target=None) -> SkeletonPlacement:
 
     Scans unordered edge triples (repeats allowed) in lexicographic order,
     in blocks of EDGE_FIRST_BLOCK triples doubling up to EDGE_BLOCK, and
-    solves the 3x3 system in the edge parameters; singular systems fall
-    back to a line or plane intersection with the parameter cube. The
-    first triple meeting the residual gate wins.
+    solves the 3x3 system in the edge parameters; singular systems that
+    _hopeless does not drop fall back to a line or plane intersection with
+    the parameter cube. The first triple meeting the residual gate wins.
     """
     if H.d != 3:
         raise InputError("edge-triple balancing is a 3-polytope operation")
@@ -350,8 +361,10 @@ def three_on_edges(H: HPolytope, target=None) -> SkeletonPlacement:
             tsol[nonsing] = np.linalg.solve(M[nonsing], rhs[nonsing, :, None])[:, :, 0]
         window = (nonsing & (tsol >= -EPS_T).all(axis=1)
                   & (tsol <= 1 + EPS_T).all(axis=1))
+        sing = np.flatnonzero(~nonsing)
+        window[sing[~_hopeless(M[sing], rhs[sing], scale)]] = True
 
-        for idx in np.nonzero(window | ~nonsing)[0]:
+        for idx in np.flatnonzero(window):
             if nonsing[idx]:
                 t = np.clip(tsol[idx], 0.0, 1.0)
             else:
@@ -370,6 +383,15 @@ def three_on_edges(H: HPolytope, target=None) -> SkeletonPlacement:
     raise NotFoundError(
         f"no balanced edge triple: {ne} edges, {math.comb(ne + 2, 3)} triples "
         f"scanned, target {target.tolist()}")
+
+
+def _hopeless(M, rhs, scale):
+    """Singular M t = rhs that no t in [0, 1]^3 solves within twice the
+    1e-9 scale gate: |M t - rhs| >= |u.rhs| - sqrt(3) s, s M's least
+    singular value and u its left singular vector."""
+    u, sv, _ = np.linalg.svd(M)
+    off = np.abs(np.einsum("ni,ni->n", u[:, :, 2], rhs)) - math.sqrt(3.0) * sv[:, 2]
+    return off > 2e-9 * scale
 
 
 def _singular_triple(M, rhs, scale):
@@ -396,8 +418,8 @@ def _singular_triple(M, rhs, scale):
         lam = min(max(0.0, lo), hi)
         t = t0 + lam * n
     else:
-        res = linprog(np.ones(3), A_eq=M, b_eq=rhs, bounds=[(0.0, 1.0)] * 3,
-                      method="highs")
+        res = _module.linprog(np.ones(3), A_eq=M, b_eq=rhs,
+                              bounds=[(0.0, 1.0)] * 3, method="highs")
         if res.status != 0:
             return None
         t = res.x
@@ -457,9 +479,9 @@ def _meets_reflection(H: HPolytope, out, ids) -> bool:
         return False
     Vm = H.vrep.vertices[ids]
     # x = Vm^T lam, lam >= 0, sum lam = 1, and -x in H
-    res = linprog(np.zeros(len(Vm)), A_ub=-H.A @ Vm.T, b_ub=H.b,
-                  A_eq=np.ones((1, len(Vm))), b_eq=[1.0],
-                  bounds=(0.0, None), method="highs")
+    res = _module.linprog(np.zeros(len(Vm)), A_ub=-H.A @ Vm.T, b_ub=H.b,
+                          A_eq=np.ones((1, len(Vm))), b_eq=[1.0],
+                          bounds=(0.0, None), method="highs")
     return res.status == 0
 
 

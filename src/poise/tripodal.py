@@ -27,11 +27,9 @@ from .geom2d import locate_point
 from .geom3d import (
     BOUNDARY,
     OUTSIDE,
-    Plane3,
     Polyhedron3,
     SurfacePoint3,
     _closest_on_triangles,
-    eval_surface,
     farthest_vertex,
     frame_field,
     side3,

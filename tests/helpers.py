@@ -437,10 +437,10 @@ def _some_face_meets_reflection(H, dim):
     return False
 
 
-def three_on_edges_all_triples(H, target=None):
-    """skeleton_balance.three_on_edges by solving every edge triple in one
-    batch: (points, host faces) of the first balanced triple, or None."""
-    target = np.zeros(3) if target is None else np.asarray(target, dtype=float)
+def edge_triple_systems(H, target):
+    """Every edge triple of a 3-polytope, as three_on_edges scans them:
+    (edge faces, U, D, triples, M, rhs, scale, nonsingular mask), the
+    systems M t = rhs in the edge parameters t."""
     V = H.vrep
     edge_faces = faces_of_dim(H, 1)
     ends = [edge_segment(H, f.tight) for f in edge_faces]
@@ -451,6 +451,15 @@ def three_on_edges_all_triples(H, target=None):
     M = np.stack([D[trips[:, 0]], D[trips[:, 1]], D[trips[:, 2]]], axis=2)
     rhs = 3.0 * target - (U[trips[:, 0]] + U[trips[:, 1]] + U[trips[:, 2]])
     nonsing = np.abs(np.linalg.det(M)) > 1e-12 * scale ** 3
+    return edge_faces, U, D, trips, M, rhs, scale, nonsing
+
+
+def three_on_edges_all_triples(H, target=None):
+    """skeleton_balance.three_on_edges by solving every edge triple in one
+    batch, each singular one by _singular_triple: (points, host faces) of
+    the first balanced triple, or None."""
+    target = np.zeros(3) if target is None else np.asarray(target, dtype=float)
+    edge_faces, U, D, trips, M, rhs, scale, nonsing = edge_triple_systems(H, target)
     tsol = np.full((len(trips), 3), np.nan)
     if nonsing.any():
         tsol[nonsing] = np.linalg.solve(M[nonsing], rhs[nonsing, :, None])[:, :, 0]

@@ -972,6 +972,46 @@ def test_planar_and_mesh_commands_load_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_halving_and_hrep_checks_load_no_scipy(tmp_path):
+    """In a fresh interpreter, halving on the 3-cube and on a seeded 4-hull,
+    and check of halving, pow2, compose and three-on-edges certificates
+    made beforehand, leave every scipy module unloaded. Reading
+    polytoped.linprog afterwards imports SciPy's linprog and keeps it as
+    the module's global, where skeleton_balance reads its own."""
+    solves = _genuine_solves(tmp_path)
+    hull = ["--hrep", str(tmp_path / "hull4.hrep")]
+    (tmp_path / "hull4.hrep").write_text(
+        dump_hrep_text(random_hull_hrep(np.random.default_rng(26), 4)))
+    solves["hull-halving"] = (["halving"] + hull, hull)
+    solves["hull-pow2"] = (["pow2", "--k", "2"] + hull, hull)
+    runs = []
+    for kind in ("halving", "pow2", "compose", "three-on-edges", "hull-halving",
+                 "hull-pow2"):
+        argv, geometry = solves[kind]
+        out = str(tmp_path / f"{kind}.json")
+        assert run(argv + ["--json", out]).exit_code == 0, kind
+        if argv[0] == "halving":
+            runs.append(argv + ["--json", str(tmp_path / f"{kind}-again.json")])
+        runs.append(["check", "--json", out] + geometry)
+    script = (
+        "import sys\n"
+        "from poise.cli import run\n"
+        f"for argv in {runs!r}:\n"
+        "    assert run(argv).exit_code == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from poise import polytoped, skeleton_balance\n"
+        "assert 'linprog' not in vars(polytoped)\n"
+        "import scipy.optimize\n"
+        "assert polytoped.linprog is scipy.optimize.linprog\n"
+        "assert vars(polytoped)['linprog'] is skeleton_balance.linprog\n"
+        "assert not hasattr(polytoped, 'nnls')\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_check_of_huge_tripodal_coordinate_exits_3(genuine, tmp_path):
     """Overflow in the mesh queries is a failed check, not a traceback."""
     payload, geometry = genuine["tripodal"]

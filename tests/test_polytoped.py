@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 from scipy.spatial import ConvexHull
 
 from helpers import (cross_hrep, faces_by_svd, hull_hrep, random_hull_hrep,
@@ -445,6 +445,63 @@ def test_long_thin_polytopes_are_bounded():
         assert len(V.vertices) == len(slow.vertices) == 4, t
         assert np.allclose(V.vertices, slow.vertices, rtol=1e-12, atol=1e-12), t
         assert np.array_equal(V.tight, slow.tight), t
+
+
+def test_nnls_matches_scipy(monkeypatch):
+    """polytoped's NNLS against scipy.optimize.nnls: the same passive
+    columns and values within tol = 1e-12 max(1, max x), and the same
+    residual. (Where b is only rounding, as on a cube, values below tol are
+    rounding too, and either solver may keep them.)
+
+    Stiemke systems (the unit normals of the nonzero rows) of the cubes,
+    cross-polytopes and simplices d = 1..8 and 48 seeded hulls d = 2..8,
+    each also with its first two rows repeated and with a zero row, give
+    the bounded verdict of the cone LP. 1,500 seeded dense systems, a third
+    of them with a repeated column, also drop passive columns: QR is
+    rebuilt, only on a drop, more than 100 times."""
+    rng = np.random.default_rng(26)
+    hulls = [H for d in range(1, 9) for H in (cube_hrep(d), cross_hrep(d),
+                                              simplex_hrep(d))]
+    hulls += [random_hull_hrep(rng, 2 + i % 7, 4 + i % 7 + i % 5) for i in range(48)]
+    systems = []
+    for H in hulls:
+        for A in (H.A, np.vstack([H.A, H.A[:2]]), np.vstack([H.A, 0.0 * H.A[0]])):
+            P = polytoped.HPolytope(A, np.ones(len(A)))
+            unit = A[A.any(axis=1)] / P.norms[A.any(axis=1), None]
+            want, want_res = nnls(unit.T, -unit.sum(axis=0))
+            got, res = P._stiemke
+            systems.append((got - 1.0, res, want, want_res))
+            assert _verdict(A, P.b) == ("ok" if stiemke_cone_lp(A) else "unbounded")
+    rebuilds = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: rebuilds.append(1) or real_qr(a))
+    for i in range(1500):
+        A = rng.normal(size=(rng.integers(1, 10), rng.integers(1, 30)))
+        if i % 3 == 0:
+            A[:, -1] = A[:, 0]
+        b = rng.normal(size=len(A))
+        systems.append((*polytoped._nnls(A, b), *nnls(A, b)))
+    assert len(rebuilds) > 100
+    for i, (got, res, want, want_res) in enumerate(systems):
+        tol = 1e-12 * max(1.0, want.max())
+        assert np.array_equal(got > tol, want > tol), i
+        assert np.abs(got - want).max() <= tol, i
+        assert abs(res - want_res) <= 1e-12 * max(1.0, want_res), i
+
+
+@pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14])
+def test_long_thin_polytope_verdicts(t):
+    """x <= 1, |y| <= 1 and -t x + y <= 1, and its prism |z| <= 1 turned by
+    a seeded rotation, load as bounded down to t = 1e-13 and as unbounded
+    at 1e-14, where the tilted row rounds to y <= 1. The NNLS residual is
+    read from QR: on the turned prism |U^T y - b| is about 2e-7 at
+    t = 1e-9, over the 1e-9 sqrt(n) bound, though y is right."""
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-t, 1.0]])
+    prism = np.zeros((6, 3))
+    prism[:4, :2], prism[4:, 2] = A, [1.0, -1.0]
+    turn, _ = np.linalg.qr(np.random.default_rng(26).normal(size=(3, 3)))
+    want = "unbounded" if t < 1e-13 else "ok"
+    assert _verdict(A, np.ones(4)) == _verdict(prism @ turn, np.ones(6)) == want
 
 
 def test_jittered_vertex_copies_give_the_vrep(monkeypatch):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import (cross_hrep, cube_mesh, face_per_point, hull_hrep, octa_mesh,
-                     prop9_check_all_faces, random_hull_hrep, simplex_hrep,
-                     stiemke_cone_lp, tetra_mesh, three_on_edges_all_triples)
+from helpers import (cross_hrep, cube_mesh, edge_triple_systems, face_per_point,
+                     hull_hrep, octa_mesh, prop9_check_all_faces,
+                     random_hull_hrep, simplex_hrep, stiemke_cone_lp, tetra_mesh,
+                     three_on_edges_all_triples)
 from poise import polytoped, skeleton_balance
 from poise.errors import InputError, NotFoundError, UnsupportedDimensionError
 from poise.geom3d import Plane3
@@ -139,8 +140,10 @@ def test_three_on_edges_matches_the_all_triples_oracle(monkeypatch, blocks):
     if blocks:
         monkeypatch.setattr(skeleton_balance, "EDGE_FIRST_BLOCK", blocks[0])
         monkeypatch.setattr(skeleton_balance, "EDGE_BLOCK", blocks[1])
-    for seed, n in enumerate(range(8, 41, 8)):
-        H = random_hull_hrep(np.random.default_rng([14, seed]), 3, n)
+    hulls = [random_hull_hrep(np.random.default_rng([14, seed]), 3, n)
+             for seed, n in enumerate(range(8, 41, 8))]
+    for H in hulls + [cube_hrep(3), cross_hrep(3), SIMPLEX_HULL]:
+        n = H.m
         for target in (None, 0.6 * H.vrep.vertices[0]):
             ref = three_on_edges_all_triples(H, target)
             if ref is None:
@@ -150,6 +153,30 @@ def test_three_on_edges_matches_the_all_triples_oracle(monkeypatch, blocks):
             sp = three_on_edges(H, target)
             assert sp.points().tobytes() == ref[0].tobytes(), n
             assert [f.tight for _, f in sp.entries] == [f.tight for f in ref[1]], n
+
+
+def test_hopeless_singular_triples_yield_nothing():
+    """Every singular edge triple that three_on_edges drops unsolved is one
+    the per-triple solve rejects: _singular_triple gives None, or a point
+    sum more than the 1e-10 * scale gate off the target. It drops every
+    singular triple of the random hulls and the cube, and keeps some of the
+    octahedron's and a tetrahedron's, among them triples that
+    _singular_triple solves."""
+    all_dropped = [random_hull_hrep(np.random.default_rng([14, seed]), 3, n)
+                   for seed, n in enumerate((8, 16, 24))] + [cube_hrep(3)]
+    solved = 0
+    for H in all_dropped + [cross_hrep(3), SIMPLEX_HULL]:
+        for target in (np.zeros(3), 0.6 * H.vrep.vertices[0]):
+            *_, M, rhs, scale, nonsing = edge_triple_systems(H, target)
+            M, rhs = M[~nonsing], rhs[~nonsing]
+            drop = skeleton_balance._hopeless(M, rhs, scale)
+            for Mi, ri in zip(M[drop], rhs[drop]):
+                t = skeleton_balance._singular_triple(Mi, ri, scale)
+                assert t is None or np.linalg.norm(Mi @ t - ri) > 1e-10 * scale
+            assert drop.all() or H not in all_dropped
+            solved += sum(skeleton_balance._singular_triple(Mi, ri, scale) is not None
+                          for Mi, ri in zip(M[~drop], rhs[~drop]))
+    assert solved > 0
 
 
 def test_four_on_edges_cube():

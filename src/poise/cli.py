@@ -131,11 +131,10 @@ def _load_hrep(path):
 
 def _hrep_obj(args, H, points):
     """Wireframe OBJ for a 3-dimensional H-polytope with marker points."""
-    from .polytoped import edge_segment, faces_of_dim
+    from .polytoped import edges
     if H.d != 3:
         raise InputError("--obj output needs a 3-dimensional polytope")
-    loops = [H.vrep.vertices[list(edge_segment(H, f.tight))]
-             for f in faces_of_dim(H, 1)]
+    loops = list(H.vrep.vertices[edges(H)[1]])
     labels = tuple(f"edge{i}" for i in range(len(loops)))
     text = figures.obj_overlay(points=points, loops=loops, labels=labels)
     _write(args.obj, text)

@@ -6,8 +6,9 @@ fixtures. A read-only polytope caches its Chebyshev ball, its width bound
 and its vertices on first use. Every face decision, for solvers and
 checkers alike, is made here, from the rows tight at a point: face_dims is
 the one rank rule, and point_faces reads no vertex. Only the answers that
-are vertices (edges, face members) enumerate them, and vertex enumeration
-is the dimension wall: the 8-cross-polytope takes about a second.
+are vertices enumerate them: the edges, each the rows tight at a pair of
+vertices, and their endpoints. Vertex enumeration is the dimension wall:
+the 8-cross-polytope takes about a second. No face lattice is built.
 """
 from __future__ import annotations
 
@@ -267,11 +268,15 @@ def _vrep_from_points(H, pts, eps_tight):
     never tight), so points with one tight-row pattern are one vertex: the
     lexicographically first of them stands for it, whatever the distances
     between points or the diameter. Masks are found _BLOCK points at a time.
+    diam, the bounding-box diagonal, is the norm of the box's span scaled by
+    a power of two and scaled back: exact, so it is finite where the span is.
     """
     if len(pts) == 0:
         raise UnboundedError("no vertices found")
     pts = pts[np.lexsort(pts.T[::-1])]
-    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    span = pts.max(axis=0) - pts.min(axis=0)
+    e = int(np.frexp(span.max())[1])
+    diam = math.ldexp(float(np.linalg.norm(np.ldexp(span, -e))), e)
     live = ~H.zero_rows()
     mask = np.concatenate([
         (np.abs(H.b - pts[i:i + _BLOCK] @ H.A.T) <= eps_tight) & live
@@ -370,56 +375,30 @@ def _first_equal_row(mask) -> list:
     return [seen.setdefault(row.tobytes(), i) for i, row in enumerate(mask)]
 
 
-def members(H: HPolytope, tight) -> np.ndarray:
-    """Ids of the vertices of H at which every row of `tight` is tight."""
-    return np.flatnonzero(H.vrep.tight[:, list(tight)].all(axis=1))
+def edges(H: HPolytope):
+    """The edges of H, sorted by tight rows, and their endpoint vertex ids
+    (low, high), an (e, 2) array.
 
-
-def faces_of_dim(H: HPolytope, k: int) -> list:
-    """All k-dimensional faces, from the closure of vertex tight sets.
-
-    Candidate face tight sets are intersections of vertex tight sets,
-    closed under further pairwise intersection. A candidate is also the
-    common tight set of its members (the vertices whose tight set contains
-    it), and face_dims gives its dimension.
+    The smallest face holding two vertices has the rows tight at both, the
+    closure step of Kaibel and Pfetsch (2002) applied to the vertices: the
+    distinct common sets of d - 1 or more rows that face_dims ranks at 1.
+    A vertex within eps_tight of a row it is not on lies on that row's
+    faces too: the long, thin x <= 1, |y| <= 1, -1e-10 x + y <= 1 has (1, 1)
+    on row 3, so two pairs share row 3 alone. The farthest pair is kept.
     """
-    gens = [frozenset(np.flatnonzero(t).tolist()) for t in H.vrep.tight]
-    at_row = {}                 # row -> the tight sets holding it
-    for g in gens:
-        for r in g:
-            at_row.setdefault(r, set()).add(g)
-    closed = set(gens)
-    frontier = set(gens)
-    for _ in range(H.d + 2):
-        new = set()
-        for s in frontier:
-            for g in set().union(*(at_row[r] for r in s)):
-                t = s & g
-                if t not in closed:
-                    new.add(t)
-        if not new:
-            break
-        closed |= new
-        frontier = new
-    cands = [tuple(sorted(t)) for t in closed]
-    return sorted((FaceD(t, k) for t, dim in zip(cands, face_dims(H, cands))
-                   if dim == k), key=lambda f: f.tight)
-
-
-def edge_segment(H: HPolytope, tight) -> tuple:
-    """Endpoint vertex ids (low, high) of the edge of H with these tight rows.
-
-    A vertex within eps_tight of a row it is not on is a member of that
-    row's faces too: the long, thin x <= 1, |y| <= 1, -1e-10 x + y <= 1
-    has (1, 1) on row 3, so the edge of row 3 has three members. The
-    extreme pair along the edge is kept.
-    """
-    mem = members(H, tight).tolist()
-    if len(mem) > 2:
-        pts = H.vrep.vertices[mem]
-        t = (pts - pts[0]) @ (pts[-1] - pts[0])
-        mem = [mem[int(np.argmin(t))], mem[int(np.argmax(t))]]
-    return min(mem), max(mem)
+    T, V = H.vrep.tight, H.vrep.vertices
+    ends = {}                   # tight rows -> (span, i, j)
+    for i in range(len(T) - 1):
+        common = T[i] & T[i + 1:]
+        for j in np.flatnonzero(common.sum(axis=1) >= H.d - 1):
+            t = tuple(np.flatnonzero(common[j]).tolist())
+            span = float(np.abs(V[i + 1 + j] - V[i]).max())
+            if span > ends.get(t, (-1.0,))[0]:
+                ends[t] = (span, i, i + 1 + j)
+    cands = sorted(ends)
+    keep = [t for t, dim in zip(cands, face_dims(H, cands)) if dim == 1]
+    return ([FaceD(t, 1) for t in keep],
+            np.array([ends[t][1:] for t in keep], dtype=int).reshape(-1, 2))
 
 
 def product(H1: HPolytope, H2: HPolytope) -> HPolytope:

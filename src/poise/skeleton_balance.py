@@ -4,8 +4,9 @@ Builds on the halfspace kernel: a halving witness (a boundary point x with
 x and -x on low-dimensional faces), recursive placements of 2^k points or
 d points on the 1-skeleton with barycenter at the target, an exhaustive
 edge-triple solver in 3D, and product fixtures whose low skeletons avoid
-the reflected body entirely. Placements and their verifier live in
-poise.skeleton.
+the reflected body entirely, with prop9_check, which decides that from
+the vertices and edges of H and the vertices of H (intersect) -H, with no
+LP on a face. Placements and their verifier live in poise.skeleton.
 """
 
 from dataclasses import dataclass
@@ -28,10 +29,8 @@ from .geom2d import antipodal_about, eval_boundary, validate_polygon
 from .polytoped import (
     HPolytope,
     _lazy_scipy,
-    edge_segment,
-    faces_of_dim,
+    edges,
     hpolytope,
-    members,
     point_faces,
     product,
 )
@@ -46,9 +45,6 @@ EPS_T = 1e-9
 # first and largest block of edge triples three_on_edges solves at once
 EDGE_FIRST_BLOCK = 256
 EDGE_BLOCK = 1 << 16
-# residual, per unit of row scale |a| max|v| + |b|, that decides a face in
-# prop9_check without an LP: ten times HiGHS's feasibility tolerance
-PROP9_MARGIN = 1e-6
 
 __getattr__ = _lazy_scipy(__name__, {"linprog": "scipy.optimize"})
 _module = sys.modules[__name__]         # call sites read linprog here
@@ -335,12 +331,9 @@ def three_on_edges(H: HPolytope, target=None) -> SkeletonPlacement:
         raise InputError("target must lie inside the polytope")
 
     V = H.vrep
-    edge_faces = faces_of_dim(H, 1)
-    if not edge_faces:
-        raise NotFoundError("polytope has no edges")
-    ends = [edge_segment(H, f.tight) for f in edge_faces]
-    U = V.vertices[[a for a, _ in ends]]
-    D = V.vertices[[b for _, b in ends]] - U
+    edge_faces, ends = edges(H)
+    U = V.vertices[ends[:, 0]]
+    D = V.vertices[ends[:, 1]] - U
     ne = len(ends)
     scale = max(V.diam, 1e-300)
     tol_res = 1e-10 * scale
@@ -450,39 +443,51 @@ def prop9_fixture(d: int) -> HPolytope:
 def prop9_check(H: HPolytope, k: int) -> bool:
     """True iff no face of dim <= k of H meets the reflected body -H.
 
-    Every face of dimension below top = min(k, d - 1) lies in a top-face
-    (Ziegler, Lectures on Polytopes, ch. 2), so only the vertices and the
-    top-faces are tested, and a vertex v with -v strictly inside H answers
-    False at once. A face whose vertices all violate one common row of -H
-    misses -H, as the face is their hull; only the rest run an LP.
+    A face G of H meets C = H (intersect) -H in a face of C, which holds a
+    vertex of C (Ziegler, Lectures on Polytopes, ch. 2): the answer is
+    whether every vertex of C lies on faces of H above dimension k, by
+    point_faces, with eps_geom the tolerance of every step. An origin
+    outside H leaves C empty: x and -x in H put their midpoint 0 in H.
+    H's vertices and edges answer k <= 1, and every k if one meets -H:
+    Qhull fails on C where each vertex of H lies on a hundred rows or more
+    (tests/data/tiny7.hrep, most random 7-hulls of 18 points), and an edge
+    meets -H there. Otherwise C is enumerated on the minimal face of H that
+    holds the origin in its interior.
     """
     if k < 0:
         raise InputError("face dimension bound must be >= 0")
+    eps = H.eps_geom()
+    if (H.unit_residuals(np.zeros(H.d)) > eps).any():
+        return True
+    low = _lowest_face_meeting_reflection(H, eps)
+    if low < 2 or k < 2:
+        return k < low
+    chart = _descend(_Chart(np.zeros(H.d), np.eye(H.d), H.A, H.b))
+    xs = chart.base[None, :]
+    if len(chart.basis):
+        # offsets above 1e-8 max|b| on a face of a checked polytope, as in
+        # _place: bounded and solid, so hpolytope's check is moot
+        C = HPolytope(np.vstack([chart.A, -chart.A]), np.tile(chart.b, 2))
+        xs = chart.base + C.vrep.vertices @ chart.basis
+    return min(f.dim for f in point_faces(H, xs, eps)) > k
+
+
+def _lowest_face_meeting_reflection(H: HPolytope, eps) -> int:
+    """0 if a vertex of H is within eps of -H in unit residuals, else 1 if an
+    edge u + t (v - u), t in [0, 1], is (each row of -H bounds t on one
+    side), else 2."""
     V = H.vrep.vertices
-    R = -V @ H.A.T - H.b                  # residuals of each -v in H
-    margin = PROP9_MARGIN * (np.linalg.norm(H.A, axis=1)
-                             * np.linalg.norm(V, axis=1).max() + np.abs(H.b))
-    if (R < -margin).all(axis=1).any():
-        return False
-    out = R > margin
-    if any(_meets_reflection(H, out, [j]) for j in range(len(V))):
-        return False
-    top = min(k, H.d - 1)
-    return top < 1 or not any(_meets_reflection(H, out, members(H, f.tight))
-                              for f in faces_of_dim(H, top))
-
-
-def _meets_reflection(H: HPolytope, out, ids) -> bool:
-    """Whether the face spanned by these vertices meets -H; out[j, i] says
-    that -v_j violates row i by more than the margin."""
-    if out[ids].all(axis=0).any():
-        return False
-    Vm = H.vrep.vertices[ids]
-    # x = Vm^T lam, lam >= 0, sum lam = 1, and -x in H
-    res = _module.linprog(np.zeros(len(Vm)), A_ub=-H.A @ Vm.T, b_ub=H.b,
-                          A_eq=np.ones((1, len(Vm))), b_eq=[1.0],
-                          bounds=(0.0, None), method="highs")
-    return res.status == 0
+    if (H.unit_residuals(-V) <= eps).all(axis=1).any():
+        return 0
+    _, ends = edges(H)
+    U = V[ends[:, 0]]
+    p = -U @ H.A.T - H.b - eps * H.norms        # p + t q <= 0 on every row
+    q = -(V[ends[:, 1]] - U) @ H.A.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -p / q
+    lo = np.where(q < 0, t, 0.0).max(axis=1, initial=0.0)
+    hi = np.where(q > 0, t, 1.0).min(axis=1, initial=1.0)
+    return 1 if ((lo <= hi) & ((q != 0) | (p <= 0)).all(axis=1)).any() else 2
 
 
 # --- verification -------------------------------------------------------------

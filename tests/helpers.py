@@ -20,8 +20,7 @@ from poise.geom2d import (OUTSIDE, BoundaryPoint2, _boxes_overlap, _crossings,
 from poise.geom3d import (BOUNDARY, PlaneFrame, _closest_on_triangles,
                           _remap_loop, farthest_vertex, frame_field, side3, surface_path,
                           validate_polyhedron)
-from poise.polytoped import (HPolytope, edge_segment, faces_of_dim, hpolytope,
-                             members)
+from poise.polytoped import HPolytope, edges, hpolytope
 from poise.skeleton_balance import EPS_T, _singular_triple
 
 
@@ -201,6 +200,11 @@ def tight_sets(V):
     return [tuple(np.flatnonzero(t).tolist()) for t in V.tight]
 
 
+def members(H, tight):
+    """Ids of the vertices of H at which every row of `tight` is tight."""
+    return np.flatnonzero(H.vrep.tight[:, list(tight)].all(axis=1))
+
+
 def face_per_point(H, p, tol):
     """(tight, dim) of one point's face in polytoped.point_faces: the rows
     within tol of p in unit residuals, one at a time, and the width of their
@@ -210,10 +214,11 @@ def face_per_point(H, p, tol):
     return tight, null_space(H.A[list(tight)]).shape[1] if tight else H.d
 
 
+@functools.lru_cache(maxsize=16)
 def faces_by_svd(H):
-    """(dim, tight, members) of every proper face, sorted: the union of
-    polytoped.faces_of_dim over k < d as it stood with ranks of the raw rows
-    and one SVD of each face's vertices."""
+    """(dim, tight, members) of every proper face, sorted: the closure of
+    the vertex tight sets under intersection (the whole face lattice), each
+    ranked on its raw rows and checked by one SVD of its vertices."""
     V = H.vrep
     gens = [frozenset(t) for t in tight_sets(V)]
     closed, frontier = set(gens), set(gens)
@@ -418,7 +423,7 @@ def tripodal_search_whole_grid(poly, grid=(256, 256)):
 
 def prop9_check_all_faces(H, k):
     """skeleton_balance.prop9_check by one LP on every face of every
-    dimension 0..k."""
+    dimension 0..k, H itself included, the faces listed by faces_by_svd."""
     return not any(_some_face_meets_reflection(H, dim)
                    for dim in range(min(k, H.d) + 1))
 
@@ -427,8 +432,10 @@ def prop9_check_all_faces(H, k):
 def _some_face_meets_reflection(H, dim):
     """Whether some dim-face of H meets -H, one LP per face; kept per (H, dim)
     so that a test asking every k repeats no LP."""
-    for f in faces_of_dim(H, dim):
-        Vm = H.vrep.vertices[members(H, f.tight)]
+    faces = ([m for k, _, m in faces_by_svd(H) if k == dim] if dim < H.d
+             else [range(len(H.vrep.vertices))])
+    for mem in faces:
+        Vm = H.vrep.vertices[list(mem)]
         res = linprog(np.zeros(len(Vm)), A_ub=-H.A @ Vm.T, b_ub=H.b,
                       A_eq=np.ones((1, len(Vm))), b_eq=[1.0],
                       bounds=(0.0, None), method="highs")
@@ -442,10 +449,9 @@ def edge_triple_systems(H, target):
     (edge faces, U, D, triples, M, rhs, scale, nonsingular mask), the
     systems M t = rhs in the edge parameters t."""
     V = H.vrep
-    edge_faces = faces_of_dim(H, 1)
-    ends = [edge_segment(H, f.tight) for f in edge_faces]
-    U = V.vertices[[a for a, _ in ends]]
-    D = V.vertices[[b for _, b in ends]] - U
+    edge_faces, ends = edges(H)
+    U = V.vertices[ends[:, 0]]
+    D = V.vertices[ends[:, 1]] - U
     scale = max(V.diam, 1e-300)
     trips = np.array(list(combinations_with_replacement(range(len(ends)), 3)))
     M = np.stack([D[trips[:, 0]], D[trips[:, 1]], D[trips[:, 2]]], axis=2)

@@ -22,7 +22,7 @@ from poise.cli import run
 from poise.errors import UnsupportedDimensionError
 from poise.geom2d import eval_boundary
 from poise.geom3d import frame_field, surface_path
-from poise.polytoped import cube_hrep, dump_hrep_text, faces_of_dim, product
+from poise.polytoped import cube_hrep, dump_hrep_text, edges, product
 from poise.skeleton import four_on_edges, verify_skeleton
 from poise.skeleton_balance import (compose_balance, halving_point, pow2_points,
                                     prop9_check, prop9_fixture, three_on_edges)
@@ -162,10 +162,10 @@ def test_criterion_06_three_on_edges_suite():
         assert res <= 1e-10
         cert = verify_skeleton(H, sp.points())
         assert cert.passed and cert.max_host_dim <= 1
-        edges = len(faces_of_dim(H, 1))
-        total = sum(1 for _ in combinations_with_replacement(range(edges), 3))
-        assert total == comb(edges + 2, 3)
-        assert total == comb(edges, 3) + edges * (edges - 1) + edges
+        ne = len(edges(H)[0])
+        total = sum(1 for _ in combinations_with_replacement(range(ne), 3))
+        assert total == comb(ne + 2, 3)
+        assert total == comb(ne, 3) + ne * (ne - 1) + ne
         worst = max(worst, res)
     _report(6, f"50 polytopes, no NotFound, worst residual {worst:.2e}*diam, "
                f"triple enumeration count audited")

@@ -253,11 +253,12 @@ def test_halving_cross_polytope_6(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("half", [1e-8, 1e8, 1e103, 1e150])
+@pytest.mark.parametrize("half", [1e-150, 1e-8, 1e8, 1e103, 1e150, 1e200])
 def test_hrep_commands_scale_with_the_polytope(half, tmp_path):
     """Past a diameter of about 5e102, 1e-12 scale^3 overflowed, and so did
     each edge triple's determinant: three-on-edges and compose (three points
-    on the edges of a 3-polytope) found no triple."""
+    on the edges of a 3-polytope) found no triple. Past about 1e154 the
+    vertices' diameter overflowed, with the same result."""
     hrep = tmp_path / "cube.hrep"
     hrep.write_text(dump_hrep_text(cube_hrep(3, half=half)))
     for argv in (["halving"], ["pow2", "--k", "2"], ["three-on-edges"], ["compose"]):

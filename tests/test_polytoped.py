@@ -9,15 +9,14 @@ import pytest
 from scipy.optimize import linprog, nnls
 from scipy.spatial import ConvexHull
 
-from helpers import (cross_hrep, faces_by_svd, hull_hrep, random_hull_hrep,
-                     simplex_hrep, stiemke_cone_lp, tight_sets)
+from helpers import (cross_hrep, faces_by_svd, hull_hrep, members,
+                     random_hull_hrep, simplex_hrep, stiemke_cone_lp, tight_sets)
 from poise import polytoped
 from poise.errors import EmptyInteriorError, ParseError, UnboundedError
 from poise.polytoped import (_vrep_from_points, chebyshev_center, cube_hrep,
                              dump_hrep_text, enumerate_vertices,
-                             enumerate_vertices_bruteforce, faces_of_dim,
-                             hpolytope, load_hrep, members, parse_hrep_text,
-                             product)
+                             edges, enumerate_vertices_bruteforce, hpolytope,
+                             load_hrep, parse_hrep_text, product)
 from poise.skeleton_balance import prop9_fixture
 
 
@@ -41,17 +40,15 @@ def test_qhull_matches_bruteforce_enumeration():
 
 def test_hypercube4_face_counts():
     H = cube_hrep(4)
-    counts = [len(H.vrep.vertices)] + [len(faces_of_dim(H, k)) for k in (1, 2, 3)]
-    assert counts == [16, 32, 24, 8]
-    # Euler characteristic of the boundary 3-sphere complex
-    assert counts[0] - counts[1] + counts[2] - counts[3] == 0
+    assert [len(H.vrep.vertices), len(edges(H)[0])] == [16, 32]
 
 
-def test_faces_of_dim_matches_the_svd_reference():
-    """Every proper face's (dim, tight, members) equals the reference's, which
-    ranks raw rows and takes an SVD of each face's vertices, on cubes,
-    cross-polytopes and simplices (d = 2..6), prop9_fixture(4..7) and
-    seeded random hulls, with offsets scaled by 1, 1e-8 and 1e8."""
+def test_edges_match_the_svd_reference():
+    """Every edge's (dim, tight, members) equals the reference's, which
+    builds the whole face lattice, ranks raw rows and takes an SVD of each
+    face's vertices, on cubes, cross-polytopes and simplices (d = 2..6),
+    prop9_fixture(4..7) and seeded random hulls, with offsets scaled by 1,
+    1e-8 and 1e8."""
     rng = np.random.default_rng(71)
     cases = [f(d) for d in range(2, 7) for f in (cube_hrep, cross_hrep, simplex_hrep)]
     cases += [prop9_fixture(d) for d in range(4, 8)]
@@ -59,16 +56,31 @@ def test_faces_of_dim_matches_the_svd_reference():
     for H in cases:
         for s in (1.0, 1e-8, 1e8):
             Hs = hpolytope(H.A, H.b * s)
+            faces, ends = edges(Hs)
             got = [(f.dim, f.tight, tuple(members(Hs, f.tight).tolist()))
-                   for k in range(H.d) for f in faces_of_dim(Hs, k)]
-            assert got == faces_by_svd(Hs), (H.d, H.m, s)
+                   for f in faces]
+            assert [tuple(e) for e in ends] == [g[2] for g in got]
+            assert got == [f for f in faces_by_svd(Hs) if f[0] == 1], (H.d, H.m, s)
 
 
 def test_edges_have_two_endpoints_on_simple_polytopes():
     for H in (cube_hrep(3), simplex_hrep(4)):
-        for f in faces_of_dim(H, 1):
-            assert len(members(H, f.tight)) == 2
+        for f, e in zip(*edges(H)):
+            assert members(H, f.tight).tolist() == e.tolist()
             assert f.dim == 1
+
+
+def test_long_thin_polytope_has_four_edges():
+    """On x <= 1, |y| <= 1, -1e-10 x + y <= 1, rows 2 and 3 rank as one at
+    the far vertex (-2e10, -1), whose own tight set the face lattice listed
+    as a fifth edge. Edges come from pairs of vertices, and no pair has both
+    rows tight. Row 3 alone is the common set of two pairs, as (1, 1) is
+    within eps_tight of it: the farther pair (-2e10, -1), (1, 1) is kept."""
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-1e-10, 1.0]])
+    H = hpolytope(A, np.ones(4))
+    got = [(f.tight, f.dim, tuple(e.tolist())) for f, e in zip(*edges(H))]
+    assert got == [((0,), 1, (2, 3)), ((1, 3), 1, (1, 3)), ((2,), 1, (0, 2)),
+                   ((3,), 1, (0, 3))]
 
 
 def test_arrays_are_read_only_and_owned():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from helpers import (cross_hrep, cube_mesh, edge_triple_systems, face_per_point,
 from poise import polytoped, skeleton_balance
 from poise.errors import InputError, NotFoundError, UnsupportedDimensionError
 from poise.geom3d import Plane3
-from poise.polytoped import (cube_hrep, enumerate_vertices, faces_of_dim,
-                             hpolytope, members, product)
+from poise.polytoped import (cube_hrep, edges, enumerate_vertices, hpolytope,
+                             load_hrep, product)
 from poise.skeleton import four_on_edges, verify_skeleton
 from poise.skeleton_balance import (compose_balance, halving_point, pow2_points,
                                     prop9_check, prop9_fixture, three_on_edges,
@@ -341,7 +343,7 @@ def test_prop9_fixture_shapes():
 
 
 def test_prop9_truth_table():
-    for d in (4, 5, 6):
+    for d in (4, 5, 6, 8, 10):
         H = prop9_fixture(d)
         for k in range(d // 2):
             assert prop9_check(H, k), (d, k)
@@ -359,9 +361,16 @@ def _rotated(H, rng):
     return hpolytope(H.A @ Q.T, H.b)
 
 
+def _translated(H, shift):
+    """H - shift: the origin moves to the point `shift` of H's frame."""
+    return hpolytope(H.A, H.b - H.A @ np.asarray(shift, dtype=float))
+
+
 def test_prop9_check_matches_the_all_faces_oracle():
-    """Vertices and top-faces only, with an LP only where no row of -H
-    separates: the same answer as one LP on every face of dimension <= k."""
+    """H's vertices and edges, then the vertices of H and -H together: the
+    same answer as one LP on every face of dimension <= k. The translated cases put the
+    origin on a facet, on an edge and outside, of the cube and of the
+    fixture, and on a vertex up to rounding."""
     rng = np.random.default_rng(909)
     cases = [build(d) for d in (2, 3, 4, 5)
              for build in (cube_hrep, cross_hrep, simplex_hrep)]
@@ -369,20 +378,34 @@ def test_prop9_check_matches_the_all_faces_oracle():
     cases += [_rotated(prop9_fixture(d), rng) for d in (4, 5, 6)]
     cases += [random_hull_hrep(rng, d, d + 3 + i % 4)
               for i, d in enumerate((2, 3, 4, 5) * 3)]
+    cases += [_translated(cube_hrep(3), s)
+              for s in ((1, 0.5, 0), (1, 1, 0.5), (1.5, 0, 0))]
+    cases += [_translated(prop9_fixture(4), s)
+              for s in ((-0.5, 0, 0, 0), (1, 0, -0.5, 0), (0, 0, 1, 0.5))]
+    rot = _rotated(prop9_fixture(5), rng)
+    cases.append(_translated(rot, rot.vrep.vertices[3]))
     mismatches = [(i, k) for i, H in enumerate(cases) for k in range(H.d + 1)
                   if prop9_check(H, k) != prop9_check_all_faces(H, k)]
     assert mismatches == []
 
 
-def test_prop9_check_runs_lps_only_on_undecided_faces(monkeypatch):
+def test_prop9_check_answers_from_the_edges_of_a_degenerate_hull():
+    """tests/data/tiny7.hrep is a 7-hull of 14 points with 196 rows, 80 to
+    113 of them tight at each vertex; Qhull (SciPy 1.17) fails on H ∩ -H.
+    No vertex of H meets -H and an edge does, which answers every k."""
+    H = load_hrep(os.path.join(os.path.dirname(__file__), "data", "tiny7.hrep"))
+    assert [prop9_check(H, k) for k in range(4)] == [True, False, False, False]
+
+
+def test_prop9_check_runs_no_face_lp(monkeypatch):
+    """The only LPs are the Chebyshev centres that start Qhull, in polytoped."""
     calls = []
     real = skeleton_balance.linprog
     monkeypatch.setattr(skeleton_balance, "linprog",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
     assert prop9_check(prop9_fixture(6), 2)
-    assert len(calls) == 0
     assert not prop9_check(cube_hrep(6), 1)
-    assert len(calls) <= 1
+    assert calls == []
 
 
 def test_verify_skeleton_rejects_interior_point():
@@ -400,14 +423,14 @@ def test_verify_skeleton_rejects_face_interior_point():
 
 
 def test_skeleton_edges_match_walk_adjacency():
-    # lattice-route edges equal shared-(d-1)-tight-rows adjacency when simple
+    # edges equal shared-(d-1)-tight-rows adjacency when simple
     for H in (cube_hrep(3), simplex_hrep(4)):
         V = enumerate_vertices(H)
-        edges = {tuple(members(H, f.tight).tolist()) for f in faces_of_dim(H, 1)}
+        got = {tuple(e.tolist()) for e in edges(H)[1]}
         d = H.d
         byrows = set()
         for i in range(len(V.vertices)):
             for j in range(i + 1, len(V.vertices)):
                 if (V.tight[i] & V.tight[j]).sum() == d - 1:
                     byrows.add((i, j))
-        assert edges == byrows
+        assert got == byrows

@@ -150,16 +150,18 @@ def feasibility(weights) -> bool:
 
 def _check_instance(poly: Polygon2, weights, target):
     """(weights, polygon translated so the target sits at the origin, its
-    eps_geom, target), after the input checks and then the feasibility one."""
+    eps_geom, target, its boundary point nearest the origin), after the
+    input checks and then the feasibility one."""
     w = _check_weights(weights)
     target = np.asarray(target, dtype=float)
     work = Polygon2(poly.vertices - target)
     eps_g = work.eps_geom()
-    if locate_point(work, (0.0, 0.0), eps_g).side == OUTSIDE:
+    loc = locate_point(work, (0.0, 0.0), eps_g)
+    if loc.side == OUTSIDE:
         raise OriginOutsideError("target lies outside the polygon")
     if not feasibility(w):
         raise InfeasibleError("largest weight exceeds the sum of the others")
-    return w, work, eps_g, target
+    return w, work, eps_g, target, loc.boundary
 
 
 def balance_iterative(poly: Polygon2, weights, target=(0.0, 0.0),
@@ -169,18 +171,16 @@ def balance_iterative(poly: Polygon2, weights, target=(0.0, 0.0),
     Runs at most k-1 migration rounds; zero rounds when the shared
     counterweight point already sits on the boundary.
     """
-    w, work, eps_g, target = _check_instance(poly, weights, target)
+    w, work, eps_g, target, bp0 = _check_instance(poly, weights, target)
     k = len(w)
     order = [i for i in range(k) if w[i] > 0.0]
     if not order:
         # nothing to balance; park all (zero) weights at the nearest boundary point
-        bp = nearest_boundary_point(work, (0.0, 0.0))
-        return Placement2([(i, bp) for i in range(k)], target, rounds=0)
+        return Placement2([(i, bp0) for i in range(k)], target, rounds=0)
     order.sort(key=lambda i: -w[i])  # stable: ties keep input order
     ws = w[order]
     kk = len(ws)
 
-    bp0 = nearest_boundary_point(work, (0.0, 0.0))
     p0 = eval_boundary(work, bp0)
     rest = math.fsum(ws[1:].tolist())
     m = -p0 * (ws[0] / rest)
@@ -205,8 +205,7 @@ def balance_iterative(poly: Polygon2, weights, target=(0.0, 0.0),
             offset = -c_vec / ws[s]
             curve = scale * work.vertices + offset   # segment i: image of edge i
             try:
-                slots[s - 1], slots[s] = first_hit_from(curve, work,
-                                                        slots[s - 1].param, eps_g)
+                slots[s - 1], slots[s] = first_hit_from(curve, work, slots[s - 1].param)
             except NoIntersectionError as exc:
                 raise NoCrossingError(f"round {s}: no boundary crossing") from exc
             pts[s - 1] = eval_boundary(work, slots[s - 1])

@@ -84,10 +84,6 @@ class NoLoopContainsOriginError(PoiseError):
     """No cross-section loop encloses the origin."""
 
 
-class BadFrameError(InputError):
-    """Frame vector is not unit length and perpendicular to its anchor."""
-
-
 class SearchExhaustedError(PoiseError):
     """Tripodal search ran out of grid refinements and fallbacks."""
 

@@ -76,8 +76,8 @@ class Polygon2:
 @dataclass(frozen=True)
 class PointLocation:
     side: str
-    boundary: BoundaryPoint2 | None
-    distance: float
+    boundary: BoundaryPoint2      # nearest boundary point
+    distance: float               # distance to it
 
 
 def validate_polygon(vertices) -> Polygon2:
@@ -199,13 +199,13 @@ def _nearest_with_distance(poly: Polygon2, q):
 
 
 def locate_point(poly: Polygon2, q, eps=None) -> PointLocation:
-    """Classify q against the polygon within tolerance eps (default 1e-9*diam)."""
-    eps = poly.eps_geom(eps)
+    """Classify q against the polygon within tolerance eps (default 1e-9*diam),
+    with the boundary point nearest q and the distance to it."""
     bp, dist = _nearest_point(poly, q)
-    if dist <= eps:
+    if dist <= poly.eps_geom(eps):
         return PointLocation(BOUNDARY, bp, dist)
     side = INSIDE if _parity_inside(poly.vertices, np.asarray(q, float)) else OUTSIDE
-    return PointLocation(side, None, dist)
+    return PointLocation(side, bp, dist)
 
 
 def _parity_inside(vertices: np.ndarray, q: np.ndarray) -> bool:
@@ -298,7 +298,7 @@ def _clamp01(x):
     return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
-def curve_polygon_intersections(curve, poly: Polygon2, segs, eps=None):
+def curve_polygon_intersections(curve, poly: Polygon2, segs):
     """Hits of the curve segments with indices `segs` with the boundary.
 
     Returns arrays (seg, t, edge, u), t along the segment and u along the
@@ -306,7 +306,7 @@ def curve_polygon_intersections(curve, poly: Polygon2, segs, eps=None):
     general-position crossings solve in one batch and only (near-)parallel
     pairs fall back to the scalar routine.
     """
-    tol = poly.eps_geom(eps)
+    tol = poly.eps_geom()
     seg = np.asarray(segs)
     a = curve[seg]
     b = curve[(seg + 1) % len(curve)]
@@ -329,7 +329,7 @@ def curve_polygon_intersections(curve, poly: Polygon2, segs, eps=None):
 _FIRST_BLOCK, _OFFSET_MARGIN = 8, 1e-6
 
 
-def first_hit_from(curve, poly: Polygon2, start_param: float, eps=None):
+def first_hit_from(curve, poly: Polygon2, start_param: float):
     """First boundary hit at or after start_param along the curve (CCW), as
     (BoundaryPoint2(segment, t), BoundaryPoint2(edge, u)).
 
@@ -346,7 +346,7 @@ def first_hit_from(curve, poly: Polygon2, start_param: float, eps=None):
     while done < n:
         block = np.arange(first + done, first + min(done + size, n)) % n
         done, size = done + len(block), min(2 * size, _ROW_BLOCK)
-        seg, t, edge, u = curve_polygon_intersections(curve, poly, block, eps)
+        seg, t, edge, u = curve_polygon_intersections(curve, poly, block)
         if len(seg):
             off = np.mod(seg + t - start_param, n)
             off[off > n - 1e-7] = 0.0
@@ -361,7 +361,7 @@ def first_hit_from(curve, poly: Polygon2, start_param: float, eps=None):
     return BoundaryPoint2(best[1], best[2]), BoundaryPoint2(best[3], best[4])
 
 
-def antipodal_about(poly: Polygon2, c, eps=None):
+def antipodal_about(poly: Polygon2, c):
     """Boundary pair (q, q') with midpoint c.
 
     q starts at the boundary point nearest c; its companion 2c - q then
@@ -369,18 +369,17 @@ def antipodal_about(poly: Polygon2, c, eps=None):
     the boundary meets the boundary again. Returns (q, q') with q' = 2c - q.
     """
     c = np.asarray(c, dtype=float)
-    eps_v = poly.eps_geom(eps)
-    loc = locate_point(poly, c, eps_v)
+    loc = locate_point(poly, c)
     if loc.side == OUTSIDE:
         raise CenterOutsideError("center lies outside the polygon")
-    bp0 = loc.boundary if loc.boundary is not None else nearest_boundary_point(poly, c)
+    bp0 = loc.boundary
     p0 = eval_boundary(poly, bp0)
     comp = 2.0 * c - p0
     bpc, dist = _nearest_point(poly, comp)
-    if dist <= eps_v:
+    if dist <= poly.eps_geom():
         return bp0, bpc
     # the boundary reflected through c: segment i is the image of edge i
-    return first_hit_from(-1.0 * poly.vertices + 2.0 * c, poly, bp0.param, eps_v)
+    return first_hit_from(-1.0 * poly.vertices + 2.0 * c, poly, bp0.param)
 
 
 # --- file formats -----------------------------------------------------------

@@ -12,7 +12,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    BadFrameError,
     DegenerateSectionError,
     DisconnectedError,
     InputError,
@@ -23,14 +22,7 @@ from .errors import (
     PoiseError,
     SubdivisionLimitError,
 )
-from .geom2d import (
-    BOUNDARY,
-    INSIDE,
-    OUTSIDE,
-    Polygon2,
-    locate_point,
-    validate_polygon,
-)
+from .geom2d import OUTSIDE, Polygon2, locate_point, validate_polygon
 
 EPS_GEOM_REL = 1e-9
 
@@ -57,15 +49,6 @@ _RAY_DIRS /= np.linalg.norm(_RAY_DIRS, axis=1)[:, None]
 
 _PAIR_BUDGET = 1 << 16   # point-triangle pairs per block of a batched query
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class SurfacePoint3:
-    """Point on a face: barycentric coordinates in triangle `tri` of `face`."""
-
-    face: int
-    tri: int
-    bary: tuple
 
 
 @dataclass(frozen=True)
@@ -118,10 +101,6 @@ class Polyhedron3:
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
         self.diam = float(np.linalg.norm(hi - lo))
-        # per-face list of global triangle ids, in fan order
-        self.face_tris = [[] for _ in self.faces]
-        for t, f in enumerate(self.tri_face):
-            self.face_tris[f].append(t)
         v0 = self.vertices[self.tris[:, 0]]
         v1 = self.vertices[self.tris[:, 1]]
         v2 = self.vertices[self.tris[:, 2]]
@@ -133,8 +112,8 @@ class Polyhedron3:
         self._rays = {}     # ray direction index -> per-triangle ray data
         self._frames = {}   # face id -> face_frame(fid), filled on first use
 
-    def eps_geom(self, eps=None) -> float:
-        return EPS_GEOM_REL * self.diam if eps is None else float(eps)
+    def eps_geom(self) -> float:
+        return EPS_GEOM_REL * self.diam
 
     def face_frame(self, fid):
         """(PlaneFrame about the centroid, unit outward normal, Polygon2 of
@@ -284,9 +263,9 @@ class Polyhedron3:
             miss = ((lo - grow > c.max(axis=0)) | (hi + grow < c.min(axis=0))).any(axis=1)
         return np.flatnonzero(~(miss | para))
 
-    def signed_distances(self, points, eps=None):
-        """Negative inside, positive outside, exactly 0 on the eps shell."""
-        eps = self.eps_geom(eps)
+    def signed_distances(self, points):
+        """Negative inside, positive outside, exactly 0 on the eps_geom shell."""
+        eps = self.eps_geom()
         dist, _, _ = self.closest_points(points)
         out = dist.copy()
         shell = dist <= eps
@@ -299,8 +278,8 @@ class Polyhedron3:
             out[off] = dist[off] * sign
         return out
 
-    def side_signs(self, points, eps=None):
-        """np.sign(signed_distances(points, eps)), bit for bit.
+    def side_signs(self, points):
+        """np.sign(signed_distances(points)), bit for bit.
 
         A closest point is computed only for a point that can lie on the eps
         shell: inside some triangle's box grown by r and within r of its
@@ -309,7 +288,7 @@ class Polyhedron3:
         finite (a NaN or inf point), a NaN test, and the plane of a sliver,
         whose rounded normal may point anywhere, count as near.
         """
-        eps = self.eps_geom(eps)
+        eps = self.eps_geom()
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         lo, hi, _, _, vabs = self._boxes
         tn, nn, lab = self._tn, self._tnn, np.linalg.norm(self._ab, axis=1)
@@ -319,7 +298,7 @@ class Polyhedron3:
         with np.errstate(over="ignore", invalid="ignore"):
             for idx in _morton_blocks(pts, len(self.tris)):
                 p = pts[idx]
-                r = max(eps, 0.0) + 1e-6 * (np.abs(p).max() + vabs)
+                r = eps + 1e-6 * (np.abs(p).max() + vabs)
                 if not np.isfinite(r):
                     continue
                 tri = np.flatnonzero(~((lo - r > p.max(axis=0))
@@ -330,7 +309,7 @@ class Polyhedron3:
                 near[idx] = np.bincount(i[box], minlength=len(idx)) > 0
         out = np.empty(len(pts))
         if near.any():
-            out[near] = np.sign(self.signed_distances(pts[near], eps))
+            out[near] = np.sign(self.signed_distances(pts[near]))
         if not near.all():
             out[~near] = np.where(self.contains(pts[~near]), -1.0, 1.0)
         return out
@@ -532,7 +511,9 @@ def _in_triangle2(p, a, b, c) -> bool:
 
 
 def _plane_basis(n):
-    """Orthonormal (u, w) spanning the plane with unit normal n."""
+    """Orthonormal (u, w) spanning the plane with unit normal n. u is n x e
+    over its length, e the axis least aligned with n: a unit vector
+    perpendicular to n for any nonzero n."""
     j = int(np.argmin(np.abs(n)))
     e = np.zeros(3)
     e[j] = 1.0
@@ -577,67 +558,6 @@ def load_off(path) -> Polyhedron3:
         return parse_off(f.read())
 
 
-# --- point classification -----------------------------------------------------
-
-@dataclass(frozen=True)
-class PointLocation3:
-    side: str
-    surface: SurfacePoint3    # nearest surface point
-    distance: float
-
-
-def eval_surface(poly: Polyhedron3, sp: SurfacePoint3) -> np.ndarray:
-    tri = poly.tris[poly.face_tris[sp.face][sp.tri]]
-    b = np.asarray(sp.bary, dtype=float)
-    return b @ poly.vertices[tri]
-
-
-def _surface_point_from_tri(poly: Polyhedron3, tri_id: int, point) -> SurfacePoint3:
-    fid = int(poly.tri_face[tri_id])
-    local = poly.face_tris[fid].index(tri_id)
-    a, b, c = poly.vertices[poly.tris[tri_id]]
-    ab, ac, ap = b - a, c - a, np.asarray(point, float) - a
-    d00, d01, d11 = ab @ ab, ab @ ac, ac @ ac
-    d20, d21 = ap @ ab, ap @ ac
-    den = d00 * d11 - d01 * d01
-    if abs(den) < 1e-300:
-        bary = (1.0, 0.0, 0.0)
-    else:
-        v = (d11 * d20 - d01 * d21) / den
-        w = (d00 * d21 - d01 * d20) / den
-        v = min(max(v, 0.0), 1.0)
-        w = min(max(w, 0.0), 1.0 - v)
-        bary = (1.0 - v - w, v, w)
-    return SurfacePoint3(fid, local, bary)
-
-
-def side3(poly: Polyhedron3, point, eps=None) -> PointLocation3:
-    """Inside/outside/on-boundary within eps (default 1e-9*diam), with the
-    nearest surface point and the distance to it."""
-    eps = poly.eps_geom(eps)
-    dist, tri, cp = poly.closest_points([point])
-    d = float(dist[0])
-    nearest = _surface_point_from_tri(poly, int(tri[0]), cp[0])
-    if d <= eps:
-        return PointLocation3(BOUNDARY, nearest, d)
-    inside = bool(poly.contains([point])[0])
-    return PointLocation3(INSIDE if inside else OUTSIDE, nearest, d)
-
-
-def farthest_vertex(poly: Polyhedron3) -> SurfacePoint3 | None:
-    """The vertex farthest from the origin (ties: smallest id) as a surface
-    point of its first triangle; None if no triangle uses it."""
-    norms = np.linalg.norm(poly.vertices, axis=1)
-    vid = int(np.argmax(norms))  # ties: smallest vertex id
-    hits = np.argwhere(poly.tris == vid)     # (triangle, corner), by triangle
-    if not len(hits):
-        return None
-    t, corner = hits[0].tolist()
-    fid = int(poly.tri_face[t])
-    return SurfacePoint3(fid, poly.face_tris[fid].index(t),
-                         tuple(float(c == corner) for c in range(3)))
-
-
 # --- surface paths and frames --------------------------------------------------
 
 class SurfacePath:
@@ -667,13 +587,13 @@ class SurfacePath:
         return self.points[i] + frac[..., None] * (self.points[i + 1] - self.points[i])
 
 
-def surface_path(poly: Polyhedron3, sp0: SurfacePoint3, sp1: SurfacePoint3) -> SurfacePath:
-    """Dijkstra along triangulation edges, endpoints tied in through their triangles."""
+def surface_path(poly: Polyhedron3, x0, tri0: int, vertex: int) -> SurfacePath:
+    """From the point x0 on triangle tri0 to the vertex with id `vertex`: x0,
+    then Dijkstra along triangulation edges from tri0's corner nearest x0."""
     import heapq
 
-    x0 = eval_surface(poly, sp0)
-    x1 = eval_surface(poly, sp1)
-    if np.linalg.norm(x0 - x1) <= 1e-12 * poly.diam:
+    x0 = np.asarray(x0, dtype=float)
+    if np.linalg.norm(x0 - poly.vertices[vertex]) <= 1e-12 * poly.diam:
         raise InputError("path endpoints coincide")
 
     adj = {}
@@ -683,12 +603,9 @@ def surface_path(poly: Polyhedron3, sp0: SurfacePoint3, sp1: SurfacePoint3) -> S
             adj.setdefault(int(b), set()).add(int(a))
     adj = {k: sorted(v) for k, v in adj.items()}
 
-    def anchor(sp, x):
-        tri = poly.tris[poly.face_tris[sp.face][sp.tri]]
-        ds = [np.linalg.norm(poly.vertices[i] - x) for i in tri]
-        return int(tri[int(np.argmin(ds))])
-
-    va, vb = anchor(sp0, x0), anchor(sp1, x1)
+    tri = poly.tris[tri0]
+    va = int(tri[int(np.argmin([np.linalg.norm(poly.vertices[i] - x0) for i in tri]))])
+    vb = int(vertex)
     dist = {va: 0.0}
     prev = {}
     heap = [(0.0, va)]
@@ -712,8 +629,7 @@ def surface_path(poly: Polyhedron3, sp0: SurfacePoint3, sp1: SurfacePoint3) -> S
     while chain[-1] != va:
         chain.append(prev[chain[-1]])
     chain.reverse()
-    pts = [x0] + [poly.vertices[i] for i in chain] + [x1]
-    return SurfacePath(pts)
+    return SurfacePath([x0] + [poly.vertices[i] for i in chain])
 
 
 class FrameField:
@@ -736,17 +652,6 @@ class FrameField:
         return proj / np.linalg.norm(proj, axis=-1, keepdims=True)
 
 
-def _init_frame_vector(q):
-    nq = np.linalg.norm(q)
-    if nq < 1e-300:
-        raise BadFrameError("cannot frame the zero vector")
-    j = int(np.argmin(np.abs(q / nq)))
-    e = np.zeros(3)
-    e[j] = 1.0
-    v = np.cross(q, e)
-    return v / np.linalg.norm(v)
-
-
 def _segment_ok(q0, q1, v0, v1, depth=8):
     """Projection norm stays >= 0.5 at all dyadic samples of the segment."""
     frac = np.linspace(0.0, 1.0, 2**depth + 1)[:, None]
@@ -762,7 +667,7 @@ def frame_field(path: SurfacePath) -> FrameField:
     subdivision until interpolate-project stays well-conditioned."""
     ts = list(path.params)
     qs = [path.points[i] for i in range(len(ts))]
-    vs = [_init_frame_vector(q) for q in qs]
+    vs = [_plane_basis(q)[0] for q in qs]
 
     out_t, out_q, out_v = [ts[0]], [qs[0]], [vs[0]]
     stack = [(ts[i], qs[i], vs[i], ts[i + 1], qs[i + 1], vs[i + 1], 0)

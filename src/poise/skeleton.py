@@ -13,7 +13,7 @@ import numpy as np
 from . import geom2d, geom3d
 from .certificate import Certificate, FaceD
 from .errors import InputError, OriginOutsideError
-from .geom3d import OUTSIDE, Plane3, Polyhedron3
+from .geom3d import Plane3, Polyhedron3
 
 
 @dataclass
@@ -62,7 +62,7 @@ def four_on_edges(P: Polyhedron3, plane: Plane3 = None) -> SkeletonPlacement:
         plane = Plane3((0.0, 0.0, 1.0), 0.0)
     if abs(plane.offset) > 1e-12 * P.diam:
         raise InputError("section plane must pass through the origin")
-    if geom3d.side3(P, np.zeros(3)).side == OUTSIDE:
+    if not P.side_signs(np.zeros((1, 3)))[0] <= 0.0:    # NaN counts as outside
         raise OriginOutsideError("origin lies outside the surface")
     sec = geom3d.cross_section(P, plane)
     bq, bq2 = geom2d.antipodal_about(sec.polygon, (0.0, 0.0))

@@ -23,18 +23,8 @@ from .errors import (
     OriginOutsideError,
     SearchExhaustedError,
 )
-from .geom2d import locate_point
-from .geom3d import (
-    BOUNDARY,
-    OUTSIDE,
-    Polyhedron3,
-    SurfacePoint3,
-    _closest_on_triangles,
-    farthest_vertex,
-    frame_field,
-    side3,
-    surface_path,
-)
+from .geom2d import OUTSIDE, locate_point
+from .geom3d import Polyhedron3, _closest_on_triangles, frame_field, surface_path
 
 EPS_REL = 1e-6    # relative tolerances of verify_tripodal
 REFINE_DEPTH = 6  # subdivision levels of a grid cell whose polish stalls
@@ -95,9 +85,45 @@ def verify_tripodal(poly: Polyhedron3, points) -> TripodalCertificate:
     return TripodalCertificate(rbar, spread, ssum, side_spread, mem, eg, eb)
 
 
-def _degenerate_triple(poly: Polyhedron3, sp: SurfacePoint3) -> TripodalTriple:
-    o = np.zeros(3)
-    return TripodalTriple(np.array([o, o, o]), (sp.face, sp.face, sp.face), 0.0)
+def _locate_origin(poly: Polyhedron3):
+    """(tri, x): the triangle of the origin's nearest surface point and that
+    point snapped onto it, x None when the origin is on the eps_geom shell.
+    One closest-point query of the origin, and off the shell one parity
+    query; an origin outside the surface is an OriginOutsideError."""
+    origin = np.zeros((1, 3))
+    dist, tri, cp = poly.closest_points(origin)
+    tri = int(tri[0])
+    if dist[0] <= poly.eps_geom():
+        return tri, None
+    if not poly.contains(origin)[0]:
+        raise OriginOutsideError("origin lies outside the surface")
+    return tri, _snap_to_triangle(poly, tri, cp[0])
+
+
+def _snap_to_triangle(poly: Polyhedron3, tri: int, point) -> np.ndarray:
+    """point's barycentric coordinates in triangle tri, clamped onto the
+    triangle, mapped back to a point."""
+    corners = poly.vertices[poly.tris[tri]]
+    a, b, c = corners
+    ab, ac, ap = b - a, c - a, np.asarray(point, float) - a
+    d00, d01, d11 = ab @ ab, ab @ ac, ac @ ac
+    d20, d21 = ap @ ab, ap @ ac
+    den = d00 * d11 - d01 * d01
+    if abs(den) < 1e-300:
+        bary = (1.0, 0.0, 0.0)
+    else:
+        v = (d11 * d20 - d01 * d21) / den
+        w = (d00 * d21 - d01 * d20) / den
+        v = min(max(v, 0.0), 1.0)
+        w = min(max(w, 0.0), 1.0 - v)
+        bary = (1.0 - v - w, v, w)
+    return np.asarray(bary, dtype=float) @ corners
+
+
+def _degenerate_triple(poly: Polyhedron3, tri: int) -> TripodalTriple:
+    """The radius-0 triple on the face of triangle tri."""
+    o, f = np.zeros(3), int(poly.tri_face[tri])
+    return TripodalTriple(np.array([o, o, o]), (f, f, f), 0.0)
 
 
 class _CompanionField:
@@ -188,48 +214,38 @@ def tripodal_search(poly: Polyhedron3, grid=(256, 256)) -> TripodalTriple:
     with damped Newton (subdividing up to REFINE_DEPTH levels when a kink
     stalls the iteration); the first verified triple in scan order wins. The
     grid is signed in blocks of cell rows, ROW_FIRST_BLOCK first, each later
-    block twice the last, and the exact on-surface nodes of a block are tried
-    before its cells, so the scan stops in the block of its answer. The
-    grid and the subdivisions read only signs, Newton the distances. The
-    grid doubles while both sides stay <= GRID_MAX, then the face-triple
-    sweep runs. A side < 1 or > GRID_MAX is an InputError. The origin is
-    located once: its nearest surface point starts the path.
+    block twice the last, so the scan stops in the block of its answer. The
+    grid and the subdivisions read only signs, Newton the distances. A grid
+    that yields no triple hands over to the face-triple sweep. A side < 1 or
+    > GRID_MAX is an InputError. The origin is located once: its nearest
+    surface point starts the path, which ends at the vertex farthest from
+    the origin (ties: smallest id).
     """
     nt, nth = int(grid[0]), int(grid[1])
     if not (1 <= nt <= GRID_MAX and 1 <= nth <= GRID_MAX):
         raise InputError(f"grid sides must be in 1..{GRID_MAX}, got {nt}x{nth}")
-    loc = side3(poly, (0.0, 0.0, 0.0))
-    if loc.side == BOUNDARY:
-        return _degenerate_triple(poly, loc.surface)
-    if loc.side == OUTSIDE:
-        raise OriginOutsideError("origin lies outside the surface")
+    tri0, x0 = _locate_origin(poly)
+    if x0 is None:
+        return _degenerate_triple(poly, tri0)
 
-    path = surface_path(poly, loc.surface, farthest_vertex(poly))
-    frame = frame_field(path)
-    field = _CompanionField(poly, path, frame)
+    far = int(np.argmax(np.linalg.norm(poly.vertices, axis=1)))
+    path = surface_path(poly, x0, tri0, far)
+    field = _CompanionField(poly, path, frame_field(path))
     tol = 1e-9 * poly.diam
 
-    while nt <= GRID_MAX and nth <= GRID_MAX:
-        ts = np.linspace(0.0, 1.0, nt + 1)
-        ths = np.linspace(0.0, np.pi, nth + 1)
-        g1, g2 = np.empty((2, nt + 1, nth + 1))
-        c0, c1 = 0, min(ROW_FIRST_BLOCK, nt)
-        while c0 < nt:   # cell rows c0..c1-1; node row c0 carries over
-            new = slice(c0 + (c0 > 0), c1 + 1)
-            g1[new], g2[new] = field.signs(*np.meshgrid(ts[new], ths, indexing="ij"))
-            # exact on-surface nodes of the block first
-            for it, ith in np.argwhere((g1[new] == 0.0) & (g2[new] == 0.0)):
-                cand = _triple_at(field, poly, ts[new.start + it], ths[ith])
-                if verify_tripodal(poly, cand.points).passed:
-                    return cand
-            for it, ith in np.argwhere(_straddle_mask(g1[c0:c1 + 1], g2[c0:c1 + 1])):
-                hit = _polish_cell(field, poly, ts[c0 + it], ts[c0 + it + 1],
-                                   ths[ith], ths[ith + 1], tol, REFINE_DEPTH)
-                if hit is not None:
-                    return hit
-            c0, c1 = c1, min(c1 + 2 * (c1 - c0), nt)
-        nt *= 2
-        nth *= 2
+    ts = np.linspace(0.0, 1.0, nt + 1)
+    ths = np.linspace(0.0, np.pi, nth + 1)
+    g1, g2 = np.empty((2, nt + 1, nth + 1))
+    c0, c1 = 0, min(ROW_FIRST_BLOCK, nt)
+    while c0 < nt:   # cell rows c0..c1-1; node row c0 carries over
+        new = slice(c0 + (c0 > 0), c1 + 1)
+        g1[new], g2[new] = field.signs(*np.meshgrid(ts[new], ths, indexing="ij"))
+        for it, ith in np.argwhere(_straddle_mask(g1[c0:c1 + 1], g2[c0:c1 + 1])):
+            hit = _polish_cell(field, poly, ts[c0 + it], ts[c0 + it + 1],
+                               ths[ith], ths[ith + 1], tol, REFINE_DEPTH)
+            if hit is not None:
+                return hit
+        c0, c1 = c1, min(c1 + 2 * (c1 - c0), nt)
 
     try:
         return _face_triple_sweep(poly)
@@ -275,11 +291,11 @@ def _face_planes(poly: Polyhedron3):
     the direction cone (axis, half-angle ang) seen from the origin."""
     nf = len(poly.faces)
     arrs = {"N": np.empty((nf, 3)), "D": np.empty(nf), "U": np.empty((nf, 3, 2)),
-            "CEN": np.empty((nf, 3)), "CR": np.empty(nf), "r_lo": np.empty(nf),
+            "CEN": np.empty((nf, 3)), "CR": np.empty(nf), "r_lo": np.full(nf, np.inf),
             "r_hi": np.empty(nf), "axis": np.empty((nf, 3)), "ang": np.empty(nf)}
     origin = np.zeros((1, 3))
     cp = _closest_on_triangles(origin, poly._tv0, poly._ab, poly._ac)[0]
-    tri_dist = np.linalg.norm(cp, axis=1)
+    np.minimum.at(arrs["r_lo"], poly.tri_face, np.linalg.norm(cp, axis=1))
     for fid, f in enumerate(poly.faces):
         frame, nrm, _ = poly.face_frame(fid)
         cen = frame.origin
@@ -298,7 +314,6 @@ def _face_planes(poly: Polyhedron3):
         arrs["N"][fid], arrs["D"][fid], arrs["CEN"][fid] = nrm, nrm @ cen, cen
         arrs["U"][fid] = np.stack([frame.u, frame.w], axis=1)
         arrs["CR"][fid] = np.linalg.norm(pts - cen, axis=1).max()
-        arrs["r_lo"][fid] = tri_dist[poly.face_tris[fid]].min()
         arrs["r_hi"][fid] = np.linalg.norm(pts, axis=1).max()
         arrs["axis"][fid], arrs["ang"][fid] = axis, ang
     return arrs
@@ -327,11 +342,9 @@ def tripodal_by_face_triples(poly: Polyhedron3) -> TripodalTriple:
     solutions do not depend on its chunk, so the first verified triple in
     lex order wins whatever the chunk sizes.
     """
-    loc = side3(poly, (0.0, 0.0, 0.0))
-    if loc.side == BOUNDARY:
-        return _degenerate_triple(poly, loc.surface)
-    if loc.side == OUTSIDE:
-        raise OriginOutsideError("origin lies outside the surface")
+    tri0, x0 = _locate_origin(poly)
+    if x0 is None:
+        return _degenerate_triple(poly, tri0)
     return _face_triple_sweep(poly)
 
 

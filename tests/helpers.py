@@ -11,15 +11,13 @@ from scipy.spatial import ConvexHull
 
 from poise.balance2d import feasibility
 from poise import tripodal as tp
-from poise.errors import (BadFrameError, DegenerateSectionError, InputError,
+from poise.errors import (DegenerateSectionError, InputError,
                           NoIntersectionError, NoLoopContainsOriginError,
-                          NotFoundError, OriginOutsideError, PoiseError,
-                          SearchExhaustedError)
+                          NotFoundError, PoiseError, SearchExhaustedError)
 from poise.geom2d import (OUTSIDE, BoundaryPoint2, _boxes_overlap, _crossings,
                           _segment_hits, locate_point, validate_polygon)
-from poise.geom3d import (BOUNDARY, PlaneFrame, _closest_on_triangles,
-                          _remap_loop, farthest_vertex, frame_field, side3, surface_path,
-                          validate_polyhedron)
+from poise.geom3d import (PlaneFrame, _closest_on_triangles, _remap_loop, frame_field,
+                          surface_path, validate_polyhedron)
 from poise.polytoped import HPolytope, edges, hpolytope
 from poise.skeleton_balance import EPS_T, _singular_triple
 
@@ -37,10 +35,10 @@ def star_polygon(rng, n, r_lo=0.3, r_hi=1.5):
                                              rad * np.sin(ang)]))
 
 
-def first_hit_all_hits(curve, poly, start_param, eps=None):
+def first_hit_all_hits(curve, poly, start_param):
     """first_hit_from by the plain route, as (seg, t, edge, u): every hit of
     the whole curve as a Python tuple, sorted, then one key scan over all."""
-    tol = poly.eps_geom(eps)
+    tol = poly.eps_geom()
     cq = np.roll(curve, -1, axis=0)
     pv, pw = poly.edge_arrays()
     I, J = np.nonzero(_boxes_overlap(np.minimum(curve, cq) - tol,
@@ -385,34 +383,24 @@ def newton_polish_pointwise(field, t0, th0, tol, iters=30):
 
 
 def tripodal_search_whole_grid(poly, grid=(256, 256)):
-    """tripodal.tripodal_search signing each whole grid in one query, then
-    trying every exact on-surface node before the first straddling cell."""
+    """tripodal.tripodal_search signing the whole grid in one query."""
     nt, nth = int(grid[0]), int(grid[1])
     if not (1 <= nt <= tp.GRID_MAX and 1 <= nth <= tp.GRID_MAX):
         raise InputError(f"grid sides must be in 1..{tp.GRID_MAX}, got {nt}x{nth}")
-    loc = side3(poly, (0.0, 0.0, 0.0))
-    if loc.side == BOUNDARY:
-        return tp._degenerate_triple(poly, loc.surface)
-    if loc.side == OUTSIDE:
-        raise OriginOutsideError("origin lies outside the surface")
-    path = surface_path(poly, loc.surface, farthest_vertex(poly))
+    tri0, x0 = tp._locate_origin(poly)
+    if x0 is None:
+        return tp._degenerate_triple(poly, tri0)
+    path = surface_path(poly, x0, tri0, int(np.argmax(np.linalg.norm(poly.vertices, axis=1))))
     field = tp._CompanionField(poly, path, frame_field(path))
     tol = 1e-9 * poly.diam
-    while nt <= tp.GRID_MAX and nth <= tp.GRID_MAX:
-        ts = np.linspace(0.0, 1.0, nt + 1)
-        ths = np.linspace(0.0, np.pi, nth + 1)
-        g1, g2 = field.signs(*np.meshgrid(ts, ths, indexing="ij"))
-        for it, ith in np.argwhere((g1 == 0.0) & (g2 == 0.0)):
-            cand = tp._triple_at(field, poly, ts[it], ths[ith])
-            if tp.verify_tripodal(poly, cand.points).passed:
-                return cand
-        for it, ith in np.argwhere(tp._straddle_mask(g1, g2)):
-            hit = tp._polish_cell(field, poly, ts[it], ts[it + 1], ths[ith],
-                                  ths[ith + 1], tol, tp.REFINE_DEPTH)
-            if hit is not None:
-                return hit
-        nt *= 2
-        nth *= 2
+    ts = np.linspace(0.0, 1.0, nt + 1)
+    ths = np.linspace(0.0, np.pi, nth + 1)
+    g1, g2 = field.signs(*np.meshgrid(ts, ths, indexing="ij"))
+    for it, ith in np.argwhere(tp._straddle_mask(g1, g2)):
+        hit = tp._polish_cell(field, poly, ts[it], ts[it + 1], ths[ith],
+                              ths[ith + 1], tol, tp.REFINE_DEPTH)
+        if hit is not None:
+            return hit
     try:
         return tp._face_triple_sweep(poly)
     except NotFoundError as exc:
@@ -593,22 +581,26 @@ def dump_off(poly) -> str:
     return "\n".join(lines) + "\n"
 
 
-def signed_distance(poly, point, eps=None) -> float:
-    return float(poly.signed_distances([point], eps)[0])
+def signed_distance(poly, point) -> float:
+    return float(poly.signed_distances([point])[0])
 
 
 class OriginOnBoundaryError(PoiseError):
     """Origin lies on the surface; extreme points are undefined."""
 
 
+class BadFrameError(InputError):
+    """Frame vector is not unit length and perpendicular to its anchor."""
+
+
 def extreme_boundary_points(poly):
-    """(nearest surface point to origin, farthest vertex); origin must be interior."""
-    loc = side3(poly, (0.0, 0.0, 0.0))
-    if loc.side == BOUNDARY:
+    """(x0, tri0, far): the surface point nearest the origin as tripodal_search
+    snaps it, its triangle, and the id of the vertex farthest from the origin,
+    the arguments of surface_path; the origin must be interior."""
+    tri0, x0 = tp._locate_origin(poly)
+    if x0 is None:
         raise OriginOnBoundaryError("origin lies on the surface")
-    if loc.side == OUTSIDE:
-        raise OriginOutsideError("origin lies outside the surface")
-    return loc.surface, farthest_vertex(poly)
+    return x0, tri0, int(np.argmax(np.linalg.norm(poly.vertices, axis=1)))
 
 
 def tripod_points(gamma, v, theta):
@@ -633,9 +625,9 @@ SIG_MP = "-+"
 SIG_ZERO = "00"
 
 
-def signature(poly, b, c, eps=None) -> str:
+def signature(poly, b, c) -> str:
     """Fold the companions' inside(+)/outside(-)/boundary(0) signs."""
-    fb, fc = -poly.side_signs([b, c], eps)
+    fb, fc = -poly.side_signs([b, c])
     if fb == 0 and fc == 0:
         return SIG_ZERO
     if fb >= 0 and fc >= 0:

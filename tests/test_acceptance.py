@@ -135,8 +135,7 @@ def test_criterion_05_tripodal_suite():
         tri2 = tripodal_by_face_triples(mesh)
         assert verify_tripodal(mesh, tri2.points).passed, name
 
-        near, far = extreme_boundary_points(mesh)
-        path = surface_path(mesh, near, far)
+        path = surface_path(mesh, *extreme_boundary_points(mesh))
         frame = frame_field(path)
         for t, expected in ((0.0, SIG_PP), (1.0, SIG_MM)):
             g = path.eval(np.array([t]))[0]

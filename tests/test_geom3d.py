@@ -13,8 +13,8 @@ from poise import geom3d
 from poise.errors import (DegenerateSectionError, InputError,
                           NoLoopContainsOriginError, NonPlanarFaceError,
                           OpenSurfaceError, ParseError)
-from poise.geom3d import (Plane3, cross_section, frame_field, parse_off, side3,
-                          surface_path, validate_polyhedron)
+from poise.geom3d import (Plane3, cross_section, frame_field, parse_off, surface_path,
+                          validate_polyhedron)
 
 
 def test_validate_rejects_open_surface():
@@ -61,11 +61,10 @@ def test_off_round_trip():
         parse_off("not an off file")
 
 
-def test_side3_and_signed_distance():
+def test_side_signs_and_signed_distance():
     cube = cube_mesh()
-    assert side3(cube, (0, 0, 0)).side == "inside"
-    assert side3(cube, (2, 0, 0)).side == "outside"
-    assert side3(cube, (1, 0, 0)).side == "boundary"
+    pts = [(0, 0, 0), (2, 0, 0), (1, 0, 0), (1 + 1e-12, 0, 0)]
+    assert cube.side_signs(pts).tolist() == [-1.0, 1.0, 0.0, 0.0]
     assert signed_distance(cube, (0, 0, 0)) == pytest.approx(-1.0)
     assert signed_distance(cube, (2, 0, 0)) == pytest.approx(1.0)
     assert abs(signed_distance(cube, (1, 0, 0))) <= 1e-12
@@ -73,32 +72,31 @@ def test_side3_and_signed_distance():
 
 def test_extreme_boundary_points_cube():
     cube = cube_mesh()
-    near, far = extreme_boundary_points(cube)
-    pn = cube.vertices[cube.faces[near.face][0]]  # just for shape sanity
-    assert pn.shape == (3,)
-    from poise.geom3d import eval_surface
-    assert np.linalg.norm(eval_surface(cube, near)) == pytest.approx(1.0)
-    assert np.linalg.norm(eval_surface(cube, far)) == pytest.approx(np.sqrt(3))
+    x0, tri0, far = extreme_boundary_points(cube)
+    assert np.linalg.norm(x0) == pytest.approx(1.0)
+    assert cube.closest_points([x0])[0][0] <= 1e-12
+    a, b, c = cube.vertices[cube.tris[tri0]]
+    assert abs(np.linalg.det(np.stack([b - a, c - a, x0 - a]))) <= 1e-12
+    assert np.linalg.norm(cube.vertices[far]) == pytest.approx(np.sqrt(3))
+    assert far == 0     # all eight corners tie: the smallest id
 
 
 def test_surface_path_runs_near_to_far_on_surface():
     rng = np.random.default_rng(2)
     for poly in (cube_mesh(), octa_mesh(), star_mesh(rng)):
-        near, far = extreme_boundary_points(poly)
-        path = surface_path(poly, near, far)
+        x0, tri0, far = extreme_boundary_points(poly)
+        path = surface_path(poly, x0, tri0, far)
         ts = np.linspace(0, 1, 40)
         pts = path.eval(ts)
-        from poise.geom3d import eval_surface
-        assert np.allclose(pts[0], eval_surface(poly, near), atol=1e-9)
-        assert np.allclose(pts[-1], eval_surface(poly, far), atol=1e-9)
+        assert np.array_equal(path.points[0], x0)
+        assert np.array_equal(path.points[-1], poly.vertices[far])
         sd = np.array([abs(signed_distance(poly, p)) for p in pts])
         assert sd.max() <= 1e-7 * poly.diam
 
 
 def test_frame_field_unit_and_perpendicular():
     poly = cube_mesh()
-    near, far = extreme_boundary_points(poly)
-    path = surface_path(poly, near, far)
+    path = surface_path(poly, *extreme_boundary_points(poly))
     frame = frame_field(path)
     ts = np.linspace(0, 1, 25)
     g = path.eval(ts)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import (SIG_MM, SIG_PP, convex_mesh, criterion05_meshes, cube_mesh,
-                     extreme_boundary_points, newton_polish_pointwise, newton_rows_dense,
-                     octa_mesh, signature, sphere_points, star_mesh, tetra_mesh,
-                     tripod_points, tripodal_search_whole_grid)
+from helpers import (SIG_MM, SIG_PP, BadFrameError, convex_mesh, criterion05_meshes,
+                     cube_mesh, extreme_boundary_points, newton_polish_pointwise,
+                     newton_rows_dense, octa_mesh, signature, sphere_points, star_mesh,
+                     tetra_mesh, tripod_points, tripodal_search_whole_grid)
 from poise import tripodal
-from poise.errors import BadFrameError, OriginOutsideError, PoiseError
+from poise.errors import OriginOutsideError, PoiseError
 from poise.geom3d import Polyhedron3, frame_field, surface_path, validate_polyhedron
 from poise.tripodal import (SWEEP_CHUNK, SWEEP_FIRST_CHUNK, tripodal_by_face_triples,
                             tripodal_search, verify_tripodal)
@@ -93,8 +93,7 @@ def test_search_and_sweep_cross_validate():
 
 def test_search_boundary_signatures_cube():
     poly = cube_mesh()
-    near, far = extreme_boundary_points(poly)
-    path = surface_path(poly, near, far)
+    path = surface_path(poly, *extreme_boundary_points(poly))
     frame = frame_field(path)
     for t, expected in ((0.0, SIG_PP), (1.0, SIG_MM)):
         g = path.eval(np.array([t]))[0]
@@ -178,6 +177,26 @@ def test_search_locates_the_origin_once(monkeypatch):
     assert calls == {"closest_points": 1, "contains": 1}
 
 
+def test_a_grid_without_a_triple_hands_over_to_the_sweep(monkeypatch):
+    """With no cell polishing to a triple, the search signs the one grid it
+    was given, each node row once, and returns the face-triple sweep's triple."""
+    poly = octa_mesh()
+    want = tripodal_by_face_triples(poly)
+    real, shapes = tripodal._CompanionField.signs, []
+
+    def signs(self, ts, thetas):
+        shapes.append(np.shape(ts))
+        return real(self, ts, thetas)
+
+    monkeypatch.setattr(tripodal._CompanionField, "signs", signs)
+    monkeypatch.setattr(tripodal, "_polish_cell", lambda *args: None)
+    got = tripodal_search(poly, grid=(16, 16))
+    assert got.points.tobytes() == want.points.tobytes() and got.faces == want.faces
+    assert got.t is None
+    assert {cols for _, cols in shapes} == {17}
+    assert sum(rows for rows, _ in shapes) == 17
+
+
 @pytest.mark.parametrize("sub", [0, 1, 2])
 def test_grid_signs_are_the_signs_of_the_values(sub, monkeypatch):
     """Every sign grid the search reads equals np.sign of the signed
@@ -205,18 +224,18 @@ def test_grid_scan_computes_few_exact_distances(monkeypatch):
     real_signs, real_sd = Polyhedron3.side_signs, Polyhedron3.signed_distances
     exact, scanning, asked = [], [], []
 
-    def signs(self, points, eps=None):
+    def signs(self, points):
         asked.append(len(points))
         scanning.append(True)
         try:
-            return real_signs(self, points, eps)
+            return real_signs(self, points)
         finally:
             scanning.pop()
 
-    def sd(self, points, eps=None):
+    def sd(self, points):
         if scanning:
             exact.append(len(points))
-        return real_sd(self, points, eps)
+        return real_sd(self, points)
 
     monkeypatch.setattr(Polyhedron3, "side_signs", signs)
     monkeypatch.setattr(Polyhedron3, "signed_distances", sd)

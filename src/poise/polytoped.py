@@ -8,7 +8,11 @@ checkers alike, is made here, from the rows tight at a point: face_dims is
 the one rank rule, and point_faces reads no vertex. Only the answers that
 are vertices enumerate them: the edges, each the rows tight at a pair of
 vertices, and their endpoints. Vertex enumeration is the dimension wall:
-the 8-cross-polytope takes about a second. No face lattice is built.
+the 8-cross-polytope takes about a second. No face lattice is built. The
+Chebyshev LP runs only where the origin cannot stand in for it: for the
+interior when some b_i <= 0, and for Qhull's start point when some
+b_i <= 0, when the unit offsets spread beyond ORIGIN_START_RATIO, or when
+Qhull fails from the origin.
 """
 from __future__ import annotations
 
@@ -34,6 +38,13 @@ from .errors import (
 # second on a 2-vCPU Xeon, an allowed fallback takes 3 to 10 s
 BRUTEFORCE_MAX_SUBSETS = 1_000_000
 _BLOCK = 200_000            # d-subsets solved, or points masked, per batch
+# Qhull starts from the origin, with no LP, where every unit offset b_i / |a_i|
+# of a nonzero row is at least this share of the largest: its dual points
+# a_i / b_i then span a bounded range of lengths. Random hulls translated so
+# that the origin lies 1e-1 to 1e-10 of the way from a vertex or an edge
+# midpoint to their Chebyshev center gave other tight sets than the subset
+# solver from the origin only at ratios up to 2.9e-8
+ORIGIN_START_RATIO = 1e-4
 # default membership tolerance of the verifiers, per unit of HPolytope.scale
 EPS_GEOM_REL = 1e-7
 
@@ -71,7 +82,9 @@ class HPolytope:
     LP), `scale` (a bound on its width, from its rows) and `vrep` (the
     vertices and their tight rows) are computed once per polytope, on first
     use. Where every b_i > 0 the Chebyshev LP runs only to give Qhull its
-    start point, that is, only if the vertices are enumerated.
+    start point, that is, only if the vertices are enumerated and the
+    origin is no start: the unit offsets spread beyond ORIGIN_START_RATIO,
+    or Qhull fails from the origin.
     """
     A: np.ndarray            # (m, d) outward normals
     b: np.ndarray            # (m,) offsets, a.x <= b
@@ -290,25 +303,37 @@ def _vrep_from_points(H, pts, eps_tight):
 def enumerate_vertices(H: HPolytope) -> VRep:
     """All vertices with their tight halfspace index sets.
 
-    Qhull intersects the halfspaces in _frame about the Chebyshev center;
-    if it fails there, it tries once more from the center moved r/2 along
-    e_1, still r/2 inside every row, and then the subset solver takes
-    over. A non-simple vertex carries more than d tight indices. Callers
-    read the cached H.vrep.
+    Qhull intersects the halfspaces in _frame about the origin when
+    _qhull_starts finds it well inside, with no LP. Otherwise, or if it
+    fails there, it starts from the Chebyshev center, then from the center
+    moved r/2 along e_1, still r/2 inside every row, and then the subset
+    solver takes over. A non-simple vertex carries more than d tight
+    indices. Callers read the cached H.vrep.
     """
     eps = H.eps_tight()
     if H.d >= 2:
         s = _frame(H)
         keep = ~H.zero_rows()           # Qhull rejects 0.x <= 0
         halfspaces = np.column_stack([H.A[keep], -s * H.b[keep]])
-        c, r = H.chebyshev
-        for start in (c, c + np.eye(H.d)[0] * (r / 2)):
+        for start in _qhull_starts(H, H.b[keep] / H.norms[keep]):
             try:
                 pts = _module.HalfspaceIntersection(halfspaces, s * start).intersections
             except _module.QhullError:
                 continue
             return _vrep_from_points(H, pts / s, eps)
     return enumerate_vertices_bruteforce(H, eps)
+
+
+def _qhull_starts(H: HPolytope, u):
+    """Qhull's start points, each made only when the one before it fails:
+    the origin where every unit offset u of a nonzero row is at least
+    ORIGIN_START_RATIO times the largest, then the Chebyshev center c and
+    c + r/2 e_1, which the Chebyshev LP gives."""
+    if u.min() >= ORIGIN_START_RATIO * u.max():
+        yield np.zeros(H.d)
+    c, r = H.chebyshev
+    yield c
+    yield c + np.eye(H.d)[0] * (r / 2)
 
 
 def enumerate_vertices_bruteforce(H: HPolytope, eps_tight=None) -> VRep:

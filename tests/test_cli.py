@@ -576,26 +576,28 @@ def test_obj_edges_are_cube_edges(cube_h, tmp_path):
     assert got == want and len(got) == 12
 
 
-def test_one_enumeration_and_one_chebyshev_lp_per_polytope(cube_h, tmp_path,
-                                                          monkeypatch):
+def _count_linprog(monkeypatch):
+    """Log every linprog call of polytoped and skeleton_balance: whether it
+    is a Chebyshev LP (max r over A x + |a| r <= b, r >= 0)."""
+    lps = []
+    for mod in (poise.polytoped, poise.skeleton_balance):
+        def counted(c, real=mod.linprog, **kw):
+            lps.append(c[-1] == -1.0 and "A_ub" in kw and "A_eq" not in kw)
+            return real(c, **kw)
+        monkeypatch.setattr(mod, "linprog", counted)
+    return lps
+
+
+def test_one_enumeration_and_no_lp_per_polytope(cube_h, tmp_path, monkeypatch):
     """Of halving and three-on-edges on the cube, and check of each result,
     only the three-on-edges solve enumerates the cube's vertices, once: its
-    answer is edges. The others decide faces from rows. No polytope solves
-    its Chebyshev LP twice."""
-    enumerated, centred = [], []
-
-    def counted(fn, log):
-        def wrapper(H, *args):
-            log.append(H)
-            return fn(H, *args)
-        return wrapper
-
-    for name, log in (("enumerate_vertices", enumerated),
-                      ("chebyshev_center", centred)):
-        wrapper = counted(getattr(poise.polytoped, name), log)
-        for mod in (poise.polytoped, poise.skeleton_balance, poise.cli):
-            if name in vars(mod):
-                monkeypatch.setattr(mod, name, wrapper)
+    answer is edges. The others decide faces from rows. Qhull starts from
+    the origin, so none of them solves an LP."""
+    enumerated = []
+    real_enum = poise.polytoped.enumerate_vertices
+    monkeypatch.setattr(poise.polytoped, "enumerate_vertices",
+                        lambda H: enumerated.append(H) or real_enum(H))
+    lps = _count_linprog(monkeypatch)
     cert = str(tmp_path / "c.json")
     for cmd, solved in (("halving", 0), ("three-on-edges", 1)):
         for argv, count in (([cmd, "--hrep", cube_h, "--json", cert], solved),
@@ -603,46 +605,31 @@ def test_one_enumeration_and_one_chebyshev_lp_per_polytope(cube_h, tmp_path,
             enumerated.clear()
             assert run(argv).exit_code == 0, argv
             assert len(enumerated) == count, argv
-    assert centred and len({id(H) for H in centred}) == len(centred)
+    assert lps == []
 
 
-def test_one_lp_per_polytope(tmp_path, monkeypatch):
-    """The Chebyshev LP runs only to start Qhull: loading an H-rep file whose
-    offsets are all positive solves none (the origin witnesses its
-    interior), and pow2 and compose on a 6-dimensional product solve one
-    per chart of _place whose vertices are enumerated (2-face polygons and
-    three-on-edges on 3-faces); a chart that is only halved solves none.
-    The cone test solves none; an empty polytope still needs its LP."""
+def test_no_lp_where_qhull_starts_from_the_origin(tmp_path, monkeypatch):
+    """Loading an H-rep file whose offsets are all positive solves no LP
+    (the origin witnesses its interior), and pow2 and compose on a
+    6-dimensional product solve none either, though they enumerate the
+    vertices of charts of _place (2-face polygons and three-on-edges on
+    3-faces): Qhull starts from each chart's origin. The cone test solves
+    none; an empty polytope still needs its LP."""
     rng = np.random.default_rng(61)
     path = tmp_path / "p6.hrep"
     path.write_text(dump_hrep_text(product(random_hull_hrep(rng, 3),
                                            random_hull_hrep(rng, 3))))
-    lps, charts, enumerated = [], [], []
-    real_lp, real_chart = poise.polytoped.linprog, poise.skeleton_balance.HPolytope
+    enumerated = []
     real_enum = poise.polytoped.enumerate_vertices
-
-    def chebyshev_lp(c, **kw):
-        lps.append(c[-1] == -1.0 and "A_ub" in kw and "A_eq" not in kw)
-        return real_lp(c, **kw)
-
-    def chart(A, b):
-        charts.append(len(A))
-        return real_chart(A, b)
-
-    monkeypatch.setattr(poise.polytoped, "linprog", chebyshev_lp)
-    monkeypatch.setattr(poise.skeleton_balance, "HPolytope", chart)
     monkeypatch.setattr(poise.polytoped, "enumerate_vertices",
                         lambda H: enumerated.append(H.d) or real_enum(H))
+    lps = _count_linprog(monkeypatch)
     assert (load_hrep(path).b > 0).all()
-    assert lps == []
     for argv in (["pow2", "--k", "3"], ["compose"]):
-        lps.clear()
-        charts.clear()
         enumerated.clear()
         assert run(argv + ["--hrep", str(path)]).exit_code == 0, argv
-        assert len(charts) >= len(enumerated) > 0, argv
-        assert lps == [True] * len(enumerated), argv
-    lps.clear()
+        assert len(enumerated) > 0, argv
+    assert lps == []
     with pytest.raises(UnboundedError):
         hpolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0])
     assert lps == []
@@ -1006,6 +993,36 @@ def test_halving_and_hrep_checks_load_no_scipy(tmp_path):
         "assert polytoped.linprog is scipy.optimize.linprog\n"
         "assert vars(polytoped)['linprog'] is skeleton_balance.linprog\n"
         "assert not hasattr(polytoped, 'nnls')\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_skeleton_commands_on_the_cube_load_no_scipy_optimize(tmp_path):
+    """In a fresh interpreter, pow2 --k 2, compose, three-on-edges and
+    prop9-check --k 1 on the 3-cube, and check of each certificate, leave
+    scipy.optimize unloaded: every b_i > 0 and Qhull starts from the origin,
+    so no Chebyshev LP runs. Qhull itself loads scipy.spatial. The cube
+    meets its reflection at a vertex, so prop9-check exits 1."""
+    solves = _genuine_solves(tmp_path)
+    runs = []
+    for kind in ("pow2", "compose", "three-on-edges"):
+        argv, geometry = solves[kind]
+        out = str(tmp_path / f"{kind}.json")
+        runs += [(argv + ["--json", out], 0), (["check", "--json", out] + geometry, 0)]
+    hrep = solves["three-on-edges"][1]
+    out = str(tmp_path / "prop9-check.json")
+    runs += [(["prop9-check", "--k", "1"] + hrep + ["--json", out], 1),
+             (["check", "--json", out] + hrep, 0)]
+    script = (
+        "import sys\n"
+        "from poise.cli import run\n"
+        f"for argv, code in {runs!r}:\n"
+        "    assert run(argv).exit_code == code, argv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        "assert 'scipy.spatial' in sys.modules\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))

@@ -38,6 +38,24 @@ def test_qhull_matches_bruteforce_enumeration():
         assert np.array_equal(fast.tight, slow.tight)
 
 
+def test_qhull_from_a_shallow_origin_matches_bruteforce():
+    """Seeded random hulls, d = 2..5, each translated so that the origin
+    lies 1e-1 to 1e-9 of the way from one vertex to the old origin: Qhull's
+    tight sets equal the subset solver's on each. Below
+    ORIGIN_START_RATIO the origin is no start for Qhull; with that gate
+    removed (every b > 0 starting from the origin) this test fails: 13 of
+    its 108 hulls, each at 1e-8 or 1e-9, give other tight sets."""
+    rng = np.random.default_rng(29)
+    for d in range(2, 6):
+        for _ in range(3):
+            H = random_hull_hrep(rng, d)
+            v = H.vrep.vertices[rng.integers(len(H.vrep.vertices))]
+            for k in range(1, 10):
+                G = hpolytope(H.A, H.b - H.A @ ((1.0 - 10.0 ** -k) * v))
+                want = enumerate_vertices_bruteforce(G)
+                assert tight_sets(enumerate_vertices(G)) == tight_sets(want), (d, k)
+
+
 def test_hypercube4_face_counts():
     H = cube_hrep(4)
     assert [len(H.vrep.vertices), len(edges(H)[0])] == [16, 32]
@@ -143,30 +161,34 @@ def test_subset_solver_refuses_over_budget(tmp_path):
 
 
 def test_qhull_retries_from_a_second_interior_point(monkeypatch):
-    """When Qhull fails from the Chebyshev center, the second start, r/2
-    along e_1 from it and r/2 inside every row, gives the same tight sets
-    and, up to rounding, the same vertices."""
+    """When Qhull fails from one start, the next is tried, in the order
+    origin, Chebyshev center c, c + r/2 e_1 (still r/2 inside every row),
+    and then the subset solver: the same tight sets each time and, up to
+    rounding, the same vertices. The frame of max|b| = 3 is s = 1/2."""
     H = hpolytope(cross_hrep(3).A, cross_hrep(3).b * 3.0)
     want = enumerate_vertices(H)
-    starts = []
-    real = polytoped.HalfspaceIntersection
-
-    def first_fails(halfspaces, interior):
-        starts.append(interior)
-        if len(starts) == 1:
-            raise polytoped.QhullError("first start refused")
-        return real(halfspaces, interior)
-
-    monkeypatch.setattr(polytoped, "HalfspaceIntersection", first_fails)
-    got = enumerate_vertices(hpolytope(H.A, H.b))
     c, r = H.chebyshev
-    assert len(starts) == 2 and np.array_equal(starts[0], c * 0.5)
-    assert np.array_equal(starts[1], (c + [r / 2, 0.0, 0.0]) * 0.5)
-    assert H.unit_residuals(starts[1] / 0.5).max() <= -r / 2 * (1 - 1e-12)
-    assert sorted(tight_sets(got)) == sorted(tight_sets(want))
-    at = dict(zip(tight_sets(want), want.vertices))
-    for t, v in zip(tight_sets(got), got.vertices):
-        assert np.allclose(v, at[t], atol=1e-12), t
+    order = [np.zeros(3), c * 0.5, (c + [r / 2, 0.0, 0.0]) * 0.5]
+    assert H.unit_residuals(order[2] / 0.5).max() <= -r / 2 * (1 - 1e-12)
+    real = polytoped.HalfspaceIntersection
+    for fails in (1, 2, 3):
+        starts = []
+
+        def failing(halfspaces, interior):
+            starts.append(interior)
+            if len(starts) <= fails:
+                raise polytoped.QhullError(f"start {len(starts)} refused")
+            return real(halfspaces, interior)
+
+        monkeypatch.setattr(polytoped, "HalfspaceIntersection", failing)
+        got = enumerate_vertices(hpolytope(H.A, H.b))
+        assert len(starts) == min(fails + 1, 3), fails
+        for start, expected in zip(starts, order):
+            assert np.array_equal(start, expected), fails
+        assert sorted(tight_sets(got)) == sorted(tight_sets(want)), fails
+        at = dict(zip(tight_sets(want), want.vertices))
+        for t, v in zip(tight_sets(got), got.vertices):
+            assert np.allclose(v, at[t], atol=1e-12), (fails, t)
 
 
 def test_chebyshev_center_and_support():
@@ -211,17 +233,26 @@ def test_empty_inputs_still_raise_after_their_lp(monkeypatch):
 
 
 def test_origin_inside_defers_the_lp_to_the_first_vrep(monkeypatch):
-    """b > 0, a vacuous zero row included: loading solves no Chebyshev LP;
-    the first H.vrep solves one, for Qhull's start point, and no more."""
+    """b > 0, a vacuous zero row included: loading solves no Chebyshev LP.
+    Where the unit offsets stay within ORIGIN_START_RATIO of each other,
+    Qhull starts from the origin and H.vrep solves none either. With the
+    origin 1e-6 from a vertex of the cube [-1e-6, 2 - 1e-6]^3 they do not:
+    the first H.vrep solves one LP, for Qhull's start point, and no more."""
     centred = []
     real = polytoped.chebyshev_center
     monkeypatch.setattr(polytoped, "chebyshev_center",
                         lambda H: centred.append(H) or real(H))
+    lps = _count_lps(monkeypatch)
     H = hpolytope(np.vstack([CUBE_A, np.zeros(3)]), [1.0] * 6 + [0.5])
-    assert H.scale > 0 and centred == []
-    assert len(H.vrep.vertices) == 8 and centred == [H]
+    assert H.scale > 0 and len(H.vrep.vertices) == 8
+    assert centred == [] and lps == []
+    near = [2.0 - 1e-6] * 3 + [1e-6] * 3 + [0.5]
+    H = hpolytope(np.vstack([CUBE_A, np.zeros(3)]), near)
+    assert 1e-6 / 2.0 < polytoped.ORIGIN_START_RATIO
+    assert H.scale > 0 and centred == [] and lps == []
+    assert len(H.vrep.vertices) == 8 and centred == [H] and len(lps) == 1
     assert len(members(H, (0,))) == 4 and H.chebyshev[1] == pytest.approx(1.0)
-    assert centred == [H]
+    assert centred == [H] and len(lps) == 1
 
 
 def test_hull_with_interior_points_has_cube_vertices():

@@ -5,9 +5,9 @@ Exit codes: 0 verified success, 1 infeasible or no result, 2 input error,
 arguments produce byte-identical JSON.
 
 The polytope modules are imported inside the handlers that use them and
-load SciPy only for an LP or Qhull: three-on-edges, pow2 and compose when
-they enumerate a 2-face chart, prop9-check and its check, --obj, and an
-H-rep file whose offsets are not all positive.
+load SciPy only for an LP or Qhull: three-on-edges, compose when it
+enumerates a face chart's vertices, prop9-check and its check, --obj, and
+an H-rep file whose offsets are not all positive. pow2 enumerates none.
 """
 
 import argparse

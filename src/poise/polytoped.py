@@ -47,6 +47,9 @@ _BLOCK = 200_000            # d-subsets solved, or points masked, per batch
 ORIGIN_START_RATIO = 1e-4
 # default membership tolerance of the verifiers, per unit of HPolytope.scale
 EPS_GEOM_REL = 1e-7
+# singular values of unit normals above this count in a face's rank, and
+# unit rows within it of one another are one halfspace of a face's chart
+RANK_TOL = 1e-9
 
 
 def _lazy_scipy(module: str, names: dict):
@@ -369,14 +372,14 @@ def enumerate_vertices_bruteforce(H: HPolytope, eps_tight=None) -> VRep:
 
 def face_dims(H: HPolytope, row_sets) -> list:
     """Dimension of the face each set of nonzero rows cuts out: d minus the
-    rank of their unit normals, singular values above 1e-9 counting. The
+    rank of their unit normals, singular values above RANK_TOL counting. The
     one rank rule of every face decision; one batched SVD per set size."""
     dims = [H.d] * len(row_sets)
     for size in {len(rows) for rows in row_sets} - {0}:
         idx = [i for i, rows in enumerate(row_sets) if len(rows) == size]
         normals = H.A[np.array([row_sets[i] for i in idx])]
         unit = normals / np.linalg.norm(normals, axis=2, keepdims=True)
-        for i, r in zip(idx, np.linalg.matrix_rank(unit, tol=1e-9)):
+        for i, r in zip(idx, np.linalg.matrix_rank(unit, tol=RANK_TOL)):
             dims[i] = H.d - int(r)
     return dims
 

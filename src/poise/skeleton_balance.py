@@ -25,8 +25,9 @@ from .errors import (
     UnsupportedDimensionError,
     WalkFailedError,
 )
-from .geom2d import antipodal_about, eval_boundary, validate_polygon
+from .geom2d import validate_polygon
 from .polytoped import (
+    RANK_TOL,
     HPolytope,
     _lazy_scipy,
     edges,
@@ -204,12 +205,16 @@ def _descend(chart: _Chart) -> _Chart:
             basis = np.empty((0, chart.base.shape[0]))
             A, b = np.empty((0, 0)), np.empty(0)
             break
-        A2 = A[~tight] @ ns
-        b2 = b[~tight]
-        keep = np.linalg.norm(A2, axis=1) > 1e-10
-        A2, b2 = A2[keep], b2[keep]
+        A2, b2 = A[~tight] @ ns, b[~tight]
         nrm = np.linalg.norm(A2, axis=1)
-        A, b = A2 / nrm[:, None], b2 / nrm
+        keep = nrm > 1e-10
+        A, b = A2[keep] / nrm[keep, None], b2[keep] / nrm[keep]
+        # facets through one ridge project onto one row: drop a row within
+        # RANK_TOL of an earlier one in unit normal and offset over the largest
+        rows = np.column_stack([A, b / b.max(initial=0.0)])
+        near = (np.abs(rows[:, None] - rows) <= RANK_TOL).all(axis=2)
+        keep = ~np.triu(near, 1).any(axis=0)
+        A, b = A[keep], b[keep]
         basis = ns.T @ basis
     if basis is chart.basis:
         return chart
@@ -225,13 +230,14 @@ def _translate(chart: _Chart, y) -> _Chart:
 def _chart_polygon(V):
     ctr = V.vertices.mean(axis=0)
     ang = np.arctan2(V.vertices[:, 1] - ctr[1], V.vertices[:, 0] - ctr[0])
-    order = list(np.argsort(ang, kind="stable"))
-    k = order.index(min(order))
-    order = order[k:] + order[:k]
-    return validate_polygon(V.vertices[order])
+    order = np.argsort(ang, kind="stable")          # from vertex 0 on
+    return validate_polygon(V.vertices[np.roll(order, -int(np.argmin(order)))])
 
 
 def _place(chart: _Chart, count: int, out: list):
+    """count points on the chart face's 1-skeleton summing to count times
+    its origin: all at the origin of a <= 1-face, three balanced on a 2-face
+    polygon or a 3-face's edges, else half at x, half at -x of a halving."""
     chart = _descend(chart)
     f = len(chart.basis)
     if f <= 1:
@@ -240,25 +246,13 @@ def _place(chart: _Chart, count: int, out: list):
     # a face of a checked polytope whose slacks at the local origin _descend
     # left above 1e-8 max|b|: bounded and solid, so hpolytope's check is moot
     face = chart.face or HPolytope(chart.A, chart.b)
-    if f == 2:
-        poly = _chart_polygon(face.vrep)
-        if count % 2 == 0:
-            bp, bq = antipodal_about(poly, (0.0, 0.0))
-            p = chart.base + eval_boundary(poly, bp) @ chart.basis
-            q = chart.base + eval_boundary(poly, bq) @ chart.basis
-            out.extend([p.copy() for _ in range(count // 2)])
-            out.extend([q.copy() for _ in range(count // 2)])
-        elif count == 3:
-            pl = balance_iterative(poly, [1.0, 1.0, 1.0], target=(0.0, 0.0))
-            for p2 in pl.points(poly):
-                out.append(chart.base + p2 @ chart.basis)
+    if count == 3 and f in (2, 3):
+        if f == 2:
+            poly = _chart_polygon(face.vrep)
+            pts = balance_iterative(poly, [1.0] * 3, target=(0.0, 0.0)).points(poly)
         else:
-            raise InputError(f"no 2-face placement for count {count}")
-        return
-    if f == 3 and count == 3:
-        sp = three_on_edges(face, np.zeros(3))
-        for p3, _ in sp.entries:
-            out.append(chart.base + p3 @ chart.basis)
+            pts = three_on_edges(face, np.zeros(3)).points()
+        out.extend(chart.base + p @ chart.basis for p in pts)
         return
     if count % 2:
         raise InputError(f"odd count {count} on a {f}-face")
@@ -277,9 +271,9 @@ def pow2_points(H: HPolytope, k: int) -> SkeletonPlacement:
     """2^k points on the 1-skeleton of H with barycenter at the origin.
 
     Recursively halves: a halving witness splits the problem into two
-    faces of roughly half the dimension, each carrying half the points;
-    dimension <= 1 collapses all points onto the target and dimension 2
-    pairs them antipodally on the face polygon.
+    faces of roughly half the dimension, each carrying half the points,
+    down to dimension 2, whose witness x and -x lie on edges; dimension
+    <= 1 collapses all points onto the target.
     """
     if k > POW2_MAX_K:
         raise InputError(f"k = {k} exceeds the limit {POW2_MAX_K} "

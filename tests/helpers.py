@@ -176,6 +176,17 @@ def random_hull_hrep(rng, d, npts=None):
     return hpolytope(A, b - A @ c)
 
 
+def repeated_rows(H, rng):
+    """H with each row given 1 to 3 times, shuffled; every copy after the
+    first is scaled by a factor in [0.5, 2), so the copies are one halfspace
+    up to rounding once their normals are made unit."""
+    idx = rng.permutation(np.repeat(np.arange(H.m), rng.integers(1, 4, H.m)))
+    first = np.zeros(len(idx), dtype=bool)
+    first[np.unique(idx, return_index=True)[1]] = True
+    scale = np.where(first, 1.0, rng.uniform(0.5, 2.0, len(idx)))
+    return hpolytope(H.A[idx] * scale[:, None], H.b[idx] * scale)
+
+
 # --- reference of the polytope load check -------------------------------------
 
 def stiemke_cone_lp(A):

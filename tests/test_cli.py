@@ -611,10 +611,11 @@ def test_one_enumeration_and_no_lp_per_polytope(cube_h, tmp_path, monkeypatch):
 def test_no_lp_where_qhull_starts_from_the_origin(tmp_path, monkeypatch):
     """Loading an H-rep file whose offsets are all positive solves no LP
     (the origin witnesses its interior), and pow2 and compose on a
-    6-dimensional product solve none either, though they enumerate the
-    vertices of charts of _place (2-face polygons and three-on-edges on
-    3-faces): Qhull starts from each chart's origin. The cone test solves
-    none; an empty polytope still needs its LP."""
+    6-dimensional product solve none either. pow2 enumerates no vertex,
+    since it halves 2-faces as it halves every other face; compose still
+    enumerates the vertices of charts of _place (three-on-edges on 3-faces),
+    and Qhull starts from each chart's origin. The cone test solves none;
+    an empty polytope still needs its LP."""
     rng = np.random.default_rng(61)
     path = tmp_path / "p6.hrep"
     path.write_text(dump_hrep_text(product(random_hull_hrep(rng, 3),
@@ -625,10 +626,10 @@ def test_no_lp_where_qhull_starts_from_the_origin(tmp_path, monkeypatch):
                         lambda H: enumerated.append(H.d) or real_enum(H))
     lps = _count_linprog(monkeypatch)
     assert (load_hrep(path).b > 0).all()
-    for argv in (["pow2", "--k", "3"], ["compose"]):
+    for argv, enumerates in ((["pow2", "--k", "3"], False), (["compose"], True)):
         enumerated.clear()
         assert run(argv + ["--hrep", str(path)]).exit_code == 0, argv
-        assert len(enumerated) > 0, argv
+        assert bool(enumerated) == enumerates, argv
     assert lps == []
     with pytest.raises(UnboundedError):
         hpolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0])
@@ -1023,6 +1024,35 @@ def test_skeleton_commands_on_the_cube_load_no_scipy_optimize(tmp_path):
         "    assert run(argv).exit_code == code, argv\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
         "assert 'scipy.spatial' in sys.modules\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_pow2_loads_no_scipy(tmp_path):
+    """In a fresh interpreter, pow2 --k 2 on prop9_fixture(4) and --k 3 on a
+    6-dimensional product, and check of each certificate, leave every scipy
+    module unloaded: pow2 halves its 2-faces as it halves every other face,
+    so it enumerates no chart's vertices and Qhull never runs."""
+    rng = np.random.default_rng(61)
+    inputs = {"p4.hrep": (poise.skeleton_balance.prop9_fixture(4), "2"),
+              "p6.hrep": (product(random_hull_hrep(rng, 3),
+                                  random_hull_hrep(rng, 3)), "3")}
+    runs = []
+    for name, (H, k) in inputs.items():
+        hrep = ["--hrep", str(tmp_path / name)]
+        (tmp_path / name).write_text(dump_hrep_text(H))
+        out = str(tmp_path / (name + ".json"))
+        runs += [["pow2", "--k", k, "--json", out] + hrep,
+                 ["check", "--json", out] + hrep]
+    script = (
+        "import sys\n"
+        "from poise.cli import run\n"
+        f"for argv in {runs!r}:\n"
+        "    assert run(argv).exit_code == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))

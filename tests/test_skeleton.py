@@ -5,16 +5,19 @@ import pytest
 
 from helpers import (cross_hrep, cube_mesh, edge_triple_systems, face_per_point,
                      hull_hrep, octa_mesh, prop9_check_all_faces,
-                     random_hull_hrep, simplex_hrep, stiemke_cone_lp, tetra_mesh,
-                     three_on_edges_all_triples)
+                     random_hull_hrep, repeated_rows, simplex_hrep,
+                     stiemke_cone_lp, tetra_mesh, three_on_edges_all_triples,
+                     tight_sets)
 from poise import polytoped, skeleton_balance
 from poise.errors import InputError, NotFoundError, UnsupportedDimensionError
 from poise.geom3d import Plane3
-from poise.polytoped import (cube_hrep, edges, enumerate_vertices, hpolytope,
+from poise.polytoped import (RANK_TOL, cube_hrep, edges, enumerate_vertices,
+                             enumerate_vertices_bruteforce, hpolytope,
                              load_hrep, product)
 from poise.skeleton import four_on_edges, verify_skeleton
-from poise.skeleton_balance import (compose_balance, halving_point, pow2_points,
-                                    prop9_check, prop9_fixture, three_on_edges,
+from poise.skeleton_balance import (_Chart, _descend, compose_balance,
+                                    halving_point, pow2_points, prop9_check,
+                                    prop9_fixture, three_on_edges,
                                     verify_halving)
 
 SIMPLEX_HULL = hpolytope(*hull_hrep([(3.0, 0.0, 0.0), (0.0, 3.0, 0.0),
@@ -334,6 +337,80 @@ def test_faces_match_the_per_face_reference(monkeypatch):
         assert [(f.tight, f.dim) for f in got] == want
         points += len(want)
     assert points >= 1000
+
+
+def test_chart_vertices_match_the_subset_solver(monkeypatch):
+    """Every vertex enumeration of the tier-1 pow2 and compose runs (the
+    charts of compose's 2-faces and 3-faces; pow2 enumerates none) has the
+    subset solver's tight sets. Qhull once returned a point in mid-edge on
+    2-face charts whose edge was one line given by two or three rows."""
+    seen = []
+    real = polytoped.enumerate_vertices
+    monkeypatch.setattr(polytoped, "enumerate_vertices",
+                        lambda H: seen.append((H, real(H))) or seen[-1][1])
+    for solve, H, args in _tier1_pow2_and_compose():
+        calls = len(seen)
+        solve(H, *args)
+        assert solve is compose_balance or len(seen) == calls
+    assert len(seen) >= 20
+    for H, V in seen:          # the vertex order may differ by rounding
+        assert (sorted(tight_sets(V))
+                == sorted(tight_sets(enumerate_vertices_bruteforce(H))))
+
+
+def _unit_rows(A, b):
+    """Rows as (unit normal, offset over the largest), as _descend keeps them."""
+    nrm = np.linalg.norm(A, axis=1)
+    return np.column_stack([A / nrm[:, None], b / nrm / (b / nrm).max(initial=0.0)])
+
+
+def test_charts_keep_each_halfspace_once(monkeypatch):
+    """No two rows of a chart _descend returns in the tier-1 pow2 and compose
+    runs lie within RANK_TOL of one another."""
+    charts = []
+    real = skeleton_balance._descend
+    monkeypatch.setattr(skeleton_balance, "_descend",
+                        lambda chart: charts.append(real(chart)) or charts[-1])
+    for solve, H, args in _tier1_pow2_and_compose():
+        solve(H, *args)
+    assert sum(len(c.basis) == 2 for c in charts) >= 100
+    for chart in charts:
+        rows = _unit_rows(chart.A, chart.b)
+        near = (np.abs(rows[:, None] - rows) <= RANK_TOL).all(axis=2)
+        assert near.sum() == len(rows)          # each row near itself only
+
+
+@pytest.mark.parametrize("gap, kept", [(1e-14, 4), (1e-6, 5)])
+def test_descend_merges_rows_within_the_tolerance(gap, kept):
+    """The top facet of the 3-cube, with the row x <= 1 given again at
+    offset 1 + gap: its chart keeps one row for the two when they are
+    1e-14 apart, and both when 1e-6 apart."""
+    H = cube_hrep(3)
+    A, b = np.vstack([H.A, H.A[0]]), np.append(H.b, 1.0 + gap)
+    top = np.array([0.0, 0.0, 1.0])
+    chart = _descend(_Chart(top, np.eye(3), A, b - A @ top))
+    assert len(chart.basis) == 2 and len(chart.A) == kept
+
+
+def test_placements_on_repeated_rows():
+    """pow2 and compose on H-reps whose rows each repeat 1 to 3 times, the
+    copies scaled, give placements that pass verify_skeleton: the 4-cube
+    at k = 2, compose on the 3-cube, 30 random hulls (d = 2..4) at the
+    smallest k, and 6-dimensional products, by compose and at k = 3."""
+    rng = np.random.default_rng(3030)
+    cases = [(pow2_points, repeated_rows(cube_hrep(4), rng), (2,)),
+             (compose_balance, repeated_rows(cube_hrep(3), rng), ())]
+    for i in range(30):
+        d = 2 + i % 3
+        cases.append((pow2_points, repeated_rows(random_hull_hrep(rng, d), rng),
+                      (int(np.ceil(np.log2(d))),)))
+    for _ in range(3):
+        H = repeated_rows(product(random_hull_hrep(rng, 3),
+                                  random_hull_hrep(rng, 3)), rng)
+        cases += [(compose_balance, H, ()), (pow2_points, H, (3,))]
+    for solve, H, args in cases:
+        sp = solve(H, *args)
+        assert verify_skeleton(H, sp.points()).passed, (solve.__name__, H.m)
 
 
 def test_prop9_fixture_shapes():

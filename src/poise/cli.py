@@ -24,7 +24,7 @@ from . import figures
 from .errors import (DegenerateSectionError, EnumerationBudgetError,
                      InfeasibleError, InputError, NoCrossingError,
                      NoIntersectionError, NoLoopContainsOriginError,
-                     NotFoundError, ParseError, PoiseError,
+                     NotFoundError, ParseError, PoiseError, RayCastError,
                      SearchExhaustedError, SubdivisionLimitError)
 from .geom2d import antipodal_about, eval_boundary, load_polygon
 from .geom3d import Plane3, Polyhedron3, load_off
@@ -35,7 +35,7 @@ from .tripodal import (EPS_REL, tripodal_by_face_triples, tripodal_search,
 NO_RESULT_ERRORS = (NotFoundError, SearchExhaustedError, InfeasibleError,
                     NoLoopContainsOriginError, DegenerateSectionError,
                     NoCrossingError, NoIntersectionError,
-                    SubdivisionLimitError, EnumerationBudgetError)
+                    SubdivisionLimitError, EnumerationBudgetError, RayCastError)
 
 
 @dataclass

@@ -72,6 +72,10 @@ class DisconnectedError(InputError):
     """Surface has more than one connected component."""
 
 
+class RayCastError(PoiseError):
+    """No parity ray missed every edge and vertex within its bound (numerical)."""
+
+
 class SubdivisionLimitError(PoiseError):
     """Frame-field subdivision exceeded the hard depth limit."""
 

@@ -6,6 +6,8 @@ on the fan/ear triangulation; face ids always refer to the original loops.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +22,7 @@ from .errors import (
     OpenSurfaceError,
     ParseError,
     PoiseError,
+    RayCastError,
     SubdivisionLimitError,
 )
 from .geom2d import OUTSIDE, Polygon2, locate_point, validate_polygon
@@ -91,23 +94,19 @@ class PlaneFrame:
 
 
 class Polyhedron3:
-    """Validated closed oriented surface; build via validate_polyhedron/load_off."""
+    """Validated closed oriented surface; build via validate_polyhedron/load_off.
+    Faces are int lists; edges the (a, b) with a < b, sorted and read-only."""
 
-    def __init__(self, vertices, faces, tris, tri_face):
+    def __init__(self, vertices, faces, tris, tri_face, edges):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.faces = [list(map(int, f)) for f in faces]
+        self.faces, self.edges = faces, edges
         self.tris = np.asarray(tris, dtype=int)
         self.tri_face = np.asarray(tri_face, dtype=int)
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        self.diam = float(np.linalg.norm(hi - lo))
-        v0 = self.vertices[self.tris[:, 0]]
-        v1 = self.vertices[self.tris[:, 1]]
-        v2 = self.vertices[self.tris[:, 2]]
-        self._tv0 = v0
-        self._ab = v1 - v0
-        self._ac = v2 - v0
-        self._tn = np.cross(self._ab, self._ac)
+        self.diam = float(np.linalg.norm(self.vertices.max(axis=0)
+                                         - self.vertices.min(axis=0)))
+        v0, v1, v2 = (self.vertices[self.tris[:, k]] for k in range(3))
+        self._tv0, self._ab, self._ac = v0, v1 - v0, v2 - v0
+        self._tn = _cross(self._ab, self._ac)
         self._tnn = np.linalg.norm(self._tn, axis=1)
         self._rays = {}     # ray direction index -> per-triangle ray data
         self._frames = {}   # face id -> face_frame(fid), filled on first use
@@ -126,14 +125,6 @@ class Polyhedron3:
                                  Polygon2(frame.to2d(self.vertices[loop])))
         return self._frames[fid]
 
-    @cached_property
-    def edges(self):
-        """Undirected mesh edges: sorted (a, b) vertex pairs with a < b."""
-        edges = np.array(sorted({(min(a, b), max(a, b)) for f in self.faces
-                                 for a, b in zip(f, f[1:] + f[:1])}))
-        edges.flags.writeable = False
-        return edges
-
     # --- batched metric queries ------------------------------------------
     # Points run in Morton-ordered blocks of about _PAIR_BUDGET point-triangle
     # pairs. Each block scans only the triangles that can change its answers
@@ -142,9 +133,9 @@ class Polyhedron3:
 
     @cached_property
     def _boxes(self):
-        """Triangle boxes; used vertices, their squared norms, max |coord|."""
+        """Triangle boxes; vertices (all used), their squared norms, max |coord|."""
         corners = self.vertices[self.tris]
-        used = self.vertices[np.unique(self.tris)]
+        used = self.vertices
         return (corners.min(axis=1), corners.max(axis=1), used,
                 np.einsum("vj,vj->v", used, used), np.abs(used).max())
 
@@ -191,7 +182,7 @@ class Polyhedron3:
             out[todo[ok]] = (cnt[ok] % 2) == 1
             todo = todo[bad]
         if len(todo):
-            raise PoiseError("parity ray casting failed for some points")
+            raise RayCastError("parity ray casting failed for some points")
         return out
 
     def _ray_data(self, k):
@@ -273,9 +264,7 @@ class Polyhedron3:
         off = ~shell
         if off.any():
             pts = np.atleast_2d(np.asarray(points, dtype=float))
-            inside = self.contains(pts[off])
-            sign = np.where(inside, -1.0, 1.0)
-            out[off] = dist[off] * sign
+            out[off] = dist[off] * np.where(self.contains(pts[off]), -1.0, 1.0)
         return out
 
     def side_signs(self, points):
@@ -317,6 +306,12 @@ class Polyhedron3:
     def __repr__(self):
         return (f"Polyhedron3(V={len(self.vertices)}, F={len(self.faces)}, "
                 f"T={len(self.tris)})")
+
+
+def _cross(a, b):
+    """np.cross of (..., 3) arrays, bit for bit, without its axis handling."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
 
 
 def _morton_blocks(pts, ntri):
@@ -389,45 +384,63 @@ def validate_polyhedron(vertices, faces) -> Polyhedron3:
         raise InputError("need at least 4 vertices of dimension 3")
     if not np.all(np.isfinite(verts)):
         raise InputError("non-finite vertex coordinates")
-    faces = [list(map(int, f)) for f in faces]
-    nv = len(verts)
-    for f in faces:
-        if len(f) < 3 or len(set(f)) != len(f):
-            raise InputError(f"bad face loop {f}")
-        if any(i < 0 or i >= nv for i in f):
-            raise InputError(f"face index out of range in {f}")
-    used = np.zeros(nv, dtype=bool)
-    used[[i for f in faces for i in f]] = True
+    nv, nf = len(verts), len(faces)
+    lens = np.fromiter(map(len, faces), dtype=np.int64, count=nf)
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(faces), dtype=np.int64,
+                           count=int(lens.sum()))
+    except OverflowError:              # beyond int64: out of range, named below
+        flat = np.full(int(lens.sum()), -1)
+    fid = np.repeat(np.arange(nf), lens)
+    if (((flat < 0) | (flat >= nv)).any() or (lens < 3).any()
+            or not np.diff(np.sort(fid * nv + flat)).all()):
+        for f in faces:                # the first bad face names the fault
+            f = list(map(int, f))
+            if len(f) < 3 or len(set(f)) != len(f):
+                raise InputError(f"bad face loop {f}")
+            if any(i < 0 or i >= nv for i in f):
+                raise InputError(f"face index out of range in {f}")
+    used = np.bincount(flat, minlength=nv)
     if not used.all():
         raise InputError(f"vertex {int(np.argmin(used))} is used by no face")
-    _check_closed(faces)
-    diam = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
-    tris, tri_face = _triangulate(verts, faces, diam)
+    ends = np.cumsum(lens)
+    nxt = np.arange(1, len(flat) + 1)
+    nxt[ends - 1] = ends - lens
+    edges = _check_closed(flat, flat[nxt], nv)
+    tris, tri_face = _triangulate(verts, flat, lens, ends)
     v0, v1, v2 = (verts[tris[:, k]] for k in range(3))
-    if np.einsum("ij,ij->i", v0, np.cross(v1 - v0, v2 - v0)).sum() < 0.0:
-        faces = [f[::-1] for f in faces]          # signed volume below zero
-        tris, tri_face = _triangulate(verts, faces, diam)
-    return Polyhedron3(verts, faces, tris, tri_face)
+    if np.einsum("ij,ij->i", v0, _cross(v1 - v0, v2 - v0)).sum() < 0.0:
+        # signed volume below zero: every loop reversed
+        flat = flat[np.repeat(2 * ends - lens - 1, lens) - np.arange(len(flat))]
+        tris, tri_face = _triangulate(verts, flat, lens, ends)
+    faces = (flat.reshape(nf, -1).tolist() if (lens == lens[0]).all() else
+             [flat[e - k:e].tolist() for e, k in zip(ends.tolist(), lens.tolist())])
+    return Polyhedron3(verts, faces, tris, tri_face, edges)
 
 
-def _check_closed(faces) -> None:
-    seen = set()
-    for f in faces:
-        for a, b in zip(f, f[1:] + f[:1]):
-            if (a, b) in seen:
-                raise OpenSurfaceError(f"directed edge ({a},{b}) repeated")
-            seen.add((a, b))
-    for a, b in seen:
-        if (b, a) not in seen:
-            raise OpenSurfaceError(f"directed edge ({b},{a}) missing")
+def _check_closed(a, b, nv):
+    """Each directed edge a -> b must occur once, and so must its reverse; the
+    first to fail in face order raises. Returns the (a, b) with a < b, sorted."""
+    keys, back = a * nv + b, b * nv + a
+    sk = np.sort(keys)
+    if not np.diff(sk).all() or not np.array_equal(sk, np.sort(back)):
+        rep = np.setdiff1d(np.arange(len(keys)), np.unique(keys, return_index=True)[1])
+        if len(rep):                   # positions that repeat an earlier key
+            q = rep[0]
+            raise OpenSurfaceError(f"directed edge ({a[q]},{b[q]}) repeated")
+        q = int(np.argmax(~np.isin(back, sk)))
+        raise OpenSurfaceError(f"directed edge ({b[q]},{a[q]}) missing")
+    lo, hi = np.divmod(sk, nv)
+    edges = np.column_stack([lo[lo < hi], hi[lo < hi]])
+    edges.flags.writeable = False
+    return edges
 
 
 def _face_frame(verts, f, diam):
     """Newell normal + centroid; raises if the loop is not planar."""
     pts = verts[f]
     nrm = np.zeros(3)
-    for i in range(len(f)):
-        a, b = pts[i], pts[(i + 1) % len(f)]
+    for a, b in zip(pts, np.roll(pts, -1, axis=0)):
         nrm += np.cross(a, b)
     norm = np.linalg.norm(nrm)
     if norm <= 1e-14 * diam ** 2:
@@ -440,19 +453,21 @@ def _face_frame(verts, f, diam):
     return nrm, centroid
 
 
-def _triangulate(verts, faces, diam):
-    tris = []
-    tri_face = []
-    for fid, f in enumerate(faces):
-        if len(f) == 3:
-            tris.append(f)
-            tri_face.append(fid)
-            continue
-        nrm, centroid = _face_frame(verts, f, diam)
-        for tri in _ear_clip(verts, f, nrm, centroid):
-            tris.append(tri)
-            tri_face.append(fid)
-    return np.array(tris, dtype=int), np.array(tri_face, dtype=int)
+def _triangulate(verts, flat, lens, ends):
+    """Triangles and their face ids, in face order, of the loops in flat (lens
+    long, ending at ends): a triangle as it is, a k-gon ear-clipped into k - 2."""
+    if (lens == 3).all():
+        return flat.reshape(-1, 3), np.arange(len(lens))
+    diam = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+    cnt = lens - 2
+    first = np.cumsum(cnt) - cnt
+    tris = np.empty((len(flat) - 2 * len(lens), 3), dtype=int)
+    tri3 = lens == 3
+    tris[first[tri3]] = flat[(ends - 3)[tri3, None] + np.arange(3)]
+    for fid in np.flatnonzero(~tri3).tolist():
+        f, at = flat[ends[fid] - lens[fid]:ends[fid]].tolist(), first[fid]
+        tris[at:at + cnt[fid]] = _ear_clip(verts, f, *_face_frame(verts, f, diam))
+    return tris, np.repeat(np.arange(len(lens)), cnt)
 
 
 def _ear_clip(verts, loop, nrm, centroid):
@@ -514,43 +529,45 @@ def _plane_basis(n):
     """Orthonormal (u, w) spanning the plane with unit normal n. u is n x e
     over its length, e the axis least aligned with n: a unit vector
     perpendicular to n for any nonzero n."""
-    j = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[j] = 1.0
-    u = np.cross(n, e)
+    u = np.cross(n, np.eye(3)[int(np.argmin(np.abs(n)))])
     u = u / np.linalg.norm(u)
     return u, np.cross(n, u)
 
 
 def parse_off(text: str) -> Polyhedron3:
-    """ASCII OFF; comments and blank lines allowed, colors ignored."""
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
-    pos = 0
-    if pos < len(tokens) and tokens[pos].upper() == "OFF":
-        pos += 1
+    """ASCII OFF; comments, blank lines and tokens after the last face allowed.
+    Counts, nv vertices, nf faces of k >= 3 and k indices (the last: those the
+    text holds). Face integers are read at once and, if all faces have the
+    first one's k, cut in one step; else a walk over the lengths reads tokens."""
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    tokens = text.split()
+    pos = 1 if tokens and tokens[0].upper() == "OFF" else 0
     try:
         nv, nf = int(tokens[pos]), int(tokens[pos + 1])
         pos += 3  # counts line also carries the (ignored) edge count
-        verts = []
-        for _ in range(nv):
-            verts.append([float(tokens[pos]), float(tokens[pos + 1]),
-                          float(tokens[pos + 2])])
-            pos += 3
-        faces = []
-        for _ in range(nf):
-            k = int(tokens[pos])
-            pos += 1
-            if k < 3:
-                raise ParseError(f"face with {k} vertices")
-            faces.append([int(t) for t in tokens[pos:pos + k]])
-            pos += k
+        coords = list(map(float, tokens[pos:pos + 3 * max(nv, 0)]))
+        if len(coords) < 3 * nv:
+            raise IndexError("list index out of range")
+        tokens = tokens[pos + len(coords):]
+        try:
+            ints = list(map(int, tokens))
+        except ValueError:
+            ints = []
+        k = ints[0] + 1 if ints else 0
+        if k > 3 and len(ints) >= k * nf and ints[:k * nf:k].count(k - 1) == nf:
+            faces = list(zip(*(ints[j:k * nf:k] for j in range(1, k))))
+        else:
+            faces, p = [], 0
+            for _ in range(nf):
+                k = int(tokens[p])
+                if k < 3:
+                    raise ParseError(f"face with {k} vertices")
+                faces.append(list(map(int, tokens[p + 1:p + 1 + k])))
+                p += k + 1
     except (IndexError, ValueError) as exc:
         raise ParseError(f"bad OFF data: {exc}") from exc
-    return validate_polyhedron(verts, faces)
+    return validate_polyhedron(np.reshape(coords, (-1, 3)), faces)
 
 
 def load_off(path) -> Polyhedron3:
@@ -581,8 +598,7 @@ class SurfacePath:
         t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
         i = np.clip(np.searchsorted(self.params, t, side="right") - 1, 0,
                     len(self.points) - 2)
-        t0 = self.params[i]
-        t1 = self.params[i + 1]
+        t0, t1 = self.params[i], self.params[i + 1]
         frac = np.where(t1 > t0, (t - t0) / (t1 - t0), 0.0)
         return self.points[i] + frac[..., None] * (self.points[i + 1] - self.points[i])
 
@@ -590,26 +606,18 @@ class SurfacePath:
 def surface_path(poly: Polyhedron3, x0, tri0: int, vertex: int) -> SurfacePath:
     """From the point x0 on triangle tri0 to the vertex with id `vertex`: x0,
     then Dijkstra along triangulation edges from tri0's corner nearest x0."""
-    import heapq
-
     x0 = np.asarray(x0, dtype=float)
     if np.linalg.norm(x0 - poly.vertices[vertex]) <= 1e-12 * poly.diam:
         raise InputError("path endpoints coincide")
-
-    adj = {}
-    for tri in poly.tris:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            adj.setdefault(int(a), set()).add(int(b))
-            adj.setdefault(int(b), set()).add(int(a))
-    adj = {k: sorted(v) for k, v in adj.items()}
+    e = poly.tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    adj = {}                     # vertex -> its neighbours, ascending
+    for a, b in np.unique(np.concatenate([e, e[:, ::-1]]), axis=0).tolist():
+        adj.setdefault(a, []).append(b)
 
     tri = poly.tris[tri0]
     va = int(tri[int(np.argmin([np.linalg.norm(poly.vertices[i] - x0) for i in tri]))])
     vb = int(vertex)
-    dist = {va: 0.0}
-    prev = {}
-    heap = [(0.0, va)]
-    seen = set()
+    dist, prev, heap, seen = {va: 0.0}, {}, [(0.0, va)], set()
     while heap:
         d, u = heapq.heappop(heap)
         if u in seen:
@@ -636,9 +644,7 @@ class FrameField:
     """Unit field v(t) perpendicular to gamma(t) along a surface path."""
 
     def __init__(self, ts, qs, vs):
-        self.ts = np.asarray(ts, dtype=float)
-        self.qs = np.asarray(qs, dtype=float)
-        self.vs = np.asarray(vs, dtype=float)
+        self.ts, self.qs, self.vs = (np.asarray(a, dtype=float) for a in (ts, qs, vs))
 
     def eval(self, t):
         t = np.clip(np.asarray(t, dtype=float), self.ts[0], self.ts[-1])
@@ -665,25 +671,19 @@ def _segment_ok(q0, q1, v0, v1, depth=8):
 def frame_field(path: SurfacePath) -> FrameField:
     """Breakpoint frames from the least-aligned-axis rule, then midpoint
     subdivision until interpolate-project stays well-conditioned."""
-    ts = list(path.params)
-    qs = [path.points[i] for i in range(len(ts))]
+    ts, qs = list(path.params), list(path.points)
     vs = [_plane_basis(q)[0] for q in qs]
-
-    out_t, out_q, out_v = [ts[0]], [qs[0]], [vs[0]]
+    out = [(ts[0], qs[0], vs[0])]
     stack = [(ts[i], qs[i], vs[i], ts[i + 1], qs[i + 1], vs[i + 1], 0)
              for i in range(len(ts) - 1)][::-1]
     while stack:
         t0, q0, v0, t1, q1, v1, level = stack.pop()
         if _segment_ok(q0, q1, v0, v1):
-            out_t.append(t1)
-            out_q.append(q1)
-            out_v.append(v1)
+            out.append((t1, q1, v1))
             continue
         if level >= 12:
             raise SubdivisionLimitError("frame subdivision exceeded 12 levels")
-        tm = 0.5 * (t0 + t1)
-        qm = 0.5 * (q0 + q1)
-        wm = 0.5 * (v0 + v1)
+        tm, qm, wm = 0.5 * (t0 + t1), 0.5 * (q0 + q1), 0.5 * (v0 + v1)
         qn = qm / np.linalg.norm(qm)
         proj = wm - (wm @ qn) * qn
         norm = np.linalg.norm(proj)
@@ -692,7 +692,7 @@ def frame_field(path: SurfacePath) -> FrameField:
         vm = proj / norm
         stack.append((tm, qm, vm, t1, q1, v1, level + 1))
         stack.append((t0, q0, v0, tm, qm, vm, level + 1))
-    return FrameField(out_t, out_q, out_v)
+    return FrameField(*zip(*out))
 
 
 # --- planar cross-sections ------------------------------------------------------

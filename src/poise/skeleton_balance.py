@@ -211,14 +211,33 @@ def _descend(chart: _Chart) -> _Chart:
         A, b = A2[keep] / nrm[keep, None], b2[keep] / nrm[keep]
         # facets through one ridge project onto one row: drop a row within
         # RANK_TOL of an earlier one in unit normal and offset over the largest
-        rows = np.column_stack([A, b / b.max(initial=0.0)])
-        near = (np.abs(rows[:, None] - rows) <= RANK_TOL).all(axis=2)
-        keep = ~np.triu(near, 1).any(axis=0)
+        keep = ~_near_earlier(np.column_stack([A, b / b.max(initial=0.0)]))
         A, b = A[keep], b[keep]
         basis = ns.T @ basis
     if basis is chart.basis:
         return chart
     return _Chart(chart.base, basis, A, b)
+
+
+def _near_earlier(rows):
+    """Per row: is an earlier row within RANK_TOL of it in every coordinate?
+    Such rows are within RANK_TOL sum(w) on the key rows @ w, w generic (no
+    single column: on a 1-face chart the first is +-1 in every row). Sorted
+    on the key, each row is compared with the next k-th, k = 1, 2, ..., while
+    some row has one in reach: one pair per row at a time, not all pairs."""
+    w = np.sqrt(np.arange(2.0, rows.shape[1] + 2.0))
+    key = rows @ w
+    order = np.argsort(key, kind="stable")
+    s = rows[order]
+    # twice the bound, for the keys' rounding: the exact test below decides
+    reach = np.searchsorted(key[order], key[order] + 2 * RANK_TOL * w.sum(),
+                            side="right") - np.arange(len(s))
+    out = np.zeros(len(s), dtype=bool)
+    for k in range(1, int(reach.max(initial=0))):
+        i = np.flatnonzero(reach[:-k] > k)
+        near = (np.abs(s[i] - s[i + k]) <= RANK_TOL).all(axis=1)
+        out[np.maximum(order[i], order[i + k])[near]] = True
+    return out
 
 
 def _translate(chart: _Chart, y) -> _Chart:

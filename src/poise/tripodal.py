@@ -162,9 +162,10 @@ class _CompanionField:
 def _newton_polish(field: _CompanionField, t0, th0, tol, iters=30):
     """Damped 2-var Newton with central-difference Jacobian; t clamped to [0,1].
 
-    Each step asks field.values twice: once for the four Jacobian points,
-    once for all ten damped trials, of which the first to lower max|g| is
-    taken. Every value is per point, so these are the bits of one-point calls.
+    Each step asks field.values for the four Jacobian points, then for the
+    full step, and only if that does not lower max|g| for the nine damped
+    trials; the first trial to lower it is taken. Every value is per point,
+    so these are the bits of one-point calls.
     """
     dt, dth = 1e-6, 1e-6
     t, th = float(t0), float(th0)
@@ -189,7 +190,9 @@ def _newton_polish(field: _CompanionField, t0, th0, tol, iters=30):
             return t, th, g
         tns = [min(max(t + lam * step[0], 0.0), 1.0) for lam in lams]
         thns = th + lams * step[1]
-        gns = vals(tns, thns)
+        gns = vals(tns[:1], thns[:1])
+        if not np.abs(gns[0]).max() < np.abs(g).max():
+            gns = np.concatenate([gns, vals(tns[1:], thns[1:])])
         better = np.flatnonzero(np.abs(gns).max(axis=1) < np.abs(g).max())
         if len(better) == 0:
             return t, th, g

@@ -10,15 +10,17 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from poise.balance2d import feasibility
+from poise import geom3d
 from poise import tripodal as tp
 from poise.errors import (DegenerateSectionError, InputError,
                           NoIntersectionError, NoLoopContainsOriginError,
-                          NotFoundError, PoiseError, SearchExhaustedError)
+                          NotFoundError, OpenSurfaceError, ParseError, PoiseError,
+                          SearchExhaustedError)
 from poise.geom2d import (OUTSIDE, BoundaryPoint2, _boxes_overlap, _crossings,
                           _segment_hits, locate_point, validate_polygon)
 from poise.geom3d import (PlaneFrame, _closest_on_triangles, _remap_loop, frame_field,
                           surface_path, validate_polyhedron)
-from poise.polytoped import HPolytope, edges, hpolytope
+from poise.polytoped import RANK_TOL, HPolytope, edges, hpolytope
 from poise.skeleton_balance import EPS_T, _singular_triple
 
 
@@ -152,6 +154,98 @@ def criterion05_meshes():
     for i in range(5):
         meshes.append((f"star{i}", star_mesh(rng, subdiv=1)))
     return meshes
+
+
+# --- token-by-token oracle of the mesh loader --------------------------------
+
+def parse_off_reference(text):
+    """geom3d.parse_off reading one token at a time."""
+    tokens = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            tokens.extend(line.split())
+    pos = 0
+    if pos < len(tokens) and tokens[pos].upper() == "OFF":
+        pos += 1
+    try:
+        nv, nf = int(tokens[pos]), int(tokens[pos + 1])
+        pos += 3
+        verts = []
+        for _ in range(nv):
+            verts.append([float(tokens[pos]), float(tokens[pos + 1]),
+                          float(tokens[pos + 2])])
+            pos += 3
+        faces = []
+        for _ in range(nf):
+            k = int(tokens[pos])
+            pos += 1
+            if k < 3:
+                raise ParseError(f"face with {k} vertices")
+            faces.append([int(t) for t in tokens[pos:pos + k]])
+            pos += k
+    except (IndexError, ValueError) as exc:
+        raise ParseError(f"bad OFF data: {exc}") from exc
+    return validate_polyhedron_reference(verts, faces)
+
+
+def validate_polyhedron_reference(vertices, faces):
+    """geom3d.validate_polyhedron face by face and edge by edge, with sets.
+    A missing directed edge is named at its first reverse in face order."""
+    verts = np.asarray(vertices, dtype=float)
+    if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 4:
+        raise InputError("need at least 4 vertices of dimension 3")
+    if not np.all(np.isfinite(verts)):
+        raise InputError("non-finite vertex coordinates")
+    faces = [list(map(int, f)) for f in faces]
+    nv = len(verts)
+    for f in faces:
+        if len(f) < 3 or len(set(f)) != len(f):
+            raise InputError(f"bad face loop {f}")
+        if any(i < 0 or i >= nv for i in f):
+            raise InputError(f"face index out of range in {f}")
+    used = np.zeros(nv, dtype=bool)
+    used[[i for f in faces for i in f]] = True
+    if not used.all():
+        raise InputError(f"vertex {int(np.argmin(used))} is used by no face")
+    directed = [(a, b) for f in faces for a, b in zip(f, f[1:] + f[:1])]
+    seen = set()
+    for a, b in directed:
+        if (a, b) in seen:
+            raise OpenSurfaceError(f"directed edge ({a},{b}) repeated")
+        seen.add((a, b))
+    for a, b in directed:
+        if (b, a) not in seen:
+            raise OpenSurfaceError(f"directed edge ({b},{a}) missing")
+    diam = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+    tris, tri_face = _triangulate_reference(verts, faces, diam)
+    v0, v1, v2 = (verts[tris[:, k]] for k in range(3))
+    if np.einsum("ij,ij->i", v0, np.cross(v1 - v0, v2 - v0)).sum() < 0.0:
+        faces = [f[::-1] for f in faces]
+        tris, tri_face = _triangulate_reference(verts, faces, diam)
+    edges = np.array(sorted({(min(a, b), max(a, b)) for a, b in directed}))
+    edges.flags.writeable = False
+    return geom3d.Polyhedron3(verts, faces, tris, tri_face, edges)
+
+
+def _triangulate_reference(verts, faces, diam):
+    tris, tri_face = [], []
+    for fid, f in enumerate(faces):
+        if len(f) == 3:
+            tris.append(f)
+            tri_face.append(fid)
+            continue
+        nrm, centroid = geom3d._face_frame(verts, f, diam)
+        for tri in geom3d._ear_clip(verts, f, nrm, centroid):
+            tris.append(tri)
+            tri_face.append(fid)
+    return np.array(tris, dtype=int), np.array(tri_face, dtype=int)
+
+
+def near_earlier_all_pairs(rows):
+    """skeleton_balance._near_earlier over all pairs of rows at once."""
+    near = (np.abs(rows[:, None] - rows) <= RANK_TOL).all(axis=2)
+    return np.triu(near, 1).any(axis=0)
 
 
 def hull_hrep(points):

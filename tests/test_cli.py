@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,6 +292,39 @@ def test_unused_off_vertex_is_input_error(tmp_path, capsys):
         assert run(argv + ["--off", str(off)]).exit_code == 2, argv
         err = capsys.readouterr().err
         assert "vertex 8 is used by no face" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("faces, cause", [
+    (lambda f: f[:-1], "missing"),                      # one face short: open
+    (lambda f: f[:-1] + ["4 0 1 1 3"], "bad face loop [0, 1, 1, 3]"),
+], ids=["open", "repeated-index"])
+def test_broken_off_faces_are_input_errors(faces, cause, tmp_path, capsys):
+    lines = dump_off(cube_mesh()).splitlines()
+    loops = faces(lines[10:])
+    lines[1] = f"8 {len(loops)} 0"
+    off = tmp_path / "broken.off"
+    off.write_text("\n".join(lines[:10] + loops) + "\n")
+    for argv in (["tripodal", "--grid", "16x16"], ["four-on-edges"]):
+        assert run(argv + ["--off", str(off)]).exit_code == 2, argv
+        err = capsys.readouterr().err
+        assert cause in err and "Traceback" not in err
+
+
+def test_failed_ray_casting_is_no_result(tmp_path):
+    """A star mesh scaled by 2^300: parity ray casting finds no clean ray,
+    which is no certificate to fail, so both commands exit 1, not 3."""
+    mesh = star_mesh(np.random.default_rng(3), 2)
+    off = tmp_path / "huge.off"
+    off.write_text(dump_off(SimpleNamespace(vertices=mesh.vertices * 2.0 ** 300,
+                                            faces=mesh.faces)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv in (["tripodal"], ["four-on-edges"]):
+        proc = subprocess.run([sys.executable, "-m", "poise.cli"] + argv + ["--off", str(off)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr and "ray casting" in proc.stderr
 
 
 def test_prop9_commands(tmp_path):

@@ -6,9 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import (closest_points_all_pairs, convex_mesh, cross_section_per_face,
-                     cube_mesh, dump_off, extreme_boundary_points, octa_mesh,
-                     ray_hits_all_pairs, signed_distance, star_mesh, tetra_mesh)
+from helpers import (closest_points_all_pairs, convex_mesh, criterion05_meshes,
+                     cross_section_per_face, cube_mesh, dump_off,
+                     extreme_boundary_points, octa_mesh, parse_off_reference,
+                     ray_hits_all_pairs, signed_distance, star_mesh, tetra_mesh,
+                     validate_polyhedron_reference)
 from poise import geom3d
 from poise.errors import (DegenerateSectionError, InputError,
                           NoLoopContainsOriginError, NonPlanarFaceError,
@@ -412,3 +414,107 @@ def test_edges_are_the_face_loop_edges(make):
     assert got.tolist() == sorted(got.tolist())
     assert len(mesh.vertices) - len(got) + len(mesh.faces) == 2   # Euler, genus 0
     assert not got.flags.writeable
+
+
+# --- the array loader against the token-by-token oracle --------------------------
+
+def _l_prism():
+    """(vertices, faces) of an L-shaped prism: its top and bottom are
+    non-convex hexagons, which only ear clipping splits, its sides quads."""
+    ell = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+    v = [(x - 0.5, y - 0.5, z) for z in (-0.5, 0.5) for x, y in ell]
+    n = len(ell)
+    faces = [list(range(n))[::-1], list(range(n, 2 * n))]
+    faces += [[i, (i + 1) % n, n + (i + 1) % n, n + i] for i in range(n)]
+    return v, faces
+
+
+def _loaded(poly):
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in (poly.vertices, poly.tris, poly.tri_face, poly.edges)] + [poly.faces]
+
+
+def _outcome(load, *args):
+    try:
+        return _loaded(load(*args))
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def test_loader_matches_the_token_by_token_oracle():
+    """parse_off and validate_polyhedron give the oracle's vertices, faces,
+    triangles, face ids and edges, bit for bit, on every mesh the geometry
+    and tripodal tests build, on star meshes of 2,048 and 32,768 triangles,
+    the quad cube and an L-shaped prism, each given outward and inward."""
+    meshes = [m for _, m in criterion05_meshes()] + _meshes() + [octa_mesh()]
+    meshes += [star_mesh(np.random.default_rng(7), 6), validate_polyhedron(*_l_prism())]
+    assert {len(m.tris) for m in meshes} >= {2048, 32768}
+    for poly in meshes:
+        for faces in (poly.faces, [f[::-1] for f in poly.faces]):
+            text = dump_off(SimpleNamespace(vertices=poly.vertices, faces=faces))
+            want = _loaded(parse_off_reference(text))
+            assert _loaded(parse_off(text)) == want
+            if len(faces) < 10000:
+                got = validate_polyhedron(poly.vertices, faces)
+                assert _loaded(got) == _loaded(validate_polyhedron_reference(
+                    poly.vertices, faces)) == want
+
+
+def test_off_comments_blank_lines_and_line_ends():
+    lines = dump_off(validate_polyhedron(*_l_prism())).splitlines()
+    lines[0] += "  # kind"
+    lines[1] = "# counts follow\n\n" + lines[1] + " # nv nf ne"
+    lines[5] = "\t" + lines[5] + "#" + lines[6]
+    lines[-1] += " # last face\n\n# end"
+    for end in ("\n", "\r\n", "\r"):
+        text = "# header\n" + end.join(lines) + end + "trailing tokens are ignored"
+        assert _outcome(parse_off, text) == _outcome(parse_off_reference, text)
+        assert len(parse_off(text).faces) == 8
+
+
+def _tetra_off(counts=None, verts=(), faces=None, drop=0):
+    lines = dump_off(tetra_mesh()).splitlines()
+    head, body, loops = lines[:2], lines[2:6] + list(verts), lines[6:]
+    if counts is not None:
+        head[1] = counts
+    if faces is not None:
+        loops = faces(loops)
+    text = "\n".join(head + body + loops) + "\n"
+    return text[:len(text) - drop]
+
+
+BAD_OFF = {
+    "short-face": _tetra_off(faces=lambda f: f[:1] + ["2 0 1"] + f[2:]),
+    "short-face-before-a-bad-token": _tetra_off(
+        faces=lambda f: f[:1] + ["2 0 1", "3 a b c"] + f[3:]),
+    "bad-token-before-a-short-face": _tetra_off(
+        faces=lambda f: ["3 0 a 2", "2 0 1"] + f[2:]),
+    "truncated-last-face": _tetra_off(drop=3),
+    "repeated-index": _tetra_off(faces=lambda f: f[:2] + ["3 0 1 1"] + f[3:]),
+    "out-of-range-index": _tetra_off(faces=lambda f: ["3 0 1 7"] + f[1:]),
+    "negative-index": _tetra_off(faces=lambda f: f[:3] + ["3 0 -1 2"]),
+    "index-beyond-int64": _tetra_off(faces=lambda f: ["3 0 1 " + "9" * 30] + f[1:]),
+    "repeat-and-beyond-int64": _tetra_off(
+        faces=lambda f: ["4 0 " + "9" * 30 + " " + "9" * 30 + " 1"] + f[1:]),
+    "unused-vertex": _tetra_off(counts="5 4 0", verts=["7 7 7"]),
+    "repeated-directed-edge": _tetra_off(faces=lambda f: f[:1] + f[:1] + f[2:]),
+    "missing-edge": _tetra_off(counts="4 3 0", faces=lambda f: f[:3]),
+    "too-few-faces": _tetra_off(counts="4 5 0"),
+    "too-few-vertices": "OFF\n3 1 0\n0 0 0\n",
+    "fractional-count": _tetra_off(counts="4.0 4 0"),
+    "negative-count": _tetra_off(counts="-4 4 0"),
+    "bad-coordinate": _tetra_off().replace("\n3.0 0.0 0.0\n", "\n3.0 x 0.0\n"),
+    "bad-face-token": _tetra_off(faces=lambda f: f[:3] + ["3 0 1 a"]),
+    "not-an-off-file": "not an off file",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_OFF))
+def test_malformed_off_fails_as_the_oracle_does(name):
+    """The same error class and message as the token-by-token read. A missing
+    edge is named at its first reverse in face order, where the set-based
+    check named one in set order."""
+    want = _outcome(parse_off_reference, BAD_OFF[name])
+    assert isinstance(want, tuple) and issubclass(want[0], InputError), want
+    assert _outcome(parse_off, BAD_OFF[name]) == want

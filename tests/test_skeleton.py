@@ -1,10 +1,12 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import (cross_hrep, cube_mesh, edge_triple_systems, face_per_point,
-                     hull_hrep, octa_mesh, prop9_check_all_faces,
+                     hull_hrep, near_earlier_all_pairs, octa_mesh, prop9_check_all_faces,
                      random_hull_hrep, repeated_rows, simplex_hrep,
                      stiemke_cone_lp, tetra_mesh, three_on_edges_all_triples,
                      tight_sets)
@@ -12,8 +14,8 @@ from poise import polytoped, skeleton_balance
 from poise.errors import InputError, NotFoundError, UnsupportedDimensionError
 from poise.geom3d import Plane3
 from poise.polytoped import (RANK_TOL, cube_hrep, edges, enumerate_vertices,
-                             enumerate_vertices_bruteforce, hpolytope,
-                             load_hrep, product)
+                             dump_hrep_text, enumerate_vertices_bruteforce,
+                             hpolytope, load_hrep, product)
 from poise.skeleton import four_on_edges, verify_skeleton
 from poise.skeleton_balance import (_Chart, _descend, compose_balance,
                                     halving_point, pow2_points, prop9_check,
@@ -364,10 +366,26 @@ def _unit_rows(A, b):
     return np.column_stack([A / nrm[:, None], b / nrm / (b / nrm).max(initial=0.0)])
 
 
+def _near_earlier_checked(monkeypatch):
+    """Makes every dedupe of chart rows assert the all-pairs rule's answer;
+    returns (rows, rows dropped) per chart."""
+    real, seen = skeleton_balance._near_earlier, []
+
+    def both(rows):
+        got = real(rows)
+        assert np.array_equal(got, near_earlier_all_pairs(rows))
+        seen.append((len(rows), int(got.sum())))
+        return got
+
+    monkeypatch.setattr(skeleton_balance, "_near_earlier", both)
+    return seen
+
+
 def test_charts_keep_each_halfspace_once(monkeypatch):
     """No two rows of a chart _descend returns in the tier-1 pow2 and compose
-    runs lie within RANK_TOL of one another."""
-    charts = []
+    runs lie within RANK_TOL of one another, and each chart drops the rows
+    the all-pairs rule drops."""
+    charts, seen = [], _near_earlier_checked(monkeypatch)
     real = skeleton_balance._descend
     monkeypatch.setattr(skeleton_balance, "_descend",
                         lambda chart: charts.append(real(chart)) or charts[-1])
@@ -378,25 +396,29 @@ def test_charts_keep_each_halfspace_once(monkeypatch):
         rows = _unit_rows(chart.A, chart.b)
         near = (np.abs(rows[:, None] - rows) <= RANK_TOL).all(axis=2)
         assert near.sum() == len(rows)          # each row near itself only
+    assert len(seen) >= 100 and any(dropped for _, dropped in seen)
 
 
 @pytest.mark.parametrize("gap, kept", [(1e-14, 4), (1e-6, 5)])
-def test_descend_merges_rows_within_the_tolerance(gap, kept):
+def test_descend_merges_rows_within_the_tolerance(gap, kept, monkeypatch):
     """The top facet of the 3-cube, with the row x <= 1 given again at
     offset 1 + gap: its chart keeps one row for the two when they are
     1e-14 apart, and both when 1e-6 apart."""
+    seen = _near_earlier_checked(monkeypatch)
     H = cube_hrep(3)
     A, b = np.vstack([H.A, H.A[0]]), np.append(H.b, 1.0 + gap)
     top = np.array([0.0, 0.0, 1.0])
     chart = _descend(_Chart(top, np.eye(3), A, b - A @ top))
-    assert len(chart.basis) == 2 and len(chart.A) == kept
+    assert len(chart.basis) == 2 and len(chart.A) == kept and seen
 
 
-def test_placements_on_repeated_rows():
+def test_placements_on_repeated_rows(monkeypatch):
     """pow2 and compose on H-reps whose rows each repeat 1 to 3 times, the
     copies scaled, give placements that pass verify_skeleton: the 4-cube
     at k = 2, compose on the 3-cube, 30 random hulls (d = 2..4) at the
-    smallest k, and 6-dimensional products, by compose and at k = 3."""
+    smallest k, and 6-dimensional products, by compose and at k = 3. Each
+    chart drops the rows the all-pairs rule drops."""
+    seen = _near_earlier_checked(monkeypatch)
     rng = np.random.default_rng(3030)
     cases = [(pow2_points, repeated_rows(cube_hrep(4), rng), (2,)),
              (compose_balance, repeated_rows(cube_hrep(3), rng), ())]
@@ -411,6 +433,32 @@ def test_placements_on_repeated_rows():
     for solve, H, args in cases:
         sp = solve(H, *args)
         assert verify_skeleton(H, sp.points()).passed, (solve.__name__, H.m)
+    assert sum(dropped for _, dropped in seen) >= 100
+
+
+def test_pow2_and_compose_on_a_hull_of_17959_rows(tmp_path):
+    """The 6-d hull of 200 random unit vectors, 17,959 rows: pow2 at k = 3
+    and compose solve and pass check, under 200 MB peak. Comparing every
+    pair of chart rows at once needed an array of 9.6 GiB here."""
+    H = random_hull_hrep(np.random.default_rng(1), 6, 200)
+    assert H.m >= 10000
+    hrep = tmp_path / "hull.hrep"
+    hrep.write_text(dump_hrep_text(H))
+    script = (
+        "import sys\n"
+        "from poise.cli import run\n"
+        "hrep, out = sys.argv[1:]\n"
+        "for argv in (['pow2', '--k', '3'], ['compose']):\n"
+        "    assert run(argv + ['--hrep', hrep, '--json', out]).exit_code == 0, argv\n"
+        "    assert run(['check', '--json', out, '--hrep', hrep]).exit_code == 0, argv\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmHWM:')))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(hrep), str(tmp_path / "out.json")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200 * 1024     # VmHWM is in KiB
 
 
 def test_prop9_fixture_shapes():

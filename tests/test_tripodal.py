@@ -250,13 +250,26 @@ def _polish_meshes():
         star_mesh(np.random.default_rng(40 + sub), sub) for sub in range(3)]
 
 
+class _CountingField:
+    """A companion field that records how many points each values call asks."""
+
+    def __init__(self, field, sizes):
+        self.field, self.sizes = field, sizes
+
+    def values(self, ts, ths):
+        self.sizes.append(len(ts))
+        return self.field.values(ts, ths)
+
+
 def test_newton_polish_matches_the_pointwise_oracle(monkeypatch):
     """Every polish of a search gives the (t, theta, g) bytes of the
-    one-point-per-query Newton iteration."""
-    real, calls = tripodal._newton_polish, []
+    one-point-per-query Newton iteration. A step asks the four Jacobian
+    points, then the full step alone, and the nine damped trials only when
+    the full step does not lower max|g|."""
+    real, calls, sizes = tripodal._newton_polish, [], []
 
     def both(field, t0, th0, tol, iters=30):
-        got = real(field, t0, th0, tol, iters)
+        got = real(_CountingField(field, sizes), t0, th0, tol, iters)
         want = newton_polish_pointwise(field, t0, th0, tol, iters)
         for g, w in zip(got, want):
             assert np.float64(g).tobytes() == np.float64(w).tobytes(), (t0, th0)
@@ -268,6 +281,9 @@ def test_newton_polish_matches_the_pointwise_oracle(monkeypatch):
         assert verify_tripodal(poly, tripodal_search(poly, grid=(64, 64)).points).passed
     assert len(calls) >= 40
     assert any(np.abs(g).max() > 1e-9 for _, _, g in calls)   # some polish stalled
+    steps = "".join({1: "f", 4: "J", 9: "d"}[n] for n in sizes)
+    assert "fJf" in steps and "fJfd" in steps      # full steps taken and refused
+    assert steps.replace("Jfd", "").replace("Jf", "").replace("f", "") == ""
 
 
 def _search_outcome(search, poly, grid):

@@ -6,7 +6,6 @@ on the fan/ear triangulation; face ids always refer to the original loops.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,10 +101,15 @@ class Polyhedron3:
         self.faces, self.edges = faces, edges
         self.tris = np.asarray(tris, dtype=int)
         self.tri_face = np.asarray(tri_face, dtype=int)
-        self.diam = float(np.linalg.norm(self.vertices.max(axis=0)
-                                         - self.vertices.min(axis=0)))
-        v0, v1, v2 = (self.vertices[self.tris[:, k]] for k in range(3))
-        self._tv0, self._ab, self._ac = v0, v1 - v0, v2 - v0
+        lo = self.vertices.min(axis=0)
+        hi = self.vertices.max(axis=0)
+        self.diam = float(np.linalg.norm(hi - lo))
+        v0 = self.vertices[self.tris[:, 0]]
+        v1 = self.vertices[self.tris[:, 1]]
+        v2 = self.vertices[self.tris[:, 2]]
+        self._tv0 = v0
+        self._ab = v1 - v0
+        self._ac = v2 - v0
         self._tn = _cross(self._ab, self._ac)
         self._tnn = np.linalg.norm(self._tn, axis=1)
         self._rays = {}     # ray direction index -> per-triangle ray data
@@ -264,7 +268,9 @@ class Polyhedron3:
         off = ~shell
         if off.any():
             pts = np.atleast_2d(np.asarray(points, dtype=float))
-            out[off] = dist[off] * np.where(self.contains(pts[off]), -1.0, 1.0)
+            inside = self.contains(pts[off])
+            sign = np.where(inside, -1.0, 1.0)
+            out[off] = dist[off] * sign
         return out
 
     def side_signs(self, points):
@@ -407,14 +413,15 @@ def validate_polyhedron(vertices, faces) -> Polyhedron3:
     nxt = np.arange(1, len(flat) + 1)
     nxt[ends - 1] = ends - lens
     edges = _check_closed(flat, flat[nxt], nv)
-    tris, tri_face = _triangulate(verts, flat, lens, ends)
+    diam = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+    tris, tri_face = _triangulate(verts, flat, lens, ends, diam)
     v0, v1, v2 = (verts[tris[:, k]] for k in range(3))
     if np.einsum("ij,ij->i", v0, _cross(v1 - v0, v2 - v0)).sum() < 0.0:
         # signed volume below zero: every loop reversed
         flat = flat[np.repeat(2 * ends - lens - 1, lens) - np.arange(len(flat))]
-        tris, tri_face = _triangulate(verts, flat, lens, ends)
-    faces = (flat.reshape(nf, -1).tolist() if (lens == lens[0]).all() else
-             [flat[e - k:e].tolist() for e, k in zip(ends.tolist(), lens.tolist())])
+        tris, tri_face = _triangulate(verts, flat, lens, ends, diam)
+    ints = flat.tolist()
+    faces = [ints[e - k:e] for e, k in zip(ends.tolist(), lens.tolist())]
     return Polyhedron3(verts, faces, tris, tri_face, edges)
 
 
@@ -440,7 +447,8 @@ def _face_frame(verts, f, diam):
     """Newell normal + centroid; raises if the loop is not planar."""
     pts = verts[f]
     nrm = np.zeros(3)
-    for a, b in zip(pts, np.roll(pts, -1, axis=0)):
+    for i in range(len(f)):
+        a, b = pts[i], pts[(i + 1) % len(f)]
         nrm += np.cross(a, b)
     norm = np.linalg.norm(nrm)
     if norm <= 1e-14 * diam ** 2:
@@ -453,12 +461,9 @@ def _face_frame(verts, f, diam):
     return nrm, centroid
 
 
-def _triangulate(verts, flat, lens, ends):
+def _triangulate(verts, flat, lens, ends, diam):
     """Triangles and their face ids, in face order, of the loops in flat (lens
     long, ending at ends): a triangle as it is, a k-gon ear-clipped into k - 2."""
-    if (lens == 3).all():
-        return flat.reshape(-1, 3), np.arange(len(lens))
-    diam = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
     cnt = lens - 2
     first = np.cumsum(cnt) - cnt
     tris = np.empty((len(flat) - 2 * len(lens), 3), dtype=int)
@@ -529,7 +534,10 @@ def _plane_basis(n):
     """Orthonormal (u, w) spanning the plane with unit normal n. u is n x e
     over its length, e the axis least aligned with n: a unit vector
     perpendicular to n for any nonzero n."""
-    u = np.cross(n, np.eye(3)[int(np.argmin(np.abs(n)))])
+    j = int(np.argmin(np.abs(n)))
+    e = np.zeros(3)
+    e[j] = 1.0
+    u = np.cross(n, e)
     u = u / np.linalg.norm(u)
     return u, np.cross(n, u)
 
@@ -537,8 +545,8 @@ def _plane_basis(n):
 def parse_off(text: str) -> Polyhedron3:
     """ASCII OFF; comments, blank lines and tokens after the last face allowed.
     Counts, nv vertices, nf faces of k >= 3 and k indices (the last: those the
-    text holds). Face integers are read at once and, if all faces have the
-    first one's k, cut in one step; else a walk over the lengths reads tokens."""
+    text holds). A walk over the face lengths finds each face's tokens; all
+    face integers are then read at once."""
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     tokens = text.split()
@@ -550,21 +558,17 @@ def parse_off(text: str) -> Polyhedron3:
         if len(coords) < 3 * nv:
             raise IndexError("list index out of range")
         tokens = tokens[pos + len(coords):]
+        spans, p = [], 0
         try:
-            ints = list(map(int, tokens))
-        except ValueError:
-            ints = []
-        k = ints[0] + 1 if ints else 0
-        if k > 3 and len(ints) >= k * nf and ints[:k * nf:k].count(k - 1) == nf:
-            faces = list(zip(*(ints[j:k * nf:k] for j in range(1, k))))
-        else:
-            faces, p = [], 0
             for _ in range(nf):
                 k = int(tokens[p])
                 if k < 3:
                     raise ParseError(f"face with {k} vertices")
-                faces.append(list(map(int, tokens[p + 1:p + 1 + k])))
+                spans.append(slice(p + 1, p + 1 + k))
                 p += k + 1
+        finally:                       # an index before p that is no integer fails first
+            ints = list(map(int, tokens[:p]))
+        faces = [ints[s] for s in spans]
     except (IndexError, ValueError) as exc:
         raise ParseError(f"bad OFF data: {exc}") from exc
     return validate_polyhedron(np.reshape(coords, (-1, 3)), faces)
@@ -598,7 +602,8 @@ class SurfacePath:
         t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
         i = np.clip(np.searchsorted(self.params, t, side="right") - 1, 0,
                     len(self.points) - 2)
-        t0, t1 = self.params[i], self.params[i + 1]
+        t0 = self.params[i]
+        t1 = self.params[i + 1]
         frac = np.where(t1 > t0, (t - t0) / (t1 - t0), 0.0)
         return self.points[i] + frac[..., None] * (self.points[i + 1] - self.points[i])
 
@@ -606,18 +611,26 @@ class SurfacePath:
 def surface_path(poly: Polyhedron3, x0, tri0: int, vertex: int) -> SurfacePath:
     """From the point x0 on triangle tri0 to the vertex with id `vertex`: x0,
     then Dijkstra along triangulation edges from tri0's corner nearest x0."""
+    import heapq
+
     x0 = np.asarray(x0, dtype=float)
     if np.linalg.norm(x0 - poly.vertices[vertex]) <= 1e-12 * poly.diam:
         raise InputError("path endpoints coincide")
-    e = poly.tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    adj = {}                     # vertex -> its neighbours, ascending
-    for a, b in np.unique(np.concatenate([e, e[:, ::-1]]), axis=0).tolist():
-        adj.setdefault(a, []).append(b)
+
+    adj = {}
+    for tri in poly.tris:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            adj.setdefault(int(a), set()).add(int(b))
+            adj.setdefault(int(b), set()).add(int(a))
+    adj = {k: sorted(v) for k, v in adj.items()}
 
     tri = poly.tris[tri0]
     va = int(tri[int(np.argmin([np.linalg.norm(poly.vertices[i] - x0) for i in tri]))])
     vb = int(vertex)
-    dist, prev, heap, seen = {va: 0.0}, {}, [(0.0, va)], set()
+    dist = {va: 0.0}
+    prev = {}
+    heap = [(0.0, va)]
+    seen = set()
     while heap:
         d, u = heapq.heappop(heap)
         if u in seen:
@@ -644,7 +657,9 @@ class FrameField:
     """Unit field v(t) perpendicular to gamma(t) along a surface path."""
 
     def __init__(self, ts, qs, vs):
-        self.ts, self.qs, self.vs = (np.asarray(a, dtype=float) for a in (ts, qs, vs))
+        self.ts = np.asarray(ts, dtype=float)
+        self.qs = np.asarray(qs, dtype=float)
+        self.vs = np.asarray(vs, dtype=float)
 
     def eval(self, t):
         t = np.clip(np.asarray(t, dtype=float), self.ts[0], self.ts[-1])
@@ -671,19 +686,25 @@ def _segment_ok(q0, q1, v0, v1, depth=8):
 def frame_field(path: SurfacePath) -> FrameField:
     """Breakpoint frames from the least-aligned-axis rule, then midpoint
     subdivision until interpolate-project stays well-conditioned."""
-    ts, qs = list(path.params), list(path.points)
+    ts = list(path.params)
+    qs = [path.points[i] for i in range(len(ts))]
     vs = [_plane_basis(q)[0] for q in qs]
-    out = [(ts[0], qs[0], vs[0])]
+
+    out_t, out_q, out_v = [ts[0]], [qs[0]], [vs[0]]
     stack = [(ts[i], qs[i], vs[i], ts[i + 1], qs[i + 1], vs[i + 1], 0)
              for i in range(len(ts) - 1)][::-1]
     while stack:
         t0, q0, v0, t1, q1, v1, level = stack.pop()
         if _segment_ok(q0, q1, v0, v1):
-            out.append((t1, q1, v1))
+            out_t.append(t1)
+            out_q.append(q1)
+            out_v.append(v1)
             continue
         if level >= 12:
             raise SubdivisionLimitError("frame subdivision exceeded 12 levels")
-        tm, qm, wm = 0.5 * (t0 + t1), 0.5 * (q0 + q1), 0.5 * (v0 + v1)
+        tm = 0.5 * (t0 + t1)
+        qm = 0.5 * (q0 + q1)
+        wm = 0.5 * (v0 + v1)
         qn = qm / np.linalg.norm(qm)
         proj = wm - (wm @ qn) * qn
         norm = np.linalg.norm(proj)
@@ -692,7 +713,7 @@ def frame_field(path: SurfacePath) -> FrameField:
         vm = proj / norm
         stack.append((tm, qm, vm, t1, q1, v1, level + 1))
         stack.append((t0, q0, v0, tm, qm, vm, level + 1))
-    return FrameField(*zip(*out))
+    return FrameField(out_t, out_q, out_v)
 
 
 # --- planar cross-sections ------------------------------------------------------

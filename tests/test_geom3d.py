@@ -489,6 +489,8 @@ BAD_OFF = {
         faces=lambda f: f[:1] + ["2 0 1", "3 a b c"] + f[3:]),
     "bad-token-before-a-short-face": _tetra_off(
         faces=lambda f: ["3 0 a 2", "2 0 1"] + f[2:]),
+    "bad-token-before-a-bad-length": _tetra_off(
+        faces=lambda f: ["3 0 a 2", "x 0 1 2"] + f[2:]),
     "truncated-last-face": _tetra_off(drop=3),
     "repeated-index": _tetra_off(faces=lambda f: f[:2] + ["3 0 1 1"] + f[3:]),
     "out-of-range-index": _tetra_off(faces=lambda f: ["3 0 1 7"] + f[1:]),

@@ -1,13 +1,15 @@
 """Command-line surface: solve, emit JSON certificates and figures, re-verify.
 
-Exit codes: 0 verified success, 1 infeasible or no result, 2 input error,
-3 verification failure. No command draws random numbers, so identical
-arguments produce byte-identical JSON.
+Exit codes: 0 verified success; 1 infeasible or no result, which is every
+PoiseError but an input error, a numerical breakdown such as a failed
+halving walk included; 2 input error; 3 a certificate that failed its own
+verifier, in a solve or in check. No command draws random numbers, so
+identical arguments produce byte-identical JSON.
 
 The polytope modules are imported inside the handlers that use them and
-load SciPy only for an LP or Qhull: three-on-edges, compose when it
-enumerates a face chart's vertices, prop9-check and its check, --obj, and
-an H-rep file whose offsets are not all positive. pow2 enumerates none.
+load SciPy only for an LP or Qhull: three-on-edges, compose when it puts
+three points on a 3-face chart, prop9-check and its check, --obj, and an
+H-rep file whose offsets are not all positive. pow2 enumerates none.
 """
 
 import argparse
@@ -21,21 +23,11 @@ import numpy as np
 
 from . import balance2d as b2
 from . import figures
-from .errors import (DegenerateSectionError, EnumerationBudgetError,
-                     InfeasibleError, InputError, NoCrossingError,
-                     NoIntersectionError, NoLoopContainsOriginError,
-                     NotFoundError, ParseError, PoiseError, RayCastError,
-                     SearchExhaustedError, SubdivisionLimitError)
+from .errors import InputError, ParseError, PoiseError
 from .geom2d import antipodal_about, eval_boundary, load_polygon
 from .geom3d import Plane3, Polyhedron3, load_off
 from .tripodal import (EPS_REL, tripodal_by_face_triples, tripodal_search,
                        verify_tripodal)
-
-# Solver ran correctly but found nothing to certify: exit 1, not 3.
-NO_RESULT_ERRORS = (NotFoundError, SearchExhaustedError, InfeasibleError,
-                    NoLoopContainsOriginError, DegenerateSectionError,
-                    NoCrossingError, NoIntersectionError,
-                    SubdivisionLimitError, EnumerationBudgetError, RayCastError)
 
 
 @dataclass
@@ -612,12 +604,9 @@ def run(argv) -> CommandResult:
     except (InputError, OSError) as exc:
         print(f"poise: {exc}", file=sys.stderr)
         return CommandResult(2)
-    except NO_RESULT_ERRORS as exc:
+    except PoiseError as exc:
         print(f"poise: no result: {exc}", file=sys.stderr)
         return CommandResult(1)
-    except PoiseError as exc:
-        print(f"poise: verification failure: {exc}", file=sys.stderr)
-        return CommandResult(3)
 
 
 def main():

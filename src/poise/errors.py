@@ -2,7 +2,9 @@
 
 Solver errors split into three rough bands: bad input (parse/validation),
 honest negative answers (infeasible, not found), and numerical breakdowns
-that should never happen on sane input (no crossing, walk failed).
+that should never happen on sane input (no crossing, walk failed). The CLI
+exits 2 on an InputError and 1 on every other PoiseError; exit 3 is a
+certificate that failed its verifier.
 """
 
 

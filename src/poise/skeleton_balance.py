@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from .balance2d import balance_iterative
 from .certificate import Certificate, FaceD
 from .errors import (
     InputError,
@@ -25,7 +24,6 @@ from .errors import (
     UnsupportedDimensionError,
     WalkFailedError,
 )
-from .geom2d import validate_polygon
 from .polytoped import (
     RANK_TOL,
     HPolytope,
@@ -246,31 +244,31 @@ def _translate(chart: _Chart, y) -> _Chart:
                   chart.A, chart.b - chart.A @ y)
 
 
-def _chart_polygon(V):
-    ctr = V.vertices.mean(axis=0)
-    ang = np.arctan2(V.vertices[:, 1] - ctr[1], V.vertices[:, 0] - ctr[0])
-    order = np.argsort(ang, kind="stable")          # from vertex 0 on
-    return validate_polygon(V.vertices[np.roll(order, -int(np.argmin(order)))])
-
-
 def _place(chart: _Chart, count: int, out: list):
     """count points on the chart face's 1-skeleton summing to count times
-    its origin: all at the origin of a <= 1-face, three balanced on a 2-face
-    polygon or a 3-face's edges, else half at x, half at -x of a halving."""
+    its origin: all at the origin of a <= 1-face, three on a 3-face's edges,
+    else half at x, half at -x of a halving. Three on a 2-face are the foot
+    p of the row of least unit offset h, where the inscribed ball of radius
+    h touches that row, and the halving points about -p/2, which is at
+    least h/2 inside every row."""
     chart = _descend(chart)
     f = len(chart.basis)
     if f <= 1:
         out.extend([chart.base.copy() for _ in range(count)])
         return
+    if count == 3 and f == 2:
+        norms = np.linalg.norm(chart.A, axis=1)
+        live = np.flatnonzero(norms > 0)    # a zero row only on the root chart
+        i = live[np.argmin(chart.b[live] / norms[live])]
+        p = chart.A[i] * (chart.b[i] / norms[i] ** 2)
+        out.append(chart.base + p @ chart.basis)
+        _place(_translate(chart, -p / 2), 2, out)
+        return
     # a face of a checked polytope whose slacks at the local origin _descend
     # left above 1e-8 max|b|: bounded and solid, so hpolytope's check is moot
     face = chart.face or HPolytope(chart.A, chart.b)
-    if count == 3 and f in (2, 3):
-        if f == 2:
-            poly = _chart_polygon(face.vrep)
-            pts = balance_iterative(poly, [1.0] * 3, target=(0.0, 0.0)).points(poly)
-        else:
-            pts = three_on_edges(face, np.zeros(3)).points()
+    if count == 3 and f == 3:
+        pts = three_on_edges(face, np.zeros(3)).points()
         out.extend(chart.base + p @ chart.basis for p in pts)
         return
     if count % 2:
@@ -306,7 +304,8 @@ def compose_balance(H: HPolytope) -> SkeletonPlacement:
     """d points on the 1-skeleton summing to the origin, d = 2^i * 3^j, j <= 1.
 
     Same recursion as pow2_points, with three_on_edges as the ternary base
-    case on 3-faces and the three-unit-weight boundary balance on 2-faces.
+    case on 3-faces; on a 2-face one boundary point and a halving about a
+    shifted centre give the three (see _place).
     """
     n = H.d
     while n % 2 == 0:

@@ -20,7 +20,7 @@ import poise.skeleton
 import poise.skeleton_balance
 from poise.cli import run
 from poise.geom3d import validate_polyhedron
-from poise.errors import EmptyInteriorError, UnboundedError
+from poise.errors import EmptyInteriorError, UnboundedError, WalkFailedError
 from poise.polytoped import cube_hrep, dump_hrep_text, hpolytope, load_hrep, product
 
 SQUARE_TEXT = "-1 -1\n1 -1\n1 1\n-1 1\n"
@@ -325,6 +325,30 @@ def test_failed_ray_casting_is_no_result(tmp_path):
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 1, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr and "ray casting" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["halving"], ["pow2", "--k", "2"]])
+def test_failed_halving_walk_is_no_result(cube_h, monkeypatch, capsys, argv):
+    """A halving walk that breaks down leaves no certificate to fail, so
+    halving and pow2 exit 1 with one "no result" line, not 3."""
+    def broken(H):
+        raise WalkFailedError("halving walk exceeded its pivot bound")
+
+    monkeypatch.setattr(poise.skeleton_balance, "halving_point", broken)
+    assert run(argv + ["--hrep", cube_h]).exit_code == 1
+    assert capsys.readouterr().err == ("poise: no result: "
+                                       "halving walk exceeded its pivot bound\n")
+
+
+def test_compose_with_three_points_on_a_2_face(tmp_path):
+    """compose on prop9_fixture(3) x 3-cube puts three points on a 2-face
+    (test_compose_reaches_the_2_face_case counts it); check accepts them."""
+    hrep = tmp_path / "p3c3.hrep"
+    hrep.write_text(dump_hrep_text(product(poise.skeleton_balance.prop9_fixture(3),
+                                           cube_hrep(3))))
+    out = tmp_path / "k.json"
+    assert run(["compose", "--hrep", str(hrep), "--json", str(out)]).exit_code == 0
+    assert run(["check", "--json", str(out), "--hrep", str(hrep)]).exit_code == 0
 
 
 def test_prop9_commands(tmp_path):
@@ -802,7 +826,7 @@ def test_cross_polytopes_solve_and_check_from_rows(tmp_path, monkeypatch, argv, 
     """halving and pow2 --k 4 on the 9-cross-polytope (512 rows; enumerating
     its 18 vertices takes most of a minute), compose on the 8-cross-polytope,
     and check of each: no run enumerates the vertices of a d-polytope. pow2
-    and compose read vertices only of the 2-face charts they place on."""
+    and compose (8 = 2^3 points) halve every face and read no vertex."""
     hrep = tmp_path / "cross.hrep"
     hrep.write_text(dump_hrep_text(cross_hrep(d)))
     real = poise.polytoped.enumerate_vertices

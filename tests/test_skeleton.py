@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,115 @@ def test_compose_rejects_unsupported_dimensions():
             compose_balance(build())
 
 
+def _two_face_splits(monkeypatch):
+    """A list that gains one entry for each _place call that puts three
+    points on a 2-face."""
+    hits, real = [], skeleton_balance._place
+
+    def place(chart, count, out):
+        if count == 3 and len(_descend(chart).basis) == 2:
+            hits.append(chart)
+        real(chart, count, out)
+
+    monkeypatch.setattr(skeleton_balance, "_place", place)
+    return hits
+
+
+def test_three_points_on_a_2_face(monkeypatch):
+    """Three points from the root chart of a 2-polytope pass verify_skeleton
+    with no warning: the square, x <= 1, |y| <= 1, -1e-10 x + y <= 1 (2e10
+    long), a 2e6 x 2e-3 box (which _descend takes to an edge, so it alone
+    does not reach the case), a box with the origin 1e-6 from a side,
+    random hulls with their repeated-row copies, and a triangle with a
+    zero-normal row, which only a root chart can have."""
+    rng = np.random.default_rng(71)
+    box = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    cases = [cube_hrep(2),
+             hpolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-1e-10, 1.0]], [1.0] * 4),
+             hpolytope(box, [1e6, 1e6, 1e-3, 1e-3]),
+             hpolytope(box, [1.0, 1e-6, 1.0, 1.0]),
+             hpolytope([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [0.0, 0.0]], [1.0] * 4)]
+    for _ in range(10):
+        H = random_hull_hrep(rng, 2)
+        cases += [H, repeated_rows(H, rng)]
+    hits = _two_face_splits(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, H in enumerate(cases):
+            pts = []
+            skeleton_balance._place(skeleton_balance._root_chart(H), 3, pts)
+            assert verify_skeleton(H, np.array(pts)).passed, n
+    assert len(hits) == len(cases) - 1
+
+
+def test_compose_reaches_the_2_face_case(monkeypatch):
+    """compose on prop9_fixture(3) x 3-cube halves it onto a 2-face that
+    carries three points, as it does with the factors swapped, rotated and
+    with repeated rows, and twice on the 12-d product of that polytope with
+    itself. Every placement passes verify_skeleton."""
+    rng = np.random.default_rng(72)
+    P = product(prop9_fixture(3), cube_hrep(3))
+    cases = [(P, 1), (product(cube_hrep(3), prop9_fixture(3)), 1),
+             (_rotated(P, rng), 1), (_rotated(P, rng), 1),
+             (repeated_rows(P, rng), 1), (repeated_rows(P, rng), 1),
+             (product(P, P), 2)]
+    hits = _two_face_splits(monkeypatch)
+    for n, (H, reached) in enumerate(cases):
+        hits.clear()
+        sp = compose_balance(H)
+        assert len(hits) == reached, n
+        assert verify_skeleton(H, sp.points()).passed, n
+
+
+def test_skeleton_balance_loads_no_planar_solver():
+    """Three points on a 2-face need no polygon, so importing
+    skeleton_balance leaves the planar solver unloaded."""
+    script = ("import sys, poise.skeleton_balance\n"
+              "print('poise.balance2d' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_halving_on_repeated_rows():
+    """verify_halving passes on row-repeated copies of random 2- to 6-hulls,
+    the 3- and 4-cubes and prop9_fixture(4) and (5)."""
+    rng = np.random.default_rng(73)
+    bodies = [random_hull_hrep(rng, d) for d in range(2, 7)]
+    bodies += [cube_hrep(3), cube_hrep(4), prop9_fixture(4), prop9_fixture(5)]
+    for n, H in enumerate(bodies):
+        for _ in range(2):
+            R = repeated_rows(H, rng)
+            assert verify_halving(R, halving_point(R).x).passed, n
+
+
+def test_three_on_edges_on_repeated_rows():
+    """three_on_edges on row-repeated copies of random 3-hulls, about the
+    origin and 0.6 times a vertex, passes verify_skeleton."""
+    rng = np.random.default_rng(74)
+    for n in range(6):
+        H = random_hull_hrep(rng, 3)
+        R = repeated_rows(H, rng)
+        for target in (np.zeros(3), 0.6 * H.vrep.vertices[0]):
+            sp = three_on_edges(R, target)
+            assert verify_skeleton(R, sp.points(), target).passed, n
+
+
+def test_prop9_check_on_repeated_rows():
+    """prop9_check answers every k on a row-repeated copy as on H itself,
+    for prop9_fixture(4) to (8) and random 3- to 5-hulls."""
+    rng = np.random.default_rng(75)
+    bodies = [prop9_fixture(d) for d in range(4, 9)]
+    bodies += [random_hull_hrep(rng, d) for d in (3, 4, 5)]
+    for n, H in enumerate(bodies):
+        R = repeated_rows(H, rng)
+        for k in range(H.d + 1):
+            assert prop9_check(R, k) == prop9_check(H, k), (n, k)
+
+
 def _tier1_pow2_and_compose():
     """(solver, polytope, args) of every pow2 and compose run in the
     skeleton and acceptance tests, with the same seeds."""
@@ -343,7 +453,7 @@ def test_faces_match_the_per_face_reference(monkeypatch):
 
 def test_chart_vertices_match_the_subset_solver(monkeypatch):
     """Every vertex enumeration of the tier-1 pow2 and compose runs (the
-    charts of compose's 2-faces and 3-faces; pow2 enumerates none) has the
+    charts of compose's 3-faces; pow2 enumerates none) has the
     subset solver's tight sets. Qhull once returned a point in mid-edge on
     2-face charts whose edge was one line given by two or three rows."""
     seen = []

@@ -83,11 +83,11 @@ class SubdivisionLimitError(PoiseError):
 
 
 class DegenerateSectionError(PoiseError):
-    """Cutting plane only grazes edges or vertices."""
+    """Cutting plane touches the surface only at vertices: no chord."""
 
 
 class NoLoopContainsOriginError(PoiseError):
-    """No cross-section loop encloses the origin."""
+    """Cutting plane misses the surface."""
 
 
 class SearchExhaustedError(PoiseError):

@@ -298,29 +298,35 @@ def _clamp01(x):
     return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
-def curve_polygon_intersections(curve, poly: Polygon2, segs):
-    """Hits of the curve segments with indices `segs` with the boundary.
+def segment_crossings(a, b, c, d, tol):
+    """Hits of the segments a[i] -> b[i] with the segments c[j] -> d[j].
 
-    Returns arrays (seg, t, edge, u), t along the segment and u along the
-    edge, both clamped to [0, 1]. Pairs are pruned by bounding-box overlap;
-    general-position crossings solve in one batch and only (near-)parallel
-    pairs fall back to the scalar routine.
+    Returns arrays (i, t, j, u), t along the first segment and u along the
+    second, both clamped to [0, 1]. Pairs are pruned by bounding-box
+    overlap, the first segments' boxes grown by tol; general-position
+    crossings solve in one batch, and only (near-)parallel pairs fall back
+    to the scalar routine, whose hits come last.
     """
-    tol = poly.eps_geom()
-    seg = np.asarray(segs)
-    a = curve[seg]
-    b = curve[(seg + 1) % len(curve)]
-    pv, pw = poly.edge_arrays()
     I, J = np.nonzero(_boxes_overlap(np.minimum(a, b) - tol, np.maximum(a, b) + tol,
-                                     np.minimum(pv, pw), np.maximum(pv, pw)))
+                                     np.minimum(c, d), np.maximum(c, d)))
     a, b = a[I], b[I]
-    ok, general, hit, t, u = _crossings(a, b - a, pv[J], pw[J] - pv[J], tol)
-    cols = [seg[I[hit]], _clamp01(t[hit]), J[hit], _clamp01(u[hit])]
-    extra = [(seg[I[k]], tt, J[k], uu) for k in np.nonzero(ok & ~general)[0]
-             for tt, uu in _segment_hits(a[k], b[k], pv[J[k]], pw[J[k]], tol)]
+    ok, general, hit, t, u = _crossings(a, b - a, c[J], d[J] - c[J], tol)
+    cols = [I[hit], _clamp01(t[hit]), J[hit], _clamp01(u[hit])]
+    extra = [(I[k], tt, J[k], uu) for k in np.nonzero(ok & ~general)[0]
+             for tt, uu in _segment_hits(a[k], b[k], c[J[k]], d[J[k]], tol)]
     if extra:
-        cols = [np.concatenate([c, x]) for c, x in zip(cols, zip(*extra))]
+        cols = [np.concatenate([col, x]) for col, x in zip(cols, zip(*extra))]
     return tuple(cols)
+
+
+def curve_polygon_intersections(curve, poly: Polygon2, segs):
+    """Hits of the curve segments with indices `segs` with the boundary, as
+    segment_crossings gives them: arrays (seg, t, edge, u)."""
+    seg = np.asarray(segs)
+    pv, pw = poly.edge_arrays()
+    i, t, edge, u = segment_crossings(curve[seg], curve[(seg + 1) % len(curve)],
+                                      pv, pw, poly.eps_geom())
+    return seg[i], t, edge, u
 
 
 # first_hit_from tests blocks of _FIRST_BLOCK segments, doubling up to

@@ -1,5 +1,6 @@
 """Closed oriented polyhedral surfaces: OFF files, point classification,
-surface paths, perpendicular frame fields, and planar cross-sections.
+surface paths, perpendicular frame fields, and planar cross-sections, one
+chord per cut triangle.
 
 Faces are vertex-index loops, CCW seen from outside. Everything metric runs
 on the fan/ear triangulation; face ids always refer to the original loops.
@@ -20,11 +21,10 @@ from .errors import (
     NonPlanarFaceError,
     OpenSurfaceError,
     ParseError,
-    PoiseError,
     RayCastError,
     SubdivisionLimitError,
 )
-from .geom2d import OUTSIDE, Polygon2, locate_point, validate_polygon
+from .geom2d import Polygon2
 
 EPS_GEOM_REL = 1e-9
 
@@ -718,26 +718,18 @@ def frame_field(path: SurfacePath) -> FrameField:
 
 # --- planar cross-sections ------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class CrossSection(PlaneFrame):
-    """Section loop around the plane anchor (the frame origin), as a 2D
-    polygon plus the face hosting each of its edges. Polygon vertex i is the
-    projection of points3[i], which lies on the faces of its two edges."""
-
-    polygon: Polygon2
-    edge_faces: np.ndarray
-    points3: np.ndarray
-
-
-def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
-    """Slice the surface; return the loop whose interior holds the anchor.
+def cross_section(poly: Polyhedron3, plane: Plane3):
+    """Slice the surface: (PlaneFrame of the plane, chords, face ids).
 
     A vertex within eps_geom of the plane is on it, and each triangulation
-    edge with ends strictly on opposite sides crosses it once. A section
-    point is keyed by its vertex id, or by nv + its edge id; a triangle with
-    two keys gives a chord of its face. Chords join by equal keys, never by
-    coordinates (Minetto et al., "An optimal algorithm for 3D triangle mesh
-    slicing", CAD 2017).
+    edge with ends strictly on opposite sides crosses it once. A triangle
+    with two such section points gives a chord of its face: chords is the
+    (k, 2, 3) array of their 3D points, which lie on the face, and fids
+    the (k,) face ids. A crossing point is computed from the edge taken
+    from its negative end, so the triangles on an edge share it bit for
+    bit (Minetto et al., "An optimal algorithm for 3D triangle mesh
+    slicing", CAD 2017). A triangle in the plane gives no chord: the
+    boundary of the in-plane region is made of its neighbours' chords.
     """
     n = plane.unit_normal()
     d = poly.vertices @ n - plane.offset
@@ -745,83 +737,18 @@ def cross_section(poly: Polyhedron3, plane: Plane3) -> CrossSection:
     side = np.where(on, 0.0, np.sign(d))
     tris = poly.tris
     nxt = np.roll(tris, -1, axis=1)         # edge k of a triangle: corner k to k + 1
-    crosses = side[tris] * side[nxt] < 0.0
-    # each crossing edge once, from its negative end to its positive end
-    lo = np.where(d[tris] < 0.0, tris, nxt)[crosses]
-    hi = np.where(d[tris] < 0.0, nxt, tris)[crosses]
-    edges, eid = np.unique(np.stack([lo, hi], axis=1), axis=0, return_inverse=True)
-    lo, hi = edges.T
-    frac = d[lo] / (d[lo] - d[hi])
-    points = np.concatenate([poly.vertices, poly.vertices[lo]
-                             + frac[:, None] * (poly.vertices[hi] - poly.vertices[lo])])
-    edge_keys = np.full(tris.shape, -1)
-    edge_keys[crosses] = len(d) + eid.ravel()
-    keys = np.hstack([np.where(on[tris], tris, -1), edge_keys])
-    count = (keys >= 0).sum(axis=1)
-    if (count == 3).any():
-        fid = int(poly.tri_face[np.argmax(count == 3)])
-        raise DegenerateSectionError(f"face {fid} lies in the cutting plane")
-    rows = np.nonzero(count == 2)[0]
+    has = np.hstack([on[tris], side[tris] * side[nxt] < 0.0])   # corners, then edges
+    rows = np.flatnonzero(has.sum(axis=1) == 2)
     if not len(rows):
         if on.any():
-            raise DegenerateSectionError("plane only grazes vertices or edges")
+            raise DegenerateSectionError("plane touches the surface only at vertices")
         raise NoLoopContainsOriginError("plane misses the surface")
-    ends = keys[rows][keys[rows] >= 0].reshape(-1, 2)
-
-    frame = PlaneFrame.about(n * plane.offset, n)
-    for loop, fids in _stitch_loops(ends, poly.tri_face[rows]):
-        try:
-            polygon, pts3, fids = _remap_loop(frame, points[loop], fids)
-        except (InputError, PoiseError):
-            continue  # sliver loop below validation tolerances
-        if locate_point(polygon, (0.0, 0.0)).side != OUTSIDE:
-            return CrossSection(frame.origin, frame.u, frame.w, polygon, fids, pts3)
-    raise NoLoopContainsOriginError("no section loop encloses the anchor")
-
-
-def _remap_loop(frame, pts3, fids):
-    """Validate the loop in the frame; if validation reversed it, reverse
-    its 3D points and edge provenance too."""
-    pts2 = frame.to2d(pts3)
-    polygon = validate_polygon(pts2)
-    if Polygon2(pts2).signed_area() < 0.0:
-        m = len(fids)
-        fids = [fids[(m - 2 - j) % m] for j in range(m)]
-        pts3 = pts3[::-1]
-    return polygon, pts3, np.asarray(fids, dtype=int)
-
-
-def _stitch_loops(ends, fids):
-    """Chain chords, (m, 2) key pairs with their face ids, into closed loops
-    of keys: greedily, in chord order, each chord's end meets the first
-    unused chord with an equal key. The first chord of a repeated key pair
-    stays (the smallest face id). Two consecutive chords of one face become
-    one chord. Chord i of a returned loop runs from key i to key i + 1."""
-    _, first = np.unique(np.sort(ends, axis=1), axis=0, return_index=True)
-    first.sort()
-    ends, fids = ends[first].tolist(), fids[first].tolist()
-    at = {}
-    for i, pair in enumerate(ends):
-        for key in pair:
-            at.setdefault(key, []).append(i)
-    used = [False] * len(ends)
-    loops = []
-    for start in range(len(ends)):
-        if used[start]:
-            continue
-        used[start] = True
-        keys, faces = list(ends[start]), [fids[start]]
-        while keys[-1] != keys[0]:
-            j = next((j for j in at[keys[-1]] if not used[j]), None)
-            if j is None:
-                raise DegenerateSectionError("section chords do not close up")
-            used[j] = True
-            keys.append(ends[j][1] if ends[j][0] == keys[-1] else ends[j][0])
-            faces.append(fids[j])
-        keys.pop()
-        heads = [i for i in range(len(faces)) if faces[i] != faces[i - 1]]
-        if len(heads) >= 3:
-            loops.append(([keys[i] for i in heads], [faces[i] for i in heads]))
-    if not loops:
-        raise DegenerateSectionError("section has no closed loop")
-    return loops
+    r, c = np.nonzero(has[rows])            # two per row: corner a, or edge a -> b
+    a, b = tris[rows[r], c % 3], nxt[rows[r], c % 3]
+    cut, neg = c >= 3, d[a] < 0.0
+    lo, hi = np.where(neg, a, b)[cut], np.where(neg, b, a)[cut]
+    V = poly.vertices
+    points = V[a]
+    points[cut] = V[lo] + (d[lo] / (d[lo] - d[hi]))[:, None] * (V[hi] - V[lo])
+    return (PlaneFrame.about(n * plane.offset, n), points.reshape(-1, 2, 3),
+            poly.tri_face[rows])

@@ -1,9 +1,10 @@
 """Skeleton placements, the four-point construction on a triangulated
-surface, and the one verifier of every placement: points on mesh edges or on
-low faces of an H-polytope, summing to count * target. It imports NumPy
-only; the H-polytope branch reads polytoped, which its HPolytope argument
-has loaded. Kernels are called through their modules, which the traced
-benchmark patches.
+surface (a section chord crossing the reflected section, then an antipodal
+pair in each of two faces), and the one verifier of every placement: points
+on mesh edges or on low faces of an H-polytope, summing to count * target.
+It imports NumPy only; the H-polytope branch reads polytoped, which its
+HPolytope argument has loaded. Kernels are called through their modules,
+which the traced benchmark patches.
 """
 
 from dataclasses import InitVar, dataclass
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import geom2d, geom3d
 from .certificate import Certificate, FaceD
-from .errors import InputError, OriginOutsideError
+from .errors import InputError, NotFoundError, OriginOutsideError
 from .geom3d import Plane3, Polyhedron3
 
 
@@ -51,12 +52,14 @@ class SkeletonCertificate(Certificate):
 def four_on_edges(P: Polyhedron3, plane: Plane3 = None) -> SkeletonPlacement:
     """Four points on mesh edges summing to the origin.
 
-    An antipodal pair (q, -q) on the section loop pins down two host faces;
-    an antipodal pair inside each face polygon about its section point then
-    lands on the face's boundary edges.  A section point already sitting on
-    an edge collapses its pair to two copies of itself. Each section point
-    is taken on its face's chord in 3D, so a vertex up to eps_geom off the
-    plane moves the sum by at most that much per point, never off the face.
+    The section loop around the origin meets its reflection through the
+    origin, so some section chord crosses a reflected chord: the least
+    (chord i, t, chord j, u) hit gives a point q on chord i whose
+    reflection -q is on chord j. Each is taken on its chord in 3D, so a
+    vertex up to eps_geom off the plane moves the sum by at most that much
+    per point, never off the face. An antipodal pair inside each of the
+    two faces about its point then lands on the face's boundary edges; a
+    point already on an edge collapses its pair to two copies of itself.
     """
     if plane is None:
         plane = Plane3((0.0, 0.0, 1.0), 0.0)
@@ -64,14 +67,16 @@ def four_on_edges(P: Polyhedron3, plane: Plane3 = None) -> SkeletonPlacement:
         raise InputError("section plane must pass through the origin")
     if not P.side_signs(np.zeros((1, 3)))[0] <= 0.0:    # NaN counts as outside
         raise OriginOutsideError("origin lies outside the surface")
-    sec = geom3d.cross_section(P, plane)
-    bq, bq2 = geom2d.antipodal_about(sec.polygon, (0.0, 0.0))
+    frame, chords, fids = geom3d.cross_section(P, plane)
+    a, b = np.moveaxis(frame.to2d(chords), 1, 0)
+    i, t, j, u = geom2d.segment_crossings(a, b, -a, -b, P.eps_geom())
+    if not len(i):
+        raise NotFoundError("no section chord meets the reflected section")
+    k = np.lexsort((u, j, t, i))[0]
     entries = []
-    for bp in (bq, bq2):
-        a, b = sec.points3[bp.edge], sec.points3[(bp.edge + 1) % sec.polygon.n]
-        center3 = a + bp.s * (b - a)
-        fid = int(sec.edge_faces[bp.edge])
-        entries.extend(_face_pair(P, fid, center3))
+    for c, s in ((i[k], t[k]), (j[k], u[k])):
+        p, q = chords[c]
+        entries.extend(_face_pair(P, int(fids[c]), p + s * (q - p)))
     return SkeletonPlacement(entries, 4, np.zeros(3))
 
 

@@ -12,14 +12,12 @@ from scipy.spatial import ConvexHull
 from poise.balance2d import feasibility
 from poise import geom3d
 from poise import tripodal as tp
-from poise.errors import (DegenerateSectionError, InputError,
-                          NoIntersectionError, NoLoopContainsOriginError,
-                          NotFoundError, OpenSurfaceError, ParseError, PoiseError,
-                          SearchExhaustedError)
+from poise.errors import (InputError, NoIntersectionError, NotFoundError,
+                          OpenSurfaceError, ParseError, PoiseError, SearchExhaustedError)
 from poise.geom2d import (OUTSIDE, BoundaryPoint2, _boxes_overlap, _crossings,
                           _segment_hits, locate_point, validate_polygon)
-from poise.geom3d import (PlaneFrame, _closest_on_triangles, _remap_loop, frame_field,
-                          surface_path, validate_polyhedron)
+from poise.geom3d import (_closest_on_triangles, frame_field, surface_path,
+                          validate_polyhedron)
 from poise.polytoped import RANK_TOL, HPolytope, edges, hpolytope
 from poise.skeleton_balance import EPS_T, _singular_triple
 
@@ -127,6 +125,17 @@ def cube_mesh(half=1.0):
                          for z in (-1, 1)], float)
     faces = [[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1],
              [2, 3, 7, 6], [0, 2, 6, 4], [1, 5, 7, 3]]
+    return validate_polyhedron(v, faces)
+
+
+def l_prism_mesh():
+    """The L (x, z) = (-2, -2), (2, -2), (2, 0), (1, 0), (1, 2), (-2, 2)
+    extruded over y in [-2, 2]; its face 4 lies in the plane z = 0."""
+    L = [(-2, -2), (2, -2), (2, 0), (1, 0), (1, 2), (-2, 2)]
+    v = np.array([(x, y, z) for y in (-2, 2) for x, z in L], float)
+    n = len(L)
+    faces = [list(range(n))[::-1], list(range(n, 2 * n))]
+    faces += [[k, (k + 1) % n, n + (k + 1) % n, n + k] for k in range(n)]
     return validate_polyhedron(v, faces)
 
 
@@ -583,8 +592,7 @@ def cross_section_per_face(poly, plane, tol):
     On-plane vertices (|d| <= tol) and boundary crossings become each face's
     section points; points within tol merge, the rest are sorted along the
     section line, and consecutive pairs whose midpoint lies in the face are
-    chords, stitched by stitch_loops_pairwise. Returns (frame, loop polygon,
-    edge faces) of the loop around the anchor.
+    chords. A face in the plane gives none. Returns (p0, p1, face id) chords.
     """
     n = plane.unit_normal()
     d = poly.vertices @ n - plane.offset
@@ -608,56 +616,19 @@ def cross_section_per_face(poly, plane, tol):
         ff, fn, face2 = poly.face_frame(fid)
         line = np.cross(n, fn)
         if np.linalg.norm(line) <= 1e-9:
-            raise DegenerateSectionError(f"face {fid} lies in the cutting plane")
+            continue
         uniq.sort(key=lambda p: float(p @ line))
         for p0, p1 in zip(uniq, uniq[1:]):
             if locate_point(face2, ff.to2d(0.5 * (p0 + p1)), tol).side != OUTSIDE:
                 chords.append((p0, p1, fid))
-    frame = PlaneFrame.about(n * plane.offset, n)
-    for pts3, fids in stitch_loops_pairwise(chords, tol):
-        try:
-            polygon, _, fids = _remap_loop(frame, np.array(pts3), list(fids))
-        except (InputError, PoiseError):
-            continue
-        if locate_point(polygon, (0.0, 0.0)).side != OUTSIDE:
-            return frame, polygon, fids
-    raise NoLoopContainsOriginError("no section loop encloses the anchor")
+    return chords
 
 
-def stitch_loops_pairwise(chords, tol):
-    """Chain (p0, p1, face id) chords into loops, one scalar norm per endpoint
-    pair; the first of two chords with the same endpoints stays."""
-
-    def near(p, q):
-        return np.linalg.norm(p - q) <= tol
-
-    uniq = []
-    for p0, p1, fid in chords:
-        if not any((near(p0, q0) and near(p1, q1)) or (near(p0, q1) and near(p1, q0))
-                   for q0, q1, _ in uniq):
-            uniq.append((p0, p1, fid))
-    used = [False] * len(uniq)
-    loops = []
-    for start, (p0, p1, fid) in enumerate(uniq):
-        if used[start]:
-            continue
-        used[start] = True
-        pts, fids = [p0, p1], [fid]
-        while not near(pts[-1], pts[0]):
-            for j, (q0, q1, fj) in enumerate(uniq):
-                if not used[j] and (near(q0, pts[-1]) or near(q1, pts[-1])):
-                    used[j] = True
-                    pts.append(q1 if near(q0, pts[-1]) else q0)
-                    fids.append(fj)
-                    break
-            else:
-                raise DegenerateSectionError("section chords do not close up")
-        pts.pop()
-        if len(pts) >= 3:
-            loops.append((pts, fids))
-    if not loops:
-        raise DegenerateSectionError("section has no closed loop")
-    return loops
+def all_segment_hits(a, b, c, d, tol):
+    """Every hit (i, t, j, u) of segment a[i] -> b[i] with c[j] -> d[j], one
+    scalar _segment_hits call per pair, sorted."""
+    return sorted((i, t, j, u) for i in range(len(a)) for j in range(len(c))
+                  for t, u in _segment_hits(a[i], b[i], c[j], d[j], tol))
 
 
 # --- routines only the tests call ----------------------------------------------

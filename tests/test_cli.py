@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cross_hrep, cube_mesh, dump_off, octa_mesh, random_hull_hrep,
-                     star_mesh)
+from helpers import (cross_hrep, cube_mesh, dump_off, l_prism_mesh, octa_mesh,
+                     random_hull_hrep, star_mesh)
 import poise.cli
 import poise.polytoped
 import poise.skeleton
@@ -179,6 +179,29 @@ def test_four_on_edges_vertex_on_the_plane_within_eps_geom(h, tmp_path):
     off = tmp_path / "raised.off"
     off.write_text(dump_off(validate_polyhedron(V, octa.faces)))
     assert _solves_and_checks(off, "0 0 1")
+
+
+def test_four_on_edges_with_a_face_in_the_cutting_plane(tmp_path):
+    """The L-prism's face 4 lies in the plane z = 0. A section loop once
+    could not be built on it ("face 4 lies in the cutting plane", exit 1);
+    the boundary edges of that face are chords of its neighbours."""
+    off = tmp_path / "lprism.off"
+    off.write_text(dump_off(l_prism_mesh()))
+    assert _solves_and_checks(off, "0 0 1")
+
+
+def test_four_on_edges_with_no_crossing_is_no_result(tmp_path, capsys):
+    """The cube [3e-9, 2 + 3e-9] x [-1, 1]^2 has the origin within eps_geom
+    of a face, so it counts as inside; its section by z = 0 stays 6e-9 from
+    the reflected section, beyond the crossing tolerance: exit 1, one "no
+    result" line and no traceback."""
+    cube = cube_mesh()
+    off = tmp_path / "grazed.off"
+    off.write_text(dump_off(validate_polyhedron(cube.vertices + (1.0 + 3e-9, 0.0, 0.0),
+                                                cube.faces)))
+    assert run(["four-on-edges", "--off", str(off), "--plane", "0 0 1"]).exit_code == 1
+    assert capsys.readouterr().err == ("poise: no result: "
+                                       "no section chord meets the reflected section\n")
 
 
 @pytest.mark.filterwarnings("error")

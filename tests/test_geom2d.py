@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import (boundary_point_at_param, dump_polygon_text, first_hit_all_hits,
-                     star_polygon)
+from helpers import (all_segment_hits, boundary_point_at_param, dump_polygon_text,
+                     first_hit_all_hits, star_polygon)
 from poise import geom2d
 from poise.errors import DegenerateError, NoIntersectionError, NonSimpleError, ParseError
 from poise.geom2d import (BoundaryPoint2, _segment_hits, antipodal_about,
@@ -188,6 +188,32 @@ def test_curve_intersections_match_brute_force():
             cost = np.linalg.norm(got[:, None, :] - ref[None, :, :], axis=2)
             assert cost.min(axis=1).max() <= 1e-9 * poly.diam
     assert crossing_cases >= 10  # the oracle comparison must actually bite
+
+
+def test_segment_crossings_match_the_scalar_scan():
+    """segment_crossings gives the hits of a scalar _segment_hits scan over
+    all pairs, bit for bit, on random segments plus pieces of a few shared
+    lines: axis lines with exact overlaps, and tilted ones whose pieces are
+    collinear up to rounding."""
+    rng = np.random.default_rng(33)
+    collinear = 0
+    for _ in range(20):
+        sets = []
+        base, step = rng.uniform(-1.0, 1.0, size=(2, 3, 2))
+        step[:2] = ((1.0, 0.0), (0.0, 1.0))
+        for m in rng.integers(3, 12, size=2):
+            free = rng.uniform(-2.0, 2.0, size=(m, 2, 2))
+            s = rng.integers(-4, 5, size=(3, m, 2)) / 2.0
+            pieces = base[:, None, None] + s[..., None] * step[:, None, None]
+            sets.append(np.concatenate([free, pieces.reshape(-1, 2, 2)]))
+        (a, b), (c, d) = (np.moveaxis(x, 1, 0) for x in sets)
+        tol = 1e-9
+        got = sorted(zip(*(x.tolist() for x in geom2d.segment_crossings(a, b, c, d, tol))))
+        want = all_segment_hits(a, b, c, d, tol)
+        assert got == want
+        collinear += sum(len(_segment_hits(a[i], b[i], c[j], d[j], tol)) == 2
+                         for i, j in {(i, j) for i, _, j, _ in want})
+    assert collinear >= 100     # the overlaps must actually occur
 
 
 @pytest.fixture(params=["real", "1-to-4"])

@@ -6,12 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import (closest_points_all_pairs, convex_mesh, criterion05_meshes,
-                     cross_section_per_face, cube_mesh, dump_off,
-                     extreme_boundary_points, octa_mesh, parse_off_reference,
+from helpers import (all_segment_hits, closest_points_all_pairs, convex_mesh,
+                     criterion05_meshes, cross_section_per_face, cube_mesh, dump_off,
+                     extreme_boundary_points, l_prism_mesh, octa_mesh, parse_off_reference,
                      ray_hits_all_pairs, signed_distance, star_mesh, tetra_mesh,
                      validate_polyhedron_reference)
-from poise import geom3d
+from poise import geom3d, skeleton
 from poise.errors import (DegenerateSectionError, InputError,
                           NoLoopContainsOriginError, NonPlanarFaceError,
                           OpenSurfaceError, ParseError)
@@ -109,18 +109,32 @@ def test_frame_field_unit_and_perpendicular():
 
 
 def test_cross_section_cube_through_origin():
+    """The quad-faced cube cut by z = 0: each side face's two triangles give
+    a chord, in the plane, and the eight chords join end to end, sharing
+    each end bit for bit, into the square of side 2."""
     cube = cube_mesh()
-    sec = cross_section(cube, Plane3((0, 0, 1), 0.0))
-    loop = sec.polygon
-    assert loop.n == 4
-    assert loop.signed_area() == pytest.approx(4.0)
-    # 2d -> 3d -> 2d round trip, and the section sits in the plane
-    p3 = sec.to3d(loop.vertices)
-    assert np.allclose(p3[:, 2], 0.0, atol=1e-12)
-    assert np.allclose(sec.to2d(p3), loop.vertices, atol=1e-12)
-    # each section edge is owned by a mesh face
-    assert len(sec.edge_faces) == loop.n
-    assert all(0 <= f < len(cube.faces) for f in sec.edge_faces)
+    frame, chords, fids = cross_section(cube, Plane3((0, 0, 1), 0.0))
+    assert chords.shape == (8, 2, 3) and fids.shape == (8,)
+    assert np.array_equal(np.bincount(fids, minlength=6) == 2,
+                          [abs(cube.face_frame(f)[1][2]) < 0.5 for f in range(6)])
+    assert np.allclose(chords[..., 2], 0.0, atol=1e-12)
+    assert np.allclose(frame.to3d(frame.to2d(chords)), chords, atol=1e-12)
+    assert np.linalg.norm(chords[:, 1] - chords[:, 0], axis=1).sum() == pytest.approx(8.0)
+    _, count = np.unique(chords.reshape(-1, 3), axis=0, return_counts=True)
+    assert len(count) == 8 and (count == 2).all()
+
+
+def test_cross_section_of_planes_that_touch_the_cube():
+    """The plane z = 1 holds the top face, which gives no chord; the side
+    faces give its four edges. The plane through the corner (1, 1, 1) alone
+    gives no chord at all."""
+    cube = cube_mesh()
+    _, chords, fids = cross_section(cube, Plane3((0, 0, 1), 1.0))
+    assert (chords[..., 2] == 1.0).all()
+    assert len({frozenset(map(tuple, c)) for c in chords.tolist()}) == 4
+    assert all(abs(cube.face_frame(f)[1][2]) < 0.5 for f in fids)
+    with pytest.raises(DegenerateSectionError, match="only at vertices"):
+        cross_section(cube, Plane3((1, 1, 1), 3 ** 0.5))
 
 
 @pytest.mark.filterwarnings("error")
@@ -140,15 +154,6 @@ def test_unit_normal_neither_overflows_nor_underflows(normal, unit):
 def test_only_the_zero_normal_is_rejected():
     with pytest.raises(InputError, match="zero plane normal"):
         Plane3((0.0, -0.0, 0.0)).unit_normal()
-
-
-def test_cross_section_requires_origin_in_a_loop():
-    # shift the cube so the z=0 plane misses it entirely around the origin
-    shifted = cube_mesh()
-    v = shifted.vertices + np.array([5.0, 0.0, 0.0])
-    poly = validate_polyhedron(v, shifted.faces)
-    with pytest.raises(NoLoopContainsOriginError):
-        cross_section(poly, Plane3((0, 0, 1), 0.0))
 
 
 # --- culled queries against the all-pairs oracle ---------------------------------
@@ -212,50 +217,61 @@ def _section_planes(rng, poly):
     return planes
 
 
-def _section_outcome(section):
-    try:
-        return section()
-    except (DegenerateSectionError, NoLoopContainsOriginError) as exc:
-        return type(exc)
+def _face_runs(chords, fids, plane, poly, tol):
+    """Per face id, the union of its chords as (start, end) points along the
+    line where the face meets the plane; chords within tol join."""
+    runs = {}
+    for fid in sorted(set(fids)):
+        line = np.cross(plane.unit_normal(), poly.face_frame(fid)[1])
+        segs = sorted((tuple(sorted((p, q), key=lambda x: float(x @ line)))
+                       for (p, q), f in zip(chords, fids) if f == fid),
+                      key=lambda s: float(s[0] @ line))
+        out = [list(segs[0])]
+        for p, q in segs[1:]:
+            if p @ line > out[-1][1] @ line + tol:
+                out.append([p, q])
+            elif q @ line > out[-1][1] @ line:
+                out[-1][1] = q
+        runs[fid] = out
+    return runs
 
 
-def test_cross_section_matches_the_per_face_section(monkeypatch):
-    """The loop of the per-face routine that matches points by coordinates,
-    with tol = eps_geom: the same length, the same edge faces up to a cyclic
-    shift, and vertices within 1e-15 diam, on planes through mesh vertices
-    and edges, whose in-plane edges give duplicate chords. Each polygon
-    vertex is the projection of its 3D point, which lies on the faces of
-    its two edges."""
-    real, dup = geom3d._stitch_loops, []
-
-    def counting(ends, fids):
-        dup.append(len(ends) - len(np.unique(np.sort(ends, axis=1), axis=0)))
-        return real(ends, fids)
-
-    monkeypatch.setattr(geom3d, "_stitch_loops", counting)
+def test_cross_section_matches_the_per_face_section():
+    """Per face, the union of the chords is the per-face routine's, which
+    matches points by coordinates with tol = eps_geom: the same runs, with
+    ends within 1e-15 diam, on planes through mesh vertices and edges,
+    whose in-plane edges give duplicate chords, and on the L-prism, whose
+    face 4 lies in the plane z = 0. Each chord end lies on its face and is
+    the end of another chord too, bit for bit."""
     rng = np.random.default_rng(4)
-    sections = 0
-    for poly in _meshes():
-        for plane in _section_planes(rng, poly):
-            got = _section_outcome(lambda: cross_section(poly, plane))
-            want = _section_outcome(
-                lambda: cross_section_per_face(poly, plane, poly.eps_geom()))
-            if isinstance(want, type):
-                assert got is want, (poly, plane)
-                continue
-            sections += 1
-            frame, loop, fids = want
-            assert got.polygon.n == loop.n, (poly, plane)
-            assert np.array_equal(got.origin, frame.origin)
-            errs = [np.abs(np.roll(got.polygon.vertices, -r, axis=0) - loop.vertices).max()
-                    if list(np.roll(got.edge_faces, -r)) == list(fids) else np.inf
-                    for r in range(loop.n)]
-            assert min(errs) <= 1e-15 * poly.diam, (poly, plane, min(errs))
-            assert np.array_equal(got.to2d(got.points3), got.polygon.vertices)
-            for i, p in enumerate(got.points3):
-                for f in (got.edge_faces[i - 1], got.edge_faces[i]):
-                    frame, normal, _ = poly.face_frame(f)
-                    assert abs((p - frame.origin) @ normal) <= 1e-15 * poly.diam
+    cases = [(poly, plane) for poly in _meshes() for plane in _section_planes(rng, poly)]
+    cases.append((l_prism_mesh(), Plane3((0, 0, 1), 0.0)))
+    sections, dup = 0, []
+    for poly, plane in cases:
+        want = cross_section_per_face(poly, plane, poly.eps_geom())
+        if not want:
+            with pytest.raises((DegenerateSectionError, NoLoopContainsOriginError)):
+                cross_section(poly, plane)
+            continue
+        sections += 1
+        frame, chords, fids = cross_section(poly, plane)
+        assert np.array_equal(frame.origin, plane.unit_normal() * plane.offset)
+        tol = poly.eps_geom()
+        got = _face_runs(chords, fids.tolist(), plane, poly, tol)
+        exp = _face_runs([(p, q) for p, q, _ in want], [f for _, _, f in want],
+                         plane, poly, tol)
+        assert got.keys() == exp.keys(), (poly, plane)
+        for fid, runs in got.items():
+            assert len(runs) == len(exp[fid]), (poly, plane, fid)
+            err = np.abs(np.array(runs) - np.array(exp[fid])).max()
+            assert err <= 1e-15 * poly.diam, (poly, plane, fid, err)
+        for ends, f in zip(chords, fids):
+            ff, normal, _ = poly.face_frame(f)
+            assert np.abs((ends - ff.origin) @ normal).max() <= 1e-15 * poly.diam
+        _, count = np.unique(chords.reshape(-1, 3), axis=0, return_counts=True)
+        assert (count >= 2).all(), (poly, plane)     # ends shared bit for bit
+        dup.append(len(chords) - len({frozenset((p.tobytes(), q.tobytes()))
+                                      for p, q in chords}))
     assert sections >= 100
     assert max(dup) > 0      # some section had duplicate chords
 
@@ -376,6 +392,38 @@ def test_batched_queries_stay_small(tmp_path):
                           text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 300 * 1024     # VmHWM is in KiB
+
+
+def test_four_on_edges_takes_the_least_scalar_hit(monkeypatch):
+    """The two section points four_on_edges takes are those of the least
+    (i, t, j, u) hit of a scalar _segment_hits scan over every chord i and
+    reflected chord j, on the meshes and origin planes above and on the
+    octahedron: on it and on the cube, both centrally symmetric, every
+    chord is collinear with a reflected one."""
+    taken, real = [], skeleton._face_pair
+
+    def recording(P, fid, center3):
+        taken.append((fid, center3))
+        return real(P, fid, center3)
+
+    monkeypatch.setattr(skeleton, "_face_pair", recording)
+    rng = np.random.default_rng(4)
+    solved = 0
+    for poly in _meshes() + [octa_mesh()]:
+        for plane in _section_planes(rng, poly):
+            if plane.offset != 0.0:
+                continue
+            frame, chords, fids = cross_section(poly, plane)
+            a, b = np.moveaxis(frame.to2d(chords), 1, 0)
+            i, t, j, u = all_segment_hits(a, b, -a, -b, poly.eps_geom())[0]
+            taken.clear()
+            sp = skeleton.four_on_edges(poly, plane)
+            assert [f for f, _ in taken] == [fids[i], fids[j]], (poly, plane)
+            for (_, got), (c, s) in zip(taken, ((i, t), (j, u))):
+                assert np.array_equal(got, chords[c, 0] + s * (chords[c, 1] - chords[c, 0]))
+            assert skeleton.verify_skeleton(poly, sp.points()).passed, (poly, plane)
+            solved += 1
+    assert solved >= 100
 
 
 # --- per-face frames and edges owned by the mesh ---------------------------------

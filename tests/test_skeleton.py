@@ -12,8 +12,9 @@ from helpers import (cross_hrep, cube_mesh, edge_triple_systems, face_per_point,
                      stiemke_cone_lp, tetra_mesh, three_on_edges_all_triples,
                      tight_sets)
 from poise import polytoped, skeleton_balance
-from poise.errors import InputError, NotFoundError, UnsupportedDimensionError
-from poise.geom3d import Plane3
+from poise.errors import (InputError, NoLoopContainsOriginError, NotFoundError,
+                          OriginOutsideError, UnsupportedDimensionError)
+from poise.geom3d import Plane3, cross_section, validate_polyhedron
 from poise.polytoped import (RANK_TOL, cube_hrep, edges, enumerate_vertices,
                              dump_hrep_text, enumerate_vertices_bruteforce,
                              hpolytope, load_hrep, product)
@@ -213,6 +214,19 @@ def test_four_on_edges_tetra_and_tilted_plane():
 def test_four_on_edges_requires_origin_plane():
     with pytest.raises(InputError):
         four_on_edges(cube_mesh(), Plane3((0.0, 0.0, 1.0), 0.5))
+
+
+def test_four_on_edges_origin_outside_the_shifted_cube():
+    """The cube moved 5 along x: four_on_edges rejects the origin as
+    outside (exit 2). The plane z = 0 misses the cube moved 5 along z,
+    the one case cross_section reports as NoLoopContainsOriginError."""
+    cube = cube_mesh()
+    shifted = validate_polyhedron(cube.vertices + (5.0, 0.0, 0.0), cube.faces)
+    with pytest.raises(OriginOutsideError):
+        four_on_edges(shifted, Plane3((0.0, 0.0, 1.0), 0.0))
+    lifted = validate_polyhedron(cube.vertices + (0.0, 0.0, 5.0), cube.faces)
+    with pytest.raises(NoLoopContainsOriginError, match="plane misses the surface"):
+        cross_section(lifted, Plane3((0.0, 0.0, 1.0), 0.0))
 
 
 def test_pow2_counts_and_balance():

@@ -8,6 +8,7 @@ on the fan/ear triangulation; face ids always refer to the original loops.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -113,6 +114,7 @@ class Polyhedron3:
         self._tn = _cross(self._ab, self._ac)
         self._tnn = np.linalg.norm(self._tn, axis=1)
         self._rays = {}     # ray direction index -> per-triangle ray data
+        self._grids = {}    # ray direction index -> its bucket grid, see _ray_grid
         self._frames = {}   # face id -> face_frame(fid), filled on first use
 
     def eps_geom(self) -> float:
@@ -133,7 +135,11 @@ class Polyhedron3:
     # Points run in Morton-ordered blocks of about _PAIR_BUDGET point-triangle
     # pairs. Each block scans only the triangles that can change its answers
     # (box culling, Ericson, Real-Time Collision Detection, ch. 5.1 and 6):
-    # the answers of an all-pairs scan, bit for bit.
+    # the answers of an all-pairs scan, bit for bit. A parity query of more
+    # than one block looks up each point's triangles in a per-direction
+    # bucket grid instead (ch. 7.1) and tests the flat pairs in chunks of at
+    # most _PAIR_BUDGET; a one-block query keeps the block scan, which costs
+    # less than building the grid.
 
     @cached_property
     def _boxes(self):
@@ -174,7 +180,9 @@ class Polyhedron3:
         return np.flatnonzero(~far)
 
     def contains(self, points):
-        """Parity test per point; callers keep points off the surface."""
+        """Parity test per point; callers keep points off the surface. Each
+        ray direction's _ray_hits takes a query of more than one block
+        through the bucket grid, a one-block query through the block scan."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(len(pts), dtype=bool)
         todo = np.arange(len(pts))
@@ -196,7 +204,7 @@ class Polyhedron3:
         and g1 of the rounding bound g0 + S g1 on each axis."""
         if k not in self._rays:
             d = _RAY_DIRS[k]
-            h = np.cross(d, self._ac)
+            h = _cross(d, self._ac)
             a = np.einsum("tj,tj->t", self._ab, h)
             nn = self._tnn
             para = np.abs(a) <= 1e-12 * np.maximum(nn, 1e-300)
@@ -218,31 +226,85 @@ class Polyhedron3:
         return self._rays[k]
 
     def _ray_hits(self, pts, k):
-        """Crossing counts along _RAY_DIRS[k] plus degeneracy flags."""
+        """Crossing counts along _RAY_DIRS[k] plus degeneracy flags. In a
+        query of more than one block (m ntri > _PAIR_BUDGET), the points that
+        _ray_grid serves take their triangles from it (_grid_pairs); the
+        others scan Morton blocks against _ray_tris, as every point of a
+        one-block query does. The same Moller-Trumbore values decide either
+        way, and the parallel triangles' in-plane test runs on every point."""
         d = _RAY_DIRS[k]
-        h, f, para, nn = self._ray_data(k)[:4]
-        eps_b = 1e-9
+        h, f, para, nn, frame = self._ray_data(k)[:5]
         eps_t = 1e-9 * self.diam
-        counts = np.zeros(len(pts), dtype=int)
-        bad = np.zeros(len(pts), dtype=bool)
-        for idx in _morton_blocks(pts, len(self.tris)):
+        m = len(pts)
+        counts = np.zeros(m, dtype=int)
+        bad = np.zeros(m, dtype=bool)
+        rest = np.arange(m)       # the rows that scan blocks
+        if m * len(self.tris) > _PAIR_BUDGET:
+            cap, *grid = self._ray_grid(k)
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = frame @ pts.T
+                S = np.abs(pts).max(axis=1) + self._boxes[4]   # per row, as _ray_tris
+                near = np.isfinite(c).all(axis=0) & (S <= cap)
+            rest, near = np.flatnonzero(~near), np.flatnonzero(near)
+            for i, t in _grid_pairs(grid, c[:, near]):
+                i = near[i]
+                good, loose = _mt_crossings(pts[i] - self._tv0[t], h[t], f[t],
+                                            self._ab[t], self._ac[t], d, eps_t)
+                counts += np.bincount(i[good], minlength=m)
+                bad |= np.bincount(i[loose & ~good], minlength=m) > 0
+        for idx in _morton_blocks(pts[rest], len(self.tris)):
+            idx = rest[idx]
             p = pts[idx]
             tri = self._ray_tris(p, k)
-            s = p[:, None, :] - self._tv0[tri][None, :, :]
-            u = np.einsum("mtj,tj->mt", s, h[tri]) * f[tri]
-            q = np.cross(s, self._ab[tri][None, :, :])
-            v = np.einsum("mtj,j->mt", q, d) * f[tri]
-            t = np.einsum("mtj,tj->mt", q, self._ac[tri]) * f[tri]
-            good = (u > eps_b) & (v > eps_b) & (u + v < 1.0 - eps_b) & (t > eps_t)
-            loose = (u > -eps_b) & (v > -eps_b) & (u + v < 1.0 + eps_b) & (t > -eps_t)
+            good, loose = _mt_crossings(p[:, None, :] - self._tv0[tri], h[tri], f[tri],
+                                        self._ab[tri], self._ac[tri], d, eps_t)
             counts[idx] = good.sum(axis=1)
             bad[idx] = (loose & ~good).any(axis=1)
-            if para.any():
-                # a ray inside the plane of a parallel triangle breaks parity
-                s = p[:, None, :] - self._tv0[para][None, :, :]
-                dp = np.abs(np.einsum("mtj,tj->mt", s, self._tn[para]))
-                bad[idx] |= (dp <= eps_t * np.maximum(nn[para], 1e-300)).any(axis=1)
+        if para.any():
+            # a ray inside the plane of a parallel triangle breaks parity
+            tv0, tn = self._tv0[para], self._tn[para]
+            tol = eps_t * np.maximum(nn[para], 1e-300)
+            size = max(1, _PAIR_BUDGET // len(tn))
+            for a in range(0, m, size):
+                s = pts[a:a + size, None, :] - tv0
+                bad[a:a + size] |= (np.abs(np.einsum("mtj,tj->mt", s, tn)) <= tol).any(axis=1)
         return counts, bad
+
+    def _ray_grid(self, k):
+        """Bucket grid of ray direction k (Ericson, Real-Time Collision
+        Detection, 7.1), built on first use: the non-parallel triangles'
+        boxes in the frame (u, w, d), grown by the _ray_tris bound at S =
+        cap = 4 max |vertex|, binned by (u, w) on an n x n grid over the
+        triangles' extent, n = isqrt of their count. It serves the points
+        with max |p| + max |vertex| <= cap, so every point of the ball about
+        the origin through the farthest vertex. Holds the cap, the inner cell
+        edges per axis, the cells' CSR start offsets into their triangle ids,
+        the triangles of unbounded growth, which every cell holds, and the
+        grown boxes' low and high ends per axis."""
+        if k not in self._grids:
+            _, _, para, _, _, lo, hi, g0, g1 = self._ray_data(k)
+            cap = 4.0 * self._boxes[4]
+            with np.errstate(over="ignore", invalid="ignore"):
+                grow = g0 + cap * g1
+                glo = np.where(grow >= 0.0, lo - grow, -np.inf).T    # no usable bound: kept
+                ghi = np.where(grow >= 0.0, hi + grow, np.inf).T
+                wide = ~np.isfinite(glo[:2] + ghi[:2]).all(axis=0) & ~para
+                live = np.flatnonzero(~(para | wide))
+                n = max(1, math.isqrt(len(live)))
+                edges = np.linspace(lo[:, :2].min(axis=0), hi[:, :2].max(axis=0), n + 1)[1:-1].T
+            c0, c1 = ([np.searchsorted(edges[j], b[j, live], "right") for j in (0, 1)]
+                      for b in (glo, ghi))
+            nw = c1[1] - c0[1] + 1
+            cnt = (c1[0] - c0[0] + 1) * nw
+            r = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+            nw = np.repeat(nw, cnt)
+            cell = np.repeat(c0[0] * n + c0[1], cnt) + (r // nw) * n + r % nw
+            order = np.argsort(cell, kind="stable")
+            start = np.searchsorted(cell[order], np.arange(n * n + 1))
+            self._grids[k] = (cap, edges, start, np.repeat(live, cnt)[order],
+                              np.flatnonzero(wide), np.ascontiguousarray(glo),
+                              np.ascontiguousarray(ghi))
+        return self._grids[k]
 
     def _ray_tris(self, p, k):
         """Ascending ids of the non-parallel triangles that a ray from a point
@@ -315,9 +377,62 @@ class Polyhedron3:
 
 
 def _cross(a, b):
-    """np.cross of (..., 3) arrays, bit for bit, without its axis handling."""
-    i, j = [1, 2, 0], [2, 0, 1]
-    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+    """np.cross of (..., 3) arrays, bit for bit, without its axis handling.
+    The result is C-contiguous like np.cross's: einsum sums a row of three
+    in an order that depends on the layout."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _mt_crossings(s, h, f, ab, ac, d, eps_t):
+    """Moller-Trumbore (1997) along d from points at offsets s from the first
+    vertices of triangles with terms h, f, ab, ac, which broadcast against s
+    up to its last axis: masks of clear crossings, eps_b = 1e-9 inside the
+    edges and eps_t past the start, and of loose ones, as far outside them."""
+    eps_b = 1e-9
+    u = np.einsum("...j,...j->...", s, h) * f
+    q = _cross(s, ab)
+    v = np.einsum("...j,j->...", q, d) * f
+    t = np.einsum("...j,...j->...", q, ac) * f
+    good = (u > eps_b) & (v > eps_b) & (u + v < 1.0 - eps_b) & (t > eps_t)
+    loose = (u > -eps_b) & (v > -eps_b) & (u + v < 1.0 + eps_b) & (t > -eps_t)
+    return good, loose
+
+
+def _grid_pairs(grid, c):
+    """Chunks (i, t) of at most _PAIR_BUDGET point-triangle pairs for the
+    points with frame coordinates c (3 x m): per point i, the triangles t of
+    its cell of the _ray_grid and those of unbounded growth, kept when their
+    grown box holds the point with far end along d not behind it, as
+    _ray_tris keeps them for a block."""
+    edges, start, tris, wide, glo, ghi = grid
+    cu, cw, cd = c
+    cell = (np.searchsorted(edges[0], cu, "right") * (edges.shape[1] + 1)
+            + np.searchsorted(edges[1], cw, "right"))
+    m = len(cu)
+    pairs = itertools.chain(_csr_pairs(tris, start[cell], start[cell + 1] - start[cell]),
+                            _csr_pairs(wide, np.zeros(m, dtype=int), np.full(m, len(wide))))
+    for i, t in pairs:
+        u, w = cu[i], cw[i]
+        keep = ~((glo[0, t] > u) | (ghi[0, t] < u) | (glo[1, t] > w)
+                 | (ghi[1, t] < w) | (ghi[2, t] < cd[i]))
+        yield i[keep], t[keep]
+
+
+def _csr_pairs(ids, first, cnt):
+    """Chunks (i, t) of the pairs of row i with its cnt[i] ids from
+    ids[first[i]:], rows ascending: at most _PAIR_BUDGET pairs a chunk, or
+    one row's if it has more."""
+    end = np.cumsum(cnt)
+    base, total = 0, int(cnt.sum())
+    while base < total:
+        a = int(np.searchsorted(end, base, "right"))   # the first row with pairs left
+        b = max(a + 1, int(np.searchsorted(end, base + _PAIR_BUDGET, "right")))
+        n = cnt[a:b]
+        j = np.repeat(first[a:b] - (end[a:b] - n), n) + np.arange(base, end[b - 1])
+        yield np.repeat(np.arange(a, b), n), ids[j]
+        base = int(end[b - 1])
 
 
 def _morton_blocks(pts, ntri):
@@ -537,9 +652,9 @@ def _plane_basis(n):
     j = int(np.argmin(np.abs(n)))
     e = np.zeros(3)
     e[j] = 1.0
-    u = np.cross(n, e)
+    u = _cross(n, e)
     u = u / np.linalg.norm(u)
-    return u, np.cross(n, u)
+    return u, _cross(n, u)
 
 
 def parse_off(text: str) -> Polyhedron3:

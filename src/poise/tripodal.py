@@ -24,7 +24,8 @@ from .errors import (
     SearchExhaustedError,
 )
 from .geom2d import OUTSIDE, locate_point
-from .geom3d import Polyhedron3, _closest_on_triangles, frame_field, surface_path
+from .geom3d import (Polyhedron3, _closest_on_triangles, _cross, frame_field,
+                     surface_path)
 
 EPS_REL = 1e-6    # relative tolerances of verify_tripodal
 REFINE_DEPTH = 6  # subdivision levels of a grid cell whose polish stalls
@@ -141,7 +142,7 @@ class _CompanionField:
         r = np.linalg.norm(g, axis=-1, keepdims=True)
         ahat = g / r
         u = (np.cos(thetas)[..., None] * v
-             + np.sin(thetas)[..., None] * np.cross(ahat, v))
+             + np.sin(thetas)[..., None] * _cross(ahat, v))
         half = (np.sqrt(3.0) / 2.0) * r * u
         return -0.5 * g + half, -0.5 * g - half
 

@@ -120,6 +120,19 @@ def star_mesh(rng, subdiv=1, r_lo=0.7, r_hi=1.3):
     return validate_polyhedron(V, [list(f) for f in faces])
 
 
+def needle_mesh(rng):
+    """A tetrahedron whose four faces are slivers: two vertices sit within
+    1e-13 of the segment between the other two. Its rounded normals point
+    anywhere, and points near it are near its long edge."""
+    a, u, w = rng.normal(size=(3, 3))
+    u /= np.linalg.norm(u)
+    v = [a, a + u, a + 0.4 * u + 1e-13 * w, a + 0.6 * u - 1e-13 * w[::-1]]
+    poly = validate_polyhedron(v, [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
+    t = rng.uniform(0.0, 1.0, (200, 1))
+    scale = rng.choice([1e-10, 1e-9, 2e-9, 1e-8], (200, 1)) * poly.diam
+    return poly, a + t * u + rng.normal(size=(200, 3)) * scale
+
+
 def cube_mesh(half=1.0):
     v = half * np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1)
                          for z in (-1, 1)], float)

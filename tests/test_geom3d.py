@@ -9,9 +9,9 @@ import pytest
 from helpers import (all_segment_hits, closest_points_all_pairs, convex_mesh,
                      criterion05_meshes, cross_section_per_face, cube_mesh, dump_off,
                      extreme_boundary_points, l_prism_mesh, octa_mesh, parse_off_reference,
-                     ray_hits_all_pairs, signed_distance, star_mesh, tetra_mesh,
-                     validate_polyhedron_reference)
-from poise import geom3d, skeleton
+                     needle_mesh, ray_hits_all_pairs, signed_distance, star_mesh,
+                     tetra_mesh, validate_polyhedron_reference)
+from poise import geom3d, skeleton, tripodal
 from poise.errors import (DegenerateSectionError, InputError,
                           NoLoopContainsOriginError, NonPlanarFaceError,
                           OpenSurfaceError, ParseError)
@@ -276,16 +276,68 @@ def test_cross_section_matches_the_per_face_section():
     assert max(dup) > 0      # some section had duplicate chords
 
 
+def _companion_field(poly):
+    """The companion field of tripodal_search's path on poly."""
+    tri0, x0 = tripodal._locate_origin(poly)
+    far = int(np.argmax(np.linalg.norm(poly.vertices, axis=1)))
+    path = surface_path(poly, x0, tri0, far)
+    return tripodal._CompanionField(poly, path, frame_field(path))
+
+
+def _companion_grid(poly, n=64):
+    """The 2 (n + 1)^2 companion points of a whole n x n tripodal scan."""
+    ts, ths = np.meshgrid(np.linspace(0.0, 1.0, n + 1), np.linspace(0.0, np.pi, n + 1),
+                          indexing="ij")
+    return np.concatenate([x.reshape(-1, 3) for x in _companion_field(poly).companions(ts, ths)])
+
+
+def _past_one_block(pts, poly):
+    """pts, tiled as often as it takes to fill more than one query block."""
+    return np.tile(pts, (geom3d._PAIR_BUDGET // (len(pts) * len(poly.tris)) + 1, 1))
+
+
+def _assert_rays_match(poly, pts, k, why):
+    """_ray_hits(pts, k) gives the oracle's answers: on every row, or on
+    2^20 pairs' worth of rows drawn at random, as each row's answer is its
+    own."""
+    got = poly._ray_hits(pts, k)
+    n = min(len(pts), (1 << 20) // len(poly.tris))
+    rows = np.sort(np.random.default_rng(k).choice(len(pts), n, replace=False))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ray_hits_all_pairs(poly, pts[rows], geom3d._RAY_DIRS[k])
+    assert np.array_equal(got[0][rows], want[0]), (poly, why, k)
+    assert np.array_equal(got[1][rows], want[1]), (poly, why, k)
+    return want
+
+
 def test_culled_queries_match_all_pairs_oracle(monkeypatch):
     """Bitwise equal answers, at the default block size and at blocks of
     2^6 pairs (one to sixteen points), where a block can hold only the
     points just past a vertex and so tests every slack on its own; and on
     queries of 1, 2, 8 and 20 points, one block at the default size, drawn
-    from near-surface, vertex, edge, far, NaN and inf points."""
+    from near-surface, vertex, edge, far, NaN and inf points.
+
+    Parity queries of more than one block take their pairs from a bucket
+    grid: at the default size, along three directions, a 64 x 64 companion
+    scan builds it and runs on it alone, and the query points, tiled past
+    one block, run on it but for their far rows, which scan blocks."""
     rng, qrng = np.random.default_rng(5), np.random.default_rng(7)
     saw_para = False
     for poly in _meshes():
         pts = _query_points(rng, poly)
+        comp, tiled = (_past_one_block(x, poly) for x in (_companion_grid(poly), pts))
+        blocks, real = [], geom3d._morton_blocks
+        monkeypatch.setattr(geom3d, "_morton_blocks",
+                            lambda p, n: blocks.append(len(p)) or real(p, n))
+        for k in (0, 1, 2):
+            assert k not in poly._grids
+            _assert_rays_match(poly, comp, k, "companions")
+            grid = poly._grids[k]
+            _assert_rays_match(poly, tiled, k, "tiled")
+            assert poly._grids[k] is grid
+        far = (np.abs(tiled).max(axis=1) > 3.0 * np.abs(poly.vertices).max()).sum()
+        assert far > 0 and blocks == [0, far] * 3, (poly, blocks)
+        monkeypatch.undo()
         # the all-pairs formulas overflow at 1e150 on the 1e8 meshes
         with np.errstate(over="ignore", invalid="ignore"):
             want = closest_points_all_pairs(poly, pts)
@@ -334,17 +386,62 @@ def _shell_points(rng, poly):
                            bad * poly.diam])
 
 
-def _needle(rng):
-    """A tetrahedron whose four faces are slivers: two vertices sit within
-    1e-13 of the segment between the other two. Its rounded normals point
-    anywhere, and points near it are near its long edge."""
-    a, u, w = rng.normal(size=(3, 3))
-    u /= np.linalg.norm(u)
-    v = [a, a + u, a + 0.4 * u + 1e-13 * w, a + 0.6 * u - 1e-13 * w[::-1]]
-    poly = validate_polyhedron(v, [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
-    t = rng.uniform(0.0, 1.0, (200, 1))
-    scale = rng.choice([1e-10, 1e-9, 2e-9, 1e-8], (200, 1)) * poly.diam
-    return poly, a + t * u + rng.normal(size=(200, 3)) * scale
+def test_sliver_pairs_run_in_chunks():
+    """Every point pairs with a sliver of unbounded growth: 45,000 points
+    near the needle give more than one chunk of pairs, with the oracle's
+    answers along three directions, among them points whose ray meets the
+    needle's long edge, a loose crossing of the slivers on it."""
+    rng = np.random.default_rng(8)
+    for _ in range(2):
+        poly, pts = needle_mesh(rng)
+        a, b = poly.vertices[:2]
+        on_edge = a + rng.uniform(0.1, 0.9, (100, 1)) * (b - a)
+        for k in (0, 1, 2):
+            back = rng.uniform(0.1, 1.0, (100, 1)) * geom3d._RAY_DIRS[k]
+            q = np.tile(np.concatenate([pts, on_edge - back]), (150, 1))
+            assert _assert_rays_match(poly, q, k, "needle")[1].sum() >= 150
+            assert len(q) * len(poly._grids[k][4]) > geom3d._PAIR_BUDGET
+
+
+def test_one_block_queries_build_no_grid(monkeypatch):
+    """four_on_edges' origin query and Newton's queries of 1 to 9 points
+    scan one block and build no grid; a 64 x 64 scan builds one grid per
+    direction it casts along, once."""
+    poly = star_mesh(np.random.default_rng(1), 3)
+    skeleton.four_on_edges(poly)
+    tripodal._newton_polish(_companion_field(poly), 0.3, 1.0, 1e-9 * poly.diam)
+    assert poly._grids == {}
+
+    builds = []
+    ray_grid = geom3d.Polyhedron3._ray_grid
+
+    def counting(self, k):
+        if k not in self._grids:
+            builds.append(k)
+        return ray_grid(self, k)
+
+    monkeypatch.setattr(geom3d.Polyhedron3, "_ray_grid", counting)
+    tripodal.tripodal_search(poly, (64, 64))
+    assert builds and sorted(builds) == sorted(set(builds)) == sorted(poly._grids)
+
+
+def test_tripodal_is_the_same_on_both_ray_paths(monkeypatch):
+    """A 64 x 64 tripodal search gives the same points, t and theta when
+    every query is one block, so no grid is built, as at the default block
+    size, where the grid answers its larger parity queries."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    meshes = [parse_off(open(os.path.join(here, "data", "surface_seed4_mesh5.off")).read())]
+    meshes += _meshes()[2:5]
+    for poly in meshes:
+        out = []
+        for budget in (1 << 40, geom3d._PAIR_BUDGET):
+            monkeypatch.setattr(geom3d, "_PAIR_BUDGET", budget)
+            fresh = validate_polyhedron(poly.vertices, poly.faces)
+            res = tripodal.tripodal_search(fresh, (64, 64))
+            out.append((res.points.tobytes(), res.t, res.theta, bool(fresh._grids)))
+            monkeypatch.undo()
+        assert out[0][:3] == out[1][:3], poly
+        assert (out[0][3], out[1][3]) == (False, True), poly
 
 
 def test_side_signs_are_the_signs_of_signed_distances(monkeypatch):
@@ -353,7 +450,7 @@ def test_side_signs_are_the_signs_of_signed_distances(monkeypatch):
     near sliver triangles."""
     rng = np.random.default_rng(6)
     cases = [(poly, _shell_points(rng, poly)) for poly in _meshes()]
-    cases += [_needle(rng) for _ in range(4)]
+    cases += [needle_mesh(rng) for _ in range(4)]
     for poly, pts in cases:
         for budget in (geom3d._PAIR_BUDGET, 1 << 6):
             monkeypatch.setattr(geom3d, "_PAIR_BUDGET", budget)
@@ -366,8 +463,10 @@ def test_side_signs_are_the_signs_of_signed_distances(monkeypatch):
 
 
 def test_batched_queries_stay_small(tmp_path):
-    """65,536 points against 512 triangles: the all-pairs scan peaked at
-    1.3 GB; the culled blocks must stay under 300 MB.
+    """65,536 points against 512 triangles, whose parity queries run on the
+    bucket grid, and 65,600 against the four slivers of a needle, which
+    pair with every point: the all-pairs scan peaked at 1.3 GB; the culled
+    queries must stay under 300 MB.
 
     The child reports VmHWM, not ru_maxrss: Linux carries ru_maxrss over
     from the forking process, which here is the pytest process.
@@ -375,7 +474,7 @@ def test_batched_queries_stay_small(tmp_path):
     here = os.path.dirname(os.path.abspath(__file__))
     script = (
         "import numpy as np\n"
-        "from helpers import star_mesh\n"
+        "from helpers import needle_mesh, star_mesh\n"
         "poly = star_mesh(np.random.default_rng(1), 3)\n"
         "rng = np.random.default_rng(2)\n"
         "cp = poly.closest_points(rng.uniform(-1, 1, size=(4096, 3)))[2]\n"
@@ -383,6 +482,10 @@ def test_batched_queries_stay_small(tmp_path):
         "assert len(poly.tris) == 512\n"
         "poly.closest_points(pts)\n"
         "poly.contains(pts)\n"
+        "assert poly._grids\n"
+        "needle, q = needle_mesh(rng)\n"
+        "needle._ray_hits(np.repeat(q, 328, axis=0), 0)\n"
+        "assert len(needle._grids[0][4]) >= 3\n"
         "print(next(line.split()[1] for line in open('/proc/self/status')\n"
         "           if line.startswith('VmHWM:')))\n")
     env = dict(os.environ)

@@ -38,7 +38,9 @@ from .geom2d import (
 )
 
 EPS_BAL_REL = 1e-8
-ORACLE_MAX_TOTAL = 2 ** 27    # partition_oracle's bitmask stays below 16 MB
+# partition_oracle's bitmask stays below 16 MB, gadget_witness's arrays
+# below about 2 bytes per unit of the total
+ORACLE_MAX_TOTAL = 2 ** 27
 
 
 @dataclass
@@ -346,22 +348,31 @@ def gadget_from_partition(inst: PartitionInstance):
     return gadget_polygon(), weights
 
 
+def _oracle_half(inst: PartitionInstance) -> int | None:
+    """Half the values' total, or None if the total is odd; InputError
+    above ORACLE_MAX_TOTAL."""
+    total = sum(int(a) for a in inst.values)
+    if total % 2 == 1:
+        return None
+    if total > ORACLE_MAX_TOTAL:
+        raise InputError(f"values total {total} exceeds the oracle's limit "
+                         f"{ORACLE_MAX_TOTAL}")
+    return total // 2
+
+
 def partition_oracle(inst: PartitionInstance) -> bool:
     """Subset-sum bitmask DP: can the values split into two equal halves?
 
     The bitmask grows to total bits, so totals above ORACLE_MAX_TOTAL are
     refused rather than allowed to exhaust memory.
     """
-    total = sum(int(a) for a in inst.values)
-    if total % 2 == 1:
+    half = _oracle_half(inst)
+    if half is None:
         return False
-    if total > ORACLE_MAX_TOTAL:
-        raise InputError(f"values total {total} exceeds the oracle's limit "
-                         f"{ORACLE_MAX_TOTAL}")
     bits = 1
     for a in inst.values:
         bits |= bits << int(a)
-    return bool((bits >> (total // 2)) & 1)
+    return bool((bits >> half) & 1)
 
 
 def verify_gadget_decision(inst: PartitionInstance, balanceable,
@@ -382,27 +393,33 @@ def gadget_witness(inst: PartitionInstance) -> Placement2 | None:
 
     The heavy weight takes the reflex vertex (0, -1); vertical balance then
     holds and horizontal balance needs the rest split between the corners
-    x = -2 and x = +2 with equal totals. Reachable corner loads are grown
-    as a parent map, a different route from the bitmask partition_oracle,
-    so whether a witness exists is the gadget's decision.
+    x = -2 and x = +2 with equal totals. Reachable corner loads up to half
+    the total are grown in a boolean array, each load keeping the first
+    value that reached it, a different route from the bitmask
+    partition_oracle, so whether a witness exists is the gadget's decision.
+    Totals above ORACLE_MAX_TOTAL raise InputError, as the oracle does.
     """
-    total = sum(int(a) for a in inst.values)
-    if total % 2 == 1:
+    half = _oracle_half(inst)
+    if half is None:
         return None
     vals = sorted((int(a) for a in inst.values), reverse=True)
-    parent = {0: None}
+    reach = np.zeros(half + 1, dtype=bool)
+    reach[0] = True
+    first = np.zeros(half + 1, dtype=np.min_scalar_type(len(vals) - 1))
     for pos, a in enumerate(vals):
-        for r in list(parent):
-            if r + a not in parent:
-                parent[r + a] = (r, pos)
-    half = total // 2
-    if half not in parent:
+        if a > half:
+            continue
+        new = reach[:half + 1 - a] & ~reach[a:]
+        reach[a:] |= new
+        first[a:][new] = pos
+    if not reach[half]:
         return None
     on_right = set()
     r = half
-    while parent[r] is not None:
-        r, pos = parent[r]
+    while r:
+        pos = int(first[r])
         on_right.add(pos)
+        r -= vals[pos]
     poly = gadget_polygon()
     reflex = nearest_boundary_point(poly, (0.0, -1.0))
     left = nearest_boundary_point(poly, (-2.0, 2.0))

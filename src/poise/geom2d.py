@@ -1,6 +1,10 @@
 """Simple-polygon kernel: validation, boundary parametrization,
 curve/boundary intersections, and antipodal pairs.
 
+A Polygon2 derives its edge data (next vertices, edge vectors, squared
+lengths, edge boxes) once, on first use, and every kernel here reads it.
+A polygon file of `x y` lines is read in one pass.
+
 Boundary points are addressed as (edge index, fraction s in [0, 1]); the
 scalar parameter edge + s runs over [0, n) counterclockwise. A curve is a
 closed polyline, an (m, 2) array of points: segment i runs from point i to
@@ -10,6 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +49,22 @@ class BoundaryPoint2:
         return self.edge + self.s
 
 
+class Edges(NamedTuple):
+    """Read-only arrays of a polygon's edges i = vertex i -> vertex i + 1."""
+
+    ends: np.ndarray       # (n, 2) vertex i + 1, wrapping to vertex 0
+    vecs: np.ndarray       # (n, 2) ends - vertices
+    sq_len: np.ndarray     # (n,) squared lengths, at least 1e-300
+    lo: np.ndarray         # (n, 2) edge box corners
+    hi: np.ndarray
+
+
 class Polygon2:
     """Validated simple polygon with CCW vertex order.
 
     Build instances from outside data through validate_polygon; the
-    constructor only stores the array and derived quantities.
+    constructor only stores the array and derived quantities. The edge
+    data is derived on first use and assumes the vertices never change.
     """
 
     def __init__(self, vertices):
@@ -56,18 +74,28 @@ class Polygon2:
         hi = self.vertices.max(axis=0)
         self.diam = float(np.linalg.norm(hi - lo))
 
+    @cached_property
+    def edges(self) -> Edges:
+        v = self.vertices
+        w = np.concatenate([v[1:], v[:1]])
+        e = w - v
+        # the clamp guards a zero-length edge of a Polygon2 built without validation
+        data = Edges(w, e, np.maximum(np.einsum("ij,ij->i", e, e), 1e-300),
+                     np.minimum(v, w), np.maximum(v, w))
+        for a in data:
+            a.flags.writeable = False
+        return data
+
     def edge_arrays(self):
         """(starts, ends) arrays of shape (n, 2)."""
-        v = self.vertices
-        return v, np.roll(v, -1, axis=0)
+        return self.vertices, self.edges.ends
 
     def eps_geom(self, eps=None) -> float:
         return EPS_GEOM_REL * self.diam if eps is None else float(eps)
 
     def signed_area(self) -> float:
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        x2, y2 = np.roll(x, -1), np.roll(y, -1)
-        return 0.5 * float(np.sum(x * y2 - x2 * y))
+        v, w = self.edge_arrays()
+        return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
 
     def __repr__(self):
         return f"Polygon2(n={self.n}, diam={self.diam:.6g})"
@@ -90,8 +118,7 @@ def validate_polygon(vertices) -> Polygon2:
     poly = Polygon2(v)
     scale = max(poly.diam, 1e-300)
     # repeated consecutive vertices collapse an edge
-    dif = np.roll(v, -1, axis=0) - v
-    if np.any(np.linalg.norm(dif, axis=1) <= 1e-12 * scale):
+    if np.any(np.linalg.norm(poly.edges.vecs, axis=1) <= 1e-12 * scale):
         raise DegenerateError("repeated consecutive vertices")
     area = poly.signed_area()
     if abs(area) <= 1e-14 * scale * scale:
@@ -116,19 +143,20 @@ def _check_simple(poly: Polygon2) -> None:
     pairs and pairs the batch finds at fault are retested by the scalar
     routine, in (i, j) order.
     """
-    v, w = poly.edge_arrays()
+    v, edges = poly.vertices, poly.edges
+    w, e = edges.ends, edges.vecs
     n = poly.n
     tol = 1e-12 * max(poly.diam, 1e-300)
-    lo = np.minimum(v, w) - 2.0 * tol
-    hi = np.maximum(v, w) + 2.0 * tol
+    lo = edges.lo - 2.0 * tol
+    hi = edges.hi + 2.0 * tol
     for i0 in range(0, n - 1, _ROW_BLOCK):
         i1 = min(i0 + _ROW_BLOCK, n - 1)
-        # rows i0..i1-1 against columns j > i0; triu keeps j > i
-        I, J = np.nonzero(np.triu(_boxes_overlap(lo[i0:i1], hi[i0:i1],
-                                                 lo[i0 + 1:], hi[i0 + 1:])))
-        I += i0
-        J += i0 + 1
-        ok, general, hit, t, u = _crossings(v[I], w[I] - v[I], v[J], w[J] - v[J], tol)
+        # rows i0..i1-1 against columns j > i0; J >= I keeps j > i
+        I, J = np.nonzero(_boxes_overlap(lo[i0:i1], hi[i0:i1], lo[i0 + 1:], hi[i0 + 1:]))
+        upper = J >= I
+        I = I[upper] + i0
+        J = J[upper] + (i0 + 1)
+        ok, general, hit, t, u = _crossings(v[I], e[I], v[J], e[J], tol)
         t = np.clip(t, 0.0, 1.0)
         u = np.clip(u, 0.0, 1.0)
         # adjacent edges may only share their common endpoint
@@ -159,9 +187,7 @@ def eval_boundary(poly: Polygon2, bp: BoundaryPoint2) -> np.ndarray:
     if not -1e-12 <= bp.s <= 1.0 + 1e-12:
         raise IndexOutOfRangeError(f"s={bp.s} outside [0, 1]")
     s = min(max(bp.s, 0.0), 1.0)
-    a = poly.vertices[bp.edge]
-    b = poly.vertices[(bp.edge + 1) % poly.n]
-    return a + s * (b - a)
+    return poly.vertices[bp.edge] + s * poly.edges.vecs[bp.edge]
 
 
 def nearest_boundary_point(poly: Polygon2, q) -> BoundaryPoint2:
@@ -183,19 +209,23 @@ def _nearest_with_distance(poly: Polygon2, q):
     """Arrays (edge, s, distance) of the boundary point nearest each row of
     q, shape (m, 2), in (points x edges) passes; ties pick the smallest edge."""
     q = np.asarray(q, dtype=float)
-    v, w = poly.edge_arrays()
-    e = w - v
-    # guards a zero-length edge of a Polygon2 built without validation
-    ee = np.maximum(np.einsum("ij,ij->i", e, e), 1e-300)
-    out = []
-    for qb in np.array_split(q, max(1, min(len(q), len(q) * poly.n // _PAIR_BLOCK))):
-        t = np.clip(np.einsum("mij,ij->mi", qb[:, None, :] - v, e) / ee, 0.0, 1.0)
-        off = v + t[..., None] * e - qb[:, None, :]
-        d2 = np.einsum("mij,mij->mi", off, off)
-        i = np.argmin(d2, axis=1)   # argmin keeps the first minimum: edge tie-break
-        rows = np.arange(len(qb))
-        out.append((i, t[rows, i], np.sqrt(d2[rows, i])))
+    blocks = max(1, min(len(q), len(q) * poly.n // _PAIR_BLOCK))
+    if blocks == 1:
+        return _nearest_block(poly, q)
+    out = [_nearest_block(poly, qb) for qb in np.array_split(q, blocks)]
     return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def _nearest_block(poly: Polygon2, q):
+    """_nearest_with_distance of the rows of q in one (points x edges) pass."""
+    v, e = poly.vertices, poly.edges.vecs
+    t = np.clip(np.einsum("mij,ij->mi", q[:, None, :] - v, e) / poly.edges.sq_len,
+                0.0, 1.0)
+    off = v + t[..., None] * e - q[:, None, :]
+    d2 = np.einsum("mij,mij->mi", off, off)
+    i = np.argmin(d2, axis=1)   # argmin keeps the first minimum: edge tie-break
+    rows = np.arange(len(q))
+    return i, t[rows, i], np.sqrt(d2[rows, i])
 
 
 def locate_point(poly: Polygon2, q, eps=None) -> PointLocation:
@@ -204,18 +234,18 @@ def locate_point(poly: Polygon2, q, eps=None) -> PointLocation:
     bp, dist = _nearest_point(poly, q)
     if dist <= poly.eps_geom(eps):
         return PointLocation(BOUNDARY, bp, dist)
-    side = INSIDE if _parity_inside(poly.vertices, np.asarray(q, float)) else OUTSIDE
+    side = INSIDE if _parity_inside(poly, np.asarray(q, float)) else OUTSIDE
     return PointLocation(side, bp, dist)
 
 
-def _parity_inside(vertices: np.ndarray, q: np.ndarray) -> bool:
+def _parity_inside(poly: Polygon2, q: np.ndarray) -> bool:
     """Even-odd ray test; callers must keep q off the boundary."""
     x, y = float(q[0]), float(q[1])
-    xs, ys = vertices[:, 0], vertices[:, 1]
-    x2, y2 = np.roll(xs, -1), np.roll(ys, -1)
-    straddle = (ys > y) != (y2 > y)
+    xs, ys = poly.vertices[:, 0], poly.vertices[:, 1]
+    e = poly.edges.vecs
+    straddle = (ys > y) != (poly.edges.ends[:, 1] > y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xint = xs + (y - ys) * (x2 - xs) / (y2 - ys)
+        xint = xs + (y - ys) * e[:, 0] / e[:, 1]
     return bool(np.count_nonzero(straddle & (x < xint)) % 2)
 
 
@@ -298,19 +328,24 @@ def _clamp01(x):
     return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
-def segment_crossings(a, b, c, d, tol):
+def segment_crossings(a, b, c, d, tol, edges=None):
     """Hits of the segments a[i] -> b[i] with the segments c[j] -> d[j].
 
     Returns arrays (i, t, j, u), t along the first segment and u along the
     second, both clamped to [0, 1]. Pairs are pruned by bounding-box
     overlap, the first segments' boxes grown by tol; general-position
     crossings solve in one batch, and only (near-)parallel pairs fall back
-    to the scalar routine, whose hits come last.
+    to the scalar routine, whose hits come last. `edges`, the Edges of a
+    polygon whose vertices are c, stands in for d - c and the boxes of c, d.
     """
+    if edges is None:
+        s, lo, hi = d - c, np.minimum(c, d), np.maximum(c, d)
+    else:
+        s, lo, hi = edges.vecs, edges.lo, edges.hi
     I, J = np.nonzero(_boxes_overlap(np.minimum(a, b) - tol, np.maximum(a, b) + tol,
-                                     np.minimum(c, d), np.maximum(c, d)))
+                                     lo, hi))
     a, b = a[I], b[I]
-    ok, general, hit, t, u = _crossings(a, b - a, c[J], d[J] - c[J], tol)
+    ok, general, hit, t, u = _crossings(a, b - a, c[J], s[J], tol)
     cols = [I[hit], _clamp01(t[hit]), J[hit], _clamp01(u[hit])]
     extra = [(I[k], tt, J[k], uu) for k in np.nonzero(ok & ~general)[0]
              for tt, uu in _segment_hits(a[k], b[k], c[J[k]], d[J[k]], tol)]
@@ -325,7 +360,7 @@ def curve_polygon_intersections(curve, poly: Polygon2, segs):
     seg = np.asarray(segs)
     pv, pw = poly.edge_arrays()
     i, t, edge, u = segment_crossings(curve[seg], curve[(seg + 1) % len(curve)],
-                                      pv, pw, poly.eps_geom())
+                                      pv, pw, poly.eps_geom(), poly.edges)
     return seg[i], t, edge, u
 
 
@@ -400,24 +435,32 @@ def parse_polygon_text(text: str) -> Polygon2:
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad polygon JSON: {exc}") from exc
     else:
-        verts = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected `x y`")
-            try:
-                verts.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+        lines = [line.split("#", 1)[0].split() for line in text.splitlines()]
+        if any(len(parts) not in (0, 2) for parts in lines):
+            raise _bad_line(lines)
+        try:
+            verts = np.fromiter(map(float, chain.from_iterable(lines)), dtype=float)
+        except ValueError:
+            raise _bad_line(lines) from None
+        verts = verts.reshape(-1, 2)
     try:
         return validate_polygon(verts)
     except (DegenerateError, NonSimpleError):
         raise
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad polygon data: {exc}") from exc
+
+
+def _bad_line(lines) -> ParseError:
+    """The error naming the first of the split lines that is not two numbers."""
+    for lineno, parts in enumerate(lines, 1):
+        if parts and len(parts) != 2:
+            return ParseError(f"line {lineno}: expected `x y`")
+        for token in parts:
+            try:
+                float(token)
+            except ValueError as exc:
+                return ParseError(f"line {lineno}: {exc}")
 
 
 def load_polygon(path) -> Polygon2:

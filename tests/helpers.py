@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -9,13 +10,16 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from poise.balance2d import feasibility
+from poise.balance2d import Placement2, feasibility, gadget_polygon
 from poise import geom3d
 from poise import tripodal as tp
-from poise.errors import (InputError, NoIntersectionError, NotFoundError,
-                          OpenSurfaceError, ParseError, PoiseError, SearchExhaustedError)
-from poise.geom2d import (OUTSIDE, BoundaryPoint2, _boxes_overlap, _crossings,
-                          _segment_hits, locate_point, validate_polygon)
+from poise import geom2d
+from poise.errors import (DegenerateError, InputError, NoIntersectionError,
+                          NonSimpleError, NotFoundError, OpenSurfaceError, ParseError,
+                          PoiseError, SearchExhaustedError)
+from poise.geom2d import (OUTSIDE, BoundaryPoint2, Polygon2, _boxes_overlap, _check_pair,
+                          _clamp01, _crossings, _segment_hits, locate_point,
+                          nearest_boundary_point, validate_polygon)
 from poise.geom3d import (_closest_on_triangles, frame_field, surface_path,
                           validate_polyhedron)
 from poise.polytoped import RANK_TOL, HPolytope, edges, hpolytope
@@ -642,6 +646,155 @@ def all_segment_hits(a, b, c, d, tol):
     scalar _segment_hits call per pair, sorted."""
     return sorted((i, t, j, u) for i in range(len(a)) for j in range(len(c))
                   for t, u in _segment_hits(a[i], b[i], c[j], d[j], tol))
+
+
+# --- planar kernels that derive their edge data per call -------------------------
+# Each recomputes the next vertices with np.roll and the edge vectors and boxes
+# on every call; the cached kernels of geom2d must match them bit for bit.
+
+def signed_area_reference(poly):
+    x, y = poly.vertices[:, 0], poly.vertices[:, 1]
+    x2, y2 = np.roll(x, -1), np.roll(y, -1)
+    return 0.5 * float(np.sum(x * y2 - x2 * y))
+
+
+def validate_polygon_reference(vertices):
+    v = np.asarray(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
+        raise DegenerateError("need at least 3 points of dimension 2")
+    if not np.all(np.isfinite(v)):
+        raise DegenerateError("non-finite vertex coordinates")
+    poly = Polygon2(v)
+    scale = max(poly.diam, 1e-300)
+    dif = np.roll(v, -1, axis=0) - v
+    if np.any(np.linalg.norm(dif, axis=1) <= 1e-12 * scale):
+        raise DegenerateError("repeated consecutive vertices")
+    area = signed_area_reference(poly)
+    if abs(area) <= 1e-14 * scale * scale:
+        raise DegenerateError("zero-area polygon")
+    if area < 0.0:
+        poly = Polygon2(v[::-1])
+    check_simple_reference(poly)
+    return poly
+
+
+def check_simple_reference(poly):
+    v = poly.vertices
+    w = np.roll(v, -1, axis=0)
+    n = poly.n
+    tol = 1e-12 * max(poly.diam, 1e-300)
+    lo = np.minimum(v, w) - 2.0 * tol
+    hi = np.maximum(v, w) + 2.0 * tol
+    for i0 in range(0, n - 1, geom2d._ROW_BLOCK):
+        i1 = min(i0 + geom2d._ROW_BLOCK, n - 1)
+        I, J = np.nonzero(np.triu(_boxes_overlap(lo[i0:i1], hi[i0:i1],
+                                                 lo[i0 + 1:], hi[i0 + 1:])))
+        I += i0
+        J += i0 + 1
+        ok, general, hit, t, u = _crossings(v[I], w[I] - v[I], v[J], w[J] - v[J], tol)
+        t = np.clip(t, 0.0, 1.0)
+        u = np.clip(u, 0.0, 1.0)
+        shared = (((J == I + 1) & (t >= 1.0 - 1e-9) & (u <= 1e-9))
+                  | ((I == 0) & (J == n - 1) & (u >= 1.0 - 1e-9) & (t <= 1e-9)))
+        for k in np.nonzero((hit & ~shared) | (ok & ~general))[0]:
+            _check_pair(v, w, int(I[k]), int(J[k]), n, tol)
+
+
+def nearest_with_distance_reference(poly, q):
+    q = np.asarray(q, dtype=float)
+    v = poly.vertices
+    w = np.roll(v, -1, axis=0)
+    e = w - v
+    ee = np.maximum(np.einsum("ij,ij->i", e, e), 1e-300)
+    out = []
+    for qb in np.array_split(q, max(1, min(len(q), len(q) * poly.n // geom2d._PAIR_BLOCK))):
+        t = np.clip(np.einsum("mij,ij->mi", qb[:, None, :] - v, e) / ee, 0.0, 1.0)
+        off = v + t[..., None] * e - qb[:, None, :]
+        d2 = np.einsum("mij,mij->mi", off, off)
+        i = np.argmin(d2, axis=1)
+        rows = np.arange(len(qb))
+        out.append((i, t[rows, i], np.sqrt(d2[rows, i])))
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def parity_inside_reference(vertices, q):
+    x, y = float(q[0]), float(q[1])
+    xs, ys = vertices[:, 0], vertices[:, 1]
+    x2, y2 = np.roll(xs, -1), np.roll(ys, -1)
+    straddle = (ys > y) != (y2 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = xs + (y - ys) * (x2 - xs) / (y2 - ys)
+    return bool(np.count_nonzero(straddle & (x < xint)) % 2)
+
+
+def segment_crossings_reference(a, b, c, d, tol):
+    I, J = np.nonzero(_boxes_overlap(np.minimum(a, b) - tol, np.maximum(a, b) + tol,
+                                     np.minimum(c, d), np.maximum(c, d)))
+    a, b = a[I], b[I]
+    ok, general, hit, t, u = _crossings(a, b - a, c[J], d[J] - c[J], tol)
+    cols = [I[hit], _clamp01(t[hit]), J[hit], _clamp01(u[hit])]
+    extra = [(I[k], tt, J[k], uu) for k in np.nonzero(ok & ~general)[0]
+             for tt, uu in _segment_hits(a[k], b[k], c[J[k]], d[J[k]], tol)]
+    if extra:
+        cols = [np.concatenate([col, x]) for col, x in zip(cols, zip(*extra))]
+    return tuple(cols)
+
+
+def parse_polygon_text_reference(text):
+    """parse_polygon_text reading `x y` lines one at a time."""
+    if text.lstrip().startswith("{"):
+        try:
+            verts = json.loads(text)["vertices"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ParseError(f"bad polygon JSON: {exc}") from exc
+    else:
+        verts = []
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected `x y`")
+            try:
+                verts.append((float(parts[0]), float(parts[1])))
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
+    try:
+        return validate_polygon_reference(verts)
+    except (DegenerateError, NonSimpleError):
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad polygon data: {exc}") from exc
+
+
+def gadget_witness_reference(inst):
+    """gadget_witness with reachable loads grown as a dict of parents."""
+    total = sum(int(a) for a in inst.values)
+    if total % 2 == 1:
+        return None
+    vals = sorted((int(a) for a in inst.values), reverse=True)
+    parent = {0: None}
+    for pos, a in enumerate(vals):
+        for r in list(parent):
+            if r + a not in parent:
+                parent[r + a] = (r, pos)
+    half = total // 2
+    if half not in parent:
+        return None
+    on_right = set()
+    r = half
+    while parent[r] is not None:
+        r, pos = parent[r]
+        on_right.add(pos)
+    poly = gadget_polygon()
+    reflex = nearest_boundary_point(poly, (0.0, -1.0))
+    left = nearest_boundary_point(poly, (-2.0, 2.0))
+    right = nearest_boundary_point(poly, (2.0, 2.0))
+    assignments = [(0, reflex)]
+    for pos in range(len(vals)):
+        assignments.append((pos + 1, right if pos in on_right else left))
+    return Placement2(assignments, np.zeros(2), rounds=0)
 
 
 # --- routines only the tests call ----------------------------------------------

@@ -4,13 +4,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from helpers import feasible_weights, star_polygon
-from poise.balance2d import (GADGET_VERTICES, PartitionInstance, balance_fast,
+from helpers import feasible_weights, gadget_witness_reference, star_polygon
+from poise.balance2d import (GADGET_VERTICES, ORACLE_MAX_TOTAL, PartitionInstance,
+                             balance_fast,
                              balance_iterative, feasibility,
                              gadget_from_partition, gadget_polygon,
                              gadget_witness, partition_oracle, partition_three,
                              verify_antipodal, verify_balance_points)
-from poise.errors import InfeasibleError
+from poise.errors import InfeasibleError, InputError
 from poise.geom2d import eval_boundary, validate_polygon
 
 SQUARE = validate_polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
@@ -178,6 +179,33 @@ def test_gadget_witness_for_unit_pair():
 
 def test_gadget_witness_none_for_no_instance():
     assert gadget_witness(PartitionInstance((2, 3, 7))) is None
+
+
+def test_gadget_witness_matches_the_parent_map_dp():
+    """The reach-array DP gives the dict-of-parents DP's witness, on instances
+    with zeros, odd totals, values above half the total and repeated values."""
+    rng = np.random.default_rng(53)
+    found = 0
+    for k in range(3000):
+        n = int(rng.integers(1, 25))
+        vals = rng.integers(0, (4, 21, 200)[k % 3], size=n)
+        vals[rng.random(n) < 0.15] = 0
+        if k % 7 == 0:
+            vals[0] = vals.sum() + int(rng.integers(0, 3))
+        inst = PartitionInstance(tuple(int(a) for a in vals))
+        got, want = gadget_witness(inst), gadget_witness_reference(inst)
+        assert (got is None) == (want is None), inst
+        if got is not None:
+            found += 1
+            assert got.assignments == want.assignments, inst
+    assert 750 <= found <= 2250     # both answers must occur often
+
+
+def test_gadget_witness_refuses_totals_beyond_the_oracle_limit():
+    big = ORACLE_MAX_TOTAL // 2 + 1
+    with pytest.raises(InputError, match="exceeds the oracle's limit"):
+        gadget_witness(PartitionInstance((big, big)))
+    assert gadget_witness(PartitionInstance((big, big + 1))) is None   # odd total
 
 
 def test_verify_points_rejects_off_balance():

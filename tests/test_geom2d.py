@@ -3,11 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from helpers import (all_segment_hits, boundary_point_at_param, dump_polygon_text,
-                     first_hit_all_hits, star_polygon)
+from helpers import (all_segment_hits, boundary_point_at_param, check_simple_reference,
+                     dump_polygon_text, first_hit_all_hits, nearest_with_distance_reference,
+                     parity_inside_reference, parse_polygon_text_reference,
+                     segment_crossings_reference, signed_area_reference, star_polygon,
+                     validate_polygon_reference)
 from poise import geom2d
-from poise.errors import DegenerateError, NoIntersectionError, NonSimpleError, ParseError
-from poise.geom2d import (BoundaryPoint2, _segment_hits, antipodal_about,
+from poise.balance2d import GADGET_VERTICES
+from poise.errors import (DegenerateError, NoIntersectionError, NonSimpleError, ParseError,
+                          PoiseError)
+from poise.geom2d import (BoundaryPoint2, Polygon2, _segment_hits, antipodal_about,
                           curve_polygon_intersections, eval_boundary, locate_point,
                           nearest_boundary_point, parse_polygon_text,
                           validate_polygon)
@@ -315,3 +320,98 @@ def test_eval_boundary_index_checks():
     poly = validate_polygon(SQUARE)
     with pytest.raises(Exception):
         eval_boundary(poly, BoundaryPoint2(9, 0.5))
+
+
+def _outcome(f, *args):
+    """f's result with arrays as (dtype, bytes), or its error's class and text."""
+    try:
+        out = f(*args)
+    except PoiseError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, Polygon2):
+        out = out.vertices
+    if isinstance(out, tuple):
+        return tuple(_outcome(lambda: x) for x in out)
+    return (out.dtype.str, out.shape, out.tobytes()) if isinstance(out, np.ndarray) else out
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(41)
+    for n in (3, 4, 5, 16, 64, 257, 2048):
+        yield pytest.param("polygon", star_polygon(rng, n).vertices, id=f"star{n}")
+    for name, verts in (
+            ("gadget", GADGET_VERTICES),
+            ("collinear-fold", FOLD_BACK),
+            ("collinear-wrap", FOLD_AT_WRAP),
+            ("collinear-line", [(0, 0), (1, 0), (2, 0)]),
+            ("collinear-vertex", [(0, 0), (1, 0), (2, 0), (2, 1)]),
+            ("self-touching", [(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)]),
+            ("bowtie", BOWTIE),
+            ("near-parallel", [(0, 0), (4, 4), (3, 3.01), (1, 1.01 + 1e-15), (-1, 2)]),
+            ("near-parallel-touching",
+             [(0, 0), (4, 4), (3, 3 + 1e-13), (1, 1 + 2e-13), (-1, 2)]),
+            ("repeated-vertex", [(0, 0), (1, 0), (1, 0), (0, 1)])):
+        yield pytest.param("polygon", np.array(verts, dtype=float), id=name)
+    yield pytest.param("nearest", star_polygon(rng, 64).vertices, id="nearest-blocks")
+    for name, text in (
+            ("comments", "# a square\n0 0 # first\n\n1 0\n  # only a comment\n1 1\n0 1"),
+            ("crlf-tabs", "0\t0\r\n1 0\r\n\t1\t 1 \r\n\r\n0 1\r\n"),
+            ("unicode-space", "0\u00a00\n1 0\x0c1 1\n0 1\n"),
+            ("one-token", "0 0\n1\n1 1\n0 1\n"),
+            ("three-tokens", "0 0\n1 0 2\n1 1\n0 1\n"),
+            ("bad-float-first", "0 0\nx 1\n1 0 2\n"),
+            ("count-first", "0 0\n1 0 2\nx 1\n"),
+            ("underscore", "0 0\n1_0 0\n1_0 1_0\n"),
+            ("nan", "0 0\nnan 0\n1 1\n"),
+            ("hex", "0 0\n0x1p3 0\n1 1\n"),
+            ("overflow", "0 0\n1e400 0\n1 1\n"),
+            ("negative-zero", "-0 -0.0\n1 0\n0 1\n"),
+            ("empty", ""),
+            ("comments-only", "# nothing\n\n"),
+            ("json", '{"vertices": [[0, 0], [1, 0], [0, 1]]}'),
+            ("json-short", '{"vertices": [[0, 0], [1, 0]]}'),
+            ("json-ragged", '{"vertices": [[0, 0], [1, 0], [0]]}'),
+            ("json-bad", '{"points": []}')):
+        yield pytest.param("parse", text, id=f"parse-{name}")
+
+
+@pytest.mark.parametrize("kind, data", _oracle_cases())
+def test_cached_kernels_match_the_per_call_references(kind, data):
+    """The kernels that read a Polygon2's cached edge data, and the one-pass
+    parser, match kernels that derive it per call bit for bit: results,
+    error classes and texts, for both orientations of each polygon."""
+    if kind == "parse":
+        assert _outcome(parse_polygon_text, data) == _outcome(parse_polygon_text_reference,
+                                                              data)
+        return
+    rng = np.random.default_rng(43)
+    for verts in (data, data[::-1]):
+        assert _outcome(validate_polygon, verts) == _outcome(validate_polygon_reference,
+                                                             verts)
+        poly = Polygon2(verts)
+        assert _outcome(geom2d._check_simple, poly) == _outcome(check_simple_reference, poly)
+        assert repr(poly.signed_area()) == repr(signed_area_reference(poly))
+        v, w = verts, np.roll(verts, -1, axis=0)
+        k = slice(None, None, max(1, len(v) // 128))      # up to 128 vertices
+        q = np.concatenate([poly.diam * rng.normal(size=(40, 2)), v[k], 0.5 * (v + w)[k],
+                            v[k] + 1e-12 * rng.normal(size=v[k].shape)])
+        if kind == "nearest":
+            q = np.tile(q, (24, 1))
+            assert len(q) * poly.n // geom2d._PAIR_BLOCK > 1
+        assert (_outcome(geom2d._nearest_with_distance, poly, q)
+                == _outcome(nearest_with_distance_reference, poly, q))
+        assert ([geom2d._parity_inside(poly, p) for p in q]
+                == [parity_inside_reference(verts, p) for p in q])
+        for bp in (BoundaryPoint2(0, 0.25), BoundaryPoint2(poly.n - 1, 0.75)):
+            a, b = v[bp.edge], w[bp.edge]
+            assert eval_boundary(poly, bp).tobytes() == (a + bp.s * (b - a)).tobytes()
+        curve = -1.3 * verts + 0.1 * rng.normal(size=2)
+        seg = np.arange(len(curve))
+        i, t, edge, u = segment_crossings_reference(curve, np.roll(curve, -1, axis=0),
+                                                    v, w, poly.eps_geom())
+        assert (_outcome(curve_polygon_intersections, curve, poly, seg)
+                == _outcome(lambda: (seg[i], t, edge, u)))
+        for a in poly.edges:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
